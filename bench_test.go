@@ -4,8 +4,8 @@
 // driver end to end (workload generation, coherence classification, model
 // evaluation) and reports the headline metric of that figure as a custom
 // benchmark metric, so `go test -bench=. -benchmem` regenerates every result
-// in one pass. EXPERIMENTS.md records a full-scale reference run produced
-// with cmd/tsesim.
+// in one pass. The golden tables in internal/experiments/testdata/*.golden
+// record a reference run of the same drivers.
 //
 // The benchmarks use a reduced workload scale so the whole suite completes
 // in minutes; pass -benchscale to change it, e.g.
@@ -335,12 +335,13 @@ func BenchmarkAblationCMOBPointers(b *testing.B) {
 // --- Streaming and parallelism benchmarks --------------------------------
 //
 // These measure the internal/stream subsystem: streamed versus materialized
-// model evaluation, the binary codec, node-sharded parallel evaluation, and
-// parallel versus serial experiment batches over a shared Workspace.
+// model evaluation, the binary codec, and parallel versus serial experiment
+// batches over a shared Workspace.
 
 // BenchmarkStreamedEvaluation compares evaluating one model over (a) the
 // materialized in-memory trace, (b) a Source iterator over that trace, and
-// (c) a decoded binary stream — the cross-process replay path. All three
+// (c) a decoded binary stream — the cross-process replay path — the last two
+// through the same analysis.ModelConsumer the pipeline runs. All three
 // produce identical results; the deltas are the iterator and codec costs.
 func BenchmarkStreamedEvaluation(b *testing.B) {
 	d, w := ablationData(b)
@@ -365,11 +366,11 @@ func BenchmarkStreamedEvaluation(b *testing.B) {
 	})
 	b.Run("streamed", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res, err := analysis.EvaluateModelStream(spec.New(), stream.TraceSource(d.Trace))
-			if err != nil {
+			c := analysis.NewModelConsumer(spec.New())
+			if err := c.Run(stream.TraceSource(d.Trace)); err != nil {
 				b.Fatal(err)
 			}
-			b.ReportMetric(100*res.Coverage(), "coverage_pct")
+			b.ReportMetric(100*c.Result.Coverage(), "coverage_pct")
 		}
 	})
 	b.Run("streamed-codec", func(b *testing.B) {
@@ -379,30 +380,11 @@ func BenchmarkStreamedEvaluation(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			res, err := analysis.EvaluateModelStream(spec.New(), r)
-			if err != nil {
+			c := analysis.NewModelConsumer(spec.New())
+			if err := c.Run(r); err != nil {
 				b.Fatal(err)
 			}
-			b.ReportMetric(100*res.Coverage(), "coverage_pct")
-		}
-	})
-}
-
-// BenchmarkShardedEvaluation compares serial and node-sharded parallel
-// evaluation of the per-node-state baselines on one trace. The sharded
-// results are bit-identical; the win is wall-clock.
-func BenchmarkShardedEvaluation(b *testing.B) {
-	d, w := ablationData(b)
-	nodes := w.Options().Nodes
-	spec := analysis.BaselineSpecs(nodes)[2]
-	b.Run("serial", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			analysis.EvaluateModel(spec.New(), d.Trace)
-		}
-	})
-	b.Run("sharded", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			analysis.EvaluateModelSharded(spec, d.Trace, nodes)
+			b.ReportMetric(100*c.Result.Coverage(), "coverage_pct")
 		}
 	})
 }
@@ -567,50 +549,40 @@ func BenchmarkGenerateMaterialize(b *testing.B) {
 
 // --- Sweep / broadcast benchmarks -----------------------------------------
 //
-// BenchmarkSweep measures the N-consumer fan-out that whole-sensitivity
-// sweeps ride, under both broadcast strategies and at sweep widths of
-// 4/16/64 consumers. The "broadcast" group isolates the engine itself with
-// drain-only consumers: with ReportAllocs it shows the ring allocating
-// O(ring) — the fixed slot buffers, reused lap after lap, independent of
-// both the consumer count and the trace length — where the channels
-// reference allocates a fresh chunk per broadcast and pays one channel send
-// per consumer per chunk. The "tse" group is the realistic end: one full TSE
-// model per cell riding the shared pass (analysis.SweepWith).
+// BenchmarkSweep measures the N-consumer ring fan-out that whole-sensitivity
+// sweeps ride, at sweep widths of 4/16/64 consumers. The "broadcast" group
+// isolates the engine itself with drain-only consumers: with ReportAllocs it
+// shows the ring allocating O(ring) — the fixed slot buffers, reused lap
+// after lap, independent of both the consumer count and the trace length.
+// The "tse" group is the realistic end: one full TSE model per cell riding
+// the shared pass (analysis.Sweep).
 func BenchmarkSweep(b *testing.B) {
 	d, w := ablationData(b)
-	strategyConfigs := []struct {
-		name string
-		s    pipeline.Strategy
-	}{{"ring", pipeline.Ring}, {"channels", pipeline.Channels}}
-
 	for _, consumers := range []int{4, 16, 64} {
-		for _, strat := range strategyConfigs {
-			b.Run(fmt.Sprintf("broadcast/%s/consumers=%d", strat.name, consumers), func(b *testing.B) {
-				b.ReportAllocs()
-				events := d.Trace.Len()
-				for i := 0; i < b.N; i++ {
-					sinks := make([]pipeline.Consumer, consumers)
-					for j := range sinks {
-						sinks[j] = pipeline.ConsumerFunc(func(src stream.Source) error {
-							for {
-								if _, err := src.Next(); err != nil {
-									if err == io.EOF {
-										return nil
-									}
-									return err
+		b.Run(fmt.Sprintf("broadcast/ring/consumers=%d", consumers), func(b *testing.B) {
+			b.ReportAllocs()
+			events := d.Trace.Len()
+			for i := 0; i < b.N; i++ {
+				sinks := make([]pipeline.Consumer, consumers)
+				for j := range sinks {
+					sinks[j] = pipeline.ConsumerFunc(func(src stream.Source) error {
+						for {
+							if _, err := src.Next(); err != nil {
+								if err == io.EOF {
+									return nil
 								}
+								return err
 							}
-						})
-					}
-					cfg := pipeline.Config{Strategy: strat.s}
-					if err := cfg.Run(stream.TraceSource(d.Trace), sinks...); err != nil {
-						b.Fatal(err)
-					}
+						}
+					})
 				}
-				b.ReportMetric(float64(events), "events")
-				b.ReportMetric(float64(consumers), "consumers")
-			})
-		}
+				if err := pipeline.Run(stream.TraceSource(d.Trace), sinks...); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(events), "events")
+			b.ReportMetric(float64(consumers), "consumers")
+		})
 	}
 
 	// The realistic sweep: one TSE configuration per consumer (lookaheads
@@ -623,19 +595,17 @@ func BenchmarkSweep(b *testing.B) {
 			cfg.Lookahead = lookaheads[i%len(lookaheads)]
 			cfgs[i] = cfg
 		}
-		for _, strat := range strategyConfigs {
-			b.Run(fmt.Sprintf("tse/%s/consumers=%d", strat.name, consumers), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					res, err := analysis.SweepWith(pipeline.Config{Strategy: strat.s}, cfgs, stream.TraceSource(d.Trace))
-					if err != nil {
-						b.Fatal(err)
-					}
-					b.ReportMetric(100*res[0].Coverage.Coverage(), "coverage_pct")
+		b.Run(fmt.Sprintf("tse/ring/consumers=%d", consumers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := analysis.Sweep(cfgs, stream.TraceSource(d.Trace))
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(consumers), "consumers")
-			})
-		}
+				b.ReportMetric(100*res[0].Coverage.Coverage(), "coverage_pct")
+			}
+			b.ReportMetric(float64(consumers), "consumers")
+		})
 	}
 }
 
@@ -658,14 +628,11 @@ func BenchmarkWorkloadGeneration(b *testing.B) {
 	}
 }
 
-// BenchmarkFileReplay compares the three full-pipeline file-replay paths:
-// the materializing one (LoadTrace + EvaluateTSE), the multipass streamed
-// reference (EvaluateTSEFileMultipass — one bounded-memory decode pass per
-// consumer, three in total), and the fused streamed engine (EvaluateTSEFile
-// — ONE decode pass teed into all three consumers by internal/pipeline).
-// The reports are bit-identical; the fused path removes two of the three
-// codec passes that dominate streamed replay cost while keeping the memory
-// footprint independent of the trace length.
+// BenchmarkFileReplay compares the materializing serial oracle (LoadTrace +
+// EvaluateTSE) with the fused streamed engine (EvaluateTSEFileWith — ONE
+// decode pass teed into all three consumers by internal/pipeline) and its
+// decode variants. The reports are bit-identical; the fused path keeps the
+// memory footprint independent of the trace length.
 func BenchmarkFileReplay(b *testing.B) {
 	opts := Options{Nodes: 16, Scale: *benchScale, Seed: 1}
 	tr, gen, err := GenerateTrace("db2", opts)
@@ -693,19 +660,9 @@ func BenchmarkFileReplay(b *testing.B) {
 			b.ReportMetric(100*rep.Coverage, "coverage_pct")
 		}
 	})
-	b.Run("multipass", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			rep, err := EvaluateTSEFileMultipass(path)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(100*rep.Coverage, "coverage_pct")
-			b.ReportMetric(3, "decode_passes")
-		}
-	})
 	b.Run("fused", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			rep, err := EvaluateTSEFile(path)
+			rep, err := replayTSE(path)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -754,28 +711,11 @@ func BenchmarkFileReplay(b *testing.B) {
 			}
 		})
 	}
-	// The fused path under the channels broadcast (the pre-ring reference):
-	// same single decode, one channel send per consumer per chunk instead of
-	// the shared ring. Identical reports; the delta is broadcast cost.
-	b.Run("fused-channels", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			f, err := stream.OpenFile(path)
-			if err != nil {
-				b.Fatal(err)
-			}
-			rep, err := evaluateTSESourceWith(pipeline.Config{Strategy: pipeline.Channels}, f, f.Meta())
-			if err = stream.CloseMerge(f, err); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(100*rep.Coverage, "coverage_pct")
-			b.ReportMetric(1, "decode_passes")
-		}
-	})
 	// A whole sensitivity sweep over the file: every cell rides the same
 	// single decode (lookahead sweep, 6 TSE consumers, ring broadcast).
 	b.Run("sweep-lookahead", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			cells, err := EvaluateTSESweepFile(path, "lookahead")
+			cells, err := replaySweep(path, "lookahead")
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -783,19 +723,10 @@ func BenchmarkFileReplay(b *testing.B) {
 			b.ReportMetric(1, "decode_passes")
 		}
 	})
-	// The Figure 12 comparison fans out to four models; fused still decodes
-	// once, multipass four times (in parallel over the worker pool).
-	b.Run("compare-multipass", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := EvaluateAllFileMultipass(path); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(4, "decode_passes")
-		}
-	})
+	// The Figure 12 comparison fans out to four models over one decode.
 	b.Run("compare-fused", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := EvaluateAllFile(path); err != nil {
+			if _, err := replayAll(path); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportMetric(1, "decode_passes")

@@ -23,9 +23,9 @@
 // pipeline in bounded memory — the trace is never materialized, so files of
 // any size replay in constant space — and by default the file is decoded
 // exactly ONCE: the single decode pass is teed into every consumer by the
-// fan-out engine in internal/pipeline. -multipass restores the reference
-// path that decodes the file once per consumer, and -inmem the materializing
-// path (the reports are bit-identical in all three modes). -sweep runs an
+// fan-out engine in internal/pipeline. -inmem runs the serial in-memory
+// oracle instead — load the trace, then evaluate each model in turn — and
+// the reports are bit-identical in both modes. -sweep runs an
 // entire named sensitivity study (streams|lookahead|svb — the Figure 7/8/9
 // sweeps) with every cell riding that same single decode through the ring
 // fan-out, so a whole sweep costs one codec pass instead of one per cell.
@@ -66,8 +66,8 @@
 //	                   (add ?format=prom for Prometheus text exposition)
 //
 // The output of each experiment is a plain-text table whose rows mirror the
-// corresponding table or figure in the paper; EXPERIMENTS.md records a
-// reference run next to the published values.
+// corresponding table or figure in the paper; the golden tables in
+// internal/experiments/testdata/*.golden record a reference run.
 package main
 
 import (
@@ -102,8 +102,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		input         = fs.String("i", "", "evaluate a trace file written by tracegen -o instead of running experiments")
 		compare       = fs.Bool("compare", false, "with -i: evaluate all Figure 12 models, not just TSE")
 		sweep         = fs.String("sweep", "", "with -i: run a named TSE sensitivity sweep (streams|lookahead|svb) over ONE decode of the file")
-		inmem         = fs.Bool("inmem", false, "with -i: materialize the trace instead of streaming it (same reports)")
-		multipass     = fs.Bool("multipass", false, "with -i: decode the file once per consumer instead of fusing into one pass (same reports)")
+		inmem         = fs.Bool("inmem", false, "with -i: materialize the trace and evaluate each model serially instead of streaming it (same reports)")
 		decodeWorkers = fs.Int("decode-workers", 0, "with -i: parallel per-chunk decode workers over the v3 chunk index (0 = serial, -1 = one per core)")
 		fromEvent     = fs.Uint64("from", 0, "with -i: replay from this event sequence number (inclusive; needs a v3 indexed file)")
 		toEvent       = fs.Uint64("to", 0, "with -i: replay up to this event sequence number (exclusive; 0 = end of trace)")
@@ -153,8 +152,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "tsesim: -series and -manifest record trace-file replay and need -i")
 			return 2
 		}
-		if *inmem || *multipass {
-			fmt.Fprintln(stderr, "tsesim: -series and -manifest ride the fused streamed path and cannot combine with -inmem or -multipass")
+		if *inmem {
+			fmt.Fprintln(stderr, "tsesim: -series and -manifest ride the fused streamed path and cannot combine with -inmem")
 			return 2
 		}
 		if *seriesOut != "" {
@@ -223,12 +222,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *input != "" {
-		if *inmem && *multipass {
-			fmt.Fprintln(stderr, "tsesim: -inmem and -multipass are mutually exclusive (both are alternatives to the fused streamed path)")
-			return 2
-		}
-		if rcSet && (*inmem || *multipass) {
-			fmt.Fprintln(stderr, "tsesim: -decode-workers, -from, -to and -mmap ride the fused streamed path and cannot combine with -inmem or -multipass")
+		if rcSet && *inmem {
+			fmt.Fprintln(stderr, "tsesim: -decode-workers, -from, -to and -mmap ride the fused streamed path and cannot combine with -inmem")
 			return 2
 		}
 		if rc.To != 0 && rc.To <= rc.From {
@@ -236,8 +231,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 		if *sweep != "" {
-			if *compare || *inmem || *multipass {
-				fmt.Fprintln(stderr, "tsesim: -sweep runs on the fused single-decode path and cannot combine with -compare, -inmem or -multipass")
+			if *compare || *inmem {
+				fmt.Fprintln(stderr, "tsesim: -sweep runs on the fused single-decode path and cannot combine with -compare or -inmem")
 				return 2
 			}
 			if err := sweepTrace(stdout, *input, *sweep, *quiet, rc, ins); err != nil {
@@ -247,7 +242,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 			return dump()
 		}
-		if err := replayTrace(stdout, *input, *compare, *inmem, *multipass, *quiet, rc, ins); err != nil {
+		if err := replayTrace(stdout, *input, *compare, *inmem, *quiet, rc, ins); err != nil {
 			fmt.Fprintf(stderr, "tsesim: %v\n", err)
 			dump()
 			return 1
@@ -352,17 +347,12 @@ func sweepTrace(stdout io.Writer, path, sweep string, quiet bool, rc tsm.ReplayC
 // embedded metadata to rebuild the generator, so the reports match the
 // generating process bit for bit. The default path streams the file through
 // the full TSE + timing pipeline in bounded memory with exactly one decode
-// pass teed into every consumer; multipass restores the decode-per-consumer
-// reference path, and inmem materializes the trace first (identical reports
-// in every mode, memory proportional to the trace only with inmem). The
-// multipass and inmem reference paths predate the fan-out engine and do not
-// carry instrumentation.
-func replayTrace(stdout io.Writer, path string, compare, inmem, multipass, quiet bool, rc tsm.ReplayConfig, ins tsm.Instrumentation) error {
+// pass teed into every consumer; inmem materializes the trace first and runs
+// the serial oracle (identical reports, memory proportional to the trace,
+// no instrumentation).
+func replayTrace(stdout io.Writer, path string, compare, inmem, quiet bool, rc tsm.ReplayConfig, ins tsm.Instrumentation) error {
 	start := time.Now()
 	mode := "streamed, fused single decode" + replayModeSuffix(rc)
-	if multipass {
-		mode = "streamed, decode per consumer"
-	}
 	if inmem {
 		mode = "in-memory"
 	}
@@ -381,7 +371,7 @@ func replayTrace(stdout io.Writer, path string, compare, inmem, multipass, quiet
 			fmt.Fprintf(stdout, "trace: %s (%d events, %d consumptions, %s)\n", meta, tr.Len(), tr.ConsumptionCount(), mode)
 		}
 		if compare {
-			reports, err = tsm.EvaluateAll(tr, gen, opts)
+			reports, err = tsm.ComparePrefetchers(tr, gen, opts)
 		} else {
 			var rep tsm.Report
 			rep, err = tsm.EvaluateTSE(tr, gen, opts)
@@ -398,16 +388,9 @@ func replayTrace(stdout io.Writer, path string, compare, inmem, multipass, quiet
 		if !quiet {
 			fmt.Fprintf(stdout, "trace: %s (%s)\n", meta, mode)
 		}
-		switch {
-		case compare && multipass:
-			reports, err = tsm.EvaluateAllFileMultipass(path)
-		case compare:
+		if compare {
 			reports, err = tsm.EvaluateAllFileWith(path, rc, ins)
-		case multipass:
-			var rep tsm.Report
-			rep, err = tsm.EvaluateTSEFileMultipass(path)
-			reports = []tsm.Report{rep}
-		default:
+		} else {
 			var rep tsm.Report
 			rep, err = tsm.EvaluateTSEFileWith(path, rc, ins)
 			reports = []tsm.Report{rep}

@@ -82,8 +82,8 @@ func TestRunUnwritableMetrics(t *testing.T) {
 // TestRunBadFlagCombo: contradictory flags exit 2 (usage error).
 func TestRunBadFlagCombo(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-i", "x.tsm", "-inmem", "-multipass"}, &stdout, &stderr); code != 2 {
-		t.Fatalf("-inmem -multipass exited %d, want 2", code)
+	if code := run([]string{"-i", "x.tsm", "-sweep", "lookahead", "-inmem"}, &stdout, &stderr); code != 2 {
+		t.Fatalf("-sweep -inmem exited %d, want 2", code)
 	}
 	if code := run([]string{"-i", "x.tsm", "-sweep", "lookahead", "-compare"}, &stdout, &stderr); code != 2 {
 		t.Fatalf("-sweep -compare exited %d, want 2", code)
@@ -288,13 +288,13 @@ func TestRunSeriesAndManifest(t *testing.T) {
 }
 
 // TestRunSeriesFlagCombos pins the CLI contract of -series/-manifest:
-// replay-only (-i required) and fused-path-only (no -inmem/-multipass).
+// replay-only (-i required) and fused-path-only (no -inmem).
 func TestRunSeriesFlagCombos(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	cases := [][]string{
 		{"-series", "s.json"},   // no -i
 		{"-manifest", "m.json"}, // no -i
-		{"-i", "x.tsm", "-series", "s.json", "-multipass"},
+		{"-i", "x.tsm", "-series", "s.json", "-inmem"},
 		{"-i", "x.tsm", "-manifest", "m.json", "-inmem"},
 	}
 	for _, args := range cases {
@@ -320,8 +320,8 @@ func TestRunSeriesFlagCombos(t *testing.T) {
 }
 
 // TestRunDecodeWorkerFlags pins the CLI contract of the v3-index flags:
-// replay-only (-i required), incompatible with the reference decode paths,
-// and a -to at or below -from is a usage error.
+// replay-only (-i required), incompatible with the in-memory oracle, and a
+// -to at or below -from is a usage error.
 func TestRunDecodeWorkerFlags(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	cases := [][]string{
@@ -329,7 +329,7 @@ func TestRunDecodeWorkerFlags(t *testing.T) {
 		{"-from", "10"},          // no -i
 		{"-mmap"},                // no -i
 		{"-i", "x.tsm", "-decode-workers", "4", "-inmem"},
-		{"-i", "x.tsm", "-from", "10", "-multipass"},
+		{"-i", "x.tsm", "-from", "10", "-inmem"},
 		{"-i", "x.tsm", "-mmap", "-inmem"},
 		{"-i", "x.tsm", "-from", "10", "-to", "5"},
 		{"-i", "x.tsm", "-from", "10", "-to", "10"},
@@ -389,5 +389,29 @@ func TestRunRangedReplay(t *testing.T) {
 	}
 	if !strings.Contains(ranged.String(), "TSE") {
 		t.Fatalf("ranged replay printed no report:\n%s", &ranged)
+	}
+}
+
+// TestRunInmemMatchesFused: the in-memory oracle (-inmem) and the fused
+// single-decode replay print the same report lines, for TSE alone and for
+// the -compare suite.
+func TestRunInmemMatchesFused(t *testing.T) {
+	path := writeTestTrace(t)
+	for _, extra := range [][]string{nil, {"-compare"}} {
+		var fused, inmem, stderr bytes.Buffer
+		args := append([]string{"-i", path, "-quiet"}, extra...)
+		if code := run(args, &fused, &stderr); code != 0 {
+			t.Fatalf("%v exited %d\nstderr:\n%s", args, code, &stderr)
+		}
+		args = append(args, "-inmem")
+		if code := run(args, &inmem, &stderr); code != 0 {
+			t.Fatalf("%v exited %d\nstderr:\n%s", args, code, &stderr)
+		}
+		if fused.String() != inmem.String() {
+			t.Fatalf("%v: fused and in-memory reports differ\nfused:\n%s\ninmem:\n%s", extra, &fused, &inmem)
+		}
+		if !strings.Contains(fused.String(), "TSE") {
+			t.Fatalf("%v: replay printed no report:\n%s", extra, &fused)
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"tsm/internal/obs"
 	"tsm/internal/prefetch"
 	"tsm/internal/stream"
+	"tsm/internal/trace"
 	"tsm/internal/tse"
 )
 
@@ -23,6 +24,92 @@ import (
 // consumer records its live cumulative state as one epoch sample. The final
 // flush lands a sample whose coverage equals the end-of-run report exactly
 // (tse.System.Probe does not flush; see LiveStats).
+
+// ModelSpec describes a lazily constructed baseline model.
+type ModelSpec struct {
+	// Name identifies the model in comparison tables.
+	Name string
+	// New constructs a fresh, independent model instance.
+	New func() prefetch.Model
+}
+
+// BaselineSpecs returns the Figure 12 baseline prefetchers (stride and both
+// GHB variants) for the given node count, in presentation order.
+func BaselineSpecs(nodes int) []ModelSpec {
+	strideCfg := prefetch.DefaultStrideConfig()
+	strideCfg.Nodes = nodes
+	gdc := prefetch.DefaultGHBConfig(prefetch.GDC)
+	gdc.Nodes = nodes
+	gac := prefetch.DefaultGHBConfig(prefetch.GAC)
+	gac.Nodes = nodes
+	return []ModelSpec{
+		{Name: prefetch.NewStride(strideCfg).Name(), New: func() prefetch.Model { return prefetch.NewStride(strideCfg) }},
+		{Name: prefetch.NewGHB(gdc).Name(), New: func() prefetch.Model { return prefetch.NewGHB(gdc) }},
+		{Name: prefetch.NewGHB(gac).Name(), New: func() prefetch.Model { return prefetch.NewGHB(gac) }},
+	}
+}
+
+// evaluateModelInto runs the model evaluation loop updating res IN PLACE
+// after every event, which is what lets a sampling consumer read live
+// cumulative state mid-run (ModelConsumer.SampleAt) — the counts at any
+// chunk boundary are exactly the counts a run truncated there would report.
+// Fetched/Discards are only known at Finish and set on a clean end of
+// stream.
+func evaluateModelInto(m prefetch.Model, src stream.Source, res *CoverageResult) error {
+	if ss, ok := src.(stream.SoASource); ok {
+		return evaluateModelColumns(m, ss, res)
+	}
+	for {
+		e, err := src.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return err
+		}
+		switch e.Kind {
+		case trace.KindConsumption:
+			res.Consumptions++
+			if m.Consumption(e) {
+				res.Covered++
+			}
+		case trace.KindWrite:
+			m.Write(e)
+		}
+	}
+	res.Fetched, res.Discards = m.Finish()
+	return nil
+}
+
+// evaluateModelColumns is evaluateModelInto over struct-of-arrays chunks:
+// the classify switch sweeps the dense kind column — no interface call, no
+// 40-byte struct copy per event — and only the consumption/write rows the
+// model actually observes are reassembled into events. Results are
+// bit-identical to the per-event path.
+func evaluateModelColumns(m prefetch.Model, ss stream.SoASource, res *CoverageResult) error {
+	for {
+		c, err := ss.NextChunkSoA()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return err
+		}
+		for i, k := range c.Kind {
+			switch k {
+			case trace.KindConsumption:
+				res.Consumptions++
+				if m.Consumption(c.Event(i)) {
+					res.Covered++
+				}
+			case trace.KindWrite:
+				m.Write(c.Event(i))
+			}
+		}
+	}
+	res.Fetched, res.Discards = m.Finish()
+	return nil
+}
 
 // ModelConsumer evaluates one baseline prefetcher over its tee of the
 // stream. After a successful Run, Result holds the coverage summary.
@@ -83,7 +170,7 @@ func NewTSEConsumer(cfg tse.Config) *TSEConsumer {
 
 // Run implements the pipeline consumer contract. The system is built here
 // and exposed to SampleAt for the duration of the run; the final numbers are
-// bit-identical to EvaluateTSEStream (both are NewSystem + RunSource). A
+// bit-identical to EvaluateTSE over the equivalent in-memory trace. A
 // source holding struct-of-arrays chunks (the pipeline's fan-out sources,
 // the parallel decoder) is driven through the columnar inner loop instead —
 // same numbers, no per-event interface call.

@@ -19,7 +19,7 @@ import (
 
 // SweepResult is one cell of a TSE configuration sweep: the common coverage
 // summary plus the full TSE result (stream lengths, traffic, CMOB
-// footprint), exactly what EvaluateTSEStream returns for the cell's config.
+// footprint), exactly what EvaluateTSE returns for the cell's config.
 type SweepResult struct {
 	// Coverage is the cell's coverage/discard summary.
 	Coverage CoverageResult
@@ -29,7 +29,7 @@ type SweepResult struct {
 
 // Sweep evaluates every TSE configuration as a concurrent consumer of a
 // SINGLE pass over src: the fan-out engine in internal/pipeline decodes the
-// stream exactly once and broadcasts it (ring strategy — one chunk copy,
+// stream exactly once and broadcasts it (one chunk copy through the ring,
 // per-cell cursors), so the cost of adding a sweep cell is one more TSE
 // model, never another walk of the stream. Results are returned in config
 // order and are bit-identical to running EvaluateTSE per cell, a property
@@ -45,7 +45,7 @@ func SweepTrace(cfgs []tse.Config, tr *trace.Trace) ([]SweepResult, error) {
 }
 
 // SweepWith is Sweep under an explicit pipeline configuration — the seam the
-// ring-vs-channels differential tests and the broadcast benchmarks use.
+// facade's instrumentation and the broadcast benchmarks use.
 func SweepWith(pcfg pipeline.Config, cfgs []tse.Config, src stream.Source) ([]SweepResult, error) {
 	cells := make([]*TSEConsumer, len(cfgs))
 	consumers := make([]pipeline.Consumer, len(cfgs))

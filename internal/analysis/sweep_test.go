@@ -6,7 +6,6 @@ import (
 
 	"tsm/internal/coherence"
 	"tsm/internal/mem"
-	"tsm/internal/pipeline"
 	"tsm/internal/stream"
 	"tsm/internal/trace"
 	"tsm/internal/tse"
@@ -100,46 +99,32 @@ func TestSweepEmpty(t *testing.T) {
 	}
 }
 
-// TestSweepStrategiesAgree: the ring broadcast and the channels reference
-// must produce identical sweep results — the pipeline-strategy differential
-// at the evaluator level (the facade repeats it across every workload).
-func TestSweepStrategiesAgree(t *testing.T) {
+// TestSweepTraceMatchesSweep: SweepTrace is the same single pass over the
+// materialized trace.
+func TestSweepTraceMatchesSweep(t *testing.T) {
 	tr, base := sweepTestTrace(t)
 	cfgs := sweepTestConfigs(base, 6)
-	ring, err := SweepWith(pipeline.Config{Strategy: pipeline.Ring}, cfgs, stream.TraceSource(tr))
+	viaSource, err := Sweep(cfgs, stream.TraceSource(tr))
 	if err != nil {
 		t.Fatal(err)
 	}
-	chans, err := SweepWith(pipeline.Config{Strategy: pipeline.Channels}, cfgs, stream.TraceSource(tr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range cfgs {
-		if ring[i].Coverage != chans[i].Coverage {
-			t.Fatalf("cell %d: ring %+v != channels %+v", i, ring[i].Coverage, chans[i].Coverage)
-		}
-	}
-
-	// SweepTrace is the same single pass over the materialized trace.
 	viaTrace, err := SweepTrace(cfgs, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range cfgs {
-		if viaTrace[i].Coverage != ring[i].Coverage {
-			t.Fatalf("cell %d: SweepTrace %+v != Sweep %+v", i, viaTrace[i].Coverage, ring[i].Coverage)
+		if viaTrace[i].Coverage != viaSource[i].Coverage {
+			t.Fatalf("cell %d: SweepTrace %+v != Sweep %+v", i, viaTrace[i].Coverage, viaSource[i].Coverage)
 		}
 	}
 }
 
 // TestSweepPropagatesSourceError: a terminal decode error must fail the
-// sweep with that error, under both strategies.
+// sweep with that error.
 func TestSweepPropagatesSourceError(t *testing.T) {
 	_, base := sweepTestTrace(t)
 	cfgs := sweepTestConfigs(base, 3)
-	for _, s := range []pipeline.Strategy{pipeline.Ring, pipeline.Channels} {
-		if _, err := SweepWith(pipeline.Config{Strategy: s}, cfgs, brokenSource{}); !errors.Is(err, errBroken) {
-			t.Fatalf("strategy %v: err = %v, want errBroken", s, err)
-		}
+	if _, err := Sweep(cfgs, brokenSource{}); !errors.Is(err, errBroken) {
+		t.Fatalf("err = %v, want errBroken", err)
 	}
 }

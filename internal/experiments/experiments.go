@@ -282,7 +282,7 @@ func RunAll(w *Workspace, exps []Experiment) ([]Table, error) {
 // ONE walk of the workload's trace: the cells become concurrent consumers of
 // a single pass through the fan-out engine (analysis.Sweep, ring broadcast),
 // instead of one full EvaluateTSE pass per cell. The per-cell results are
-// bit-identical to the per-cell passes — EvaluateTSEStream is pinned equal
+// bit-identical to the per-cell passes — the TSE consumer is pinned equal
 // to EvaluateTSE — which is what keeps every sweep figure's golden
 // byte-identical to the pre-sweep drivers.
 func sweepCells(w *Workspace, data *WorkloadData, cfgs []tse.Config) ([]analysis.CoverageResult, error) {

@@ -3,7 +3,7 @@ package pipeline
 // Engine instrumentation. When Config.Metrics or Config.Tracer is set, Run
 // reports what the fan-out actually did — events/chunks decoded, ring slot
 // occupancy, per-consumer cursor lag and stall time, backpressure wait
-// distributions for both broadcast strategies, and one trace span per stage
+// distributions, and one trace span per stage
 // (the decode pass, each decoded chunk, every consumer). With both nil
 // (the default) the engine builds no engineObs at all and every hook below
 // is a nil-receiver no-op: the un-instrumented path costs a pointer check,
@@ -21,7 +21,7 @@ package pipeline
 //	pipeline.producer.stall_ns         counter  producer blocked on backpressure
 //	pipeline.producer.wait_ns          histogram per-wait backpressure distribution
 //	pipeline.consumer_wait_ns          histogram per-wait chunk-wait distribution (all consumers)
-//	pipeline.ring.occupancy            gauge    ring slots in flight (ring strategy)
+//	pipeline.ring.occupancy            gauge    ring slots in flight
 //	pipeline.ring.occupancy_max        gauge    peak ring occupancy
 //	pipeline.consumer.<label>.events   counter  events delivered to the consumer
 //	pipeline.consumer.<label>.stall_ns counter  consumer blocked waiting for chunks
@@ -144,8 +144,8 @@ func (o *engineObs) producerDone(elapsed time.Duration) {
 	}
 }
 
-// producerStall records one backpressure wait (ring: slowest cursor holding
-// the next slot; channels: a full consumer channel).
+// producerStall records one backpressure wait: the slowest cursor holding
+// the next ring slot.
 func (o *engineObs) producerStall(d time.Duration) {
 	if o == nil || d <= 0 {
 		return

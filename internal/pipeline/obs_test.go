@@ -9,7 +9,7 @@ import (
 	"tsm/internal/stream"
 )
 
-// TestObsInvariants runs a ring-strategy fan-out at sweep widths and checks
+// TestObsInvariants runs a ring fan-out at sweep widths and checks
 // the metrics snapshot against the engine's own guarantees: every consumer
 // received exactly what the producer decoded, stalls fit inside the wall
 // time, the chunk count matches the chunk size, and ring occupancy never
@@ -29,7 +29,6 @@ func TestObsInvariants(t *testing.T) {
 		cfg := Config{
 			ChunkEvents: chunkEvents,
 			ChunkBuffer: chunkBuffer,
-			Strategy:    Ring,
 			Metrics:     reg,
 			Tracer:      tr,
 		}
@@ -117,25 +116,6 @@ func TestObsConsumerNames(t *testing.T) {
 	}
 	if got := s.Counters["pipeline.consumer.1.events"]; got != 100 {
 		t.Fatalf("index-labelled consumer events = %d, want 100", got)
-	}
-}
-
-// TestObsChannelsStrategy: the channels strategy feeds the same counters.
-func TestObsChannelsStrategy(t *testing.T) {
-	reg := obs.NewRegistry()
-	cfg := Config{ChunkEvents: 32, ChunkBuffer: 2, Strategy: Channels, Metrics: reg}
-	a, b := &drainCount{}, &drainCount{}
-	if err := cfg.Run(stream.NewSliceSource(makeEvents(1000)), a, b); err != nil {
-		t.Fatal(err)
-	}
-	s := reg.Snapshot()
-	if got := s.Counters["pipeline.events_decoded"]; got != 1000 {
-		t.Fatalf("events_decoded = %d, want 1000", got)
-	}
-	for _, label := range []string{"pipeline.consumer.0", "pipeline.consumer.1"} {
-		if got := s.Counters[label+".events"]; got != 1000 {
-			t.Fatalf("%s.events = %d, want 1000", label, got)
-		}
 	}
 }
 

@@ -1,47 +1,40 @@
 // Package pipeline is the single-decode fan-out replay engine: it tees ONE
 // pass over a stream.Source into N independent consumers, each running on its
-// own goroutine behind a bounded channel.
+// own goroutine behind a shared, bounded broadcast ring.
 //
 // The paper's evaluation is inherently multi-consumer — one memory-access
 // stream feeds the TSE coverage model, the baseline timing model and the TSE
-// timing model — yet before this package existed the file-replay facade
-// decoded the trace file once per consumer, so the varint/delta codec pass
-// dominated streamed replay cost (see BenchmarkFileReplay). The engine here
-// decodes the stream exactly once and broadcasts chunk-batched events to
-// every consumer:
+// timing model — and every file replay, sweep and figure is evaluated here as
+// N consumers of one walk of the stream:
 //
-//   - events are batched into chunks to amortize channel operations (one send
-//     per chunk per consumer instead of one per event);
-//   - channels are bounded, so a slow consumer exerts backpressure on the
+//	source ──decode once──▶ ring of chunk slots ──cursor per consumer──▶ consumer 0..N-1
+//
+// The engine guarantees:
+//
+//   - events are batched into chunks, so publishing costs one slot write and
+//     one wakeup per chunk however many consumers are attached;
+//   - the ring is bounded, so the slowest consumer exerts backpressure on the
 //     producer instead of forcing unbounded buffering — replay stays
 //     bounded-memory no matter how large the trace file is;
 //   - each consumer observes the events in exactly the decode order
 //     (deterministic per-consumer ordering), which is what lets the fused
-//     replay produce reports bit-identical to independent passes;
-//   - the first consumer failure cancels the producer and every other
-//     consumer promptly (their sources return ErrCanceled), and a decode
-//     error is delivered to every consumer as its terminal source error.
+//     replay produce reports bit-identical to evaluating each model serially;
+//   - the first consumer failure — an error or a recovered panic — cancels the
+//     producer and every other consumer promptly (their sources return
+//     ErrCanceled), and a decode error is delivered to every consumer as its
+//     terminal source error.
 //
 // Consumers only need to implement Run(stream.Source) error, so any existing
 // pull-based evaluation loop (tse.System.RunSource, timing.SimulateSource,
-// analysis.EvaluateModelStream) adapts without modification.
-//
-// Two broadcast strategies implement those semantics. The default Ring
-// strategy (ring.go) publishes each chunk once into a shared ring of
-// reusable buffers and gives every consumer its own read cursor, so the
-// per-chunk cost — and the allocation footprint — is independent of the
-// consumer count; it is what lets a whole sensitivity sweep (dozens of TSE
-// configurations) ride one decode pass. The Channels strategy is the
-// original per-consumer bounded-channel fan-out, retained as the
-// differential-testing reference. Config.Strategy selects; the observable
-// behaviour is identical by construction and pinned by parity tests.
+// the analysis consumers) adapts without modification. See ring.go for the
+// broadcast itself.
 package pipeline
 
 import (
 	"errors"
-	"io"
+	"fmt"
+	"runtime/debug"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"tsm/internal/obs"
@@ -54,6 +47,31 @@ import (
 // consumer. Run never returns ErrCanceled itself — it reports the error that
 // caused the cancellation.
 var ErrCanceled = errors.New("pipeline: canceled by another consumer's error")
+
+// ErrConsumerPanic matches (via errors.Is) the *ConsumerPanicError Run
+// returns when a consumer panics.
+var ErrConsumerPanic = errors.New("pipeline: consumer panicked")
+
+// ConsumerPanicError reports a consumer panic recovered on the consumer's
+// goroutine. The run is canceled exactly as for a consumer error: the other
+// consumers see ErrCanceled and no goroutine outlives Run.
+type ConsumerPanicError struct {
+	// Consumer is the panicking consumer's label (its Config.ConsumerNames
+	// entry, or its index).
+	Consumer string
+	// Value is the value passed to panic.
+	Value any
+	// Stack is the panicking goroutine's stack trace — what the panic would
+	// have printed had it crashed the process.
+	Stack []byte
+}
+
+func (e *ConsumerPanicError) Error() string {
+	return fmt.Sprintf("pipeline: consumer %s panicked: %v", e.Consumer, e.Value)
+}
+
+// Is makes errors.Is(err, ErrConsumerPanic) hold.
+func (e *ConsumerPanicError) Is(target error) bool { return target == ErrConsumerPanic }
 
 // Consumer is one independent destination of the fan-out: Run drains the
 // source to io.EOF (or fails) and stores whatever result it computes.
@@ -75,41 +93,18 @@ func (f ConsumerFunc) Run(src stream.Source) error { return f(src) }
 // DefaultChunkEvents is the number of events batched per broadcast chunk.
 const DefaultChunkEvents = 1024
 
-// DefaultChunkBuffer is the broadcast window in chunks — the ring capacity
-// of the Ring strategy, or the per-consumer channel capacity of the Channels
-// strategy; together with the chunk size it bounds how far the decoder may
-// run ahead of the slowest consumer.
+// DefaultChunkBuffer is the ring capacity in chunks; together with the chunk
+// size it bounds how far the decoder may run ahead of the slowest consumer.
 const DefaultChunkBuffer = 4
-
-// Strategy selects how one decoded chunk reaches N consumers.
-type Strategy int
-
-const (
-	// Ring, the default, broadcasts through one shared ring of reusable
-	// chunk buffers with a read cursor per consumer: publishing a chunk is
-	// one slot write and one wakeup regardless of the consumer count, the
-	// producer throttles on the slowest cursor, and slot backing arrays are
-	// recycled once every cursor has passed them (O(ring) chunk allocation
-	// in total, however long the trace). See ring.go.
-	Ring Strategy = iota
-	// Channels is the original fan-out — one bounded channel per consumer,
-	// one send per consumer per chunk, a fresh chunk buffer per broadcast.
-	// It is retained as the differential-testing reference for the ring
-	// (the same role -multipass plays for the fused replay path).
-	Channels
-)
 
 // Config tunes the engine. The zero value selects the defaults.
 type Config struct {
 	// ChunkEvents is the number of events batched per chunk (default
 	// DefaultChunkEvents).
 	ChunkEvents int
-	// ChunkBuffer is the broadcast window in chunks — ring capacity for
-	// Ring, per-consumer channel capacity for Channels (default
+	// ChunkBuffer is the ring capacity in chunks (default
 	// DefaultChunkBuffer).
 	ChunkBuffer int
-	// Strategy selects the broadcast mechanism (default Ring).
-	Strategy Strategy
 	// Metrics, when non-nil, receives the engine's counters, gauges and
 	// backpressure histograms under the "pipeline." prefix (see obs.go for
 	// the full name list). Nil — the default — disables metric collection
@@ -144,12 +139,6 @@ func (c Config) normalize() Config {
 // default configuration. See Config.Run.
 func Run(src stream.Source, consumers ...Consumer) error {
 	return Config{}.Run(src, consumers...)
-}
-
-// item is one broadcast unit: a chunk of events, or a terminal decode error.
-type item struct {
-	chunk *bcastChunk
-	err   error
 }
 
 // bcastChunk is one broadcast unit's buffer, holding the same rows in up to
@@ -273,302 +262,61 @@ func (f chunkFiller) fill(dst *bcastChunk, chunkEvents int) (terminal error) {
 	return terminal
 }
 
-// chanSource adapts a consumer's chunk channel to the stream.Source pulled
-// by the consumer's evaluation loop. Terminal conditions arrive strictly in
-// band, so a consumer always observes every event broadcast to it before any
-// ending: a closed channel is a clean end of stream (io.EOF), and an item
-// carrying an error — the producer's terminal decode error, or ErrCanceled
-// after another consumer failed — is this source's own terminal error.
-type chanSource struct {
-	ch   <-chan item
-	cur  *bcastChunk
-	aos  []trace.Event // cur's AoS view, fetched on first per-event read
-	view stream.ChunkSoA
-	pos  int
-	err  error
-	o    *engineObs
-	id   int
-	sampleState
-}
-
-// refill blocks until the source holds an unconsumed chunk, handling the
-// sample pump, stall timing and in-band terminals. It returns the terminal
-// error once the stream ends (also recorded in s.err).
-func (s *chanSource) refill() error {
-	// The previous chunk is fully processed: offer the consumer a sample
-	// at its boundary before fetching more.
-	s.pump(false)
-	var it item
-	var ok bool
-	if s.o.enabled() {
-		// Receive without blocking when a chunk is already buffered;
-		// otherwise time the wait — that is this consumer's stall.
-		select {
-		case it, ok = <-s.ch:
-		default:
-			t0 := time.Now()
-			it, ok = <-s.ch
-			s.o.consumerStall(s.id, time.Since(t0))
-		}
-	} else {
-		it, ok = <-s.ch
-	}
-	if !ok {
-		s.err = io.EOF
-		s.pump(true)
-		return io.EOF
-	}
-	if it.err != nil {
-		s.err = it.err
-		s.pump(true)
-		return it.err
-	}
-	s.cur, s.aos, s.pos = it.chunk, nil, 0
-	s.adopt(it.chunk)
-	// Cursor lag for the channel strategy is the chunks still buffered
-	// behind the producer after this receive.
-	s.o.consumerChunk(s.id, it.chunk.n, uint64(len(s.ch)))
-	return nil
-}
-
-// Next implements stream.Source.
-func (s *chanSource) Next() (trace.Event, error) {
-	if s.err != nil {
-		return trace.Event{}, s.err
-	}
-	for s.cur == nil || s.pos >= s.cur.n {
-		if err := s.refill(); err != nil {
-			return trace.Event{}, err
-		}
-	}
-	if s.aos == nil {
-		s.aos = s.cur.aos()
-	}
-	e := s.aos[s.pos]
-	s.pos++
-	return e, nil
-}
-
-// NextChunkSoA implements stream.SoASource: a column view of the remaining
-// events of the current chunk, valid until the next call.
-func (s *chanSource) NextChunkSoA() (*stream.ChunkSoA, error) {
-	if s.err != nil {
-		return nil, s.err
-	}
-	for s.cur == nil || s.pos >= s.cur.n {
-		if err := s.refill(); err != nil {
-			return nil, err
-		}
-	}
-	s.view = s.cur.cols().Slice(s.pos, s.cur.n)
-	s.pos = s.cur.n
-	return &s.view, nil
-}
-
 // Run decodes src exactly once and broadcasts the events to every consumer
-// through the configured strategy, blocking until the producer and all
-// consumers have finished (no goroutine outlives the call). With zero
-// consumers it returns nil without reading src; with one consumer it runs
-// the consumer directly on the caller's goroutine (no broadcast needed — a
-// plain single pass).
+// through the ring, blocking until the producer and all consumers have
+// finished (no goroutine outlives the call). With zero consumers it returns
+// nil without reading src; with one consumer it runs the consumer directly on
+// the caller's goroutine (no broadcast needed — a plain single pass).
 //
 // On success every consumer has drained the full stream in decode order. On
 // failure Run returns the first error in consumer order — a consumer's own
-// failure, or the decode error every consumer observed — never ErrCanceled.
+// failure, a recovered consumer panic (ErrConsumerPanic), or the decode error
+// every consumer observed — never ErrCanceled.
 func (c Config) Run(src stream.Source, consumers ...Consumer) error {
-	switch len(consumers) {
-	case 0:
+	if len(consumers) == 0 {
 		return nil
-	case 1:
-		smps := c.samplers(consumers)
-		o := c.newObs(1)
-		if o == nil && smps == nil {
-			return consumers[0].Run(src)
-		}
-		runSrc := src
-		if smp := samplerAt(smps, 0); smp != nil {
-			n := c.ChunkEvents
-			if n <= 0 {
-				n = DefaultChunkEvents
-			}
-			runSrc = &pumpSource{src: src, sampleState: sampleState{sampler: smp}, chunkEvents: n}
-		}
-		if o == nil {
-			return consumers[0].Run(runSrc)
-		}
-		start := time.Now()
-		sp := o.beginSpan(o.consumers[0].label, "consumer", 1)
-		counted := &singleSource{src: runSrc, o: o}
-		err := consumers[0].Run(counted)
-		counted.flush()
-		o.producerDone(time.Since(start))
-		o.consumerSpanEnd(0, sp)
-		o.runDone(start)
-		return err
 	}
 	c = c.normalize()
 	smps := c.samplers(consumers)
 	o := c.newObs(len(consumers))
+	if len(consumers) == 1 {
+		return c.runSingle(src, consumers[0], samplerAt(smps, 0), o)
+	}
 	if o.enabled() {
 		defer o.runDone(time.Now())
 	}
-	if c.Strategy == Ring {
-		return c.runRing(src, consumers, smps, o)
-	}
-	return c.runChannels(src, consumers, smps, o)
+	return c.runRing(src, consumers, smps, o)
 }
 
-// runChannels is Config.Run's channel strategy: per-consumer bounded
-// channels, one send per consumer per chunk.
-func (c Config) runChannels(src stream.Source, consumers []Consumer, smps []Sampler, o *engineObs) error {
-	chans := make([]chan item, len(consumers))
-	for i := range chans {
-		chans[i] = make(chan item, c.ChunkBuffer)
+// runSingle is Config.Run's one-consumer path: the consumer pulls src
+// directly on the caller's goroutine, wrapped only by the sampling pump and
+// the event counter when those are attached.
+func (c Config) runSingle(src stream.Source, consumer Consumer, smp Sampler, o *engineObs) error {
+	if smp != nil {
+		src = &pumpSource{src: src, sampleState: sampleState{sampler: smp}, chunkEvents: c.ChunkEvents}
 	}
-	stop := make(chan struct{})
-	var stopOnce sync.Once
-	cancel := func() { stopOnce.Do(func() { close(stop) }) }
-
-	// broadcast delivers one chunk to every consumer, honouring
-	// backpressure; it reports false once a cancellation makes further
-	// decoding pointless (the stop channel only ever unblocks the PRODUCER —
-	// consumers learn of every ending in band, via sendAll). With metrics
-	// attached, a send that cannot complete immediately is timed: that block
-	// is the producer's backpressure wait on a full consumer channel.
-	broadcast := func(it item) bool {
-		for _, ch := range chans {
-			if o.enabled() {
-				select {
-				case ch <- it:
-					continue
-				case <-stop:
-					return false
-				default:
-				}
-				t0 := time.Now()
-				select {
-				case ch <- it:
-					o.producerStall(time.Since(t0))
-				case <-stop:
-					return false
-				}
-				continue
-			}
-			select {
-			case ch <- it:
-			case <-stop:
-				return false
-			}
-		}
-		return true
+	if o == nil {
+		return c.runConsumer(0, consumer, src)
 	}
+	start := time.Now()
+	sp := o.beginSpan(o.consumers[0].label, "consumer", 1)
+	counted := &singleSource{src: src, o: o}
+	err := c.runConsumer(0, consumer, counted)
+	counted.flush()
+	o.producerDone(time.Since(start))
+	o.consumerSpanEnd(0, sp)
+	o.runDone(start)
+	return err
+}
 
-	// sendAll delivers a terminal item to every consumer unconditionally.
-	// The blocking sends cannot deadlock: a consumer goroutine drains its
-	// channel until it is closed, both inside Run and after Run returns.
-	// Delivering terminal errors in band (behind any buffered chunks) is
-	// what makes the error a consumer observes deterministic: it sees every
-	// event that was broadcast to it, then the ending.
-	sendAll := func(it item) {
-		for _, ch := range chans {
-			ch <- it
-		}
-	}
-
-	var wg sync.WaitGroup
-
-	// Producer: the single decode pass.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer func() {
-			for _, ch := range chans {
-				close(ch)
-			}
-		}()
-		var start time.Time
-		if o.enabled() {
-			start = time.Now()
-		}
-		var total uint64
-		sp := o.beginSpan("decode", "pipeline", 0)
-		defer func() {
-			o.producerDone(time.Since(start))
-			if sp != nil {
-				sp.Arg("events", total).End()
-			}
-		}()
-		filler := newChunkFiller(src)
-		for {
-			select {
-			case <-stop:
-				sendAll(item{err: ErrCanceled})
-				return
-			default:
-			}
-			var csp *obs.SpanHandle
-			if o.tracing() {
-				csp = o.tracer.Begin("chunk", "decode", 0)
-			}
-			// A fresh region per broadcast: the chunk is shared read-only by
-			// every consumer, so it cannot be recycled (the ring strategy is
-			// the allocation-free path).
-			chunk := &bcastChunk{}
-			terminal := filler.fill(chunk, c.ChunkEvents)
-			if n := chunk.n; n > 0 {
-				total += uint64(n)
-				o.decoded(n)
-				csp.Arg("events", n).End()
-				if !broadcast(item{chunk: chunk}) {
-					sendAll(item{err: ErrCanceled})
-					return
-				}
-			}
-			if terminal == io.EOF {
-				return // closing the channels is the consumers' io.EOF
-			}
-			if terminal != nil {
-				sendAll(item{err: terminal})
-				return
-			}
+// runConsumer runs consumer i over src, recovering a panic into a
+// *ConsumerPanicError so one broken consumer fails the run instead of the
+// process.
+func (c Config) runConsumer(i int, consumer Consumer, src stream.Source) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = &ConsumerPanicError{Consumer: c.consumerLabel(i), Value: v, Stack: debug.Stack()}
 		}
 	}()
-
-	// Consumers: one goroutine each, draining their channel after Run so an
-	// early return (error or a consumer that stops before io.EOF) can never
-	// wedge the producer on a full channel.
-	errs := make([]error, len(consumers))
-	var remaining atomic.Int32
-	remaining.Store(int32(len(consumers)))
-	for i, consumer := range consumers {
-		wg.Add(1)
-		go func(i int, consumer Consumer) {
-			defer wg.Done()
-			sp := o.beginSpan(o.label(i), "consumer", i+1)
-			err := consumer.Run(&chanSource{
-				ch: chans[i], o: o, id: i,
-				sampleState: sampleState{sampler: samplerAt(smps, i)},
-			})
-			o.consumerSpanEnd(i, sp)
-			errs[i] = err
-			if err != nil && !errors.Is(err, ErrCanceled) {
-				cancel()
-			}
-			// Once every consumer has returned — cleanly before io.EOF
-			// included — further decoding serves nobody: stop the producer.
-			if remaining.Add(-1) == 0 {
-				cancel()
-			}
-			for range chans[i] {
-			}
-		}(i, consumer)
-	}
-
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil && !errors.Is(err, ErrCanceled) {
-			return err
-		}
-	}
-	return nil
+	return consumer.Run(src)
 }

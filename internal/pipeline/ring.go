@@ -1,22 +1,16 @@
 package pipeline
 
-// The ring broadcast strategy: one shared ring of chunk buffers with a
-// per-consumer read cursor, instead of one bounded channel per consumer.
-//
-// The channel strategy costs one channel send per consumer per chunk and a
-// fresh chunk allocation per broadcast, which is fine for the handful of
-// consumers file replay needs but does not hold up when an entire sensitivity
-// sweep — dozens of TSE configurations — rides one decode pass. The ring
-// publishes each chunk exactly once (a slot index increment plus one
-// broadcast wakeup, however many consumers are attached) and reuses the ring
-// slots' backing arrays once every cursor has moved past them, so a sweep
-// allocates O(ring) chunk memory in total instead of O(chunks): the decode
+// The ring broadcast: one shared ring of chunk buffers with a per-consumer
+// read cursor. Publishing a chunk is one slot index increment plus one
+// broadcast wakeup, however many consumers are attached, and the ring slots'
+// backing arrays are reused once every cursor has moved past them, so a
+// whole sensitivity sweep — dozens of TSE configurations — rides one decode
+// pass with O(ring) chunk memory in total instead of O(chunks): the decode
 // pass over an arbitrarily long trace stops being an allocation source at
 // all. This is the inter-query sharing idea of Shared Arrangements applied to
 // trace replay: maintain one stream, attach N cheap readers.
 //
-// Semantics are identical to the channel strategy, and the differential
-// tests pin that:
+// Semantics, pinned by the engine tests against a slice reference:
 //
 //   - every consumer observes the events in exact decode order;
 //   - the producer never runs more than the ring capacity ahead of the
@@ -38,7 +32,7 @@ import (
 	"tsm/internal/trace"
 )
 
-// ringState is the shared state of one ring-strategy Run: the slot buffers,
+// ringState is the shared state of one ring Run: the slot buffers,
 // the producer's publish count and the per-consumer cursors, all guarded by
 // one mutex with two condition variables (producer waits for a free slot,
 // consumers wait for a new chunk or the terminal).
@@ -215,8 +209,8 @@ func (r *ringState) take(id int) (chunk *bcastChunk, err error, ok bool) {
 }
 
 // ringSource adapts one consumer's ring cursor to the stream.Source its
-// evaluation loop pulls. Like chanSource, terminal conditions are strictly
-// in band: every event published to the ring is observed before any ending.
+// evaluation loop pulls. Terminal conditions are strictly in band: every
+// event published to the ring is observed before any ending.
 type ringSource struct {
 	r    *ringState
 	id   int
@@ -288,8 +282,7 @@ func (s *ringSource) NextChunkSoA() (*stream.ChunkSoA, error) {
 	return &s.view, nil
 }
 
-// runRing is Config.Run's ring strategy (two or more consumers; the 0/1
-// fast paths are shared with the channel strategy).
+// runRing is Config.Run's broadcast for two or more consumers.
 func (c Config) runRing(src stream.Source, consumers []Consumer, smps []Sampler, o *engineObs) error {
 	r := newRingState(c.ChunkBuffer, len(consumers), o)
 	var wg sync.WaitGroup
@@ -351,7 +344,7 @@ func (c Config) runRing(src stream.Source, consumers []Consumer, smps []Sampler,
 		go func(i int, consumer Consumer) {
 			defer wg.Done()
 			sp := o.beginSpan(o.label(i), "consumer", i+1)
-			err := consumer.Run(&ringSource{
+			err := c.runConsumer(i, consumer, &ringSource{
 				r: r, id: i,
 				sampleState: sampleState{sampler: samplerAt(smps, i)},
 			})

@@ -23,47 +23,44 @@ func (c *drainCount) Run(src stream.Source) error {
 }
 
 // TestManyConsumersParity runs a sweep-width fan-out — 64 consumers, the
-// widest cell count the experiments use — under both strategies: every
-// consumer must see the complete stream, and one full recorder validates
+// widest cell count the experiments use: every consumer must see the complete stream, and one full recorder validates
 // content, not just counts.
 func TestManyConsumersParity(t *testing.T) {
 	events := makeEvents(10_000)
-	for _, st := range strategies {
-		t.Run(st.name, func(t *testing.T) {
-			consumers := make([]Consumer, 64)
-			counts := make([]*drainCount, len(consumers))
-			for i := range consumers {
-				counts[i] = &drainCount{}
-				consumers[i] = counts[i]
+	t.Run("ring", func(t *testing.T) {
+		consumers := make([]Consumer, 64)
+		counts := make([]*drainCount, len(consumers))
+		for i := range consumers {
+			counts[i] = &drainCount{}
+			consumers[i] = counts[i]
+		}
+		rec := &recordConsumer{}
+		consumers = append(consumers, rec)
+		cfg := Config{ChunkEvents: 128, ChunkBuffer: 3}
+		if err := cfg.Run(stream.NewSliceSource(events), consumers...); err != nil {
+			t.Fatal(err)
+		}
+		for i, c := range counts {
+			if c.n != len(events) {
+				t.Fatalf("consumer %d saw %d events, want %d", i, c.n, len(events))
 			}
-			rec := &recordConsumer{}
-			consumers = append(consumers, rec)
-			cfg := Config{ChunkEvents: 128, ChunkBuffer: 3, Strategy: st.s}
-			if err := cfg.Run(stream.NewSliceSource(events), consumers...); err != nil {
-				t.Fatal(err)
+		}
+		if len(rec.events) != len(events) {
+			t.Fatalf("recording consumer saw %d events, want %d", len(rec.events), len(events))
+		}
+		for i := range events {
+			if rec.events[i] != events[i] {
+				t.Fatalf("event %d = %+v, want %+v", i, rec.events[i], events[i])
 			}
-			for i, c := range counts {
-				if c.n != len(events) {
-					t.Fatalf("consumer %d saw %d events, want %d", i, c.n, len(events))
-				}
-			}
-			if len(rec.events) != len(events) {
-				t.Fatalf("recording consumer saw %d events, want %d", len(rec.events), len(events))
-			}
-			for i := range events {
-				if rec.events[i] != events[i] {
-					t.Fatalf("event %d = %+v, want %+v", i, rec.events[i], events[i])
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestRingSlotReuse pins the ring's O(ring) allocation property at the state
 // level: after a run that publishes far more chunks than the ring has slots,
 // the ring must still hold exactly ChunkBuffer slot buffers, each at its
 // original chunk capacity — recycled lap after lap, never one fresh buffer
-// per published chunk (the channel strategy's cost).
+// per published chunk.
 func TestRingSlotReuse(t *testing.T) {
 	const chunkEvents, ringChunks = 32, 3
 	events := makeEvents(chunkEvents * 100) // 100 chunks through a 3-slot ring

@@ -11,7 +11,7 @@ package pipeline
 // end-of-run report).
 //
 // The boundary seq is captured when a chunk is ADOPTED, not when the pump
-// fires: under the ring strategy the consumer releases its slot back to the
+// fires: the consumer releases its slot back to the
 // producer before the next take, and the slot's backing array may already be
 // overwritten by the time the pump runs — the chunk's last event must not be
 // re-read from the buffer.

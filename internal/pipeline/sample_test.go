@@ -34,15 +34,15 @@ func (c *samplingConsumer) SampleAt(seq uint64, final bool) {
 	c.series.Record(seq, map[string]float64{"processed": float64(len(c.events))})
 }
 
-// TestSamplingPump: under every strategy (and the single-consumer fast
-// path), a sampling consumer is pumped at chunk boundaries and flushed at
+// TestSamplingPump: over the ring (and the single-consumer fast path), a
+// sampling consumer is pumped at chunk boundaries and flushed at
 // end of stream, each sample firing exactly at its boundary (processed ==
 // seq+1 for a dense stream) and landing in the per-consumer series under the
 // consumer's label.
 func TestSamplingPump(t *testing.T) {
 	events := makeEvents(1000)
 	const chunk = 256
-	run := func(t *testing.T, n int, strategy Strategy) {
+	run := func(t *testing.T, n int) {
 		ss := obs.NewSeriesSet()
 		consumers := make([]Consumer, n)
 		scs := make([]*samplingConsumer, n)
@@ -52,7 +52,7 @@ func TestSamplingPump(t *testing.T) {
 			consumers[i] = scs[i]
 			names[i] = "cell-" + string(rune('a'+i))
 		}
-		cfg := Config{ChunkEvents: chunk, Strategy: strategy, ConsumerNames: names, Series: ss}
+		cfg := Config{ChunkEvents: chunk, ConsumerNames: names, Series: ss}
 		if err := cfg.Run(stream.NewSliceSource(events), consumers...); err != nil {
 			t.Fatal(err)
 		}
@@ -90,10 +90,8 @@ func TestSamplingPump(t *testing.T) {
 			}
 		}
 	}
-	for _, st := range strategies {
-		t.Run(st.name, func(t *testing.T) { run(t, 3, st.s) })
-	}
-	t.Run("single", func(t *testing.T) { run(t, 1, Ring) })
+	t.Run("ring", func(t *testing.T) { run(t, 3) })
+	t.Run("single", func(t *testing.T) { run(t, 1) })
 }
 
 // TestSamplingRespectsInterval: the epoch interval filters boundary pumps —
@@ -162,24 +160,22 @@ func TestSamplingMixedConsumers(t *testing.T) {
 func TestSamplingTerminalError(t *testing.T) {
 	events := makeEvents(250)
 	ss := obs.NewSeriesSet()
-	for _, st := range strategies {
-		t.Run(st.name, func(t *testing.T) {
-			sc := &samplingConsumer{}
-			src := &failingSource{events: events, failAt: len(events)}
-			cfg := Config{ChunkEvents: 100, Strategy: st.s, Series: ss, ConsumerNames: []string{"f-" + st.name}}
-			err := cfg.Run(src, sc, &recordConsumer{})
-			if err == nil {
-				t.Fatal("decode error not reported")
-			}
-			if len(sc.samples) == 0 {
-				t.Fatal("no samples before the failure")
-			}
-			last := sc.samples[len(sc.samples)-1]
-			if last.seq != 249 || last.processed != 250 {
-				t.Fatalf("final flush = %+v, want seq 249 with all 250 events", last)
-			}
-		})
-	}
+	t.Run("ring", func(t *testing.T) {
+		sc := &samplingConsumer{}
+		src := &failingSource{events: events, failAt: len(events)}
+		cfg := Config{ChunkEvents: 100, Series: ss, ConsumerNames: []string{"f"}}
+		err := cfg.Run(src, sc, &recordConsumer{})
+		if err == nil {
+			t.Fatal("decode error not reported")
+		}
+		if len(sc.samples) == 0 {
+			t.Fatal("no samples before the failure")
+		}
+		last := sc.samples[len(sc.samples)-1]
+		if last.seq != 249 || last.processed != 250 {
+			t.Fatalf("final flush = %+v, want seq 249 with all 250 events", last)
+		}
+	})
 }
 
 // failingSource yields events then a non-EOF terminal error.

@@ -8,12 +8,8 @@
 //   - a versioned, chunked, varint/delta-encoded binary trace codec
 //     (Writer/Reader in codec.go) so traces generated by cmd/tracegen can be
 //     replayed by cmd/tsesim — or any other process — byte-for-byte;
-//   - a sharded parallel evaluator (shard.go) that partitions the
-//     consumption stream by consuming node across a worker pool and merges
-//     per-shard results in shard order, producing results identical to a
-//     serial evaluation for models whose state is per-node;
 //   - a small generic ordered worker pool (parallel.go) reused by the
-//     analysis and experiments packages.
+//     experiments package.
 package stream
 
 import (

@@ -107,24 +107,3 @@ func (ins Instrumentation) startProgress(label string, m *Metrics, fraction func
 // tseConsumerNames labels the three consumers of the TSE evaluation fan-out
 // in metrics and trace lanes.
 func tseConsumerNames() []string { return []string{"coverage", "timing-base", "timing-tse"} }
-
-// EvaluateTSEFileObserved is EvaluateTSEFile with instrumentation attached:
-// the same fused single-decode replay, reporting what it did through the
-// configured metrics registry, stage tracer and progress writer.
-func EvaluateTSEFileObserved(path string, ins Instrumentation) (Report, error) {
-	return EvaluateTSEFileWith(path, ReplayConfig{}, ins)
-}
-
-// EvaluateAllFileObserved is EvaluateAllFile with instrumentation attached
-// (see EvaluateTSEFileObserved); the consumers are labelled with their
-// model names.
-func EvaluateAllFileObserved(path string, ins Instrumentation) ([]Report, error) {
-	return EvaluateAllFileWith(path, ReplayConfig{}, ins)
-}
-
-// EvaluateTSESweepFileObserved is EvaluateTSESweepFile with instrumentation
-// attached: per-cell consumer throughput lands in the metrics registry and
-// one trace lane per sweep cell, labelled with the cell labels ("LA=8").
-func EvaluateTSESweepFileObserved(path, sweep string, ins Instrumentation) ([]SweepCell, error) {
-	return EvaluateTSESweepFileWith(path, sweep, ReplayConfig{}, ins)
-}

@@ -3,20 +3,19 @@ package tsm
 // File replay through the streamed pipeline. LoadTrace + EvaluateTSE
 // materializes the whole event stream before evaluating it, which makes file
 // replay memory-bound on large traces. The functions here instead drive the
-// full TSE + timing stack directly from the trace file in bounded memory,
-// decoding each trace file exactly ONCE: a single decode pass is teed into
-// every consumer (the coverage model, the baseline timing model, the TSE
-// timing model, the Figure 12 baselines) by the fan-out engine in
-// internal/pipeline, with each consumer on its own goroutine reading a
-// cursor of the shared broadcast ring. The reports are bit-identical to the
-// in-memory path and to the retained multipass reference implementations —
-// proven by tests and pinned by the golden-file harness in testdata/. For
-// whole sensitivity sweeps over one file, see sweep.go
-// (EvaluateTSESweepFile): N configurations, still exactly one decode.
+// full TSE + timing stack directly from an event source in bounded memory,
+// decoding it exactly ONCE: a single decode pass is teed into every consumer
+// (the coverage model, the baseline timing model, the TSE timing model, the
+// Figure 12 baselines) by the fan-out engine in internal/pipeline, with each
+// consumer on its own goroutine reading a cursor of the shared broadcast
+// ring. The reports are bit-identical to the serial in-memory oracle
+// (EvaluateTSE, ComparePrefetchers) — proven by tests over every registered
+// workload and pinned by the golden-file harness in testdata/. The file entry
+// points live in replay_config.go (EvaluateTSEFileWith and friends); for
+// whole sensitivity sweeps over one file, see sweep.go: N configurations,
+// still exactly one decode.
 
 import (
-	"fmt"
-
 	"tsm/internal/analysis"
 	"tsm/internal/pipeline"
 	"tsm/internal/stream"
@@ -43,14 +42,6 @@ func replayContext(meta TraceMeta) (Generator, Options, error) {
 	return gen, OptionsFor(meta), nil
 }
 
-// coverageReport converts a coverage summary into the facade Report shape.
-func coverageReport(r analysis.CoverageResult) Report {
-	return Report{
-		Model: r.Name, Consumptions: r.Consumptions,
-		Coverage: r.Coverage(), Discards: r.DiscardRate(),
-	}
-}
-
 // EvaluateTSESource evaluates the paper's TSE configuration over a single
 // pass of an event source: ONE decode of src is teed into the trace-driven
 // coverage model, the baseline timing model and the TSE timing model, each
@@ -64,7 +55,8 @@ func EvaluateTSESource(src EventSource, meta TraceMeta) (Report, error) {
 }
 
 // evaluateTSESourceWith is EvaluateTSESource under an explicit pipeline
-// configuration — the seam the ring-vs-channels replay benchmarks use.
+// configuration — the observability seam. Consumers default to the
+// coverage/timing-base/timing-tse labels in metrics and trace lanes.
 func evaluateTSESourceWith(pcfg pipeline.Config, src EventSource, meta TraceMeta) (Report, error) {
 	gen, opts, err := replayContext(meta)
 	if err != nil {
@@ -86,22 +78,11 @@ func evaluateTSESourceWith(pcfg pipeline.Config, src EventSource, meta TraceMeta
 	return tseReport(cov.Result, base.Result, withTSE.Result), nil
 }
 
-// EvaluateTSEFile evaluates the paper's TSE configuration on a saved trace
-// through the fused streamed pipeline: the file is decoded exactly once and
-// the single pass feeds all three consumers (see EvaluateTSESource), using
-// the generation metadata embedded in the file. The trace is never
-// materialized, and the Report is bit-identical to EvaluateTSE over
-// LoadTrace's in-memory events and to EvaluateTSEFileMultipass. For parallel
-// decode or ranged replay, see EvaluateTSEFileWith.
-func EvaluateTSEFile(path string) (Report, error) {
-	return EvaluateTSEFileWith(path, ReplayConfig{}, Instrumentation{})
-}
-
 // EvaluateAllSource runs the Figure 12 comparison — stride, both GHB
 // variants and TSE — over a single pass of an event source: ONE decode of
 // src is teed into all four models concurrently. The reports are identical
-// to EvaluateAll (and therefore to the serial ComparePrefetchers) over the
-// equivalent in-memory trace, in the same order.
+// to ComparePrefetchers over the equivalent in-memory trace, in the same
+// order.
 func EvaluateAllSource(src EventSource, meta TraceMeta) ([]Report, error) {
 	return evaluateAllSourceWith(pipeline.Config{}, src, meta)
 }
@@ -137,99 +118,4 @@ func evaluateAllSourceWith(pcfg pipeline.Config, src EventSource, meta TraceMeta
 		reports = append(reports, coverageReport(m.Result))
 	}
 	return append(reports, coverageReport(tseCov.Result)), nil
-}
-
-// EvaluateAllFile runs the Figure 12 comparison on a saved trace through the
-// fused streamed pipeline: the file is decoded exactly once and the single
-// pass feeds every model (see EvaluateAllSource). The reports are identical
-// to EvaluateAll over the loaded trace, in the same order. For parallel
-// decode or ranged replay, see EvaluateAllFileWith.
-func EvaluateAllFile(path string) ([]Report, error) {
-	return EvaluateAllFileWith(path, ReplayConfig{}, Instrumentation{})
-}
-
-// --- Multipass reference implementations ---------------------------------
-//
-// The pre-fusion replay paths — one decode pass per consumer, re-opening the
-// file each time — are retained as differential-testing references: the
-// parity tests, the fused-vs-multipass CI diff and BenchmarkFileReplay all
-// compare the fused engine against them. They produce bit-identical reports
-// by construction (same consumers, same event order) while costing one codec
-// pass per consumer instead of one in total.
-
-// simulateFile runs one timing simulation as a single streaming pass over
-// the trace file.
-func simulateFile(path string, p timing.Params) (timing.Result, error) {
-	f, err := stream.OpenFile(path)
-	if err != nil {
-		return timing.Result{}, err
-	}
-	res, err := timing.SimulateSource(f, p)
-	return res, stream.CloseMerge(f, err)
-}
-
-// EvaluateTSEFileMultipass is the multipass reference for EvaluateTSEFile:
-// three bounded-memory decode passes over the file (coverage, baseline
-// timing, TSE timing), each re-opening it. Reports are bit-identical to the
-// fused single-decode path.
-func EvaluateTSEFileMultipass(path string) (Report, error) {
-	f, err := stream.OpenFile(path)
-	if err != nil {
-		return Report{}, err
-	}
-	gen, opts, err := replayContext(f.Meta())
-	if err != nil {
-		f.Close()
-		return Report{}, err
-	}
-	cfg := tseConfig(gen, opts)
-	cov, _, err := analysis.EvaluateTSEStream(cfg, f)
-	if err = stream.CloseMerge(f, err); err != nil {
-		return Report{}, fmt.Errorf("tsm: replaying %s: %w", path, err)
-	}
-
-	params := timingParams(gen, opts)
-	base, err := simulateFile(path, params)
-	if err != nil {
-		return Report{}, fmt.Errorf("tsm: replaying %s: %w", path, err)
-	}
-	params.TSE = &cfg
-	withTSE, err := simulateFile(path, params)
-	if err != nil {
-		return Report{}, fmt.Errorf("tsm: replaying %s: %w", path, err)
-	}
-	return tseReport(cov, base, withTSE), nil
-}
-
-// EvaluateAllFileMultipass is the multipass reference for EvaluateAllFile:
-// each model gets its own decode pass over the file, the independent passes
-// running in parallel over the worker pool. Reports are identical to the
-// fused single-decode path, in the same order.
-func EvaluateAllFileMultipass(path string) ([]Report, error) {
-	meta, err := ReplayMeta(path)
-	if err != nil {
-		return nil, err
-	}
-	gen, opts, err := replayContext(meta)
-	if err != nil {
-		return nil, err
-	}
-	cfg := tseConfig(gen, opts)
-	specs := analysis.BaselineSpecs(opts.Nodes)
-	return stream.RunOrdered(len(specs)+1, 0, func(i int) (Report, error) {
-		f, err := stream.OpenFile(path)
-		if err != nil {
-			return Report{}, err
-		}
-		var cov analysis.CoverageResult
-		if i < len(specs) {
-			cov, err = analysis.EvaluateModelStream(specs[i].New(), f)
-		} else {
-			cov, _, err = analysis.EvaluateTSEStream(cfg, f)
-		}
-		if err = stream.CloseMerge(f, err); err != nil {
-			return Report{}, fmt.Errorf("tsm: replaying %s: %w", path, err)
-		}
-		return coverageReport(cov), nil
-	})
 }

@@ -5,10 +5,9 @@ package tsm
 // be decoded by a pool of parallel per-chunk workers and replayed from an
 // arbitrary event range without streaming the prefix. ReplayConfig selects
 // those behaviours; the zero value is the classic serial streaming decode.
-// Every replay entry point funnels through the *With functions here —
-// EvaluateTSEFile and friends are thin wrappers over a zero ReplayConfig —
-// so serial and parallel decode share one code path and stay bit-identical
-// (pinned by differential tests at 1/4/8 workers across all workloads).
+// The *With functions here are the only file replay entry points, so serial
+// and parallel decode share one code path and stay bit-identical (pinned by
+// differential tests at 1/4/8 workers across all workloads).
 
 import (
 	"errors"
@@ -137,11 +136,16 @@ func (ins Instrumentation) finishFileRun(m *Metrics) {
 	ins.Manifest.finalize(m)
 }
 
-// EvaluateTSEFileWith is EvaluateTSEFile under an explicit replay
-// configuration and instrumentation: the same fused single-pass evaluation,
-// with the decode side configured by rc — parallel per-chunk workers over
-// the version 3 index, or a bounded event range. The Report for a full-range
-// replay is bit-identical at any worker count.
+// EvaluateTSEFileWith evaluates the paper's TSE configuration on a saved
+// trace through the fused streamed pipeline: the file is decoded exactly
+// once and the single pass feeds all three consumers (see
+// EvaluateTSESource), using the generation metadata embedded in the file.
+// rc configures the decode side — serial streaming (the zero value),
+// parallel per-chunk workers over the version 3 index, mmap, or a bounded
+// event range — and ins attaches optional instrumentation (the zero value
+// attaches none). The trace is never materialized, and the Report for a
+// full-range replay is bit-identical to EvaluateTSE over LoadTrace's events
+// at any worker count.
 func EvaluateTSEFileWith(path string, rc ReplayConfig, ins Instrumentation) (Report, error) {
 	ins.beginFileRun("replay-tse", path, "", rc)
 	openDone := ins.Manifest.stage("open")
@@ -163,8 +167,12 @@ func EvaluateTSEFileWith(path string, rc ReplayConfig, ins Instrumentation) (Rep
 	return rep, nil
 }
 
-// EvaluateAllFileWith is EvaluateAllFile under an explicit replay
-// configuration and instrumentation (see EvaluateTSEFileWith).
+// EvaluateAllFileWith runs the Figure 12 comparison on a saved trace through
+// the fused streamed pipeline: the file is decoded exactly once and the
+// single pass feeds every model (see EvaluateAllSource), with the decode
+// side and instrumentation configured as for EvaluateTSEFileWith. The
+// reports are identical to ComparePrefetchers over the loaded trace, in the
+// same order; consumers are labelled with their model names.
 func EvaluateAllFileWith(path string, rc ReplayConfig, ins Instrumentation) ([]Report, error) {
 	ins.beginFileRun("replay-all", path, "", rc)
 	openDone := ins.Manifest.stage("open")
@@ -186,10 +194,13 @@ func EvaluateAllFileWith(path string, rc ReplayConfig, ins Instrumentation) ([]R
 	return reports, nil
 }
 
-// EvaluateTSESweepFileWith is EvaluateTSESweepFile under an explicit replay
-// configuration and instrumentation: the whole sweep still rides ONE pass
-// over the file, but that pass may itself be decoded by parallel per-chunk
-// workers, or bounded to an event range.
+// EvaluateTSESweepFileWith runs a named TSE sweep (see TSESweeps) over a
+// saved trace with exactly one decode of the file: the whole sensitivity
+// study — every cell of the sweep — rides a single bounded-memory pass
+// through the ring fan-out engine, using the generation metadata embedded in
+// the file. That pass may itself be decoded by parallel per-chunk workers,
+// or bounded to an event range (rc); per-cell consumer throughput lands in
+// the attached metrics, one trace lane per cell labelled "LA=8" and so on.
 func EvaluateTSESweepFileWith(path, sweep string, rc ReplayConfig, ins Instrumentation) ([]SweepCell, error) {
 	ins.beginFileRun("sweep", path, sweep, rc)
 	openDone := ins.Manifest.stage("open")

@@ -34,7 +34,7 @@ type SweepCell struct {
 // String renders the cell in one line.
 func (c SweepCell) String() string { return fmt.Sprintf("%-10s %s", c.Label, c.Report) }
 
-// TSESweeps lists the named sweeps EvaluateTSESweepFile understands, in
+// TSESweeps lists the named sweeps EvaluateTSESweepFileWith understands, in
 // presentation order: "streams" (the Figure 7 study — one to four compared
 // streams, unconstrained hardware), "lookahead" (Figure 8 — stream lookahead
 // 1 to 24, two compared streams) and "svb" (Figure 9 — SVB capacity from
@@ -122,13 +122,4 @@ func evaluateTSESweepSourceWith(pcfg pipeline.Config, src EventSource, meta Trac
 		cells[i] = SweepCell{Label: labels[i], Report: coverageReport(r.Coverage)}
 	}
 	return cells, nil
-}
-
-// EvaluateTSESweepFile runs a named TSE sweep (see TSESweeps) over a saved
-// trace with exactly one decode of the file: the whole sensitivity study —
-// every cell of the sweep — rides a single bounded-memory pass through the
-// ring fan-out engine, using the generation metadata embedded in the file.
-// For parallel decode or ranged replay, see EvaluateTSESweepFileWith.
-func EvaluateTSESweepFile(path, sweep string) ([]SweepCell, error) {
-	return EvaluateTSESweepFileWith(path, sweep, ReplayConfig{}, Instrumentation{})
 }

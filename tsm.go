@@ -26,7 +26,6 @@ import (
 	"tsm/internal/coherence"
 	"tsm/internal/config"
 	"tsm/internal/experiments"
-	"tsm/internal/prefetch"
 	"tsm/internal/stream"
 	"tsm/internal/timing"
 	"tsm/internal/trace"
@@ -301,11 +300,19 @@ func timingParams(gen Generator, opts Options) timing.Params {
 	return timing.Params{System: sys, Profile: gen.Timing(), Nodes: opts.Nodes}
 }
 
+// coverageReport converts a coverage summary into the facade Report shape.
+func coverageReport(r analysis.CoverageResult) Report {
+	return Report{
+		Model: r.Name, Consumptions: r.Consumptions,
+		Coverage: r.Coverage(), Discards: r.DiscardRate(),
+	}
+}
+
 // tseReport assembles the facade Report from a coverage pass and the paired
 // baseline/TSE timing passes. It is the single definition of this
-// arithmetic: the in-memory pipeline (EvaluateTSE) and the streamed file
-// pipeline (EvaluateTSEFile) both end here, which is what keeps their
-// reports bit-identical by construction.
+// arithmetic: the serial in-memory oracle (EvaluateTSE) and the streamed
+// pipeline (EvaluateTSESource, EvaluateTSEFileWith) both end here, which is
+// what keeps their reports bit-identical by construction.
 func tseReport(cov analysis.CoverageResult, base, withTSE timing.Result) Report {
 	speedup := timing.Speedup(base, withTSE)
 	_, ci := timing.SpeedupConfidence(base, withTSE)
@@ -321,7 +328,9 @@ func tseReport(cov analysis.CoverageResult, base, withTSE timing.Result) Report 
 
 // EvaluateTSE runs the paper's TSE configuration over a trace: the
 // trace-driven coverage/discard model plus the timing model (baseline vs.
-// TSE) for the speedup.
+// TSE) for the speedup. It is deliberately a plain serial loop — each model
+// walks the materialized trace in turn — because it is the oracle every
+// streamed path (EvaluateTSESource, EvaluateTSEFileWith) is tested against.
 func EvaluateTSE(tr *Trace, gen Generator, opts Options) (Report, error) {
 	opts, err := opts.checked()
 	if err != nil {
@@ -348,7 +357,9 @@ func EvaluateTSE(tr *Trace, gen Generator, opts Options) (Report, error) {
 
 // ComparePrefetchers evaluates the stride stream buffer, both GHB variants
 // and TSE on the same trace — the Figure 12 comparison — and returns one
-// report per technique, in that order.
+// report per technique, in that order. Like EvaluateTSE it is a serial loop
+// over the materialized trace: the oracle for EvaluateAllSource and
+// EvaluateAllFileWith.
 func ComparePrefetchers(tr *Trace, gen Generator, opts Options) ([]Report, error) {
 	opts, err := opts.checked()
 	if err != nil {
@@ -357,59 +368,13 @@ func ComparePrefetchers(tr *Trace, gen Generator, opts Options) ([]Report, error
 	if tr == nil {
 		return nil, fmt.Errorf("tsm: ComparePrefetchers requires a trace")
 	}
-	var reports []Report
-
-	strideCfg := prefetch.DefaultStrideConfig()
-	strideCfg.Nodes = opts.Nodes
-	models := []prefetch.Model{
-		prefetch.NewStride(strideCfg),
+	specs := analysis.BaselineSpecs(opts.Nodes)
+	reports := make([]Report, 0, len(specs)+1)
+	for _, spec := range specs {
+		reports = append(reports, coverageReport(analysis.EvaluateModel(spec.New(), tr)))
 	}
-	gdc := prefetch.DefaultGHBConfig(prefetch.GDC)
-	gdc.Nodes = opts.Nodes
-	gac := prefetch.DefaultGHBConfig(prefetch.GAC)
-	gac.Nodes = opts.Nodes
-	models = append(models, prefetch.NewGHB(gdc), prefetch.NewGHB(gac))
-
-	for _, m := range models {
-		r := analysis.EvaluateModel(m, tr)
-		reports = append(reports, Report{
-			Model: r.Name, Consumptions: r.Consumptions,
-			Coverage: r.Coverage(), Discards: r.DiscardRate(),
-		})
-	}
-
-	cfg := tseConfig(gen, opts)
-	cov, _ := analysis.EvaluateTSE(cfg, tr)
-	reports = append(reports, Report{
-		Model: cov.Name, Consumptions: cov.Consumptions,
-		Coverage: cov.Coverage(), Discards: cov.DiscardRate(),
-	})
-	return reports, nil
-}
-
-// EvaluateAll runs the Figure 12 comparison — stride, both GHB variants and
-// TSE — over one trace with the models evaluated in parallel: the per-node-
-// state baselines are sharded by consuming node across the worker pool and
-// TSE runs concurrently on its own worker. The reports are identical to
-// ComparePrefetchers (which evaluates serially), in the same order.
-func EvaluateAll(tr *Trace, gen Generator, opts Options) ([]Report, error) {
-	opts, err := opts.checked()
-	if err != nil {
-		return nil, err
-	}
-	if tr == nil {
-		return nil, fmt.Errorf("tsm: EvaluateAll requires a trace")
-	}
-	cfg := tseConfig(gen, opts)
-	results, _ := analysis.EvaluateSuite(cfg, tr, opts.Nodes)
-	reports := make([]Report, len(results))
-	for i, r := range results {
-		reports[i] = Report{
-			Model: r.Name, Consumptions: r.Consumptions,
-			Coverage: r.Coverage(), Discards: r.DiscardRate(),
-		}
-	}
-	return reports, nil
+	cov, _ := analysis.EvaluateTSE(tseConfig(gen, opts), tr)
+	return append(reports, coverageReport(cov)), nil
 }
 
 // CorrelationOpportunity runs the Figure 6 opportunity analysis and returns

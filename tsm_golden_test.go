@@ -39,7 +39,7 @@ func TestGoldenReports(t *testing.T) {
 		if err := SaveTrace(path, tr, gen, opts); err != nil {
 			t.Fatal(err)
 		}
-		streamed, err := EvaluateTSEFile(path)
+		streamed, err := replayTSE(path)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -144,10 +144,12 @@ func TestFileReplayManifest(t *testing.T) {
 
 // TestManifestDeterministicShape: two identical runs produce byte-identical
 // manifests once the legitimately timing-dependent fields — stage wall
-// times, the nanosecond/throughput metrics and the backpressure wait
-// histograms, all functions of scheduling rather than of the evaluation —
-// are cleared. The JSON shape, key order, trace provenance and every
-// deterministic metric (event counts, per-consumer totals) are stable.
+// times, the nanosecond/throughput metrics, the backpressure wait
+// histograms, and the cursor-lag and ring-occupancy gauges, all functions of
+// scheduling rather than of the evaluation — are cleared. The JSON shape,
+// key order, trace provenance and every deterministic metric (event counts,
+// per-consumer totals) are stable. The ring-bound invariants on lag and
+// occupancy are asserted by internal/pipeline's TestObsInvariants instead.
 func TestManifestDeterministicShape(t *testing.T) {
 	path := writeTestTrace(t, "moldyn")
 	encode := func() []byte {
@@ -167,7 +169,8 @@ func TestManifestDeterministicShape(t *testing.T) {
 			}
 		}
 		for name := range m.Metrics.Gauges {
-			if strings.HasSuffix(name, "_per_sec") {
+			if strings.HasSuffix(name, "_per_sec") || strings.HasSuffix(name, ".lag_max") ||
+				name == "pipeline.ring.occupancy" || name == "pipeline.ring.occupancy_max" {
 				delete(m.Metrics.Gauges, name)
 			}
 		}

@@ -30,7 +30,7 @@ func TestParallelFileReplayParityAllWorkloads(t *testing.T) {
 			if err := SaveTrace(path, tr, gen, opts); err != nil {
 				t.Fatal(err)
 			}
-			want, err := EvaluateTSEFile(path) // serial decode
+			want, err := replayTSE(path) // serial decode
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -54,7 +54,7 @@ func TestParallelEvaluateAllAndSweep(t *testing.T) {
 	path := writeTestTrace(t, "ocean")
 	rc := ReplayConfig{DecodeWorkers: 4}
 
-	wantAll, err := EvaluateAllFile(path)
+	wantAll, err := replayAll(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestParallelEvaluateAllAndSweep(t *testing.T) {
 		}
 	}
 
-	wantSweep, err := EvaluateTSESweepFile(path, "lookahead")
+	wantSweep, err := replaySweep(path, "lookahead")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestRangedFileReplay(t *testing.T) {
 // degrades to ReadAt, so the parity holds everywhere.
 func TestMmapFileReplayParity(t *testing.T) {
 	path := writeTestTrace(t, "db2")
-	want, err := EvaluateTSEFile(path)
+	want, err := replayTSE(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestMmapFileReplayParity(t *testing.T) {
 // be a wrong answer.
 func TestParallelRequestFallsBackOnV2(t *testing.T) {
 	path := writeTestTrace(t, "em3d")
-	want, err := EvaluateTSEFile(path)
+	want, err := replayTSE(path)
 	if err != nil {
 		t.Fatal(err)
 	}

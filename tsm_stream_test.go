@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"tsm/internal/analysis"
 	"tsm/internal/stream"
 )
 
@@ -130,12 +131,82 @@ func TestTraceFileRoundTripReport(t *testing.T) {
 	}
 }
 
-// TestFileReplayParityAllWorkloads is the PR's acceptance criterion: for
-// EVERY workload — the paper's seven, the extended matrix and the
-// cross-workload mix — all three file-replay pipelines must agree bit for bit: the fused single-decode
-// fan-out engine (EvaluateTSEFile), the multipass reference that re-decodes
-// the file per consumer (EvaluateTSEFileMultipass), and the in-memory
-// pipeline over the loaded trace.
+// Zero-config file replay — what tsesim -i runs without decode flags — for
+// the tests that do not exercise ReplayConfig or Instrumentation.
+func replayTSE(path string) (Report, error) {
+	return EvaluateTSEFileWith(path, ReplayConfig{}, Instrumentation{})
+}
+
+func replayAll(path string) ([]Report, error) {
+	return EvaluateAllFileWith(path, ReplayConfig{}, Instrumentation{})
+}
+
+func replaySweep(path, sweep string) ([]SweepCell, error) {
+	return EvaluateTSESweepFileWith(path, sweep, ReplayConfig{}, Instrumentation{})
+}
+
+// oracle holds the serial in-memory reference results for one trace file:
+// load the whole trace, then run each model over it in turn — EvaluateTSE
+// for the TSE report, ComparePrefetchers for the Figure 12 comparison, and
+// one analysis.EvaluateTSE per sweep cell. Every production evaluation path
+// must equal it.
+type oracle struct {
+	tse    Report
+	all    []Report
+	sweeps map[string][]SweepCell
+}
+
+func oracleFor(t *testing.T, path string) oracle {
+	t.Helper()
+	tr, meta, err := LoadTrace(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := GeneratorFor(meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := OptionsFor(meta)
+	o := oracle{sweeps: map[string][]SweepCell{}}
+	if o.tse, err = EvaluateTSE(tr, gen, opts); err != nil {
+		t.Fatal(err)
+	}
+	if o.all, err = ComparePrefetchers(tr, gen, opts); err != nil {
+		t.Fatal(err)
+	}
+	for _, sweep := range TSESweeps() {
+		labels, cfgs, err := sweepConfigs(sweep, gen, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells := make([]SweepCell, len(cfgs))
+		for i, cfg := range cfgs {
+			cov, _ := analysis.EvaluateTSE(cfg, tr)
+			cells[i] = SweepCell{Label: labels[i], Report: coverageReport(cov)}
+		}
+		o.sweeps[sweep] = cells
+	}
+	return o
+}
+
+// assertSame fails the test unless got equals want element for element.
+func assertSame[T comparable](t *testing.T, what string, got, want []T) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: got %d results, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: result %d = %+v, oracle %+v", what, i, got[i], want[i])
+		}
+	}
+}
+
+// TestFileReplayParityAllWorkloads is the one-engine acceptance criterion:
+// for EVERY workload — the paper's seven, the extended matrix and the
+// cross-workload mixes — each production file evaluation (TSE replay, the
+// Figure 12 comparison, and all three named sweeps, each one fused decode
+// through the ring) must equal the serial in-memory oracle bit for bit.
 func TestFileReplayParityAllWorkloads(t *testing.T) {
 	opts := Options{Nodes: 4, Scale: 0.03, Seed: 11}
 	dir := t.TempDir()
@@ -150,40 +221,64 @@ func TestFileReplayParityAllWorkloads(t *testing.T) {
 			if err := SaveTrace(path, tr, gen, opts); err != nil {
 				t.Fatal(err)
 			}
+			want := oracleFor(t, path)
 
-			// In-memory pipeline (the reference).
-			loaded, meta, err := LoadTrace(path)
+			rep, err := replayTSE(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gen2, err := GeneratorFor(meta)
+			if rep != want.tse {
+				t.Fatalf("fused report %+v != oracle %+v", rep, want.tse)
+			}
+			all, err := replayAll(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := EvaluateTSE(loaded, gen2, OptionsFor(meta))
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			// Fused streamed pipeline: one decode pass, three consumers.
-			fused, err := EvaluateTSEFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fused != want {
-				t.Fatalf("fused report %+v != in-memory report %+v", fused, want)
-			}
-
-			// Multipass streamed pipeline: one decode pass per consumer.
-			multipass, err := EvaluateTSEFileMultipass(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if multipass != want {
-				t.Fatalf("multipass report %+v != in-memory report %+v", multipass, want)
+			assertSame(t, "compare", all, want.all)
+			for _, sweep := range TSESweeps() {
+				cells, err := replaySweep(path, sweep)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertSame(t, "sweep "+sweep, cells, want.sweeps[sweep])
 			}
 		})
 	}
+	if _, err := replayTSE(dir + "/missing.tsm"); err == nil {
+		t.Fatal("missing file should error")
+	}
+	if _, err := replayAll(dir + "/missing.tsm"); err == nil {
+		t.Fatal("missing file should error")
+	}
+}
+
+// TestEvaluateAllFileMatchesEvaluateAll: the streamed Figure 12 comparison
+// over a trace file — serial streaming decode and indexed parallel decode —
+// must reproduce the in-memory comparison (ComparePrefetchers) exactly.
+func TestEvaluateAllFileMatchesEvaluateAll(t *testing.T) {
+	opts := testOpts()
+	tr, gen, err := GenerateTrace("memkv", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := t.TempDir() + "/memkv.tsm"
+	if err := SaveTrace(path, tr, gen, opts); err != nil {
+		t.Fatal(err)
+	}
+	want, err := ComparePrefetchers(tr, gen, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := replayAll(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSame(t, "streamed compare", got, want)
+	indexed, err := EvaluateAllFileWith(path, ReplayConfig{DecodeWorkers: 4}, Instrumentation{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSame(t, "indexed compare", indexed, want)
 }
 
 // passCountingSource wraps a Source and counts Next calls, so a test can
@@ -199,11 +294,11 @@ func (c *passCountingSource) Next() (Event, error) {
 	return c.src.Next()
 }
 
-// TestSingleDecodePass is the tentpole's acceptance criterion: the fused
-// replay engine behind EvaluateTSEFile/EvaluateAllFile must decode the trace
-// exactly ONCE — N events + one EOF read from the source — even though the
-// TSE report needs three consumers and the Figure 12 comparison four, and
-// the reports must match the in-memory pipeline bit for bit.
+// TestSingleDecodePass: the fused replay engine behind EvaluateTSEFileWith
+// and EvaluateAllFileWith must decode the trace exactly ONCE — N events + one
+// EOF read from the source — even though the TSE report needs three
+// consumers and the Figure 12 comparison four, and the reports must match
+// the serial in-memory oracle bit for bit.
 func TestSingleDecodePass(t *testing.T) {
 	opts := testOpts()
 	tr, gen, err := GenerateTrace("db2", opts)
@@ -229,7 +324,7 @@ func TestSingleDecodePass(t *testing.T) {
 		t.Fatalf("EvaluateTSESource read the source %d times, want %d (one decode pass)", src.nexts, wantNexts)
 	}
 
-	wantAll, err := EvaluateAll(tr, gen, opts)
+	wantAll, err := ComparePrefetchers(tr, gen, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,14 +333,7 @@ func TestSingleDecodePass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(gotAll) != len(wantAll) {
-		t.Fatalf("got %d reports, want %d", len(gotAll), len(wantAll))
-	}
-	for i := range wantAll {
-		if gotAll[i] != wantAll[i] {
-			t.Errorf("report %d: single-pass %+v, want %+v", i, gotAll[i], wantAll[i])
-		}
-	}
+	assertSame(t, "single-pass compare", gotAll, wantAll)
 	if src.nexts != wantNexts {
 		t.Fatalf("EvaluateAllSource read the source %d times, want %d (one decode pass)", src.nexts, wantNexts)
 	}
@@ -255,58 +343,6 @@ func TestSingleDecodePass(t *testing.T) {
 	}
 	if _, err := EvaluateAllSource(stream.TraceSource(tr), TraceMeta{Workload: "bogus"}); err == nil {
 		t.Fatal("bogus metadata should error")
-	}
-}
-
-// TestEvaluateAllFileMatchesEvaluateAll: the streamed Figure 12 comparison
-// over a trace file — fused and multipass — must reproduce the in-memory
-// comparison exactly.
-func TestEvaluateAllFileMatchesEvaluateAll(t *testing.T) {
-	opts := testOpts()
-	tr, gen, err := GenerateTrace("memkv", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := t.TempDir() + "/memkv.tsm"
-	if err := SaveTrace(path, tr, gen, opts); err != nil {
-		t.Fatal(err)
-	}
-	want, err := EvaluateAll(tr, gen, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := EvaluateAllFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("got %d reports, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("report %d: streamed %+v, want %+v", i, got[i], want[i])
-		}
-	}
-	multipass, err := EvaluateAllFileMultipass(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(multipass) != len(want) {
-		t.Fatalf("multipass got %d reports, want %d", len(multipass), len(want))
-	}
-	for i := range want {
-		if multipass[i] != want[i] {
-			t.Errorf("report %d: multipass %+v, want %+v", i, multipass[i], want[i])
-		}
-	}
-	if _, err := EvaluateAllFile(t.TempDir() + "/missing.tsm"); err == nil {
-		t.Fatal("missing file should error")
-	}
-	if _, err := EvaluateAllFileMultipass(t.TempDir() + "/missing.tsm"); err == nil {
-		t.Fatal("missing file should error")
-	}
-	if _, err := EvaluateTSEFileMultipass(t.TempDir() + "/missing.tsm"); err == nil {
-		t.Fatal("missing file should error")
 	}
 }
 
@@ -330,35 +366,6 @@ func TestReplayMeta(t *testing.T) {
 	}
 	if _, err := ReplayMeta(path + ".missing"); err == nil {
 		t.Fatal("missing file should error")
-	}
-}
-
-// TestEvaluateAllMatchesComparePrefetchers: the parallel suite evaluation
-// must reproduce the serial comparison exactly, in the same order.
-func TestEvaluateAllMatchesComparePrefetchers(t *testing.T) {
-	opts := testOpts()
-	tr, gen, err := GenerateTrace("oracle", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := ComparePrefetchers(tr, gen, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := EvaluateAll(tr, gen, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("got %d reports, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("report %d: parallel %+v, want serial %+v", i, got[i], want[i])
-		}
-	}
-	if _, err := EvaluateAll(nil, gen, opts); err == nil {
-		t.Fatal("nil trace should error")
 	}
 }
 

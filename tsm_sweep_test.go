@@ -122,10 +122,12 @@ func TestSweepSingleDecodePass(t *testing.T) {
 	}
 }
 
-// TestSweepStrategyParityAllWorkloads is the ring==channels differential at
-// the facade level, across EVERY registered workload (mixes included): the
-// ring broadcast and the channels reference must produce identical sweep
-// cells, and both must match the independent per-cell passes.
+// TestSweepStrategyParityAllWorkloads is the broadcast-schedule differential
+// at the facade level, across EVERY registered workload (mixes included): the
+// default ring schedule and a deliberately tight one — tiny chunks through a
+// one-slot ring, so every consumer stalls on every chunk boundary — must
+// produce identical sweep cells, and both must match the independent per-cell
+// passes.
 func TestSweepStrategyParityAllWorkloads(t *testing.T) {
 	opts := Options{Nodes: 4, Scale: 0.03, Seed: 11}
 	for _, name := range AllWorkloads() {
@@ -139,17 +141,17 @@ func TestSweepStrategyParityAllWorkloads(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ring, err := analysis.SweepWith(pipeline.Config{Strategy: pipeline.Ring}, cfgs, stream.TraceSource(tr))
+			ring, err := analysis.SweepWith(pipeline.Config{}, cfgs, stream.TraceSource(tr))
 			if err != nil {
 				t.Fatal(err)
 			}
-			chans, err := analysis.SweepWith(pipeline.Config{Strategy: pipeline.Channels}, cfgs, stream.TraceSource(tr))
+			tight, err := analysis.SweepWith(pipeline.Config{ChunkEvents: 7, ChunkBuffer: 1}, cfgs, stream.TraceSource(tr))
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i, cfg := range cfgs {
-				if ring[i].Coverage != chans[i].Coverage {
-					t.Fatalf("cell %d: ring %+v != channels %+v", i, ring[i].Coverage, chans[i].Coverage)
+				if ring[i].Coverage != tight[i].Coverage {
+					t.Fatalf("cell %d: default schedule %+v != tight schedule %+v", i, ring[i].Coverage, tight[i].Coverage)
 				}
 				want, _ := analysis.EvaluateTSE(cfg, tr)
 				if ring[i].Coverage != want {
@@ -160,8 +162,8 @@ func TestSweepStrategyParityAllWorkloads(t *testing.T) {
 	}
 }
 
-// TestEvaluateTSESweepFile: the file path must reproduce the source path bit
-// for bit with exactly one decode of the file, and fail cleanly on unknown
+// TestEvaluateTSESweepFile: the file path (EvaluateTSESweepFileWith) must
+// reproduce the source path bit for bit with exactly one decode of the file, and fail cleanly on unknown
 // sweeps and missing files.
 func TestEvaluateTSESweepFile(t *testing.T) {
 	opts := testOpts()
@@ -179,7 +181,7 @@ func TestEvaluateTSESweepFile(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := EvaluateTSESweepFile(path, sweep)
+		got, err := replaySweep(path, sweep)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -192,10 +194,10 @@ func TestEvaluateTSESweepFile(t *testing.T) {
 			}
 		}
 	}
-	if _, err := EvaluateTSESweepFile(path, "bogus"); err == nil {
+	if _, err := replaySweep(path, "bogus"); err == nil {
 		t.Fatal("unknown sweep should error")
 	}
-	if _, err := EvaluateTSESweepFile(t.TempDir()+"/missing.tsm", "streams"); err == nil {
+	if _, err := replaySweep(t.TempDir()+"/missing.tsm", "streams"); err == nil {
 		t.Fatal("missing file should error")
 	}
 }

@@ -84,9 +84,6 @@ func TestOptionsValidationPropagates(t *testing.T) {
 	if _, err := ComparePrefetchers(tr, gen, Options{Lookahead: -2}); err == nil {
 		t.Error("ComparePrefetchers should reject negative lookahead")
 	}
-	if _, err := EvaluateAll(tr, gen, bad); err == nil {
-		t.Error("EvaluateAll should reject negative nodes")
-	}
 	if _, err := RunExperiment("table1", bad); err == nil {
 		t.Error("RunExperiment should reject negative nodes")
 	}
