@@ -49,66 +49,22 @@ func BaselineSpecs(nodes int) []ModelSpec {
 	}
 }
 
-// evaluateModelInto runs the model evaluation loop updating res IN PLACE
-// after every event, which is what lets a sampling consumer read live
-// cumulative state mid-run (ModelConsumer.SampleAt) — the counts at any
-// chunk boundary are exactly the counts a run truncated there would report.
-// Fetched/Discards are only known at Finish and set on a clean end of
-// stream.
-func evaluateModelInto(m prefetch.Model, src stream.Source, res *CoverageResult) error {
-	if ss, ok := src.(stream.SoASource); ok {
-		return evaluateModelColumns(m, ss, res)
-	}
+// eachChunk drains src as column chunks — its own when it is a
+// stream.SoASource (the pipeline's ring sources, the decoders), else batched
+// from Next — calling fn on each. It returns nil at io.EOF and the
+// source's error otherwise.
+func eachChunk(src stream.Source, fn func(c *stream.ChunkSoA)) error {
+	cols := stream.Columns(src, stream.DefaultChunkEvents)
 	for {
-		e, err := src.Next()
+		c, err := cols.NextChunkSoA()
 		if err == io.EOF {
-			break
+			return nil
 		}
 		if err != nil {
 			return err
 		}
-		switch e.Kind {
-		case trace.KindConsumption:
-			res.Consumptions++
-			if m.Consumption(e) {
-				res.Covered++
-			}
-		case trace.KindWrite:
-			m.Write(e)
-		}
+		fn(c)
 	}
-	res.Fetched, res.Discards = m.Finish()
-	return nil
-}
-
-// evaluateModelColumns is evaluateModelInto over struct-of-arrays chunks:
-// the classify switch sweeps the dense kind column — no interface call, no
-// 40-byte struct copy per event — and only the consumption/write rows the
-// model actually observes are reassembled into events. Results are
-// bit-identical to the per-event path.
-func evaluateModelColumns(m prefetch.Model, ss stream.SoASource, res *CoverageResult) error {
-	for {
-		c, err := ss.NextChunkSoA()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		for i, k := range c.Kind {
-			switch k {
-			case trace.KindConsumption:
-				res.Consumptions++
-				if m.Consumption(c.Event(i)) {
-					res.Covered++
-				}
-			case trace.KindWrite:
-				m.Write(c.Event(i))
-			}
-		}
-	}
-	res.Fetched, res.Discards = m.Finish()
-	return nil
 }
 
 // ModelConsumer evaluates one baseline prefetcher over its tee of the
@@ -126,10 +82,34 @@ func NewModelConsumer(m prefetch.Model) *ModelConsumer {
 	return &ModelConsumer{model: m}
 }
 
-// Run implements the pipeline consumer contract.
+// Run implements the pipeline consumer contract. Result is updated IN PLACE
+// after every event, which is what lets a sampling consumer read live
+// cumulative state mid-run (SampleAt) — the counts at any chunk boundary
+// are exactly the counts a run truncated there would report. The classify
+// switch sweeps the dense kind column, and only the consumption and write
+// rows the model observes are reassembled into events. Fetched/Discards are
+// only known at Finish and set on a clean end of stream.
 func (c *ModelConsumer) Run(src stream.Source) error {
 	c.Result = CoverageResult{Name: c.model.Name()}
-	return evaluateModelInto(c.model, src, &c.Result)
+	m, res := c.model, &c.Result
+	err := eachChunk(src, func(ch *stream.ChunkSoA) {
+		for i, k := range ch.Kind {
+			switch k {
+			case trace.KindConsumption:
+				res.Consumptions++
+				if m.Consumption(ch.Event(i)) {
+					res.Covered++
+				}
+			case trace.KindWrite:
+				m.Write(ch.Event(i))
+			}
+		}
+	})
+	if err != nil {
+		return err
+	}
+	res.Fetched, res.Discards = m.Finish()
+	return nil
 }
 
 // AttachSeries implements pipeline.Sampler.
@@ -169,22 +149,19 @@ func NewTSEConsumer(cfg tse.Config) *TSEConsumer {
 }
 
 // Run implements the pipeline consumer contract. The system is built here
-// and exposed to SampleAt for the duration of the run; the final numbers are
-// bit-identical to EvaluateTSE over the equivalent in-memory trace. A
-// source holding struct-of-arrays chunks (the pipeline's fan-out sources,
-// the parallel decoder) is driven through the columnar inner loop instead —
-// same numbers, no per-event interface call.
+// and exposed to SampleAt for the duration of the run, and driven one
+// column chunk at a time through tse.System.RunColumns; the final numbers
+// are bit-identical to EvaluateTSE over the equivalent in-memory trace.
+// Finish runs on both the clean and the error ending, so the partial result
+// accompanies a terminal error.
 func (c *TSEConsumer) Run(src stream.Source) error {
 	sys := tse.NewSystem(c.cfg)
 	c.sys = sys
-	var full tse.Result
-	var err error
-	if ss, ok := src.(stream.SoASource); ok {
-		full, err = runTSEColumns(sys, ss)
-	} else {
-		full, err = sys.RunSource(src)
-	}
+	err := eachChunk(src, func(ch *stream.ChunkSoA) {
+		sys.RunColumns(ch.Kind, ch.Node, ch.Block)
+	})
 	c.sys = nil
+	full := sys.Finish()
 	c.Result = CoverageResult{
 		Name:         sys.Name(),
 		Consumptions: full.Consumptions,
@@ -194,22 +171,6 @@ func (c *TSEConsumer) Run(src stream.Source) error {
 	}
 	c.Full = full
 	return err
-}
-
-// runTSEColumns drives the system over dense column chunks, mirroring
-// RunSource's terminal semantics exactly: Finish runs on both the clean and
-// the error ending, and the partial result accompanies a terminal error.
-func runTSEColumns(sys *tse.System, ss stream.SoASource) (tse.Result, error) {
-	for {
-		ch, err := ss.NextChunkSoA()
-		if err == io.EOF {
-			return sys.Finish(), nil
-		}
-		if err != nil {
-			return sys.Finish(), err
-		}
-		sys.RunColumns(ch.Kind, ch.Node, ch.Block)
-	}
 }
 
 // AttachSeries implements pipeline.Sampler.

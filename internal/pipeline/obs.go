@@ -37,8 +37,6 @@ import (
 	"time"
 
 	"tsm/internal/obs"
-	"tsm/internal/stream"
-	"tsm/internal/trace"
 )
 
 // engineObs bundles the pre-resolved metric handles of one Run. The nil
@@ -213,33 +211,4 @@ func (o *engineObs) consumerSpanEnd(id int, sp *obs.SpanHandle) {
 		sp.Arg("events_per_sec", uint64(float64(events)/s))
 	}
 	sp.End()
-}
-
-// singleSource counts events through the 1-consumer fast path (which decodes
-// directly on the caller's goroutine, no broadcast), batching the counter
-// updates so the per-event cost stays one local increment. Run flushes the
-// remainder after the consumer returns, keeping the events_decoded ==
-// per-consumer events invariant true in every consumer count.
-type singleSource struct {
-	src     stream.Source
-	o       *engineObs
-	pending uint64
-}
-
-func (s *singleSource) Next() (trace.Event, error) {
-	e, err := s.src.Next()
-	if err == nil {
-		s.pending++
-		if s.pending == uint64(DefaultChunkEvents) {
-			s.flush()
-		}
-	}
-	return e, err
-}
-
-// flush moves the locally batched count into the shared counters.
-func (s *singleSource) flush() {
-	s.o.eventsDecoded.Add(s.pending)
-	s.o.consumers[0].events.Add(s.pending)
-	s.pending = 0
 }

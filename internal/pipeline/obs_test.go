@@ -119,12 +119,13 @@ func TestObsConsumerNames(t *testing.T) {
 	}
 }
 
-// TestObsSingleConsumer: the 1-consumer fast path still counts the stream,
-// keeping events_decoded == per-consumer events in every consumer count.
+// TestObsSingleConsumer: a lone consumer on the ring still counts the
+// stream, keeping events_decoded == per-consumer events in every consumer
+// count.
 func TestObsSingleConsumer(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := &drainCount{}
-	// 2.5 chunks: exercises the batched counter flush on a partial tail.
+	// 2.5 chunks: the count must include a partial tail chunk.
 	if err := (Config{Metrics: reg}).Run(stream.NewSliceSource(makeEvents(2*DefaultChunkEvents+512)), c); err != nil {
 		t.Fatal(err)
 	}

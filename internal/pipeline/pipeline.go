@@ -9,6 +9,11 @@
 //
 //	source ──decode once──▶ ring of chunk slots ──cursor per consumer──▶ consumer 0..N-1
 //
+// Chunks travel in one form, stream.ChunkSoA: the producer pulls
+// stream.Columns(src) — a decoder's own chunks, or a per-event source
+// batched into chunks — and copies each into a ring slot's columns. One
+// consumer rides the ring exactly like N.
+//
 // The engine guarantees:
 //
 //   - events are batched into chunks, so publishing costs one slot write and
@@ -24,22 +29,21 @@
 //     ErrCanceled), and a decode error is delivered to every consumer as its
 //     terminal source error.
 //
-// Consumers only need to implement Run(stream.Source) error, so any existing
-// pull-based evaluation loop (tse.System.RunSource, timing.SimulateSource,
-// the analysis consumers) adapts without modification. See ring.go for the
-// broadcast itself.
+// Consumers only need to implement Run(stream.Source) error. The source
+// each one receives is also a stream.SoASource: the model consumers
+// (analysis.TSEConsumer, analysis.ModelConsumer, timing.Consumer) sweep its
+// column chunks, and any other pull loop may call Next per event. See
+// ring.go for the broadcast itself.
 package pipeline
 
 import (
 	"errors"
 	"fmt"
 	"runtime/debug"
-	"sync"
 	"time"
 
 	"tsm/internal/obs"
 	"tsm/internal/stream"
-	"tsm/internal/trace"
 )
 
 // ErrCanceled is the terminal error a consumer's source returns once another
@@ -76,10 +80,11 @@ func (e *ConsumerPanicError) Is(target error) bool { return target == ErrConsume
 // Consumer is one independent destination of the fan-out: Run drains the
 // source to io.EOF (or fails) and stores whatever result it computes.
 // Implementations receive their own private Source and run on their own
-// goroutine. Events arrive by value from Next (the chunk slices shared
-// between consumers never escape the engine), so a Consumer may keep them
-// freely; a Consumer that returns before io.EOF is fine too — once every
-// consumer has returned, the engine stops decoding.
+// goroutine. Events from Next arrive by value, so a Consumer may keep them
+// freely; a column view from the source's NextChunkSoA is the ring slot
+// itself, shared read-only with every other consumer and valid only until
+// the next call. A Consumer that returns before io.EOF is fine too — once
+// every consumer has returned, the engine stops decoding.
 type Consumer interface {
 	Run(src stream.Source) error
 }
@@ -141,132 +146,32 @@ func Run(src stream.Source, consumers ...Consumer) error {
 	return Config{}.Run(src, consumers...)
 }
 
-// bcastChunk is one broadcast unit's buffer, holding the same rows in up to
-// two forms: struct-of-arrays columns and an []trace.Event view. The
-// producer fills whichever form its source yields natively — columns from a
-// SoASource (the parallel decoder: five memmoves, no per-event work), events
-// from everything else (one struct copy per event, exactly what an []Event
-// broadcast used to cost) — and the OTHER form materializes lazily, once per
-// chunk, when the first consumer that needs it asks. Column-aware consumers
-// (SoASource pulls) sweep dense columns; per-event consumers (Next pulls)
-// index a plain event slice; neither pays a per-event transpose, and a
-// needed transpose runs once per chunk, amortized across every consumer.
-// Row count and boundary seq are captured at fill time so the sampling pump
-// and metrics never race the lazy conversion.
+// bcastChunk is one ring slot: a chunk's rows as columns, plus the seq of
+// its final row, captured when the producer fills the slot so the sampling
+// pump never re-reads a slot it has released.
 type bcastChunk struct {
-	n    int    // rows, set at fill time
-	last uint64 // seq of the final row (valid when n > 0), set at fill time
-
-	mu     sync.Mutex
-	soa    stream.ChunkSoA // column form; empty unless matSoA
-	matSoA bool
-	events []trace.Event // event form; empty unless matAoS
-	matAoS bool
+	soa  stream.ChunkSoA
+	last uint64 // seq of the final row (valid when soa.Len() > 0)
 }
 
-// reset empties the chunk for refill, keeping both buffers' capacity. The
-// caller guarantees no consumer still reads the chunk (ring slot recycling
-// provides that ordering).
-func (b *bcastChunk) reset() {
-	b.n = 0
-	b.soa.Reset()
-	b.matSoA = false
-	b.events = b.events[:0]
-	b.matAoS = false
-}
-
-// aos returns the chunk's rows as []trace.Event, transposing them out of the
-// columns on the chunk's first per-event read.
-func (b *bcastChunk) aos() []trace.Event {
-	b.mu.Lock()
-	if !b.matAoS {
-		b.events = b.soa.AppendTo(b.events[:0])
-		b.matAoS = true
+// fill copies the source's next chunk into the emptied slot — one bulk
+// column copy. A non-nil terminal leaves the slot empty.
+func (b *bcastChunk) fill(src stream.SoASource) (terminal error) {
+	c, err := src.NextChunkSoA()
+	if err != nil {
+		return err
 	}
-	ev := b.events
-	b.mu.Unlock()
-	return ev
-}
-
-// cols returns the chunk's rows as columns, transposing them out of the
-// event slice on the chunk's first column read. The returned region is
-// shared read-only by every consumer on the chunk.
-func (b *bcastChunk) cols() *stream.ChunkSoA {
-	b.mu.Lock()
-	if !b.matSoA {
-		b.soa.AppendEvents(b.events)
-		b.matSoA = true
+	b.soa.AppendSoA(c)
+	if n := b.soa.Len(); n > 0 {
+		b.last = b.soa.Seq[n-1]
 	}
-	b.mu.Unlock()
-	return &b.soa
-}
-
-// chunkFiller pre-resolves src's bulk interfaces once per run, so the
-// per-chunk fill pays type assertions zero times instead of once per chunk.
-type chunkFiller struct {
-	src stream.Source
-	cs  stream.ChunkSource
-	ss  stream.SoASource
-}
-
-func newChunkFiller(src stream.Source) chunkFiller {
-	f := chunkFiller{src: src}
-	f.cs, _ = src.(stream.ChunkSource)
-	f.ss, _ = src.(stream.SoASource)
-	return f
-}
-
-// fill fills one broadcast chunk from the source, in the form the source
-// yields natively. A stream.SoASource (the parallel decoder) hands over a
-// whole pre-decoded region in one bulk column copy — five memmoves, no
-// per-event work; a stream.ChunkSource (the codec Reader) and the generic
-// Next pull fill the event form, one struct copy per event. A non-nil
-// terminal accompanies whatever partial chunk was filled before it
-// (possibly none).
-func (f chunkFiller) fill(dst *bcastChunk, chunkEvents int) (terminal error) {
-	if f.ss != nil {
-		soa, err := f.ss.NextChunkSoA()
-		if err != nil {
-			return err
-		}
-		dst.soa.AppendSoA(soa)
-		dst.matSoA = true
-		if dst.n = dst.soa.Len(); dst.n > 0 {
-			dst.last = dst.soa.Seq[dst.n-1]
-		}
-		return nil
-	}
-	if cap(dst.events) < chunkEvents {
-		dst.events = make([]trace.Event, 0, chunkEvents)
-	}
-	if f.cs != nil {
-		events, err := f.cs.NextChunk()
-		if err == nil {
-			dst.events = append(dst.events, events...)
-		}
-		terminal = err
-	} else {
-		for len(dst.events) < chunkEvents {
-			e, err := f.src.Next()
-			if err != nil {
-				terminal = err
-				break
-			}
-			dst.events = append(dst.events, e)
-		}
-	}
-	dst.matAoS = true
-	if dst.n = len(dst.events); dst.n > 0 {
-		dst.last = dst.events[dst.n-1].Seq
-	}
-	return terminal
+	return nil
 }
 
 // Run decodes src exactly once and broadcasts the events to every consumer
 // through the ring, blocking until the producer and all consumers have
 // finished (no goroutine outlives the call). With zero consumers it returns
-// nil without reading src; with one consumer it runs the consumer directly on
-// the caller's goroutine (no broadcast needed — a plain single pass).
+// nil without reading src.
 //
 // On success every consumer has drained the full stream in decode order. On
 // failure Run returns the first error in consumer order — a consumer's own
@@ -279,34 +184,10 @@ func (c Config) Run(src stream.Source, consumers ...Consumer) error {
 	c = c.normalize()
 	smps := c.samplers(consumers)
 	o := c.newObs(len(consumers))
-	if len(consumers) == 1 {
-		return c.runSingle(src, consumers[0], samplerAt(smps, 0), o)
-	}
 	if o.enabled() {
 		defer o.runDone(time.Now())
 	}
 	return c.runRing(src, consumers, smps, o)
-}
-
-// runSingle is Config.Run's one-consumer path: the consumer pulls src
-// directly on the caller's goroutine, wrapped only by the sampling pump and
-// the event counter when those are attached.
-func (c Config) runSingle(src stream.Source, consumer Consumer, smp Sampler, o *engineObs) error {
-	if smp != nil {
-		src = &pumpSource{src: src, sampleState: sampleState{sampler: smp}, chunkEvents: c.ChunkEvents}
-	}
-	if o == nil {
-		return c.runConsumer(0, consumer, src)
-	}
-	start := time.Now()
-	sp := o.beginSpan(o.consumers[0].label, "consumer", 1)
-	counted := &singleSource{src: src, o: o}
-	err := c.runConsumer(0, consumer, counted)
-	counted.flush()
-	o.producerDone(time.Since(start))
-	o.consumerSpanEnd(0, sp)
-	o.runDone(start)
-	return err
 }
 
 // runConsumer runs consumer i over src, recovering a panic into a

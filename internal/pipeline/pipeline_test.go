@@ -97,8 +97,8 @@ func TestZeroConsumers(t *testing.T) {
 	}
 }
 
-// TestSingleConsumer: the one-consumer fast path must behave like a plain
-// pass over the source.
+// TestSingleConsumer: one consumer rides the ring like N and must see a
+// plain pass over the source, which is read exactly once to its end.
 func TestSingleConsumer(t *testing.T) {
 	events := makeEvents(50)
 	rec := &recordConsumer{}
@@ -229,8 +229,8 @@ func (c *panicAfter) Run(src stream.Source) error {
 // TestConsumerPanicRecovered: a consumer that panics mid-stream over an
 // ENDLESS source must fail the run, not the process — Run returns a
 // ConsumerPanicError naming the consumer and carrying the panic value, the
-// bystanders see ErrCanceled, and no goroutine outlives the call. The
-// single-consumer direct path recovers the same way.
+// bystanders see ErrCanceled, and no goroutine outlives the call. A lone
+// consumer recovers the same way.
 func TestConsumerPanicRecovered(t *testing.T) {
 	before := runtime.NumGoroutine()
 	bystanders := []*recordConsumer{{}, {}}
@@ -410,17 +410,17 @@ func TestBackpressure(t *testing.T) {
 	})
 }
 
-// chunkedSource is a stream.ChunkSource that hands out its events in fixed
-// chunks THROUGH A REUSED BUFFER, like the codec readers do: the returned
-// slice is invalid after the next call. The broadcast must copy chunks, so
-// consumers still observe pristine events — this pins the bulk-copy fast
-// path the producers take for pre-decoded chunks.
+// chunkedSource is a stream.SoASource that hands out its events in fixed
+// column chunks THROUGH A REUSED REGION, like the codec readers do: the
+// returned view is invalid after the next call. The broadcast must copy
+// chunks, so consumers still observe pristine events — this pins the
+// bulk-copy path the producer takes for every source.
 type chunkedSource struct {
 	events    []trace.Event
 	pos       int
 	chunk     int
-	buf       []trace.Event
-	nexts     int // per-event Next calls observed (fast path must avoid them)
+	buf       stream.ChunkSoA
+	nexts     int // per-event Next calls observed (the producer must avoid them)
 	fail      error
 	failAfter int // fail after this many chunks when fail != nil
 }
@@ -435,33 +435,30 @@ func (s *chunkedSource) Next() (trace.Event, error) {
 	return e, nil
 }
 
-func (s *chunkedSource) NextChunk() ([]trace.Event, error) {
+func (s *chunkedSource) NextChunkSoA() (*stream.ChunkSoA, error) {
 	if s.fail != nil && s.failAfter == 0 {
 		return nil, s.fail
 	}
 	if s.pos >= len(s.events) {
 		return nil, io.EOF
 	}
-	n := s.chunk
-	if rest := len(s.events) - s.pos; n > rest {
-		n = rest
-	}
-	s.buf = append(s.buf[:0], s.events[s.pos:s.pos+n]...)
+	n := min(s.chunk, len(s.events)-s.pos)
+	// Overwrite the previous hand-out in place: anyone still holding the
+	// old view sees different rows.
+	s.buf.Reset()
+	s.buf.AppendEvents(s.events[s.pos : s.pos+n])
 	s.pos += n
 	if s.fail != nil {
 		s.failAfter--
 	}
-	// Scramble the previous hand-out: anyone holding the old slice sees it.
-	for i := range s.buf {
-		s.buf[i].Seq = s.events[s.pos-n+i].Seq
-	}
-	return s.buf, nil
+	return &s.buf, nil
 }
 
-// TestChunkSourceParity: a ChunkSource feeds the ring through the bulk-copy
-// path, and every consumer still observes the exact event stream —
-// even though the source reuses its chunk buffer between calls.
-func TestChunkSourceParity(t *testing.T) {
+// TestSoASourceParity: a SoASource feeds the ring one bulk column copy per
+// chunk, with no per-event Next call, and every consumer still observes the
+// exact event stream — even though the source reuses its region between
+// calls.
+func TestSoASourceParity(t *testing.T) {
 	events := makeEvents(1000)
 	t.Run("ring", func(t *testing.T) {
 		for _, chunk := range []int{1, 13, 256, 4096} {
@@ -477,7 +474,7 @@ func TestChunkSourceParity(t *testing.T) {
 				t.Fatalf("chunk %d: %v", chunk, err)
 			}
 			if src.nexts > 0 {
-				t.Fatalf("chunk %d: producer made %d per-event Next calls; ChunkSource fast path not taken", chunk, src.nexts)
+				t.Fatalf("chunk %d: producer made %d per-event Next calls; the column path was not taken", chunk, src.nexts)
 			}
 			for ci, rec := range records {
 				if len(rec.events) != len(events) {
@@ -485,7 +482,7 @@ func TestChunkSourceParity(t *testing.T) {
 				}
 				for i := range events {
 					if rec.events[i] != events[i] {
-						t.Fatalf("chunk %d consumer %d: event %d = %+v, want %+v (chunks must be copied out of the reused buffer)", chunk, ci, i, rec.events[i], events[i])
+						t.Fatalf("chunk %d consumer %d: event %d = %+v, want %+v (chunks must be copied out of the reused region)", chunk, ci, i, rec.events[i], events[i])
 					}
 				}
 			}
@@ -493,9 +490,9 @@ func TestChunkSourceParity(t *testing.T) {
 	})
 }
 
-// TestChunkSourceErrorPropagates: a terminal error from NextChunk reaches
+// TestSoASourceErrorPropagates: a terminal error from NextChunkSoA reaches
 // every consumer in band, after the events that preceded it.
-func TestChunkSourceErrorPropagates(t *testing.T) {
+func TestSoASourceErrorPropagates(t *testing.T) {
 	events := makeEvents(300)
 	decodeErr := errors.New("chunk decode failed")
 	t.Run("ring", func(t *testing.T) {
@@ -504,6 +501,9 @@ func TestChunkSourceErrorPropagates(t *testing.T) {
 		err := Config{ChunkBuffer: 2}.Run(src, records[0], records[1])
 		if !errors.Is(err, decodeErr) {
 			t.Fatalf("err = %v, want the decode error", err)
+		}
+		if src.nexts > 0 {
+			t.Fatalf("producer made %d per-event Next calls", src.nexts)
 		}
 		for ci, rec := range records {
 			if !errors.Is(rec.terminal, decodeErr) {

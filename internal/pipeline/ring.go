@@ -41,7 +41,7 @@ type ringState struct {
 	notFull  *sync.Cond // producer: a slot was released or the run stopped
 	notEmpty *sync.Cond // consumers: a chunk was published or the run closed
 
-	slots []*bcastChunk // ring of reusable chunk buffers (SoA + AoS view)
+	slots []*bcastChunk // ring of reusable column chunks
 	head  uint64        // chunks published so far
 
 	taken    []uint64 // per consumer: chunks handed to its source
@@ -86,7 +86,7 @@ func (r *ringState) minReleased() uint64 {
 // has released it — and returns its chunk buffer, emptied, for the producer
 // to fill outside the lock. It reports false once decoding is pointless
 // (cancellation, or every consumer has returned).
-func (r *ringState) buffer(chunkEvents int) (*bcastChunk, bool) {
+func (r *ringState) buffer() (*bcastChunk, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var waited time.Duration
@@ -113,7 +113,7 @@ func (r *ringState) buffer(chunkEvents int) (*bcastChunk, bool) {
 		slot = &bcastChunk{}
 		r.slots[r.head%uint64(len(r.slots))] = slot
 	} else {
-		slot.reset()
+		slot.soa.Reset()
 	}
 	return slot, true
 }
@@ -202,87 +202,79 @@ func (r *ringState) take(id int) (chunk *bcastChunk, err error, ok bool) {
 		lag := r.head - r.taken[id]
 		ch := r.slots[r.taken[id]%uint64(len(r.slots))]
 		r.taken[id]++
-		r.o.consumerChunk(id, ch.n, lag)
+		r.o.consumerChunk(id, ch.soa.Len(), lag)
 		return ch, nil, true
 	}
 	return nil, r.terminal, false
 }
 
-// ringSource adapts one consumer's ring cursor to the stream.Source its
+// ringSource adapts one consumer's ring cursor to the stream.SoASource its
 // evaluation loop pulls. Terminal conditions are strictly in band: every
 // event published to the ring is observed before any ending.
 type ringSource struct {
 	r    *ringState
 	id   int
-	cur  *bcastChunk
-	aos  []trace.Event // cur's AoS view, fetched on first per-event read
+	cur  *bcastChunk // the adopted slot; rows [pos, cur.soa.Len()) remain
 	view stream.ChunkSoA
 	pos  int
 	err  error
 	sampleState
 }
 
-// refill advances the cursor to the next published chunk, handling the
-// sample pump and in-band terminals. It returns the terminal error once the
-// stream ends (also recorded in s.err).
-func (s *ringSource) refill() error {
-	// The previous chunk is fully processed: offer the consumer a sample
-	// at its boundary BEFORE take releases the slot (the boundary seq was
-	// captured at adoption — the slot region must not be re-read once the
-	// producer can recycle it).
-	s.pump(false)
-	chunk, err, ok := s.r.take(s.id)
-	if !ok {
-		if err == nil {
-			err = io.EOF
-		}
-		s.err = err
-		// Drop the slot reference; the slot itself was released by take.
-		s.cur, s.aos, s.pos = nil, nil, 0
-		s.pump(true)
-		return err
+// advance makes sure the current chunk has rows left, taking the next
+// published chunk when it is exhausted. It returns the terminal error once
+// the stream ends (also recorded in s.err).
+func (s *ringSource) advance() error {
+	if s.err != nil {
+		return s.err
 	}
-	s.cur, s.aos, s.pos = chunk, nil, 0
-	s.adopt(chunk)
+	for s.cur == nil || s.pos >= s.cur.soa.Len() {
+		// The previous chunk is fully processed: offer the consumer a
+		// sample at its boundary BEFORE take releases the slot (the
+		// boundary seq was captured at fill — the slot must not be re-read
+		// once the producer can recycle it).
+		s.pump(false)
+		chunk, err, ok := s.r.take(s.id)
+		if !ok {
+			if err == nil {
+				err = io.EOF
+			}
+			s.err = err
+			// Drop the slot reference; the slot itself was released by take.
+			s.cur, s.pos = nil, 0
+			s.pump(true)
+			return err
+		}
+		s.cur, s.pos = chunk, 0
+		s.adopt(chunk)
+	}
 	return nil
 }
 
 // Next implements stream.Source.
 func (s *ringSource) Next() (trace.Event, error) {
-	if s.err != nil {
-		return trace.Event{}, s.err
-	}
-	for s.cur == nil || s.pos >= s.cur.n {
-		if err := s.refill(); err != nil {
+	if s.cur == nil || s.pos >= s.cur.soa.Len() {
+		if err := s.advance(); err != nil {
 			return trace.Event{}, err
 		}
 	}
-	if s.aos == nil {
-		s.aos = s.cur.aos()
-	}
-	e := s.aos[s.pos]
 	s.pos++
-	return e, nil
+	return s.cur.soa.Event(s.pos - 1), nil
 }
 
 // NextChunkSoA implements stream.SoASource: a column view of the remaining
 // events of the current chunk, valid until the next call (which releases
 // the underlying slot back to the producer).
 func (s *ringSource) NextChunkSoA() (*stream.ChunkSoA, error) {
-	if s.err != nil {
-		return nil, s.err
+	if err := s.advance(); err != nil {
+		return nil, err
 	}
-	for s.cur == nil || s.pos >= s.cur.n {
-		if err := s.refill(); err != nil {
-			return nil, err
-		}
-	}
-	s.view = s.cur.cols().Slice(s.pos, s.cur.n)
-	s.pos = s.cur.n
+	s.view = s.cur.soa.Slice(s.pos, s.cur.soa.Len())
+	s.pos = s.cur.soa.Len()
 	return &s.view, nil
 }
 
-// runRing is Config.Run's broadcast for two or more consumers.
+// runRing is Config.Run's broadcast, for any number of consumers.
 func (c Config) runRing(src stream.Source, consumers []Consumer, smps []Sampler, o *engineObs) error {
 	r := newRingState(c.ChunkBuffer, len(consumers), o)
 	var wg sync.WaitGroup
@@ -303,9 +295,9 @@ func (c Config) runRing(src stream.Source, consumers []Consumer, smps []Sampler,
 				sp.Arg("events", total).End()
 			}
 		}()
-		filler := newChunkFiller(src)
+		cols := stream.Columns(src, c.ChunkEvents)
 		for {
-			chunk, ok := r.buffer(c.ChunkEvents)
+			chunk, ok := r.buffer()
 			if !ok {
 				r.close(ErrCanceled)
 				return
@@ -314,8 +306,8 @@ func (c Config) runRing(src stream.Source, consumers []Consumer, smps []Sampler,
 			if o.tracing() {
 				csp = o.tracer.Begin("chunk", "decode", 0)
 			}
-			terminal := filler.fill(chunk, c.ChunkEvents)
-			if n := chunk.n; n > 0 {
+			terminal := chunk.fill(cols)
+			if n := chunk.soa.Len(); n > 0 {
 				total += uint64(n)
 				o.decoded(n)
 				csp.Arg("events", n).End()

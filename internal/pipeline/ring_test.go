@@ -77,15 +77,15 @@ func TestRingSlotReuse(t *testing.T) {
 			done <- err
 		}(id)
 	}
-	filler := newChunkFiller(stream.NewSliceSource(events))
+	cols := stream.Columns(stream.NewSliceSource(events), chunkEvents)
 	for {
-		chunk, ok := r.buffer(chunkEvents)
+		chunk, ok := r.buffer()
 		if !ok {
 			r.close(ErrCanceled)
 			break
 		}
-		terminal := filler.fill(chunk, chunkEvents)
-		if chunk.n > 0 && !r.publish(chunk) {
+		terminal := chunk.fill(cols)
+		if chunk.soa.Len() > 0 && !r.publish(chunk) {
 			r.close(ErrCanceled)
 			break
 		}
@@ -107,8 +107,8 @@ func TestRingSlotReuse(t *testing.T) {
 		t.Fatalf("ring grew to %d slots, want %d (slots must be reused, not appended)", len(r.slots), ringChunks)
 	}
 	for i, s := range r.slots {
-		if cap(s.events) < chunkEvents || cap(s.events) > 2*chunkEvents {
-			t.Fatalf("slot %d has event cap %d, want ~%d (buffers are allocated once and recycled)", i, cap(s.events), chunkEvents)
+		if c := cap(s.soa.Kind); c < chunkEvents || c > 2*chunkEvents {
+			t.Fatalf("slot %d has column cap %d, want ~%d (buffers are allocated once and recycled)", i, c, chunkEvents)
 		}
 	}
 }

@@ -21,11 +21,7 @@ package pipeline
 // nil Config.Series nothing here runs at all — sources carry a nil Sampler
 // and the hot loop pays one pointer check per refill.
 
-import (
-	"tsm/internal/obs"
-	"tsm/internal/stream"
-	"tsm/internal/trace"
-)
+import "tsm/internal/obs"
 
 // Sampler is the optional consumer interface for domain time series: a
 // Consumer that also implements Sampler is handed a per-consumer Series
@@ -71,8 +67,8 @@ func samplerAt(smps []Sampler, i int) Sampler {
 	return nil
 }
 
-// sampleState is the per-source boundary bookkeeping embedded in every
-// source adapter: the seq of the newest adopted event, captured at chunk
+// sampleState is the boundary bookkeeping embedded in each consumer's
+// ringSource: the seq of the newest adopted event, captured at chunk
 // adoption (see the package comment on slot reuse).
 type sampleState struct {
 	sampler Sampler
@@ -80,11 +76,11 @@ type sampleState struct {
 	seen    bool
 }
 
-// adopt records the boundary seq of a freshly adopted chunk. The seq was
-// captured when the producer filled the chunk, so adoption never reads the
-// chunk buffers themselves (nor races their lazy form conversion).
+// adopt records the boundary seq of a freshly adopted (never empty) chunk.
+// The seq was captured when the producer filled the chunk, so adoption never
+// reads the chunk's columns.
 func (s *sampleState) adopt(b *bcastChunk) {
-	if s.sampler != nil && b.n > 0 {
+	if s.sampler != nil {
 		s.last = b.last
 		s.seen = true
 	}
@@ -96,32 +92,4 @@ func (s *sampleState) pump(final bool) {
 	if s.sampler != nil && s.seen {
 		s.sampler.SampleAt(s.last, final)
 	}
-}
-
-// pumpSource wraps the single-consumer fast path (which runs the consumer
-// directly on the caller's goroutine, no broadcast) with the same
-// chunk-cadence pump the fan-out sources provide.
-type pumpSource struct {
-	src stream.Source
-	sampleState
-	n           int
-	chunkEvents int
-}
-
-// Next implements stream.Source: events pass through, with a sample offer
-// every chunkEvents events (before the next fetch, so the sample reflects
-// exactly the events delivered) and a final offer at the terminal error.
-func (s *pumpSource) Next() (trace.Event, error) {
-	if s.n >= s.chunkEvents {
-		s.pump(false)
-		s.n = 0
-	}
-	e, err := s.src.Next()
-	if err != nil {
-		s.pump(true)
-		return e, err
-	}
-	s.last, s.seen = e.Seq, true
-	s.n++
-	return e, nil
 }

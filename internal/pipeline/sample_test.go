@@ -34,7 +34,7 @@ func (c *samplingConsumer) SampleAt(seq uint64, final bool) {
 	c.series.Record(seq, map[string]float64{"processed": float64(len(c.events))})
 }
 
-// TestSamplingPump: over the ring (and the single-consumer fast path), a
+// TestSamplingPump: over the ring, with three consumers or one, a
 // sampling consumer is pumped at chunk boundaries and flushed at
 // end of stream, each sample firing exactly at its boundary (processed ==
 // seq+1 for a dense stream) and landing in the per-consumer series under the

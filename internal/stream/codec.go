@@ -268,15 +268,16 @@ func (w *Writer) Close() error {
 	return nil
 }
 
-// Reader decodes a stream produced by Writer. It implements Source (and
-// ChunkSource: NextChunk hands out whole decoded chunks).
+// Reader decodes a stream produced by Writer, one chunk at a time into a
+// reusable ChunkSoA. It implements Source and SoASource.
 type Reader struct {
 	r       *posReader
 	meta    Meta
 	version byte
-	chunk   []trace.Event
+	chunk   ChunkSoA // the current decoded chunk; rows [pos, Len) remain
+	view    ChunkSoA // NextChunkSoA's reusable column view into chunk
 	pos     int
-	next    uint64
+	next    uint64 // events decoded so far: the next chunk's first seq
 	chunks  uint64 // chunks decoded so far (cross-checked against the footer)
 	// refs records each decoded chunk's byte offset and event count on
 	// version ≥ 3 streams, so verifyFooter can check the footer entry for
@@ -409,41 +410,37 @@ func (r *Reader) Meta() Meta { return r.meta }
 // Next implements Source, returning io.EOF after the last event of a
 // well-formed stream and a wrapped ErrTruncated/ErrCorrupt otherwise.
 func (r *Reader) Next() (trace.Event, error) {
-	for r.pos >= len(r.chunk) {
-		if r.done {
-			return trace.Event{}, io.EOF
-		}
-		if err := r.readChunk(); err != nil {
-			return trace.Event{}, err
-		}
+	if err := r.fill(); err != nil {
+		return trace.Event{}, err
 	}
-	e := r.chunk[r.pos]
-	e.Seq = r.next
 	r.pos++
-	r.next++
-	return e, nil
+	return r.chunk.Event(r.pos - 1), nil
 }
 
-// NextChunk implements ChunkSource: it returns the remaining events of the
-// current chunk (decoding the next one if exhausted) with sequence numbers
-// assigned, or io.EOF after the last. The returned slice is only valid
-// until the next NextChunk/Next call.
-func (r *Reader) NextChunk() ([]trace.Event, error) {
-	for r.pos >= len(r.chunk) {
+// NextChunkSoA implements SoASource: a column view of the remaining events
+// of the current chunk (decoding the next one if exhausted), or io.EOF after
+// the last. The view is only valid until the next NextChunkSoA/Next call.
+func (r *Reader) NextChunkSoA() (*ChunkSoA, error) {
+	if err := r.fill(); err != nil {
+		return nil, err
+	}
+	r.view = r.chunk.Slice(r.pos, r.chunk.Len())
+	r.pos = r.chunk.Len()
+	return &r.view, nil
+}
+
+// fill decodes chunks until one has rows left to hand out, returning io.EOF
+// once the end of a well-formed stream is verified.
+func (r *Reader) fill() error {
+	for r.pos >= r.chunk.Len() {
 		if r.done {
-			return nil, io.EOF
+			return io.EOF
 		}
 		if err := r.readChunk(); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	out := r.chunk[r.pos:]
-	for i := range out {
-		out[i].Seq = r.next
-		r.next++
-	}
-	r.pos = len(r.chunk)
-	return out, nil
+	return nil
 }
 
 // readChunk decodes the next chunk, or verifies the trailer (and, for
@@ -467,21 +464,20 @@ func (r *Reader) readChunk() error {
 			return err
 		}
 		r.done = true
-		r.chunk = r.chunk[:0]
+		r.chunk.Reset()
 		r.pos = 0
 		return nil
 	}
 	if n > maxChunkEvents {
 		return fmt.Errorf("%w: chunk of %d events", ErrCorrupt, n)
 	}
-	if cap(r.chunk) < int(n) {
-		r.chunk = make([]trace.Event, 0, n)
-	}
+	r.chunk.Reset()
 	r.pos = 0
-	r.chunk, err = appendChunkEvents(r.r, n, r.chunk[:0])
-	if err != nil {
+	if err := appendChunkColumns(r.r, n, r.next, &r.chunk); err != nil {
+		r.chunk.Reset() // hand out no rows of a chunk that failed to decode
 		return err
 	}
+	r.next += n
 	r.chunks++
 	if r.version >= Version {
 		r.refs = append(r.refs, ChunkRef{Offset: start, Events: n})
@@ -553,37 +549,39 @@ func (r *Reader) verifyFooter() error {
 	return nil
 }
 
-// appendChunkEvents decodes n delta-reset events from r, appending them to
-// dst. It is shared between the streaming Reader and the parallel per-chunk
-// decoder.
-func appendChunkEvents(r io.ByteReader, n uint64, dst []trace.Event) ([]trace.Event, error) {
+// appendChunkColumns decodes n delta-reset events from r, appending them to
+// dst with sequence numbers startSeq, startSeq+1, ... It is the serial
+// Reader's decoder: a streamed chunk carries no byte length, so it is read a
+// byte at a time rather than as the buffered region the parallel decoder's
+// appendChunkSoA parses. Both yield identical columns.
+func appendChunkColumns(r io.ByteReader, n, startSeq uint64, dst *ChunkSoA) error {
+	dst.Grow(int(n))
 	prev := uint64(0)
 	for i := uint64(0); i < n; i++ {
 		kind, err := r.ReadByte()
 		if err != nil {
-			return dst, fmt.Errorf("stream: reading event kind: %w", errTrunc(err))
+			return fmt.Errorf("stream: reading event kind: %w", errTrunc(err))
 		}
 		node, err := binary.ReadUvarint(r)
 		if err != nil {
-			return dst, fmt.Errorf("stream: reading event node: %w", errTrunc(err))
+			return fmt.Errorf("stream: reading event node: %w", errTrunc(err))
 		}
 		delta, err := binary.ReadVarint(r)
 		if err != nil {
-			return dst, fmt.Errorf("stream: reading event block: %w", errTrunc(err))
+			return fmt.Errorf("stream: reading event block: %w", errTrunc(err))
 		}
 		prev += uint64(delta)
 		prod, err := binary.ReadUvarint(r)
 		if err != nil {
-			return dst, fmt.Errorf("stream: reading event producer: %w", errTrunc(err))
+			return fmt.Errorf("stream: reading event producer: %w", errTrunc(err))
 		}
-		dst = append(dst, trace.Event{
-			Kind:     trace.EventKind(kind),
-			Node:     mem.NodeID(node),
-			Block:    mem.BlockAddr(prev),
-			Producer: mem.NodeID(int64(prod) - 1),
-		})
+		dst.Seq = append(dst.Seq, startSeq+i)
+		dst.Kind = append(dst.Kind, trace.EventKind(kind))
+		dst.Node = append(dst.Node, mem.NodeID(node))
+		dst.Block = append(dst.Block, mem.BlockAddr(prev))
+		dst.Producer = append(dst.Producer, mem.NodeID(int64(prod)-1))
 	}
-	return dst, nil
+	return nil
 }
 
 // WriteFile streams src into a new trace file at path, fsync-free but fully

@@ -1,0 +1,233 @@
+package stream
+
+// Fault injection across the three decode paths — the serial Reader over an
+// io.Reader, the parallel decoder over an io.ReaderAt, and the parallel
+// decoder over an mmap — for short reads, an I/O error inside one chunk, and
+// a file truncated after its index was read.
+
+import (
+	"bytes"
+	"errors"
+	"io"
+	"os"
+	"path/filepath"
+	"runtime"
+	"testing"
+	"testing/iotest"
+	"time"
+
+	"tsm/internal/trace"
+)
+
+// drainSoA drains src through NextChunkSoA, returning the events seen before
+// the terminal error (nil for a clean io.EOF).
+func drainSoA(src SoASource) ([]trace.Event, error) {
+	var out []trace.Event
+	for {
+		c, err := src.NextChunkSoA()
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return out, err
+		}
+		out = c.AppendTo(out)
+	}
+}
+
+// sameEvents fails the test unless got equals want, sequence numbers
+// included.
+func sameEvents(t *testing.T, what string, got, want []trace.Event) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d events, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: event %d = %+v, want %+v", what, i, got[i], want[i])
+		}
+	}
+}
+
+// TestSerialDecodeShortReads: a reader that returns one byte, or half the
+// requested bytes, per Read must decode to exactly the events of a plain
+// read, through both Next and NextChunkSoA.
+func TestSerialDecodeShortReads(t *testing.T) {
+	tr := randomTrace(5*64+13, 21)
+	data := encodeChunked(t, tr, Meta{Workload: "db2", Nodes: 16}, 64)
+	plain, err := NewReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := drainSoA(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range tr.Events {
+		if want[i] != tr.Events[i] {
+			t.Fatalf("plain read event %d = %+v, want %+v", i, want[i], tr.Events[i])
+		}
+	}
+	shorts := map[string]func(io.Reader) io.Reader{
+		"one-byte": iotest.OneByteReader,
+		"half":     iotest.HalfReader,
+	}
+	for name, wrap := range shorts {
+		r, err := NewReader(wrap(bytes.NewReader(data)))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got, err := drainSoA(r)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		sameEvents(t, name+" NextChunkSoA", got, want)
+
+		r, err = NewReader(wrap(bytes.NewReader(data)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr2, err := Collect(r)
+		if err != nil {
+			t.Fatalf("%s Next: %v", name, err)
+		}
+		sameEvents(t, name+" Next", tr2.Events, want)
+	}
+}
+
+// errInjected is the I/O error the fault-injecting readers return.
+var errInjected = errors.New("injected I/O error")
+
+// failAtReader serves data up to byte failAt, then fails every Read with
+// errInjected.
+type failAtReader struct {
+	data        []byte
+	off, failAt int
+}
+
+func (r *failAtReader) Read(p []byte) (int, error) {
+	if r.off >= r.failAt {
+		return 0, errInjected
+	}
+	n := copy(p, r.data[r.off:r.failAt])
+	r.off += n
+	return n, nil
+}
+
+// failAtReaderAt serves data, except that reads starting inside [lo, hi) —
+// one chunk's bytes — fail with errInjected.
+type failAtReaderAt struct {
+	data   []byte
+	lo, hi int64
+}
+
+func (r *failAtReaderAt) ReadAt(p []byte, off int64) (int, error) {
+	if off >= r.lo && off < r.hi {
+		return 0, errInjected
+	}
+	return bytes.NewReader(r.data).ReadAt(p, off)
+}
+
+// TestDecodeIOErrorInChunk: an I/O error inside chunk k surfaces wrapped —
+// errors.Is finds it, with the decoder's context around it — after exactly
+// the events of chunks 0..k-1, from the serial and the parallel decoder.
+func TestDecodeIOErrorInChunk(t *testing.T) {
+	const perCh, k = 64, 3
+	tr := randomTrace(8*perCh, 22)
+	data := encodeChunked(t, tr, Meta{Workload: "db2", Nodes: 16}, perCh)
+	ix, err := OpenIndexed(bytes.NewReader(data), int64(len(data)), ParallelOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := ix.Index().Chunks[k]
+	ix.Close()
+	check := func(name string, got []trace.Event, err error) {
+		t.Helper()
+		if !errors.Is(err, errInjected) || err == errInjected {
+			t.Fatalf("%s: err = %v, want errInjected wrapped", name, err)
+		}
+		sameEvents(t, name, got, tr.Events[:k*perCh])
+	}
+
+	r, err := NewReader(&failAtReader{data: data, failAt: int(ref.Offset + ref.Length/2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := drainSoA(r)
+	check("serial", got, err)
+
+	for _, workers := range []int{1, 4} {
+		pr, err := OpenIndexed(&failAtReaderAt{data: data, lo: ref.Offset, hi: ref.Offset + ref.Length}, int64(len(data)), ParallelOptions{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := drainSoA(pr)
+		check("parallel", got, err)
+		if err := pr.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestDecodeTruncatedAfterIndex: a file truncated after the parallel
+// decoder has read its index must fail with ErrTruncated, never a crash or a
+// clean stream — on the ReadAt path (short reads) and on the mmap path,
+// where touching a page past the new end of file raises SIGBUS and the
+// decode worker recovers the fault, or where only the footer is cut and the
+// end-of-stream check sees the file shrank. No goroutine may outlive Close.
+func TestDecodeTruncatedAfterIndex(t *testing.T) {
+	tr := randomTrace(200*64, 23)
+	data := encodeChunked(t, tr, Meta{Workload: "db2", Nodes: 16}, 64)
+	page := os.Getpagesize()
+	if len(data) < 8*page {
+		t.Fatalf("trace of %d bytes too small to truncate by pages", len(data))
+	}
+	cases := []struct {
+		name string
+		mmap bool
+		size int
+	}{
+		// Half the file, on a page boundary: every page past the new end
+		// faults instead of reading as the zero-filled tail of the last
+		// page.
+		{"readat", false, len(data) / 2 / page * page},
+		{"mmap", true, len(data) / 2 / page * page},
+		// Only the footer cut: every chunk decodes from intact pages, and
+		// the reader must still notice the file shrank under it.
+		{"mmap-tail", true, len(data) - 4},
+	}
+	for _, tc := range cases {
+		mmap := tc.mmap
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "trace.tsm")
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			before := runtime.NumGoroutine()
+			r, err := OpenFileParallel(path, ParallelOptions{Workers: 2, Mmap: mmap})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m, ok := r.closer.(*Mmap); mmap && (!ok || !m.Mapped()) {
+				r.Close()
+				t.Skip("no memory mapping on this platform")
+			}
+			if err := os.Truncate(path, int64(tc.size)); err != nil {
+				t.Fatal(err)
+			}
+			got, err := drainSoA(r)
+			if !errors.Is(err, ErrTruncated) {
+				t.Fatalf("err = %v after %d events, want ErrTruncated", err, len(got))
+			}
+			if err := r.Close(); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; runtime.NumGoroutine() > before; i++ {
+				if i == 50 {
+					t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+		})
+	}
+}

@@ -83,6 +83,18 @@ func (m *Mmap) Region(off, n int64) ([]byte, bool) {
 	return m.data[off : off+n : off+n], true
 }
 
+// shrunk reports whether the mapped file is now shorter than the mapping.
+// The decode workers turn a fault on a page past the new end into
+// ErrTruncated, but the page holding the new end reads as zeros instead of
+// faulting, so the parallel reader checks this once at end of stream.
+func (m *Mmap) shrunk() bool {
+	if m.data == nil {
+		return false
+	}
+	st, err := m.f.Stat()
+	return err == nil && st.Size() < m.size
+}
+
 // Close unmaps the file and closes it. The mapping (and any Region views)
 // must not be used after Close.
 func (m *Mmap) Close() error {

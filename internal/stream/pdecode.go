@@ -16,6 +16,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -54,8 +56,7 @@ type ParallelOptions struct {
 }
 
 // ParallelReader decodes an indexed trace with a pool of per-chunk workers,
-// merging chunks in stream order. It implements Source (and ChunkSource and
-// SoASource), yields exactly the byte-for-byte event sequence of the serial
+// merging chunks in stream order. It implements Source and SoASource, yields exactly the byte-for-byte event sequence of the serial
 // Reader, and must be Closed to release its goroutines.
 type ParallelReader struct {
 	meta  Meta
@@ -68,8 +69,7 @@ type ParallelReader struct {
 
 	cur     *ChunkSoA // current in-order chunk region; rows [pos, hi) remain
 	pos, hi int
-	view    ChunkSoA      // NextChunkSoA's reusable column view into cur
-	aos     []trace.Event // NextChunk's reusable adapter buffer
+	view    ChunkSoA // NextChunkSoA's reusable column view into cur
 	err     error
 
 	selected uint64
@@ -241,11 +241,7 @@ func (r *ParallelReader) worker(id int, ra io.ReaderAt, jobs <-chan job, opt Par
 		}
 		var res chunkResult
 		res.soa = soa
-		var region []byte
-		region, scratch, res.err = readChunkRegion(ra, jb.ref, scratch)
-		if res.err == nil {
-			res.err = decodeChunkRegion(region, jb.ref, soa)
-		}
+		scratch, res.err = decodeChunk(ra, jb.ref, scratch, soa)
 		if res.err == nil {
 			res.hi = soa.Len()
 			// Trim boundary chunks to the requested event range; events keep
@@ -272,6 +268,36 @@ func (r *ParallelReader) worker(id int, ra io.ReaderAt, jobs <-chan job, opt Par
 		}
 		jb.out <- res
 	}
+}
+
+// decodeChunk reads the chunk at ref and decodes it into dst, returning the
+// possibly-grown scratch buffer. A file truncated while mapped faults
+// (SIGBUS) as soon as the decoder touches a page past its new end; with
+// SetPanicOnFault on this goroutine the fault panics instead of killing the
+// process, and the recovery reports it as a chunk error wrapping
+// ErrTruncated. Any other panic is a bug and propagates.
+func decodeChunk(ra io.ReaderAt, ref ChunkRef, scratch []byte, dst *ChunkSoA) (newScratch []byte, err error) {
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer func() {
+		v := recover()
+		if v == nil {
+			return
+		}
+		if f, ok := v.(interface {
+			runtime.Error
+			Addr() uintptr
+		}); ok {
+			newScratch = scratch
+			err = fmt.Errorf("stream: chunk at offset %d: memory fault at %#x (file truncated while mapped?): %w", ref.Offset, f.Addr(), ErrTruncated)
+			return
+		}
+		panic(v)
+	}()
+	region, scratch, err := readChunkRegion(ra, ref, scratch)
+	if err != nil {
+		return scratch, err
+	}
+	return scratch, decodeChunkRegion(region, ref, dst)
 }
 
 // Meta returns the stream metadata decoded from the header.
@@ -305,26 +331,8 @@ func (r *ParallelReader) Next() (trace.Event, error) {
 	return e, nil
 }
 
-// NextChunk implements ChunkSource: the remaining events of the current
-// chunk, valid until the next NextChunk/Next call.
-func (r *ParallelReader) NextChunk() ([]trace.Event, error) {
-	if r.err != nil {
-		return nil, r.err
-	}
-	for r.pos >= r.hi {
-		if !r.fetch() {
-			return nil, r.err
-		}
-	}
-	view := r.cur.Slice(r.pos, r.hi)
-	r.pos = r.hi
-	r.aos = view.AppendTo(r.aos[:0])
-	return r.aos, nil
-}
-
 // NextChunkSoA implements SoASource: a column view of the remaining events
-// of the current chunk, valid until the next NextChunkSoA/NextChunk/Next
-// call.
+// of the current chunk, valid until the next NextChunkSoA/Next call.
 func (r *ParallelReader) NextChunkSoA() (*ChunkSoA, error) {
 	if r.err != nil {
 		return nil, r.err
@@ -353,6 +361,9 @@ func (r *ParallelReader) fetch() bool {
 		out, ok := <-r.results
 		if !ok {
 			r.err = io.EOF
+			if m, ok := r.closer.(*Mmap); ok && m.shrunk() {
+				r.err = fmt.Errorf("stream: %w: file shrank while mapped", ErrTruncated)
+			}
 			return false
 		}
 		res := <-out

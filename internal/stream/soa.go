@@ -1,13 +1,13 @@
-// Struct-of-arrays chunk regions. The codec's hot loops historically moved
-// events as []trace.Event — an array of 40-byte structs — and decoded them
-// through an interface-dispatched ReadByte per varint byte. ChunkSoA is the
-// mechanical-sympathy replacement: one chunk as five parallel, same-typed
-// columns (seq/kind/node/block/producer) that decode from a fully buffered
-// []byte region with index-based varint arithmetic, broadcast through the
-// pipeline by bulk column copy, and sweep through consumer classify loops as
-// dense arrays. An []trace.Event adapter view (Event/AppendTo) keeps every
-// per-event consumer working unchanged, and the columns carry explicit
-// sequence numbers so the adapter is byte-identical to the serial Reader.
+// Struct-of-arrays chunk regions: the one bulk form events travel in from
+// the decoders through the pipeline ring to every consumer. ChunkSoA holds
+// one chunk as five parallel, same-typed columns (seq/kind/node/block/
+// producer). The decoders fill the columns directly — the parallel decoder
+// from a fully buffered []byte region with index-based varint arithmetic,
+// the serial Reader through its io.ByteReader — the pipeline broadcasts a
+// chunk by bulk column copy, and consumers sweep the dense kind column,
+// reading only the columns an event's kind needs. The columns carry
+// explicit sequence numbers, so Event(i) reassembles exactly the event the
+// serial Reader's Next returns.
 package stream
 
 import (
@@ -84,8 +84,7 @@ func (c *ChunkSoA) AppendEvents(events []trace.Event) {
 }
 
 // AppendSoA bulk-copies another region's columns onto c — five memmoves, no
-// per-event work. This is how the pipeline broadcasts a decoded chunk into a
-// ring slot.
+// per-event work. This is how the pipeline fills a ring slot.
 func (c *ChunkSoA) AppendSoA(o *ChunkSoA) {
 	c.Seq = append(c.Seq, o.Seq...)
 	c.Kind = append(c.Kind, o.Kind...)
@@ -106,8 +105,8 @@ func (c *ChunkSoA) Slice(lo, hi int) ChunkSoA {
 	}
 }
 
-// Event reassembles row i as a trace.Event — the adapter that keeps
-// per-event consumers working over SoA regions.
+// Event reassembles row i as a trace.Event: what Next hands out, and what a
+// column consumer builds for the rows whose model takes a whole event.
 func (c *ChunkSoA) Event(i int) trace.Event {
 	return trace.Event{
 		Seq:      c.Seq[i],
@@ -118,27 +117,68 @@ func (c *ChunkSoA) Event(i int) trace.Event {
 	}
 }
 
-// AppendTo transposes the region back into an []trace.Event, appending to
-// dst. The result is byte-identical to what the serial Reader would have
-// produced for the same chunk.
-func (c *ChunkSoA) AppendTo(dst []trace.Event) []trace.Event {
-	for i := range c.Kind {
-		dst = append(dst, c.Event(i))
-	}
-	return dst
-}
-
-// SoASource is an optional Source refinement for decoders and broadcast
-// stages that hold chunks in struct-of-arrays form: NextChunkSoA returns the
-// remaining events of the current chunk as a column view (never an empty
-// region with a nil error) and io.EOF at end of stream. The view is only
-// valid until the next NextChunkSoA/NextChunk/Next call — consumers that
-// keep events must copy them. Column-aware consumers (the analysis classify
-// loop, the TSE inner loop) use it to sweep dense same-typed arrays instead
-// of paying an interface call and a 40-byte struct copy per event.
+// SoASource is the bulk form of Source, implemented by the decoders and the
+// pipeline's broadcast sources: NextChunkSoA returns the remaining events of
+// the current chunk as a column view (never an empty region with a nil
+// error) and io.EOF at end of stream. The view is only valid until the next
+// NextChunkSoA/Next call — consumers that keep events must copy them.
+// Consumers sweep dense same-typed arrays instead of paying an interface
+// call and a 40-byte struct copy per event.
 type SoASource interface {
 	Source
 	NextChunkSoA() (*ChunkSoA, error)
+}
+
+// Columns returns src as a SoASource: src itself when it already is one,
+// otherwise an adapter that batches Next into chunks of up to n rows
+// (DefaultChunkEvents when n <= 0). The adapter reuses one region, calls
+// Next no more after the source's terminal error, and hands that error out
+// once the rows read before it are consumed.
+func Columns(src Source, n int) SoASource {
+	if ss, ok := src.(SoASource); ok {
+		return ss
+	}
+	if n <= 0 {
+		n = DefaultChunkEvents
+	}
+	return &batchSource{src: src, n: n}
+}
+
+// batchSource is Columns' adapter over a per-event Source.
+type batchSource struct {
+	src Source
+	n   int
+	buf ChunkSoA
+	err error // the source's terminal error, once seen
+}
+
+// NextChunkSoA implements SoASource.
+func (b *batchSource) NextChunkSoA() (*ChunkSoA, error) {
+	if b.err != nil {
+		return nil, b.err
+	}
+	b.buf.Reset()
+	b.buf.Grow(b.n)
+	for b.buf.Len() < b.n {
+		e, err := b.src.Next()
+		if err != nil {
+			b.err = err
+			break
+		}
+		b.buf.AppendEvent(e)
+	}
+	if b.buf.Len() == 0 {
+		return nil, b.err
+	}
+	return &b.buf, nil
+}
+
+// Next implements Source.
+func (b *batchSource) Next() (trace.Event, error) {
+	if b.err != nil {
+		return trace.Event{}, b.err
+	}
+	return b.src.Next()
 }
 
 // appendChunkSoA batch-decodes n delta-reset events from the fully buffered

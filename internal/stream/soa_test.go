@@ -20,6 +20,16 @@ import (
 	"tsm/internal/trace"
 )
 
+// AppendTo transposes the region back into an []trace.Event, appending to
+// dst: the reference view the decoder tests compare against the serial
+// Reader's events.
+func (c *ChunkSoA) AppendTo(dst []trace.Event) []trace.Event {
+	for i := range c.Kind {
+		dst = append(dst, c.Event(i))
+	}
+	return dst
+}
+
 // TestChunkSoAAdapterRoundTrip: transposing events into columns and back
 // through every adapter (AppendEvent, AppendEvents, AppendSoA, Slice, Event,
 // AppendTo) reproduces the original slice exactly, and Reset keeps the arena

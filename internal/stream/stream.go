@@ -1,10 +1,11 @@
-// Package stream makes traces first-class streams. The rest of the
-// repository historically evaluated models over a fully materialized
-// trace.Trace slice on a single goroutine; this package provides
+// Package stream makes traces first-class streams. It provides
 //
 //   - Source and Sink, the iterator abstraction that lets producers
 //     (workload generation, trace files) and consumers (model evaluation,
 //     trace files) compose without holding the whole event stream in memory;
+//   - ChunkSoA and SoASource (soa.go), the one bulk form: every decoder
+//     hands out whole chunks as struct-of-arrays columns, and Columns
+//     batches any other Source into the same form;
 //   - a versioned, chunked, varint/delta-encoded binary trace codec
 //     (Writer/Reader in codec.go) so traces generated by cmd/tracegen can be
 //     replayed by cmd/tsesim — or any other process — byte-for-byte;
@@ -22,18 +23,6 @@ import (
 // Event) when the stream is exhausted; any other error is terminal.
 type Source interface {
 	Next() (trace.Event, error)
-}
-
-// ChunkSource is an optional Source refinement for decoders that already
-// hold whole chunks: NextChunk returns the remaining events of the current
-// chunk (never an empty slice with a nil error) and io.EOF at end of
-// stream. The returned slice is only valid until the next NextChunk/Next
-// call — consumers that keep events must copy them. Bulk consumers (the
-// pipeline producer) use it to move events a chunk at a time instead of one
-// interface call each.
-type ChunkSource interface {
-	Source
-	NextChunk() ([]trace.Event, error)
 }
 
 // Sink consumes events one at a time. Close finalises the sink (for codec

@@ -155,225 +155,253 @@ type nodeState struct {
 	breakdown      Breakdown
 }
 
-// Simulate runs the timing model over a trace and returns the result.
-func Simulate(tr *trace.Trace, p Params) (Result, error) {
-	return SimulateSource(stream.TraceSource(tr), p)
+// streamSpacing is the spacing in cycles between successive streamed data
+// blocks of one burst.
+const streamSpacing = 30
+
+// simulator is one timing simulation's state. step is its per-event body,
+// shared by Simulate's loop over an in-memory trace (the oracle) and
+// Consumer.Run's loop over column chunks, so both paths run the same
+// arithmetic in the same order.
+type simulator struct {
+	p       Params
+	segSize int
+
+	lCoh, lSVB uint64
+	// streamStart is the stream retrieval latency: the stream
+	// lookup+forwarding round trip is approximately one more 3-hop latency
+	// after the triggering miss fills.
+	streamStart uint64
+	// mlp is the (possibly fractional) target burst size.
+	mlp float64
+	// busyPerCons and otherPerCons are the non-coherent work preceding each
+	// consumption.
+	busyPerCons, otherPerCons uint64
+
+	nodes []*nodeState
+	sys   *tse.System // nil for the baseline system
+
+	res                       Result
+	partialHiddenSum          float64
+	bursts, burstConsumptions uint64
+	segCount                  int
+	prevTotal                 uint64
 }
 
-// SimulateSource runs the timing model over a pull-based event stream. The
-// events are consumed one at a time in stream order — the trace is never
-// materialized — so a trace file of any size drives the cycle-level model in
-// bounded memory, and the result is bit-identical to Simulate over the
-// equivalent in-memory trace. A source error other than io.EOF aborts the
-// simulation and is returned.
-func SimulateSource(src stream.Source, p Params) (Result, error) {
+// newSimulator validates p and builds the per-node state (and, with TSE
+// enabled, the TSE system whose fetches feed the arrival times).
+func newSimulator(p Params) (*simulator, error) {
 	if err := p.Validate(); err != nil {
-		return Result{}, err
+		return nil, err
 	}
-	segSize := p.SegmentConsumptions
-	if segSize <= 0 {
-		segSize = 2000
+	s := &simulator{p: p, segSize: p.SegmentConsumptions}
+	if s.segSize <= 0 {
+		s.segSize = 2000
 	}
-
-	lCoh := p.System.ThreeHopLatencyCycles()
-	lSVB := p.System.SVBHitLatencyCycles()
-	// Stream retrieval latency: the stream lookup+forwarding round trip is
-	// approximately one more 3-hop latency after the triggering miss fills.
-	streamStart := 2 * lCoh
-	// Spacing between successive streamed data blocks of one burst.
-	const streamSpacing = 30
+	s.lCoh = p.System.ThreeHopLatencyCycles()
+	s.lSVB = p.System.SVBHitLatencyCycles()
+	s.streamStart = 2 * s.lCoh
 
 	// Per-consumption non-coherent work, derived so that the baseline
 	// breakdown matches the workload profile by construction: the baseline
 	// coherent stall per consumption is lCoh/MLP.
-	mlp := p.Profile.MLP
-	if mlp < 1 {
-		mlp = 1
+	s.mlp = p.Profile.MLP
+	if s.mlp < 1 {
+		s.mlp = 1
 	}
-	cohPerCons := float64(lCoh) / mlp
+	cohPerCons := float64(s.lCoh) / s.mlp
 	nonCohFrac := p.Profile.BusyFraction + p.Profile.OtherStallFraction
 	gap := cohPerCons * nonCohFrac / p.Profile.CoherentStallFraction
 	busyShare := 0.0
 	if nonCohFrac > 0 {
 		busyShare = p.Profile.BusyFraction / nonCohFrac
 	}
-	busyPerCons := uint64(gap*busyShare + 0.5)
-	otherPerCons := uint64(gap*(1-busyShare) + 0.5)
+	s.busyPerCons = uint64(gap*busyShare + 0.5)
+	s.otherPerCons = uint64(gap*(1-busyShare) + 0.5)
 
-	// nextBurstSize yields burst sizes whose running average equals the
-	// (possibly fractional) MLP target.
-	nextBurstSize := func(n *nodeState) int {
-		n.mlpAcc += mlp
-		size := int(n.mlpAcc)
-		if size < 1 {
-			size = 1
-		}
-		n.mlpAcc -= float64(size)
-		return size
-	}
-
-	nodes := make([]*nodeState, p.Nodes)
-	for i := range nodes {
+	s.nodes = make([]*nodeState, p.Nodes)
+	for i := range s.nodes {
 		n := &nodeState{arrivals: make(map[mem.BlockAddr]uint64)}
-		n.burstBudget = nextBurstSize(n)
-		nodes[i] = n
+		n.burstBudget = s.nextBurstSize(n)
+		s.nodes[i] = n
 	}
-
-	var sys *tse.System
 	if p.TSE != nil {
 		cfg := *p.TSE
 		cfg.Nodes = p.Nodes
-		sys = tse.NewSystem(cfg)
+		s.sys = tse.NewSystem(cfg)
 		for i := 0; i < p.Nodes; i++ {
-			n := nodes[i]
-			sys.Engine(mem.NodeID(i)).SetFetchHandler(func(b mem.BlockAddr) {
+			n := s.nodes[i]
+			s.sys.Engine(mem.NodeID(i)).SetFetchHandler(func(b mem.BlockAddr) {
 				n.pendingFetches = append(n.pendingFetches, b)
 			})
 		}
 	}
+	return s, nil
+}
 
-	res := Result{}
-	var partialHiddenSum float64
-	var bursts, burstConsumptions uint64
-	var segCycles uint64
-	var segCount int
-	prevTotal := uint64(0)
+// nextBurstSize yields burst sizes whose running average equals the
+// (possibly fractional) MLP target.
+func (s *simulator) nextBurstSize(n *nodeState) int {
+	n.mlpAcc += s.mlp
+	size := int(n.mlpAcc)
+	if size < 1 {
+		size = 1
+	}
+	n.mlpAcc -= float64(size)
+	return size
+}
 
-	flushBurst := func(n *nodeState) {
-		if len(n.burstLatencies) == 0 {
+// flushBurst stalls the node for the longest latency of its current burst.
+func (s *simulator) flushBurst(n *nodeState) {
+	if len(n.burstLatencies) == 0 {
+		return
+	}
+	var maxLat uint64
+	for _, l := range n.burstLatencies {
+		if l > maxLat {
+			maxLat = l
+		}
+	}
+	n.clock += maxLat
+	n.breakdown.CoherentStallCycles += maxLat
+	s.bursts++
+	s.burstConsumptions += uint64(len(n.burstLatencies))
+	n.burstLatencies = n.burstLatencies[:0]
+	n.burstBudget = s.nextBurstSize(n)
+}
+
+// totalBreakdown returns the cycles accumulated so far across all nodes.
+func (s *simulator) totalBreakdown() uint64 {
+	var t uint64
+	for _, n := range s.nodes {
+		t += n.breakdown.Total()
+	}
+	return t
+}
+
+// step simulates one event. Only the three fields the model reads are
+// passed: a consumption uses its node and block, a write its block, and
+// every other kind is ignored.
+func (s *simulator) step(kind trace.EventKind, node mem.NodeID, block mem.BlockAddr) {
+	switch kind {
+	case trace.KindWrite:
+		if s.sys != nil {
+			s.sys.Write(trace.Event{Kind: kind, Node: node, Block: block})
+		}
+	case trace.KindConsumption:
+		if int(node) < 0 || int(node) >= s.p.Nodes {
 			return
 		}
-		var maxLat uint64
-		for _, l := range n.burstLatencies {
-			if l > maxLat {
-				maxLat = l
+		n := s.nodes[node]
+		s.res.Consumptions++
+
+		// Non-coherent work preceding the consumption.
+		n.clock += s.busyPerCons + s.otherPerCons
+		n.breakdown.BusyCycles += s.busyPerCons
+		n.breakdown.OtherStallCycles += s.otherPerCons
+
+		// Determine the consumption's latency.
+		lCoh := s.lCoh
+		latency := lCoh
+		if s.sys != nil {
+			n.pendingFetches = n.pendingFetches[:0]
+			covered := s.sys.Consumption(trace.Event{Kind: kind, Node: node, Block: block})
+			if covered {
+				arrival, ok := n.arrivals[block]
+				delete(n.arrivals, block)
+				if !ok || arrival <= n.clock {
+					latency = s.lSVB
+					s.res.FullCovered++
+				} else {
+					remaining := arrival - n.clock
+					if remaining > lCoh {
+						remaining = lCoh
+					}
+					latency = remaining + s.lSVB
+					if latency > lCoh {
+						latency = lCoh
+					}
+					s.res.PartialCovered++
+					s.partialHiddenSum += 1 - float64(remaining)/float64(lCoh)
+				}
 			}
-		}
-		n.clock += maxLat
-		n.breakdown.CoherentStallCycles += maxLat
-		bursts++
-		burstConsumptions += uint64(len(n.burstLatencies))
-		n.burstLatencies = n.burstLatencies[:0]
-		n.burstBudget = nextBurstSize(n)
-	}
-
-	totalBreakdown := func() uint64 {
-		var t uint64
-		for _, n := range nodes {
-			t += n.breakdown.Total()
-		}
-		return t
-	}
-
-	for {
-		e, err := src.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return Result{}, err
-		}
-		switch e.Kind {
-		case trace.KindWrite:
-			if sys != nil {
-				sys.Write(e)
-			}
-		case trace.KindConsumption:
-			if int(e.Node) < 0 || int(e.Node) >= p.Nodes {
-				continue
-			}
-			n := nodes[e.Node]
-			res.Consumptions++
-
-			// Non-coherent work preceding the consumption.
-			n.clock += busyPerCons + otherPerCons
-			n.breakdown.BusyCycles += busyPerCons
-			n.breakdown.OtherStallCycles += otherPerCons
-
-			// Determine the consumption's latency.
-			latency := lCoh
-			if sys != nil {
-				n.pendingFetches = n.pendingFetches[:0]
-				covered := sys.Consumption(e)
+			// Assign arrival times to blocks streamed during this call.
+			for k, b := range n.pendingFetches {
 				if covered {
-					arrival, ok := n.arrivals[e.Block]
-					delete(n.arrivals, e.Block)
-					if !ok || arrival <= n.clock {
-						latency = lSVB
-						res.FullCovered++
-					} else {
-						remaining := arrival - n.clock
-						if remaining > lCoh {
-							remaining = lCoh
-						}
-						latency = remaining + lSVB
-						if latency > lCoh {
-							latency = lCoh
-						}
-						res.PartialCovered++
-						partialHiddenSum += 1 - float64(remaining)/float64(lCoh)
-					}
+					// Steady-state advance: one retrieval round trip.
+					n.arrivals[b] = n.clock + lCoh
+				} else {
+					// Newly located stream: lookup + forwarding, then
+					// pipelined data delivery.
+					n.arrivals[b] = n.clock + s.streamStart + uint64(k)*streamSpacing
 				}
-				// Assign arrival times to blocks streamed during this call.
-				for k, b := range n.pendingFetches {
-					if covered {
-						// Steady-state advance: one retrieval round trip.
-						n.arrivals[b] = n.clock + lCoh
-					} else {
-						// Newly located stream: lookup + forwarding, then
-						// pipelined data delivery.
-						n.arrivals[b] = n.clock + streamStart + uint64(k)*streamSpacing
-					}
-				}
-			}
-
-			if p.Observer != nil {
-				p.Observer(latency)
-			}
-
-			// Issue into the current MLP burst.
-			n.burstLatencies = append(n.burstLatencies, latency)
-			n.burstBudget--
-			if n.burstBudget <= 0 {
-				flushBurst(n)
-			}
-
-			// Segment accounting for confidence intervals.
-			segCount++
-			if segCount >= segSize {
-				cur := totalBreakdown()
-				segCycles = cur - prevTotal
-				prevTotal = cur
-				res.SegmentCycles = append(res.SegmentCycles, segCycles)
-				segCount = 0
 			}
 		}
-	}
-	for _, n := range nodes {
-		flushBurst(n)
-	}
-	if sys != nil {
-		sys.Finish()
-	}
 
-	for _, n := range nodes {
+		if s.p.Observer != nil {
+			s.p.Observer(latency)
+		}
+
+		// Issue into the current MLP burst.
+		n.burstLatencies = append(n.burstLatencies, latency)
+		n.burstBudget--
+		if n.burstBudget <= 0 {
+			s.flushBurst(n)
+		}
+
+		// Segment accounting for confidence intervals.
+		s.segCount++
+		if s.segCount >= s.segSize {
+			cur := s.totalBreakdown()
+			s.res.SegmentCycles = append(s.res.SegmentCycles, cur-s.prevTotal)
+			s.prevTotal = cur
+			s.segCount = 0
+		}
+	}
+}
+
+// finish flushes every node's open burst and returns the result.
+func (s *simulator) finish() Result {
+	for _, n := range s.nodes {
+		s.flushBurst(n)
+	}
+	if s.sys != nil {
+		s.sys.Finish()
+	}
+	res := s.res
+	for _, n := range s.nodes {
 		res.Breakdown.BusyCycles += n.breakdown.BusyCycles
 		res.Breakdown.OtherStallCycles += n.breakdown.OtherStallCycles
 		res.Breakdown.CoherentStallCycles += n.breakdown.CoherentStallCycles
 	}
 	if res.PartialCovered > 0 {
-		res.PartialLatencyHidden = partialHiddenSum / float64(res.PartialCovered)
+		res.PartialLatencyHidden = s.partialHiddenSum / float64(res.PartialCovered)
 	}
-	if bursts > 0 {
-		res.MeasuredMLP = float64(burstConsumptions) / float64(bursts)
+	if s.bursts > 0 {
+		res.MeasuredMLP = float64(s.burstConsumptions) / float64(s.bursts)
 	}
-	return res, nil
+	return res
 }
 
-// Consumer adapts SimulateSource to the single-decode fan-out engine in
+// Simulate runs the timing model over an in-memory trace, one event at a
+// time. It is the oracle the streamed Consumer is tested against.
+func Simulate(tr *trace.Trace, p Params) (Result, error) {
+	s, err := newSimulator(p)
+	if err != nil {
+		return Result{}, err
+	}
+	for i := range tr.Events {
+		e := &tr.Events[i]
+		s.step(e.Kind, e.Node, e.Block)
+	}
+	return s.finish(), nil
+}
+
+// Consumer runs the timing model in the single-decode fan-out engine in
 // internal/pipeline (whose Consumer interface it satisfies structurally):
-// Run drains its private tee of the stream through the timing model and
-// stores the result.
+// Run sweeps its private tee of the stream as column chunks through the
+// timing model and stores the result, which is bit-identical to Simulate
+// over the equivalent in-memory trace.
 //
 // Consumer also satisfies pipeline.Sampler: with a series attached, Run taps
 // every consumption latency through Params.Observer into a per-epoch
@@ -404,9 +432,26 @@ func (c *Consumer) Run(src stream.Source) error {
 			c.epoch.Observe(latency)
 		}
 	}
-	res, err := SimulateSource(src, p)
-	c.Result = res
-	return err
+	c.Result = Result{}
+	s, err := newSimulator(p)
+	if err != nil {
+		return err
+	}
+	cols := stream.Columns(src, stream.DefaultChunkEvents)
+	for {
+		ch, err := cols.NextChunkSoA()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return err
+		}
+		for i, k := range ch.Kind {
+			s.step(k, ch.Node[i], ch.Block[i])
+		}
+	}
+	c.Result = s.finish()
+	return nil
 }
 
 // AttachSeries implements pipeline.Sampler.

@@ -7,6 +7,7 @@ import (
 	"tsm/internal/coherence"
 	"tsm/internal/config"
 	"tsm/internal/mem"
+	"tsm/internal/pipeline"
 	"tsm/internal/stream"
 	"tsm/internal/trace"
 	"tsm/internal/tse"
@@ -246,48 +247,66 @@ func TestBreakdownHelpers(t *testing.T) {
 	}
 }
 
-// TestSimulateSourceMatchesSimulate: the streamed timing entry point must be
-// bit-identical to the materialized one, for both the baseline and the TSE
+// TestConsumerMatchesSimulate: the timing Consumer, sweeping 7-event
+// column chunks off the pipeline ring, must be bit-identical to the
+// per-event Simulate oracle, for both the baseline and the TSE
 // configuration, on a real workload trace.
-func TestSimulateSourceMatchesSimulate(t *testing.T) {
+func TestConsumerMatchesSimulate(t *testing.T) {
 	gen := workload.NewEM3D(workload.Config{Nodes: 4, Seed: 11, Scale: 0.05})
 	eng := coherence.New(coherence.Config{Nodes: 4, Geometry: mem.DefaultGeometry(), PointersPerEntry: 2})
 	tr, err := eng.RunFrom(gen.Emit)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range []Params{baseParams(4, gen.Timing()), tseParams(4, gen.Timing())} {
+	params := []Params{baseParams(4, gen.Timing()), tseParams(4, gen.Timing())}
+	consumers := []*Consumer{NewConsumer(params[0]), NewConsumer(params[1])}
+	if err := (pipeline.Config{ChunkEvents: 7}).Run(stream.TraceSource(tr), consumers[0], consumers[1]); err != nil {
+		t.Fatal(err)
+	}
+	for ci, p := range params {
 		want, err := Simulate(tr, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := SimulateSource(stream.TraceSource(tr), p)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := consumers[ci].Result
 		if got.Breakdown != want.Breakdown || got.Consumptions != want.Consumptions ||
 			got.FullCovered != want.FullCovered || got.PartialCovered != want.PartialCovered ||
 			got.PartialLatencyHidden != want.PartialLatencyHidden || got.MeasuredMLP != want.MeasuredMLP {
-			t.Fatalf("streamed result %+v differs from Simulate result %+v", got, want)
+			t.Fatalf("consumer %d result %+v differs from Simulate result %+v", ci, got, want)
 		}
 		if len(got.SegmentCycles) != len(want.SegmentCycles) {
-			t.Fatalf("segment count %d vs %d", len(got.SegmentCycles), len(want.SegmentCycles))
+			t.Fatalf("consumer %d: segment count %d vs %d", ci, len(got.SegmentCycles), len(want.SegmentCycles))
 		}
 		for i := range want.SegmentCycles {
 			if got.SegmentCycles[i] != want.SegmentCycles[i] {
-				t.Fatalf("segment %d: %d vs %d", i, got.SegmentCycles[i], want.SegmentCycles[i])
+				t.Fatalf("consumer %d segment %d: %d vs %d", ci, i, got.SegmentCycles[i], want.SegmentCycles[i])
 			}
 		}
 	}
 }
 
-// failingSource always errors.
-type failingSource struct{}
+// failingSource yields its events, then errors.
+type failingSource struct {
+	events []trace.Event
+	pos    int
+}
 
-func (failingSource) Next() (trace.Event, error) { return trace.Event{}, errSourceBroken }
+func (s *failingSource) Next() (trace.Event, error) {
+	if s.pos >= len(s.events) {
+		return trace.Event{}, errSourceBroken
+	}
+	s.pos++
+	return s.events[s.pos-1], nil
+}
 
-func TestSimulateSourcePropagatesError(t *testing.T) {
-	if _, err := SimulateSource(failingSource{}, baseParams(2, scientificProfile())); err != errSourceBroken {
+// TestConsumerPropagatesError: a source error mid-stream reaches every
+// timing Consumer on the ring, and Run returns it.
+func TestConsumerPropagatesError(t *testing.T) {
+	tr := migratoryTrace(2, 50)
+	base := NewConsumer(baseParams(2, scientificProfile()))
+	withTSE := NewConsumer(tseParams(2, scientificProfile()))
+	err := (pipeline.Config{ChunkEvents: 7}).Run(&failingSource{events: tr.Events}, base, withTSE)
+	if !errors.Is(err, errSourceBroken) {
 		t.Fatalf("err = %v, want errSourceBroken", err)
 	}
 }

@@ -2,7 +2,6 @@ package tse
 
 import (
 	"fmt"
-	"io"
 
 	"tsm/internal/directory"
 	"tsm/internal/mem"
@@ -203,7 +202,7 @@ func (s *System) writeBlock(block mem.BlockAddr) {
 
 // RunColumns processes one chunk of events held as parallel columns (the
 // struct-of-arrays regions decoded by internal/stream), in column order.
-// This is the columnar form of RunSource's inner loop: the kind classify
+// This is the columnar form of Run's inner loop: the kind classify
 // sweeps a dense same-typed array and each event touches only the columns
 // its kind actually uses — consumptions read node+block, writes read block,
 // read-miss annotations are skipped without assembling anything. Results
@@ -297,53 +296,12 @@ func (s *System) Probe() LiveStats {
 	return ls
 }
 
-// EventSource is the pull-based event iterator RunSource consumes: Next
-// returns io.EOF when the stream ends. It is structurally identical to
-// stream.Source, declared locally so that the tse package (which prefetch
-// depends on) stays independent of the stream package's import graph.
-type EventSource interface {
-	Next() (trace.Event, error)
-}
-
-// sliceSource iterates an in-memory event slice (Run's adapter onto
-// RunSource).
-type sliceSource struct {
-	events []trace.Event
-	pos    int
-}
-
-func (s *sliceSource) Next() (trace.Event, error) {
-	if s.pos >= len(s.events) {
-		return trace.Event{}, io.EOF
-	}
-	e := s.events[s.pos]
-	s.pos++
-	return e, nil
-}
-
-// Run processes every event of a trace and returns the final result. It is
-// a convenience wrapper over Consumption/Write/Finish.
+// Run processes every event of an in-memory trace, one at a time through
+// Consumption/Write, and returns the final result. It is the per-event
+// oracle the column path (RunColumns, driven by analysis.TSEConsumer) is
+// tested against. The System must not be used afterwards.
 func (s *System) Run(tr *trace.Trace) Result {
-	res, _ := s.RunSource(&sliceSource{events: tr.Events})
-	return res
-}
-
-// RunSource processes every event of a pull-based event stream and returns
-// the final result. The events are observed one at a time in stream order —
-// the trace is never materialized — so a trace file of any size drives the
-// full TSE system in bounded memory, and the result is bit-identical to
-// Run over the equivalent in-memory trace. A source error other than io.EOF
-// aborts the run; the partial result (flushed via Finish) is returned with
-// the error, and the System must not be used afterwards either way.
-func (s *System) RunSource(src EventSource) (Result, error) {
-	for {
-		e, err := src.Next()
-		if err == io.EOF {
-			return s.Finish(), nil
-		}
-		if err != nil {
-			return s.Finish(), err
-		}
+	for _, e := range tr.Events {
 		switch e.Kind {
 		case trace.KindConsumption:
 			s.Consumption(e)
@@ -351,4 +309,5 @@ func (s *System) RunSource(src EventSource) (Result, error) {
 			s.Write(e)
 		}
 	}
+	return s.Finish()
 }

@@ -1,11 +1,9 @@
 package tse
 
 import (
-	"errors"
 	"testing"
 
 	"tsm/internal/mem"
-	"tsm/internal/stream"
 	"tsm/internal/trace"
 )
 
@@ -248,64 +246,12 @@ func TestConfigValidateAndHelpers(t *testing.T) {
 	}
 }
 
-// errorSource yields a few events and then fails with a non-EOF error.
-type errorSource struct {
-	events []trace.Event
-	err    error
-	pos    int
-}
-
-func (s *errorSource) Next() (trace.Event, error) {
-	if s.pos >= len(s.events) {
-		return trace.Event{}, s.err
-	}
-	e := s.events[s.pos]
-	s.pos++
-	return e, nil
-}
-
-// TestRunSourceMatchesRun: driving the system from a pull-based stream must
-// reproduce the materialized Run result bit for bit — the whole-system half
-// of the streamed-pipeline parity the facade relies on.
-func TestRunSourceMatchesRun(t *testing.T) {
-	cfg := smallSystemConfig()
-	tr := migratoryTrace(4, 300)
-
-	want := NewSystem(cfg).Run(tr)
-	got, err := NewSystem(cfg).RunSource(stream.TraceSource(tr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Consumptions != want.Consumptions || got.Covered != want.Covered ||
-		got.BlocksFetched != want.BlocksFetched || got.Discards != want.Discards ||
-		got.StreamsAllocated != want.StreamsAllocated || got.Traffic != want.Traffic ||
-		got.CMOBPeakBytes != want.CMOBPeakBytes {
-		t.Fatalf("streamed result %+v differs from Run result %+v", got, want)
-	}
-	for _, b := range want.StreamLengths.Buckets() {
-		if got.StreamLengths.Count(b) != want.StreamLengths.Count(b) {
-			t.Fatalf("stream-length bucket %d: %d vs %d", b, got.StreamLengths.Count(b), want.StreamLengths.Count(b))
-		}
-	}
-}
-
-// TestRunSourceReportsSourceError: a failing source must surface its error
-// along with the flushed partial result.
-func TestRunSourceReportsSourceError(t *testing.T) {
-	cfg := smallSystemConfig()
-	tr := migratoryTrace(4, 10)
-	src := &errorSource{events: tr.Events, err: errTestSource}
-	res, err := NewSystem(cfg).RunSource(src)
-	if err != errTestSource {
-		t.Fatalf("err = %v, want errTestSource", err)
-	}
-	if res.Consumptions == 0 {
-		t.Fatal("partial result should include the events seen before the error")
-	}
-}
-
-// errTestSource is the sentinel error used by errorSource.
-var errTestSource = errors.New("tse test: source failed")
+// MigratoryTrace and SmallSystemConfig export the fixtures above to the
+// external test package (consumer_test.go).
+var (
+	MigratoryTrace    = migratoryTrace
+	SmallSystemConfig = smallSystemConfig
+)
 
 // TestSystemProbe pins the live-snapshot contract: Probe never mutates the
 // system, its cumulative counters agree with an independent full run, and a
