@@ -5,12 +5,17 @@
 // cmd/tsesim (or any other process) can evaluate the exact same trace with
 // `tsesim -i`.
 //
-// The whole pipeline — workload generation, coherence classification, trace
-// encoding — streams one access at a time: the generator's Emit feeds the
-// engine, the engine's events feed the file, and no slice of accesses or
-// events ever exists. Memory is bounded by the workload's fixed problem
-// state, not the trace length, which is what makes paper-scale traces
-// (-preset paper, or explicit -scale/-repeat) practical.
+// Generation has one path, and it streams one access at a time: the
+// generator's Emit feeds the coherence engine (infinite private caches, so
+// every miss is a cold or coherence miss), the engine's events feed the
+// file, and no slice of accesses or events ever exists. Memory is bounded by
+// the workload's fixed problem state, not the trace length, which is what
+// makes paper-scale traces (-preset paper, or explicit -scale/-repeat)
+// practical.
+//
+// -nodes must lie in [1, 64] and -scale/-repeat must be finite and
+// non-negative (0 selects the default of 1); other values exit 2 before any
+// output file is created.
 //
 // Usage:
 //
@@ -23,18 +28,17 @@
 // -progress prints periodic events/sec lines to stderr during generation
 // (paper-scale traces take minutes and otherwise run silent); -metrics
 // dumps the generation counters (accesses, events, wall time) as JSON;
-// -pprof serves net/http/pprof for the duration of the run. -materialize
-// restores the reference path that builds the access slice first
-// (byte-identical output; it exists for differential testing and CI).
-// -no-index writes the previous codec version (2), without the seekable
-// chunk index appended to version 3 files — for compatibility testing and
-// consumers that cannot tolerate the footer.
+// -pprof serves net/http/pprof for the duration of the run. -no-index
+// writes the previous codec version (2), without the seekable chunk index
+// appended to version 3 files — for compatibility testing and consumers that
+// cannot tolerate the footer.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"time"
@@ -58,19 +62,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("tracegen", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		name        = fs.String("workload", "db2", "workload name (see tsesim -list)")
-		nodes       = fs.Int("nodes", 16, "number of DSM nodes")
-		scale       = fs.Float64("scale", 1.0, "workload scale factor (data-structure footprint)")
-		repeat      = fs.Float64("repeat", 1.0, "run-length multiplier (iterations/transactions; lengthens the trace at constant memory)")
-		preset      = fs.String("preset", "", "problem-size preset: \"paper\" selects the workload's Table 2 footprint (explicit -scale/-repeat override it)")
-		seed        = fs.Int64("seed", 1, "generation seed")
-		out         = fs.String("o", "", "output trace file (.tsm; omit to skip writing)")
-		summary     = fs.Bool("summary", true, "print a trace summary")
-		materialize = fs.Bool("materialize", false, "materialize the access stream before classifying (reference path, identical bytes)")
-		noIndex     = fs.Bool("no-index", false, "write codec version 2 (no seekable chunk index; disables tsesim -decode-workers/-from/-to on the file)")
-		metricsOut  = fs.String("metrics", "", "write generation counters (JSON) to this file after the run")
-		progress    = fs.Bool("progress", false, "print periodic events/sec lines to stderr during generation")
-		pprofAddr   = fs.String("pprof", "", "serve net/http/pprof on this address for the duration of the run")
+		name       = fs.String("workload", "db2", "workload name (see tsesim -list)")
+		nodes      = fs.Int("nodes", 16, "number of DSM nodes, in [1, 64]")
+		scale      = fs.Float64("scale", 1.0, "workload scale factor (data-structure footprint)")
+		repeat     = fs.Float64("repeat", 1.0, "run-length multiplier (iterations/transactions; lengthens the trace at constant memory)")
+		preset     = fs.String("preset", "", "problem-size preset: \"paper\" selects the workload's Table 2 footprint (explicit -scale/-repeat override it)")
+		seed       = fs.Int64("seed", 1, "generation seed")
+		out        = fs.String("o", "", "output trace file (.tsm; omit to skip writing)")
+		summary    = fs.Bool("summary", true, "print a trace summary")
+		noIndex    = fs.Bool("no-index", false, "write codec version 2 (no seekable chunk index; disables tsesim -decode-workers/-from/-to on the file)")
+		metricsOut = fs.String("metrics", "", "write generation counters (JSON) to this file after the run")
+		progress   = fs.Bool("progress", false, "print periodic events/sec lines to stderr during generation")
+		pprofAddr  = fs.String("pprof", "", "serve net/http/pprof on this address for the duration of the run")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -103,6 +106,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 	default:
 		fmt.Fprintf(stderr, "tracegen: unknown preset %q (known: paper)\n", *preset)
 		return 2
+	}
+
+	if *nodes < 1 || *nodes > mem.MaxNodes {
+		fmt.Fprintf(stderr, "tracegen: -nodes %d outside [1, %d]\n", *nodes, mem.MaxNodes)
+		return 2
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"scale", cfg.Scale}, {"repeat", cfg.Repeat}} {
+		if f.v < 0 || math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			fmt.Fprintf(stderr, "tracegen: -%s %v must be finite and non-negative\n", f.name, f.v)
+			return 2
+		}
 	}
 
 	// Fail on an unwritable output path before generating anything: a typo'd
@@ -139,23 +156,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	gen := spec.New(cfg)
 	eng := coherence.New(coherence.Config{Nodes: *nodes, Geometry: mem.DefaultGeometry(), PointersPerEntry: 2})
 
-	// The access source streams straight from the generator (counting the
-	// accesses on the way past for the summary); -materialize swaps in the
-	// reference path that collects the slice first. Both classify and encode
-	// the exact same sequence.
+	// The access source streams straight from the generator, counting the
+	// accesses on the way past for the summary.
 	var accesses uint64
-	var src coherence.AccessSource
-	if *materialize {
-		collected := gen.Generate()
-		accesses = uint64(len(collected))
-		src = coherence.SliceAccesses(collected)
-	} else {
-		src = func(yield func(mem.Access) error) error {
-			return gen.Emit(func(a mem.Access) error {
-				accesses++
-				return yield(a)
-			})
-		}
+	src := func(yield func(mem.Access) error) error {
+		return gen.Emit(func(a mem.Access) error {
+			accesses++
+			return yield(a)
+		})
 	}
 
 	// The summary's per-node distribution is accumulated on the fly, so the

@@ -135,3 +135,27 @@ func TestRunNoIndex(t *testing.T) {
 		}
 	}
 }
+
+// TestRunRejectsBadSizes: node counts outside [1, 64] and negative or
+// non-finite -scale/-repeat are usage errors (exit 2) caught before the
+// output file is created, so no unreadable trace is ever written.
+func TestRunRejectsBadSizes(t *testing.T) {
+	for _, bad := range [][]string{
+		{"-nodes", "0"}, {"-nodes", "-1"}, {"-nodes", "100"},
+		{"-scale", "-0.5"}, {"-scale", "NaN"}, {"-scale", "+Inf"},
+		{"-repeat", "-2"}, {"-repeat", "NaN"},
+		{"-preset", "paper", "-repeat", "-2"},
+	} {
+		out := filepath.Join(t.TempDir(), "x.tsm")
+		var stdout, stderr bytes.Buffer
+		if code := run(append(bad, "-workload", "db2", "-o", out), &stdout, &stderr); code != 2 {
+			t.Errorf("%v exited %d, want 2\nstderr:\n%s", bad, code, &stderr)
+		}
+		if !strings.Contains(stderr.String(), "tracegen: -") {
+			t.Errorf("%v: stderr lacks a flag error:\n%s", bad, &stderr)
+		}
+		if _, err := os.Stat(out); !os.IsNotExist(err) {
+			t.Errorf("%v: output file exists after the usage error (stat err %v)", bad, err)
+		}
+	}
+}

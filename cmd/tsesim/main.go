@@ -80,6 +80,7 @@ import (
 
 	"tsm"
 	"tsm/internal/experiments"
+	"tsm/internal/mem"
 	"tsm/internal/workload"
 )
 
@@ -96,7 +97,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		experimentID  = fs.String("experiment", "all", "experiment id (fig6..fig14, table1..table3, suite) or \"all\"")
 		workloads     = fs.String("workloads", "", "comma-separated workload subset (default: every registered workload)")
-		nodes         = fs.Int("nodes", 16, "number of DSM nodes")
+		nodes         = fs.Int("nodes", 16, "number of DSM nodes for experiments, in [1, 64]")
 		scale         = fs.Float64("scale", 1.0, "workload scale factor")
 		seed          = fs.Int64("seed", 1, "workload generation seed")
 		input         = fs.String("i", "", "evaluate a trace file written by tracegen -o instead of running experiments")
@@ -118,6 +119,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		pprofAddr     = fs.String("pprof", "", "serve net/http/pprof (plus /metrics) on this address for the duration of the run")
 	)
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if *nodes < 1 || *nodes > mem.MaxNodes {
+		fmt.Fprintf(stderr, "tsesim: -nodes %d outside [1, %d]\n", *nodes, mem.MaxNodes)
 		return 2
 	}
 

@@ -79,6 +79,49 @@ func TestRunUnwritableMetrics(t *testing.T) {
 	}
 }
 
+// TestRunNodeLimit: -nodes outside [1, 64] is a usage error, not a panic
+// in the coherence engine.
+func TestRunNodeLimit(t *testing.T) {
+	for _, n := range []string{"0", "-1", "65", "100"} {
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"-experiment", "fig6", "-nodes", n, "-scale", "0.05", "-quiet"}, &stdout, &stderr); code != 2 {
+			t.Errorf("-nodes %s exited %d, want 2\nstderr:\n%s", n, code, &stderr)
+		}
+		if !strings.Contains(stderr.String(), "-nodes") {
+			t.Errorf("-nodes %s: stderr lacks the flag error:\n%s", n, &stderr)
+		}
+	}
+}
+
+// TestRunCorruptNodeHeader: a trace whose header claims more nodes than the
+// directory supports fails at open on the in-memory and streamed paths —
+// exit 1 with a corrupt-trace error, never a panic.
+func TestRunCorruptNodeHeader(t *testing.T) {
+	path := writeTestTrace(t)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Header: magic (4), version (1), name length (1), "db2" (3), nodes.
+	const nodesAt = 4 + 1 + 1 + len("db2")
+	if data[nodesAt] != 4 {
+		t.Fatalf("node count byte = %d, want 4", data[nodesAt])
+	}
+	data[nodesAt] = 100
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, extra := range [][]string{{"-inmem"}, {"-inmem", "-compare"}, nil, {"-compare", "-decode-workers", "2"}} {
+		var stdout, stderr bytes.Buffer
+		if code := run(append([]string{"-i", path, "-quiet"}, extra...), &stdout, &stderr); code != 1 {
+			t.Errorf("%v exited %d, want 1\nstderr:\n%s", extra, code, &stderr)
+		}
+		if !strings.Contains(stderr.String(), "corrupt trace: node count 100") {
+			t.Errorf("%v: stderr lacks the corrupt-header error:\n%s", extra, &stderr)
+		}
+	}
+}
+
 // TestRunBadFlagCombo: contradictory flags exit 2 (usage error).
 func TestRunBadFlagCombo(t *testing.T) {
 	var stdout, stderr bytes.Buffer

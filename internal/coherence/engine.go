@@ -1,9 +1,10 @@
 // Package coherence implements the functional cache-coherence engine that
 // converts raw workload accesses into the classified event stream the rest
-// of the repository consumes. It models, per node, a private cache (finite,
-// Table 1's 8 MB L2 by default, or infinite for correlation studies) and a
-// full-map directory; every access is classified as a hit, a private (cold/
-// capacity) miss, a coherent read miss ("consumption"), or a write, and the
+// of the repository consumes. It models, per node, an infinite private cache
+// and a full-map directory, so the only misses are cold misses and coherence
+// misses — the misses the paper's trace-driven evaluation streams, which
+// dominate as caches grow. Every access is classified as a hit, a private
+// (cold) miss, a coherent read miss ("consumption"), or a write, and the
 // corresponding trace events are emitted in global order.
 //
 // This corresponds to the paper's trace-driven methodology: traces collected
@@ -14,7 +15,6 @@ package coherence
 import (
 	"fmt"
 
-	"tsm/internal/cache"
 	"tsm/internal/directory"
 	"tsm/internal/mem"
 	"tsm/internal/trace"
@@ -26,8 +26,8 @@ type Classification uint8
 const (
 	// Hit means the access was satisfied by the node's private cache.
 	Hit Classification = iota
-	// PrivateMiss is a read miss with no coherence involvement (cold or
-	// capacity miss to data last written by this node or never written).
+	// PrivateMiss is a read miss with no coherence involvement (a cold
+	// miss to data last written by this node or never written).
 	PrivateMiss
 	// Consumption is a coherent read miss that is not a spin: the unit of
 	// measurement throughout the paper.
@@ -63,122 +63,30 @@ func (c Classification) String() string {
 
 // Config parameterises the engine.
 type Config struct {
-	// Nodes is the number of nodes.
+	// Nodes is the number of nodes, in [1, mem.MaxNodes].
 	Nodes int
 	// Geometry is the block geometry.
 	Geometry mem.Geometry
-	// CacheConfig describes each node's private cache. A zero SizeBytes
-	// selects an infinite cache (misses are then cold or coherence misses
-	// only), which matches the paper's observation that coherence misses
-	// dominate as caches grow.
-	CacheConfig cache.Config
 	// PointersPerEntry is forwarded to the directory (CMOB pointers).
 	PointersPerEntry int
 }
 
-// DefaultConfig returns a 16-node engine with Table 1's 8 MB 8-way L2 as the
-// private cache.
-func DefaultConfig() Config {
-	return Config{
-		Nodes:    16,
-		Geometry: mem.DefaultGeometry(),
-		CacheConfig: cache.Config{
-			Name: "L2", SizeBytes: 8 << 20, Ways: 8, BlockSize: mem.DefaultBlockSize,
-		},
-		PointersPerEntry: 2,
-	}
-}
-
 // Validate reports whether the configuration is usable.
 func (c Config) Validate() error {
-	if c.Nodes <= 0 || c.Nodes > 64 {
-		return fmt.Errorf("coherence: node count %d out of range [1,64]", c.Nodes)
+	if c.Nodes <= 0 || c.Nodes > mem.MaxNodes {
+		return fmt.Errorf("coherence: node count %d out of range [1,%d]", c.Nodes, mem.MaxNodes)
 	}
-	if err := c.Geometry.Validate(); err != nil {
-		return err
-	}
-	if c.CacheConfig.SizeBytes != 0 {
-		if err := c.CacheConfig.Validate(); err != nil {
-			return err
-		}
-		if c.CacheConfig.BlockSize != c.Geometry.BlockSize {
-			return fmt.Errorf("coherence: cache block size %d != geometry block size %d",
-				c.CacheConfig.BlockSize, c.Geometry.BlockSize)
-		}
-	}
-	return nil
+	return c.Geometry.Validate()
 }
 
-// nodeCache abstracts the finite and infinite private cache variants.
-type nodeCache interface {
-	access(b mem.BlockAddr, write bool) bool
-	fill(b mem.BlockAddr, st cache.LineState) (victim cache.Victim)
-	invalidate(b mem.BlockAddr) (present, dirty bool)
-	downgrade(b mem.BlockAddr) bool
-	present(b mem.BlockAddr) bool
-}
+// lineState is the state of a node's private copy of a block. A block
+// absent from the node's line map is not cached.
+type lineState uint8
 
-type finiteCache struct{ c *cache.Cache }
-
-func (f finiteCache) access(b mem.BlockAddr, write bool) bool { return f.c.Access(b, write) }
-func (f finiteCache) fill(b mem.BlockAddr, st cache.LineState) cache.Victim {
-	return f.c.Fill(b, st)
-}
-func (f finiteCache) invalidate(b mem.BlockAddr) (bool, bool) { return f.c.Invalidate(b) }
-func (f finiteCache) downgrade(b mem.BlockAddr) bool          { return f.c.Downgrade(b) }
-func (f finiteCache) present(b mem.BlockAddr) bool {
-	_, ok := f.c.Lookup(b)
-	return ok
-}
-
-type infiniteCache struct {
-	lines map[mem.BlockAddr]cache.LineState
-}
-
-func newInfiniteCache() *infiniteCache {
-	return &infiniteCache{lines: make(map[mem.BlockAddr]cache.LineState)}
-}
-
-func (i *infiniteCache) access(b mem.BlockAddr, write bool) bool {
-	st, ok := i.lines[b]
-	if !ok || st == cache.Invalid {
-		return false
-	}
-	if write {
-		i.lines[b] = cache.Modified
-	}
-	return true
-}
-
-func (i *infiniteCache) fill(b mem.BlockAddr, st cache.LineState) cache.Victim {
-	if cur, ok := i.lines[b]; ok && cur == cache.Modified {
-		st = cache.Modified
-	}
-	i.lines[b] = st
-	return cache.Victim{}
-}
-
-func (i *infiniteCache) invalidate(b mem.BlockAddr) (bool, bool) {
-	st, ok := i.lines[b]
-	if !ok || st == cache.Invalid {
-		return false, false
-	}
-	delete(i.lines, b)
-	return true, st == cache.Modified
-}
-
-func (i *infiniteCache) downgrade(b mem.BlockAddr) bool {
-	if i.lines[b] == cache.Modified {
-		i.lines[b] = cache.Shared
-		return true
-	}
-	return false
-}
-
-func (i *infiniteCache) present(b mem.BlockAddr) bool {
-	st, ok := i.lines[b]
-	return ok && st != cache.Invalid
-}
+const (
+	shared lineState = iota + 1
+	modified
+)
 
 // Stats accumulates per-engine counters.
 type Stats struct {
@@ -194,10 +102,10 @@ type Stats struct {
 
 // Engine is the functional coherence engine.
 type Engine struct {
-	cfg    Config
-	dir    *directory.Directory
-	caches []nodeCache
-	stats  Stats
+	cfg   Config
+	dir   *directory.Directory
+	lines []map[mem.BlockAddr]lineState // per node: its cached blocks
+	stats Stats
 }
 
 // New builds an engine. It panics on an invalid configuration.
@@ -210,17 +118,11 @@ func New(cfg Config) *Engine {
 		Geometry:         cfg.Geometry,
 		PointersPerEntry: cfg.PointersPerEntry,
 	})
-	caches := make([]nodeCache, cfg.Nodes)
-	for i := range caches {
-		if cfg.CacheConfig.SizeBytes == 0 {
-			caches[i] = newInfiniteCache()
-		} else {
-			cc := cfg.CacheConfig
-			cc.Name = fmt.Sprintf("%s[%d]", cc.Name, i)
-			caches[i] = finiteCache{c: cache.New(cc)}
-		}
+	lines := make([]map[mem.BlockAddr]lineState, cfg.Nodes)
+	for i := range lines {
+		lines[i] = make(map[mem.BlockAddr]lineState)
 	}
-	return &Engine{cfg: cfg, dir: dir, caches: caches}
+	return &Engine{cfg: cfg, dir: dir, lines: lines}
 }
 
 // Config returns the engine configuration.
@@ -252,7 +154,7 @@ func (e *Engine) Access(a mem.Access, tr *trace.Trace) Result {
 
 // AccessEmit is Access with a streaming event consumer: instead of appending
 // to an in-memory trace, the classified events (with zero Seq — sequence
-// numbers are the caller's to assign, see RunStream) are handed to emit as
+// numbers are the caller's to assign, see RunSource) are handed to emit as
 // they are produced. A nil emit classifies without recording.
 func (e *Engine) AccessEmit(a mem.Access, emit func(trace.Event)) Result {
 	if int(a.Node) < 0 || int(a.Node) >= e.cfg.Nodes {
@@ -260,28 +162,26 @@ func (e *Engine) AccessEmit(a mem.Access, emit func(trace.Event)) Result {
 	}
 	e.stats.Accesses++
 	b := e.cfg.Geometry.BlockOf(a.Addr)
-	c := e.caches[a.Node]
-	write := a.Type == mem.Write || a.Type == mem.AtomicRMW
-
-	if write {
-		return e.write(a, b, c, emit)
+	lines := e.lines[a.Node]
+	if a.Type == mem.Write || a.Type == mem.AtomicRMW {
+		return e.write(a, b, lines, emit)
 	}
-	return e.read(a, b, c, emit)
+	return e.read(a, b, lines, emit)
 }
 
-func (e *Engine) read(a mem.Access, b mem.BlockAddr, c nodeCache, emit func(trace.Event)) Result {
-	if c.access(b, false) {
+func (e *Engine) read(a mem.Access, b mem.BlockAddr, lines map[mem.BlockAddr]lineState, emit func(trace.Event)) Result {
+	if _, ok := lines[b]; ok {
 		e.stats.Hits++
 		return Result{Class: Hit, Block: b}
 	}
 	rd := e.dir.Read(a.Node, b)
-	// Fill the local cache; the previous owner (if any) downgrades.
+	// Fill the local copy; the previous owner (if any) downgrades.
 	if rd.Owner != mem.InvalidNode && rd.Owner != a.Node {
-		e.caches[rd.Owner].downgrade(b)
+		if owner := e.lines[rd.Owner]; owner[b] == modified {
+			owner[b] = shared
+		}
 	}
-	if v := c.fill(b, cache.Shared); v.Valid {
-		e.dir.Evict(a.Node, v.Block, v.Dirty)
-	}
+	lines[b] = shared
 	if !rd.Coherent {
 		e.stats.PrivateMisses++
 		if emit != nil {
@@ -300,18 +200,16 @@ func (e *Engine) read(a mem.Access, b mem.BlockAddr, c nodeCache, emit func(trac
 	return Result{Class: Consumption, Block: b, Producer: rd.Producer}
 }
 
-func (e *Engine) write(a mem.Access, b mem.BlockAddr, c nodeCache, emit func(trace.Event)) Result {
+func (e *Engine) write(a mem.Access, b mem.BlockAddr, lines map[mem.BlockAddr]lineState, emit func(trace.Event)) Result {
 	// A write hit requires a locally modified copy; a hit on a shared copy
 	// is an upgrade, which still visits the directory.
 	hadModified := false
-	if c.present(b) {
-		// Probe without disturbing state: access() would upgrade the line
-		// before the directory grants ownership, so check via directory.
+	if _, ok := lines[b]; ok {
 		entry := e.dir.Lookup(b)
 		hadModified = entry != nil && entry.State == directory.Modified && entry.Owner == a.Node
 	}
 	if hadModified {
-		c.access(b, true)
+		lines[b] = modified
 		e.stats.WriteHits++
 		if emit != nil {
 			emit(trace.Event{Kind: trace.KindWrite, Node: a.Node, Block: b, Producer: mem.InvalidNode})
@@ -320,12 +218,10 @@ func (e *Engine) write(a mem.Access, b mem.BlockAddr, c nodeCache, emit func(tra
 	}
 	wr := e.dir.Write(a.Node, b)
 	for _, victim := range wr.Invalidated {
-		e.caches[victim].invalidate(b)
+		delete(e.lines[victim], b)
 	}
 	e.stats.Invalidations += uint64(len(wr.Invalidated))
-	if v := c.fill(b, cache.Modified); v.Valid {
-		e.dir.Evict(a.Node, v.Block, v.Dirty)
-	}
+	lines[b] = modified
 	e.stats.WriteMisses++
 	if emit != nil {
 		emit(trace.Event{Kind: trace.KindWrite, Node: a.Node, Block: b, Producer: mem.InvalidNode})
@@ -339,18 +235,6 @@ func (e *Engine) write(a mem.Access, b mem.BlockAddr, c nodeCache, emit func(tra
 // shape directly, so a generator streams into the engine with no intermediate
 // slice: eng.RunSource(gen.Emit, sink).
 type AccessSource func(yield func(mem.Access) error) error
-
-// SliceAccesses adapts a materialized access slice to an AccessSource.
-func SliceAccesses(accesses []mem.Access) AccessSource {
-	return func(yield func(mem.Access) error) error {
-		for _, a := range accesses {
-			if err := yield(a); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-}
 
 // RunSource processes an access source, emitting classified events (with
 // dense sequence numbers assigned in emission order) to emit as they are
@@ -382,11 +266,6 @@ func (e *Engine) RunSource(src AccessSource, emit func(trace.Event) error) error
 	return err
 }
 
-// RunStream is RunSource over a materialized access slice.
-func (e *Engine) RunStream(accesses []mem.Access, emit func(trace.Event) error) error {
-	return e.RunSource(SliceAccesses(accesses), emit)
-}
-
 // RunFrom processes an access source and materializes the classified trace.
 func (e *Engine) RunFrom(src AccessSource) (*trace.Trace, error) {
 	tr := &trace.Trace{}
@@ -395,11 +274,4 @@ func (e *Engine) RunFrom(src AccessSource) (*trace.Trace, error) {
 		return nil
 	})
 	return tr, err
-}
-
-// Run processes a whole access stream, returning the generated trace.
-func (e *Engine) Run(accesses []mem.Access) *trace.Trace {
-	// The sink never fails, so neither does the run.
-	tr, _ := e.RunFrom(SliceAccesses(accesses))
-	return tr
 }

@@ -3,7 +3,6 @@ package coherence
 import (
 	"testing"
 
-	"tsm/internal/cache"
 	"tsm/internal/mem"
 	"tsm/internal/trace"
 )
@@ -17,28 +16,17 @@ func smallEngine() *Engine {
 	})
 }
 
-func finiteEngine() *Engine {
-	return New(Config{
-		Nodes:    4,
-		Geometry: mem.DefaultGeometry(),
-		CacheConfig: cache.Config{
-			Name: "L2", SizeBytes: 4096, Ways: 2, BlockSize: 64,
-		},
-		PointersPerEntry: 2,
-	})
-}
-
 func TestConfigValidate(t *testing.T) {
-	if err := DefaultConfig().Validate(); err != nil {
-		t.Fatalf("default config invalid: %v", err)
+	for _, n := range []int{1, 16, mem.MaxNodes} {
+		if err := (Config{Nodes: n, Geometry: mem.DefaultGeometry(), PointersPerEntry: 2}).Validate(); err != nil {
+			t.Fatalf("%d-node config invalid: %v", n, err)
+		}
 	}
 	bad := []Config{
 		{Nodes: 0, Geometry: mem.DefaultGeometry()},
+		{Nodes: -1, Geometry: mem.DefaultGeometry()},
+		{Nodes: mem.MaxNodes + 1, Geometry: mem.DefaultGeometry()},
 		{Nodes: 4, Geometry: mem.Geometry{BlockSize: 3}},
-		{Nodes: 4, Geometry: mem.DefaultGeometry(),
-			CacheConfig: cache.Config{SizeBytes: 1024, Ways: 2, BlockSize: 32}},
-		{Nodes: 4, Geometry: mem.DefaultGeometry(),
-			CacheConfig: cache.Config{SizeBytes: 100, Ways: 3, BlockSize: 64}},
 	}
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -148,41 +136,22 @@ func TestAtomicRMWBehavesAsWrite(t *testing.T) {
 	}
 }
 
-func TestFiniteCacheCapacityMissNotConsumption(t *testing.T) {
-	e := finiteEngine() // 4 KB, 2-way, 64-byte blocks => 64 lines
-	// Node 0 writes then reads back a working set larger than its cache.
-	// Re-reads of its own evicted data must be private misses, not
-	// consumptions (no other node produced the data).
+// TestSelfRereadsAreNotConsumptions: re-reads of a node's own data hit its
+// infinite private cache; no other node produced the data, so none of them
+// is a consumption.
+func TestSelfRereadsAreNotConsumptions(t *testing.T) {
+	e := smallEngine()
 	for i := 0; i < 256; i++ {
 		e.Access(mem.Access{Node: 0, Addr: mem.Addr(i * 64), Type: mem.Write}, nil)
 	}
 	var tr trace.Trace
 	for i := 0; i < 256; i++ {
-		e.Access(mem.Access{Node: 0, Addr: mem.Addr(i * 64), Type: mem.Read}, &tr)
+		if r := e.Access(mem.Access{Node: 0, Addr: mem.Addr(i * 64), Type: mem.Read}, &tr); r.Class != Hit {
+			t.Fatalf("self re-read %d = %v, want Hit", i, r.Class)
+		}
 	}
 	if tr.ConsumptionCount() != 0 {
 		t.Fatalf("self re-reads produced %d consumptions, want 0", tr.ConsumptionCount())
-	}
-}
-
-func TestFiniteCacheCoherentReadAfterEviction(t *testing.T) {
-	e := finiteEngine()
-	// Node 0 produces one block, node 1 consumes it, then node 1 streams
-	// through enough private data to evict it, then re-reads it: that
-	// re-read is again a coherence-related miss (value still produced by
-	// node 0), matching the paper's "coherence misses grow with cache
-	// size" framing.
-	e.Access(mem.Access{Node: 0, Addr: 0x0, Type: mem.Write}, nil)
-	r := e.Access(mem.Access{Node: 1, Addr: 0x0, Type: mem.Read}, nil)
-	if r.Class != Consumption {
-		t.Fatalf("first consumer read = %v, want Consumption", r.Class)
-	}
-	for i := 1; i < 200; i++ {
-		e.Access(mem.Access{Node: 1, Addr: mem.Addr(0x100000 + i*64), Type: mem.Write}, nil)
-	}
-	r = e.Access(mem.Access{Node: 1, Addr: 0x0, Type: mem.Read}, nil)
-	if r.Class != Consumption {
-		t.Fatalf("re-read after eviction = %v, want Consumption", r.Class)
 	}
 }
 
@@ -195,7 +164,17 @@ func TestRunProducesOrderedTrace(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		accesses = append(accesses, mem.Access{Node: 1, Addr: mem.Addr(i * 64), Type: mem.Read})
 	}
-	tr := e.Run(accesses)
+	tr, err := e.RunFrom(func(yield func(mem.Access) error) error {
+		for _, a := range accesses {
+			if err := yield(a); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	cons := tr.Consumptions()
 	if len(cons) != 16 {
 		t.Fatalf("consumptions = %d, want 16", len(cons))

@@ -6,7 +6,6 @@ package config
 import (
 	"fmt"
 
-	"tsm/internal/cache"
 	"tsm/internal/interconnect"
 	"tsm/internal/mem"
 	"tsm/internal/tse"
@@ -20,7 +19,7 @@ type SystemConfig struct {
 	// ClockGHz is the processor clock (4 GHz).
 	ClockGHz float64
 	// L1 and L2 are the cache geometries.
-	L1, L2 cache.Config
+	L1, L2 Cache
 	// L1LatencyCycles and L2LatencyCycles are load-to-use latencies.
 	L1LatencyCycles, L2LatencyCycles uint64
 	// L2MSHRs bounds outstanding misses per node (32); Section 5.6 caps
@@ -37,15 +36,49 @@ type SystemConfig struct {
 	Geometry mem.Geometry
 }
 
+// Cache is the geometry of one level of a node's cache hierarchy, as Table 1
+// lists it. It only describes the machine: the coherence engine classifies
+// with infinite private caches, and the timing model charges the L2 latency.
+type Cache struct {
+	// Name labels the level ("L1D", "L2") in error messages.
+	Name string
+	// SizeBytes is the total capacity.
+	SizeBytes int
+	// Ways is the associativity.
+	Ways int
+	// BlockSize is the line size in bytes.
+	BlockSize int
+}
+
+// Validate reports whether the geometry is usable: positive sizes, and
+// power-of-two block size and set count.
+func (c Cache) Validate() error {
+	if c.SizeBytes <= 0 || c.Ways <= 0 || c.BlockSize <= 0 {
+		return fmt.Errorf("cache %q: all sizes must be positive (%+v)", c.Name, c)
+	}
+	if c.BlockSize&(c.BlockSize-1) != 0 {
+		return fmt.Errorf("cache %q: block size %d not a power of two", c.Name, c.BlockSize)
+	}
+	sets := c.SizeBytes / (c.Ways * c.BlockSize)
+	if sets <= 0 {
+		return fmt.Errorf("cache %q: capacity %d too small for %d ways of %d-byte blocks",
+			c.Name, c.SizeBytes, c.Ways, c.BlockSize)
+	}
+	if sets&(sets-1) != 0 {
+		return fmt.Errorf("cache %q: set count %d not a power of two", c.Name, sets)
+	}
+	return nil
+}
+
 // DefaultSystem returns the Table 1 configuration.
 func DefaultSystem() SystemConfig {
 	return SystemConfig{
 		Nodes:    16,
 		ClockGHz: 4.0,
-		L1: cache.Config{
+		L1: Cache{
 			Name: "L1D", SizeBytes: 64 * 1024, Ways: 2, BlockSize: mem.DefaultBlockSize,
 		},
-		L2: cache.Config{
+		L2: Cache{
 			Name: "L2", SizeBytes: 8 << 20, Ways: 8, BlockSize: mem.DefaultBlockSize,
 		},
 		L1LatencyCycles: 2,

@@ -86,3 +86,28 @@ func TestDefaultTSEMatchesSystem(t *testing.T) {
 		t.Fatalf("derived TSE config invalid: %v", err)
 	}
 }
+
+func TestCacheValidate(t *testing.T) {
+	good := []Cache{
+		{Name: "test", SizeBytes: 1024, Ways: 2, BlockSize: 64}, // 8 sets
+		{Name: "L1D", SizeBytes: 64 * 1024, Ways: 2, BlockSize: 64},
+		{Name: "L2", SizeBytes: 8 << 20, Ways: 8, BlockSize: 64},
+	}
+	for _, c := range good {
+		if err := c.Validate(); err != nil {
+			t.Errorf("Validate(%+v) = %v, want nil", c, err)
+		}
+	}
+	bad := []Cache{
+		{},
+		{SizeBytes: 1024, Ways: 2, BlockSize: 63},
+		{SizeBytes: 100, Ways: 2, BlockSize: 64},
+		{SizeBytes: 64 * 3, Ways: 1, BlockSize: 64}, // 3 sets, not power of two
+		{SizeBytes: -1, Ways: 1, BlockSize: 64},
+	}
+	for _, c := range bad {
+		if err := c.Validate(); err == nil {
+			t.Errorf("Validate(%+v) = nil, want error", c)
+		}
+	}
+}

@@ -65,15 +65,13 @@ type Entry struct {
 	CMOBPtrs []CMOBPointer
 }
 
-// SharerSet is a bitmap of nodes holding a shared copy. It supports up to 64
-// nodes, which covers the paper's 16-node system with room to spare.
+// SharerSet is a bitmap of nodes holding a shared copy. It supports up to
+// mem.MaxNodes (64) nodes, which covers the paper's 16-node system with room
+// to spare.
 type SharerSet uint64
 
 // Add inserts a node into the set.
 func (s *SharerSet) Add(n mem.NodeID) { *s |= 1 << uint(n) }
-
-// Remove deletes a node from the set.
-func (s *SharerSet) Remove(n mem.NodeID) { *s &^= 1 << uint(n) }
 
 // Contains reports whether the node is in the set.
 func (s SharerSet) Contains(n mem.NodeID) bool { return s&(1<<uint(n)) != 0 }
@@ -114,16 +112,10 @@ type Config struct {
 	PointersPerEntry int
 }
 
-// DefaultConfig returns a 16-node directory with two CMOB pointers per
-// entry.
-func DefaultConfig() Config {
-	return Config{Nodes: 16, Geometry: mem.DefaultGeometry(), PointersPerEntry: 2}
-}
-
 // Validate reports whether the configuration is usable.
 func (c Config) Validate() error {
-	if c.Nodes <= 0 || c.Nodes > 64 {
-		return fmt.Errorf("directory: node count %d out of range [1,64]", c.Nodes)
+	if c.Nodes <= 0 || c.Nodes > mem.MaxNodes {
+		return fmt.Errorf("directory: node count %d out of range [1,%d]", c.Nodes, mem.MaxNodes)
 	}
 	if err := c.Geometry.Validate(); err != nil {
 		return err
@@ -262,25 +254,6 @@ func (d *Directory) Write(node mem.NodeID, b mem.BlockAddr) WriteResult {
 	e.Owner = node
 	e.LastWriter = node
 	return res
-}
-
-// Evict notes that a node dropped its copy of a block (clean eviction or
-// writeback). Dirty evictions leave LastWriter untouched because the value
-// written lives on in memory.
-func (d *Directory) Evict(node mem.NodeID, b mem.BlockAddr, dirty bool) {
-	e := d.entries[d.cfg.Geometry.BlockIndex(mem.Addr(b))]
-	if e == nil {
-		return
-	}
-	if e.State == Modified && e.Owner == node {
-		e.State = Uncached
-		e.Owner = mem.InvalidNode
-		return
-	}
-	e.Sharers.Remove(node)
-	if e.State == Shared && e.Sharers.Count() == 0 {
-		e.State = Uncached
-	}
 }
 
 // RecordCMOBPointer stores a CMOB pointer for a block, keeping at most

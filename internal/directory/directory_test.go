@@ -13,12 +13,14 @@ func newDir(t *testing.T) *Directory {
 }
 
 func TestConfigValidate(t *testing.T) {
-	if err := DefaultConfig().Validate(); err != nil {
-		t.Fatalf("default config invalid: %v", err)
+	for _, n := range []int{1, 16, mem.MaxNodes} {
+		if err := (Config{Nodes: n, Geometry: mem.DefaultGeometry(), PointersPerEntry: 2}).Validate(); err != nil {
+			t.Fatalf("%d-node config invalid: %v", n, err)
+		}
 	}
 	bad := []Config{
 		{Nodes: 0, Geometry: mem.DefaultGeometry()},
-		{Nodes: 65, Geometry: mem.DefaultGeometry()},
+		{Nodes: mem.MaxNodes + 1, Geometry: mem.DefaultGeometry()},
 		{Nodes: 4, Geometry: mem.Geometry{BlockSize: 60}},
 		{Nodes: 4, Geometry: mem.DefaultGeometry(), PointersPerEntry: -1},
 	}
@@ -43,10 +45,6 @@ func TestSharerSet(t *testing.T) {
 	nodes := s.Nodes()
 	if len(nodes) != 2 || nodes[0] != 3 || nodes[1] != 7 {
 		t.Fatalf("Nodes = %v, want [3 7]", nodes)
-	}
-	s.Remove(3)
-	if s.Contains(3) || s.Count() != 1 {
-		t.Fatal("Remove failed")
 	}
 	s.Clear()
 	if s.Count() != 0 {
@@ -136,32 +134,6 @@ func TestWriteTakesDirtyCopy(t *testing.T) {
 	if !wr.Coherent || wr.PreviousOwner != 0 {
 		t.Fatalf("write over dirty copy = %+v, want coherent with previous owner 0", wr)
 	}
-}
-
-func TestEvict(t *testing.T) {
-	d := newDir(t)
-	b := mem.BlockAddr(0x4000)
-	d.Write(0, b)
-	d.Evict(0, b, true)
-	e := d.Lookup(b)
-	if e.State != Uncached || e.Owner != mem.InvalidNode {
-		t.Fatalf("entry after dirty evict = %+v", e)
-	}
-	if e.LastWriter != 0 {
-		t.Fatal("LastWriter must survive eviction (value lives in memory)")
-	}
-	// Read after eviction is still a consumption for another node.
-	rd := d.Read(1, b)
-	if !rd.Coherent || rd.Producer != 0 {
-		t.Fatalf("read after writeback = %+v, want coherent from producer 0", rd)
-	}
-	// Evicting a shared copy removes the sharer.
-	d.Evict(1, b, false)
-	if d.Lookup(b).Sharers.Count() != 0 {
-		t.Fatal("sharer not removed on eviction")
-	}
-	// Evicting an unknown block is a no-op.
-	d.Evict(1, mem.BlockAddr(0xdead00), false)
 }
 
 func TestCMOBPointers(t *testing.T) {

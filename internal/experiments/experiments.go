@@ -45,11 +45,6 @@ type Options struct {
 	Workloads []string
 }
 
-// DefaultOptions returns a full-size 16-node run over every workload.
-func DefaultOptions() Options {
-	return Options{Nodes: 16, Scale: 1.0, Seed: 1}
-}
-
 // normalize fills in defaults.
 func (o Options) normalize() Options {
 	if o.Nodes <= 0 {
@@ -230,8 +225,8 @@ func (w *Workspace) generate(name string) (*WorkloadData, error) {
 		Scale:    w.opts.Scale,
 		Geometry: w.system.Geometry,
 	})
-	// Classify the accesses with the functional coherence engine using
-	// effectively infinite private caches: the paper's framing is that
+	// Classify the accesses with the functional coherence engine, whose
+	// private caches are infinite: the paper's framing is that
 	// coherence misses are what remain as caches grow, and it keeps the
 	// opportunity studies free of capacity-miss noise. Generation streams
 	// straight into the engine — only the classified trace the experiments

@@ -25,6 +25,11 @@ type NodeID int
 // InvalidNode is returned by lookups that found no node.
 const InvalidNode NodeID = -1
 
+// MaxNodes is the largest supported node count: the directory keeps each
+// block's sharers in a 64-bit map, one bit per node. Every configuration
+// and the trace-file header accept node counts in [1, MaxNodes].
+const MaxNodes = 64
+
 // DefaultBlockSize is the coherence unit from Table 1 of the paper.
 const DefaultBlockSize = 64
 

@@ -76,11 +76,11 @@ const DefaultChunkEvents = 4096
 // corrupt count cannot trigger a huge allocation.
 const maxChunkEvents = 1 << 20
 
-// maxMetaNodes and maxMetaScale bound the decoded metadata: a corrupt
-// header must fail with ErrCorrupt, not propagate absurd parameters into
-// generator reconstruction (where a huge node count would try to allocate).
+// maxMetaName and maxMetaScale bound the metadata (with mem.MaxNodes for
+// the node count): a corrupt header must fail with ErrCorrupt, not propagate
+// absurd parameters into generator reconstruction or evaluation.
 const (
-	maxMetaNodes = 1 << 16
+	maxMetaName  = 1024
 	maxMetaScale = 1e6
 )
 
@@ -116,6 +116,30 @@ type Meta struct {
 	// (workload.Config.Repeat). Zero means the default of 1 — the value
 	// version 1 streams decode with.
 	Repeat float64
+}
+
+// check reports the first field a header parser rejects. It is the one rule
+// for both ends of the format: NewWriterVersion refuses such metadata and
+// parseHeader reports it as ErrCorrupt. Nodes may be 0 (a trace that did
+// not come from the workload suite); Repeat is only stored from version 2.
+func (m Meta) check(version byte) error {
+	switch {
+	case len(m.Workload) > maxMetaName:
+		return fmt.Errorf("workload name length %d", len(m.Workload))
+	case m.Nodes < 0 || m.Nodes > mem.MaxNodes:
+		return fmt.Errorf("node count %d", m.Nodes)
+	case !metaScaleOK(m.Scale):
+		return fmt.Errorf("scale %v", m.Scale)
+	case version > versionNoRepeat && !metaScaleOK(m.Repeat):
+		return fmt.Errorf("repeat %v", m.Repeat)
+	}
+	return nil
+}
+
+// metaScaleOK reports whether a scale or repeat factor is finite and in
+// [0, maxMetaScale].
+func metaScaleOK(v float64) bool {
+	return !math.IsNaN(v) && v >= 0 && v <= maxMetaScale
 }
 
 // String summarises the metadata in one line.
@@ -161,8 +185,19 @@ func NewWriterVersion(w io.Writer, meta Meta, version byte) (*Writer, error) {
 	if version < versionNoRepeat || version > Version {
 		return nil, fmt.Errorf("%w: cannot write version %d", ErrVersion, version)
 	}
+	if err := meta.check(version); err != nil {
+		return nil, fmt.Errorf("stream: metadata a reader would reject: %v", err)
+	}
 	bw := bufio.NewWriter(w)
-	hdr := make([]byte, 0, 64)
+	hdr := appendHeader(make([]byte, 0, 64), meta, version)
+	if _, err := bw.Write(hdr); err != nil {
+		return nil, fmt.Errorf("stream: writing header: %w", err)
+	}
+	return &Writer{w: bw, perCh: DefaultChunkEvents, version: version, off: int64(len(hdr))}, nil
+}
+
+// appendHeader appends the magic, version byte and metadata block.
+func appendHeader(hdr []byte, meta Meta, version byte) []byte {
 	hdr = append(hdr, Magic[:]...)
 	hdr = append(hdr, version)
 	name := strings.ToLower(meta.Workload)
@@ -174,10 +209,7 @@ func NewWriterVersion(w io.Writer, meta Meta, version byte) (*Writer, error) {
 	if version > versionNoRepeat {
 		hdr = binary.LittleEndian.AppendUint64(hdr, math.Float64bits(meta.Repeat))
 	}
-	if _, err := bw.Write(hdr); err != nil {
-		return nil, fmt.Errorf("stream: writing header: %w", err)
-	}
-	return &Writer{w: bw, perCh: DefaultChunkEvents, version: version, off: int64(len(hdr))}, nil
+	return hdr
 }
 
 // Write implements Sink. The event's Seq field is not stored. The count is
@@ -348,7 +380,7 @@ func parseHeader(pr *posReader) (Meta, byte, error) {
 	if err != nil {
 		return meta, 0, fmt.Errorf("stream: reading metadata: %w", errTrunc(err))
 	}
-	if n > 1024 {
+	if n > maxMetaName {
 		return meta, 0, fmt.Errorf("%w: workload name length %d", ErrCorrupt, n)
 	}
 	name := make([]byte, n)
@@ -360,18 +392,12 @@ func parseHeader(pr *posReader) (Meta, byte, error) {
 	if err != nil {
 		return meta, 0, fmt.Errorf("stream: reading metadata: %w", errTrunc(err))
 	}
-	if nodes > maxMetaNodes {
-		return meta, 0, fmt.Errorf("%w: node count %d", ErrCorrupt, nodes)
-	}
-	meta.Nodes = int(nodes)
+	meta.Nodes = int(min(nodes, math.MaxInt))
 	var scale [8]byte
 	if _, err := io.ReadFull(pr, scale[:]); err != nil {
 		return meta, 0, fmt.Errorf("stream: reading metadata: %w", errTrunc(err))
 	}
 	meta.Scale = math.Float64frombits(binary.LittleEndian.Uint64(scale[:]))
-	if math.IsNaN(meta.Scale) || math.IsInf(meta.Scale, 0) || meta.Scale < 0 || meta.Scale > maxMetaScale {
-		return meta, 0, fmt.Errorf("%w: scale %v", ErrCorrupt, meta.Scale)
-	}
 	seed, err := binary.ReadVarint(pr)
 	if err != nil {
 		return meta, 0, fmt.Errorf("stream: reading metadata: %w", errTrunc(err))
@@ -383,9 +409,9 @@ func parseHeader(pr *posReader) (Meta, byte, error) {
 			return meta, 0, fmt.Errorf("stream: reading metadata: %w", errTrunc(err))
 		}
 		meta.Repeat = math.Float64frombits(binary.LittleEndian.Uint64(repeat[:]))
-		if math.IsNaN(meta.Repeat) || math.IsInf(meta.Repeat, 0) || meta.Repeat < 0 || meta.Repeat > maxMetaScale {
-			return meta, 0, fmt.Errorf("%w: repeat %v", ErrCorrupt, meta.Repeat)
-		}
+	}
+	if err := meta.check(version); err != nil {
+		return meta, 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	return meta, version, nil
 }

@@ -195,25 +195,64 @@ func TestCodecCorruptTrailer(t *testing.T) {
 	}
 }
 
-// TestCodecCorruptMeta: absurd header metadata (huge node counts, NaN or
-// negative scales) must fail with ErrCorrupt rather than flow into
-// generator reconstruction, where a huge node count would try to allocate.
+// unreadableMetas are header metadata the parser must reject: node counts
+// outside [0, mem.MaxNodes], and NaN, infinite, negative or huge scales and
+// repeats.
+var unreadableMetas = []Meta{
+	{Workload: "db2", Nodes: mem.MaxNodes + 1, Scale: 1, Seed: 1},
+	{Workload: "db2", Nodes: 100, Scale: 1, Seed: 1},
+	{Workload: "db2", Nodes: 1 << 20, Scale: 1, Seed: 1},
+	{Workload: "db2", Nodes: 16, Scale: math.NaN(), Seed: 1},
+	{Workload: "db2", Nodes: 16, Scale: math.Inf(1), Seed: 1},
+	{Workload: "db2", Nodes: 16, Scale: -1, Seed: 1},
+	{Workload: "db2", Nodes: 16, Scale: -0.5, Seed: 1},
+	{Workload: "db2", Nodes: 16, Scale: maxMetaScale * 2, Seed: 1},
+	{Workload: "db2", Nodes: 16, Scale: 1, Seed: 1, Repeat: math.NaN()},
+	{Workload: "db2", Nodes: 16, Scale: 1, Seed: 1, Repeat: math.Inf(1)},
+	{Workload: "db2", Nodes: 16, Scale: 1, Seed: 1, Repeat: -1},
+	{Workload: "db2", Nodes: 16, Scale: 1, Seed: 1, Repeat: -2},
+	{Workload: "db2", Nodes: 16, Scale: 1, Seed: 1, Repeat: maxMetaScale * 2},
+}
+
+// TestCodecCorruptMeta: absurd header metadata (node counts beyond
+// mem.MaxNodes, NaN or negative scales) must fail with ErrCorrupt at open
+// rather than flow into generator reconstruction or evaluation, where a
+// node count beyond the directory's sharer map would panic. The headers are
+// built with appendHeader directly, because NewWriter refuses to write them.
 func TestCodecCorruptMeta(t *testing.T) {
-	for _, meta := range []Meta{
-		{Workload: "db2", Nodes: maxMetaNodes + 1, Scale: 1, Seed: 1},
-		{Workload: "db2", Nodes: 16, Scale: math.NaN(), Seed: 1},
-		{Workload: "db2", Nodes: 16, Scale: math.Inf(1), Seed: 1},
-		{Workload: "db2", Nodes: 16, Scale: -1, Seed: 1},
-		{Workload: "db2", Nodes: 16, Scale: maxMetaScale * 2, Seed: 1},
-		{Workload: "db2", Nodes: 16, Scale: 1, Seed: 1, Repeat: math.NaN()},
-		{Workload: "db2", Nodes: 16, Scale: 1, Seed: 1, Repeat: math.Inf(1)},
-		{Workload: "db2", Nodes: 16, Scale: 1, Seed: 1, Repeat: -1},
-		{Workload: "db2", Nodes: 16, Scale: 1, Seed: 1, Repeat: maxMetaScale * 2},
-	} {
-		data := encode(t, randomTrace(3, 1), meta)
+	for _, meta := range unreadableMetas {
+		data := appendHeader(nil, meta, Version)
 		if _, err := NewReader(bytes.NewReader(data)); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("meta %+v: err = %v, want ErrCorrupt", meta, err)
+			t.Errorf("meta %+v: NewReader err = %v, want ErrCorrupt", meta, err)
 		}
+		if _, err := OpenIndexed(bytes.NewReader(data), int64(len(data)), ParallelOptions{}); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("meta %+v: OpenIndexed err = %v, want ErrCorrupt", meta, err)
+		}
+	}
+	// The largest supported machine still opens.
+	meta := Meta{Workload: "db2", Nodes: mem.MaxNodes, Scale: 1, Seed: 1}
+	r, err := NewReader(bytes.NewReader(encode(t, randomTrace(3, 1), meta)))
+	if err != nil || r.Meta() != meta {
+		t.Fatalf("%d-node header: meta %+v, err %v", mem.MaxNodes, r.Meta(), err)
+	}
+}
+
+// TestWriterRejectsUnreadableMeta: the writer applies the parser's own rule,
+// so it never produces a header its readers reject. Nothing is written.
+func TestWriterRejectsUnreadableMeta(t *testing.T) {
+	for _, meta := range unreadableMetas {
+		var buf bytes.Buffer
+		if _, err := NewWriter(&buf, meta); err == nil {
+			t.Errorf("meta %+v: NewWriter accepted metadata its reader rejects", meta)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("meta %+v: NewWriter wrote %d bytes before refusing", meta, buf.Len())
+		}
+	}
+	// Version 1 stores no repeat, so a bad repeat cannot make it unreadable.
+	meta := Meta{Workload: "db2", Nodes: 16, Scale: 1, Seed: 1, Repeat: -2}
+	if _, err := NewWriterVersion(io.Discard, meta, versionNoRepeat); err != nil {
+		t.Errorf("version 1 writer refused a repeat it does not store: %v", err)
 	}
 }
 

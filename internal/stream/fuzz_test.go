@@ -75,7 +75,7 @@ func FuzzDecode(f *testing.F) {
 			// io error surfaced verbatim) — never a panic.
 			return
 		}
-		if r.Meta().Nodes > maxMetaNodes {
+		if r.Meta().Nodes > mem.MaxNodes {
 			t.Fatalf("decoded metadata escaped the node bound: %+v", r.Meta())
 		}
 		var n uint64

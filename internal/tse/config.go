@@ -85,8 +85,8 @@ func DefaultConfig() Config {
 
 // Validate reports whether the configuration is usable.
 func (c Config) Validate() error {
-	if c.Nodes <= 0 || c.Nodes > 64 {
-		return fmt.Errorf("tse: node count %d out of range [1,64]", c.Nodes)
+	if c.Nodes <= 0 || c.Nodes > mem.MaxNodes {
+		return fmt.Errorf("tse: node count %d out of range [1,%d]", c.Nodes, mem.MaxNodes)
 	}
 	if err := c.Geometry.Validate(); err != nil {
 		return err

@@ -155,6 +155,3 @@ func (c *CDN) Emit(yield func(mem.Access) error) error {
 	}
 	return em.err
 }
-
-// Generate implements Generator.
-func (c *CDN) Generate() []mem.Access { return Collect(c) }

@@ -317,6 +317,3 @@ func (c *commercial) Emit(yield func(mem.Access) error) error {
 	}
 	return em.err
 }
-
-// Generate implements Generator.
-func (c *commercial) Generate() []mem.Access { return Collect(c) }

@@ -1,49 +1,26 @@
 package workload
 
 import (
-	"errors"
 	"math/rand"
-	"sync"
 
 	"tsm/internal/mem"
 )
 
-// This file is the streaming half of the generator contract: every generator
-// implements Emit (push one access at a time to a yield callback) and derives
-// Generate from it via Collect. The pieces here let the generators express
-// their phase structure without materializing per-node slices:
+// The pieces here let the generators express their phase structure in
+// Emit without materializing per-node slices:
 //
 //   - cursor: one node's access sequence within a phase, as a known length
 //     plus a pull function holding O(1) state;
 //   - interleaveEmit: the bounded deterministic k-way interleaver that merges
-//     per-node cursors into the global order, reproducing interleave's output
-//     (including its rng draws) exactly — the property the byte-identical
-//     goldens pin;
+//     per-node cursors into the global order, drawing its shuffles from the
+//     generator's rng — the draws the byte-identical goldens pin;
 //   - emitter: a yield wrapper that latches the first error so straight-line
-//     generators can emit without an error check at every call site;
-//   - pull: a bounded-buffer adapter that converts a generator's push-style
-//     Emit into a pull iterator (used by the cross-workload mix generator).
-
-// Collect materializes a generator's emission stream. It is the shared
-// Generate implementation: every generator's Generate method is this thin
-// collect-adapter over Emit, which keeps the streamed and materialized paths
-// identical by construction.
-func Collect(g Generator) []mem.Access {
-	var out []mem.Access
-	// The yield below never fails, and generator-internal errors do not
-	// exist on the collect path, so the returned error is structurally nil.
-	_ = g.Emit(func(a mem.Access) error {
-		out = append(out, a)
-		return nil
-	})
-	return out
-}
+//     generators can emit without an error check at every call site.
 
 // cursor is one node's access sequence for a single interleaved phase: n is
 // the exact number of accesses and next returns them in order (it is called
-// exactly n times). Knowing n up front lets interleaveEmit make the same
-// number of interleave rounds — and therefore the same rng draws — as the
-// materialized interleave did, without buffering the sequence.
+// exactly n times). Knowing n up front fixes the number of interleave rounds
+// — and therefore the rng draws — without buffering the sequence.
 type cursor struct {
 	n    int
 	next func() mem.Access
@@ -81,26 +58,12 @@ func rangeCursor(g mem.Geometry, node mem.NodeID, region, lo, hi int, typ mem.Ac
 	return indexCursor(g, node, region, hi-lo, func(i int) int { return lo + i }, typ)
 }
 
-// sliceCursors adapts materialized per-node slices to cursors.
-func sliceCursors(perNode [][]mem.Access) []cursor {
-	out := make([]cursor, len(perNode))
-	for i, s := range perNode {
-		s := s
-		pos := 0
-		out[i] = cursor{n: len(s), next: func() mem.Access {
-			a := s[pos]
-			pos++
-			return a
-		}}
-	}
-	return out
-}
-
 // interleaveEmit merges per-node cursors into a single global order by taking
-// chunks from each node in round-robin fashion, shuffling the node visit
-// order each round, exactly as interleave does over materialized slices —
-// same rounds, same rng draws, same output order — while holding only
-// O(nodes) state. A non-nil error from yield aborts the merge immediately.
+// chunk consecutive accesses from each node in round-robin fashion,
+// approximating the simultaneous progress of the nodes within a phase. The
+// node visit order is shuffled each round (when rng is non-nil) so no node is
+// always first. It holds only O(nodes) state; a non-nil error from yield
+// aborts the merge immediately.
 func interleaveEmit(perNode []cursor, chunk int, rng *rand.Rand, yield func(mem.Access) error) error {
 	if chunk <= 0 {
 		chunk = 8
@@ -165,65 +128,3 @@ func (e *emitter) emit(a mem.Access) {
 
 // failed reports whether a yield error has been latched.
 func (e *emitter) failed() bool { return e.err != nil }
-
-// errPullStopped is the sentinel a pull adapter's producer goroutine returns
-// when the consumer stopped early; it is swallowed (an early stop is not a
-// generation failure).
-var errPullStopped = errors.New("workload: pull consumer stopped")
-
-// pullBuffer bounds the per-generator buffer of a pull adapter: large enough
-// to decouple producer and consumer bursts, small enough that a mix of
-// arbitrarily long workloads still generates in constant memory.
-const pullBuffer = 256
-
-// pull converts a generator's push-style Emit into a bounded pull iterator:
-// the generator runs on its own goroutine and blocks once pullBuffer accesses
-// are waiting (backpressure), so the consumer controls the pace and the
-// buffer — not the trace length — bounds memory. The consumption order is
-// deterministic regardless of scheduling because a single consumer drains the
-// buffer in channel order.
-type pull struct {
-	ch       chan mem.Access
-	errc     chan error
-	quit     chan struct{}
-	stopOnce sync.Once
-}
-
-// newPull starts g's emission on a producer goroutine.
-func newPull(g Generator) *pull {
-	p := &pull{
-		ch:   make(chan mem.Access, pullBuffer),
-		errc: make(chan error, 1),
-		quit: make(chan struct{}),
-	}
-	go func() {
-		err := g.Emit(func(a mem.Access) error {
-			select {
-			case p.ch <- a:
-				return nil
-			case <-p.quit:
-				return errPullStopped
-			}
-		})
-		if err == errPullStopped {
-			err = nil
-		}
-		close(p.ch)
-		p.errc <- err
-	}()
-	return p
-}
-
-// next returns the next access; ok is false once the generator is exhausted.
-func (p *pull) next() (mem.Access, bool) {
-	a, ok := <-p.ch
-	return a, ok
-}
-
-// stop tells the producer goroutine to exit at its next yield. Safe to call
-// more than once.
-func (p *pull) stop() { p.stopOnce.Do(func() { close(p.quit) }) }
-
-// err blocks until the producer goroutine finishes and returns its error
-// (nil when the generator completed or was stopped early).
-func (p *pull) err() error { return <-p.errc }

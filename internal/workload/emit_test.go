@@ -8,32 +8,35 @@ import (
 	"tsm/internal/mem"
 )
 
-// TestEmitMatchesGenerate is the streaming-generation parity criterion: for
-// EVERY registered workload — the paper's seven, the extended matrix and the
-// cross-workload mix — the streamed emission must produce exactly the
-// sequence the materialized Generate path produces, element for element.
-// Since Generate is Collect over a fresh generator's Emit, comparing two
-// independently constructed generators also re-proves determinism across the
-// push path.
+// TestEmitMatchesGenerate: for EVERY registered workload — the paper's
+// seven, the extended matrix and the cross-workload mixes — pulling the
+// emission through the mix's burst coroutine (bursts + iter.Pull, a second
+// way to drive Emit) must reproduce the sequence the plain push collects
+// (generate), element for element. The two runs use independently
+// constructed generators, so this also re-proves determinism.
 func TestEmitMatchesGenerate(t *testing.T) {
 	cfg := testConfig()
 	for _, spec := range Registry() {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
-			want := spec.New(cfg).Generate()
+			want := generate(spec.New(cfg))
+			var emitErr error
 			var got []mem.Access
-			if err := spec.New(cfg).Emit(func(a mem.Access) error {
-				got = append(got, a)
-				return nil
-			}); err != nil {
-				t.Fatalf("Emit failed: %v", err)
+			for burst := range bursts(spec.New(cfg), &emitErr) {
+				if len(burst) == 0 || len(burst) > mixChunk {
+					t.Fatalf("burst of %d accesses, want 1..%d", len(burst), mixChunk)
+				}
+				got = append(got, burst...)
+			}
+			if emitErr != nil {
+				t.Fatalf("Emit failed: %v", emitErr)
 			}
 			if len(got) != len(want) {
-				t.Fatalf("Emit produced %d accesses, Generate %d", len(got), len(want))
+				t.Fatalf("bursts produced %d accesses, generate %d", len(got), len(want))
 			}
 			for i := range want {
 				if got[i] != want[i] {
-					t.Fatalf("access %d: Emit %+v != Generate %+v", i, got[i], want[i])
+					t.Fatalf("access %d: bursts %+v != generate %+v", i, got[i], want[i])
 				}
 			}
 		})
@@ -49,7 +52,7 @@ func TestEmitStopsOnYieldError(t *testing.T) {
 	for _, spec := range Registry() {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
-			total := len(spec.New(cfg).Generate())
+			total := len(generate(spec.New(cfg)))
 			const stopAfter = 100
 			seen := 0
 			err := spec.New(cfg).Emit(func(a mem.Access) error {
@@ -72,10 +75,43 @@ func TestEmitStopsOnYieldError(t *testing.T) {
 	}
 }
 
-// TestInterleaveEmitMatchesInterleave: the bounded-buffer streaming
-// interleaver must reproduce the materialized interleave exactly — same
-// output order AND same rng consumption — for awkward shapes (empty nodes,
-// unequal lengths, chunk boundaries).
+// interleave is the reference interleaver over materialized per-node
+// slices, written independently of interleaveEmit: while any node has
+// accesses left, shuffle the node order (when rng is non-nil), then let every
+// node contribute its next chunk accesses.
+func interleave(perNode [][]mem.Access, chunk int, rng *rand.Rand) []mem.Access {
+	if chunk <= 0 {
+		chunk = 8
+	}
+	order := make([]int, len(perNode))
+	for i := range order {
+		order[i] = i
+	}
+	pos := make([]int, len(perNode))
+	var out []mem.Access
+	for {
+		left := false
+		for n, s := range perNode {
+			left = left || pos[n] < len(s)
+		}
+		if !left {
+			return out
+		}
+		if rng != nil {
+			rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+		}
+		for _, n := range order {
+			end := min(pos[n]+chunk, len(perNode[n]))
+			out = append(out, perNode[n][pos[n]:end]...)
+			pos[n] = end
+		}
+	}
+}
+
+// TestInterleaveEmitMatchesInterleave: the streaming interleaver must
+// reproduce the reference slice interleaver exactly — same output order AND
+// same rng consumption — for awkward shapes (empty nodes, unequal lengths,
+// chunk boundaries).
 func TestInterleaveEmitMatchesInterleave(t *testing.T) {
 	shapes := [][]int{
 		{10, 25, 3},
@@ -92,30 +128,12 @@ func TestInterleaveEmitMatchesInterleave(t *testing.T) {
 					perNode[n] = append(perNode[n], mem.Access{Node: mem.NodeID(n), Addr: mem.Addr(i * 64)})
 				}
 			}
-			want := interleave(perNode, chunk, rand.New(rand.NewSource(42)))
-			// interleave is itself built on interleaveEmit, so drive
-			// interleaveEmit with independently constructed cursors to make
-			// this a real two-implementation check.
-			cursors := make([]cursor, len(shape))
-			for n, ln := range shape {
-				n, ln := n, ln
-				i := 0
-				cursors[n] = cursor{n: ln, next: func() mem.Access {
-					a := mem.Access{Node: mem.NodeID(n), Addr: mem.Addr(i * 64)}
-					i++
-					return a
-				}}
-			}
-			var got []mem.Access
+			rngA := rand.New(rand.NewSource(42))
+			want := interleave(perNode, chunk, rngA)
 			rngB := rand.New(rand.NewSource(42))
-			if err := interleaveEmit(cursors, chunk, rngB, func(a mem.Access) error {
-				got = append(got, a)
-				return nil
-			}); err != nil {
-				t.Fatal(err)
-			}
+			got := interleaved(perNode, chunk, rngB)
 			if len(got) != len(want) {
-				t.Fatalf("chunk %d shape %v: %d streamed vs %d materialized", chunk, shape, len(got), len(want))
+				t.Fatalf("chunk %d shape %v: %d streamed vs %d reference", chunk, shape, len(got), len(want))
 			}
 			for i := range want {
 				if got[i] != want[i] {
@@ -124,8 +142,6 @@ func TestInterleaveEmitMatchesInterleave(t *testing.T) {
 			}
 			// Both rngs must have advanced identically (same number of
 			// shuffle rounds): their next outputs agree.
-			rngA := rand.New(rand.NewSource(42))
-			interleave(perNode, chunk, rngA)
 			if rngA.Int63() != rngB.Int63() {
 				t.Fatalf("chunk %d shape %v: rng consumption diverged", chunk, shape)
 			}
@@ -162,12 +178,12 @@ func TestMixColocatesParts(t *testing.T) {
 	if err := m.Timing().Validate(); err != nil {
 		t.Fatalf("mix timing profile invalid: %v", err)
 	}
-	accesses := m.Generate()
+	accesses := generate(m)
 	if len(accesses) == 0 {
 		t.Fatal("mix generated nothing")
 	}
-	kv := NewKVStore(cfg).Generate()
-	cdn := NewCDN(cfg).Generate()
+	kv := generate(NewKVStore(cfg))
+	cdn := generate(NewCDN(cfg))
 	if len(accesses) != len(kv)+len(cdn) {
 		t.Fatalf("mix emitted %d accesses, want %d (kv) + %d (cdn)", len(accesses), len(kv), len(cdn))
 	}
@@ -219,12 +235,12 @@ func TestMixSciComColocatesParts(t *testing.T) {
 	if err := m.Timing().Validate(); err != nil {
 		t.Fatalf("mix-sci-com timing profile invalid: %v", err)
 	}
-	accesses := m.Generate()
+	accesses := generate(m)
 	if len(accesses) == 0 {
 		t.Fatal("mix-sci-com generated nothing")
 	}
-	em3d := NewEM3D(cfg).Generate()
-	db2 := NewOLTP(cfg, "DB2").Generate()
+	em3d := generate(NewEM3D(cfg))
+	db2 := generate(NewOLTP(cfg, "DB2"))
 	if len(accesses) != len(em3d)+len(db2) {
 		t.Fatalf("mix-sci-com emitted %d accesses, want %d (em3d) + %d (db2)", len(accesses), len(em3d), len(db2))
 	}
@@ -257,7 +273,7 @@ func TestMixSciComColocatesParts(t *testing.T) {
 	}
 }
 
-// TestMixStopsOnYieldError: the mix's producer goroutines must shut down
+// TestMixStopsOnYieldError: the mix's part coroutines must shut down
 // promptly when the consumer fails (no leak, error returned).
 func TestMixStopsOnYieldError(t *testing.T) {
 	sentinel := errors.New("downstream dead")
@@ -287,15 +303,15 @@ func TestRepeatLengthensTrace(t *testing.T) {
 		if !ok {
 			t.Fatalf("unknown workload %q", name)
 		}
-		one := spec.New(base).Generate()
-		two := spec.New(double).Generate()
+		one := generate(spec.New(base))
+		two := generate(spec.New(double))
 		if len(two) < 3*len(one)/2 {
 			t.Errorf("%s: Repeat=2 produced %d accesses vs %d at Repeat=1; run length did not grow",
 				name, len(two), len(one))
 		}
 		explicit := base
 		explicit.Repeat = 1
-		same := spec.New(explicit).Generate()
+		same := generate(spec.New(explicit))
 		if len(same) != len(one) {
 			t.Errorf("%s: explicit Repeat=1 changed the trace length", name)
 		}

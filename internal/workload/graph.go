@@ -141,6 +141,3 @@ func (g *PageRank) Emit(yield func(mem.Access) error) error {
 	}
 	return nil
 }
-
-// Generate implements Generator.
-func (g *PageRank) Generate() []mem.Access { return Collect(g) }

@@ -151,6 +151,3 @@ func (k *KVStore) Emit(yield func(mem.Access) error) error {
 	}
 	return em.err
 }
-
-// Generate implements Generator.
-func (k *KVStore) Generate() []mem.Access { return Collect(k) }

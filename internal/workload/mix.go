@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"errors"
+	"iter"
 	"math/rand"
 
 	"tsm/internal/mem"
@@ -17,12 +19,12 @@ import (
 // unlike any single workload in the suite.
 //
 // Mix is built directly on the streaming emission path: each part's Emit
-// runs on its own producer goroutine behind a bounded buffer (see pull in
-// emit.go), and the mixer pulls phase-alternating bursts from each live part
-// in rng-shuffled order until all parts are exhausted. Memory is bounded by
-// the parts' own state plus the fixed pull buffers — never by trace length —
-// and the output is deterministic because a single consumer drains the
-// buffers in a seed-fixed order.
+// runs as a coroutine (iter.Pull over bursts) that hands the mixer one burst
+// of up to mixChunk accesses per switch, and the mixer takes
+// phase-alternating bursts from each live part in rng-shuffled order until
+// all parts are exhausted. Memory is bounded by the parts' own state plus
+// one burst per part — never by trace length — and the output is
+// deterministic because the coroutines only run when the mixer asks.
 //
 // The mixer takes ANY parts; two are registered: "mix" (memkv + cdn, two
 // commercial textures) and "mix-sci-com" (em3d + db2, a scientific texture
@@ -103,63 +105,76 @@ func (m *Mix) Timing() TimingProfile {
 	return p
 }
 
-// Emit implements Generator: pull phase-alternating bursts from each part's
-// bounded-buffer stream, shuffling the visit order each round, until every
-// part is exhausted.
+// errBurstsStopped is returned into a part's Emit when the mixer stops
+// pulling early; it is swallowed (an early stop is not a generation failure).
+var errBurstsStopped = errors.New("workload: mix stopped pulling")
+
+// bursts turns a part's push-style Emit into a sequence of bursts of
+// mixChunk accesses (the last one possibly shorter). The burst slice is
+// reused: it is valid until the consumer asks for the next one. Emit's
+// error, if any, is stored in *err before the sequence ends.
+func bursts(g Generator, err *error) iter.Seq[[]mem.Access] {
+	return func(yield func([]mem.Access) bool) {
+		burst := make([]mem.Access, 0, mixChunk)
+		*err = g.Emit(func(a mem.Access) error {
+			if burst = append(burst, a); len(burst) < mixChunk {
+				return nil
+			}
+			if !yield(burst) {
+				return errBurstsStopped
+			}
+			burst = burst[:0]
+			return nil
+		})
+		if errors.Is(*err, errBurstsStopped) {
+			*err = nil
+		} else if *err == nil && len(burst) > 0 {
+			yield(burst)
+		}
+	}
+}
+
+// Emit implements Generator: take phase-alternating bursts from each part,
+// shuffling the visit order each round, until every part is exhausted. A
+// part is marked done when it yields no burst.
 func (m *Mix) Emit(yield func(mem.Access) error) error {
 	rng := rand.New(rand.NewSource(m.cfg.Seed + 503))
-	pulls := make([]*pull, len(m.parts))
+	next := make([]func() ([]mem.Access, bool), len(m.parts))
+	errs := make([]error, len(m.parts))
 	for i, g := range m.parts {
-		pulls[i] = newPull(g)
+		pull, stop := iter.Pull(bursts(g, &errs[i]))
+		defer stop()
+		next[i] = pull
 	}
-	defer func() {
-		for _, p := range pulls {
-			p.stop()
-		}
-	}()
 
-	order := make([]int, len(pulls))
+	order := make([]int, len(m.parts))
 	for i := range order {
 		order[i] = i
 	}
-	done := make([]bool, len(pulls))
-	alive := len(pulls)
-	var yerr error
-	for alive > 0 && yerr == nil {
+	done := make([]bool, len(m.parts))
+	for alive := len(m.parts); alive > 0; {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		for _, i := range order {
 			if done[i] {
 				continue
 			}
-			for k := 0; k < mixChunk; k++ {
-				a, ok := pulls[i].next()
-				if !ok {
-					done[i] = true
-					alive--
-					break
-				}
-				if yerr = yield(a); yerr != nil {
-					break
-				}
+			burst, ok := next[i]()
+			if !ok {
+				done[i] = true
+				alive--
+				continue
 			}
-			if yerr != nil {
-				break
+			for _, a := range burst {
+				if err := yield(a); err != nil {
+					return err
+				}
 			}
 		}
 	}
-
-	// Stop the producers and surface any generation error a part reported
-	// (the early-stop sentinel is already mapped to nil by the adapter).
-	for _, p := range pulls {
-		p.stop()
-	}
-	for _, p := range pulls {
-		if err := p.err(); err != nil && yerr == nil {
-			yerr = err
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
-	return yerr
+	return nil
 }
-
-// Generate implements Generator.
-func (m *Mix) Generate() []mem.Access { return Collect(m) }

@@ -152,9 +152,6 @@ func (g *EM3D) Emit(yield func(mem.Access) error) error {
 	return nil
 }
 
-// Generate implements Generator.
-func (g *EM3D) Generate() []mem.Access { return Collect(g) }
-
 // Moldyn models the molecular-dynamics kernel of Mukherjee et al.: molecules
 // are partitioned across processors; every iteration each processor updates
 // its molecules' positions and then walks its interaction list, reading the
@@ -300,9 +297,6 @@ func (m *Moldyn) Emit(yield func(mem.Access) error) error {
 	return nil
 }
 
-// Generate implements Generator.
-func (m *Moldyn) Generate() []mem.Access { return Collect(m) }
-
 // Ocean models the SPLASH-2 ocean current simulation: a 2D grid partitioned
 // into horizontal bands, one per processor. Each relaxation sweep a
 // processor updates its band and then reads the boundary rows of its
@@ -417,6 +411,3 @@ func (o *Ocean) Emit(yield func(mem.Access) error) error {
 	}
 	return nil
 }
-
-// Generate implements Generator.
-func (o *Ocean) Generate() []mem.Access { return Collect(o) }

@@ -17,7 +17,6 @@ package workload
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"tsm/internal/mem"
@@ -59,11 +58,6 @@ type Config struct {
 	Repeat float64
 	// Geometry supplies the block size.
 	Geometry mem.Geometry
-}
-
-// DefaultConfig returns a 16-node configuration at full scale.
-func DefaultConfig() Config {
-	return Config{Nodes: 16, Seed: 1, Scale: 1.0, Repeat: 1.0, Geometry: mem.DefaultGeometry()}
 }
 
 // normalize fills in zero fields with defaults.
@@ -143,13 +137,12 @@ func (p TimingProfile) Validate() error {
 
 // Generator produces the global interleaved access stream of one workload.
 //
-// Emit is the primary contract: it pushes the globally ordered stream one
+// Emit is the only way to generate: it pushes the globally ordered stream one
 // access at a time, holding only the generator's fixed problem state (graphs,
 // record groups, interaction lists) — never a buffer proportional to the
 // trace length — so arbitrarily long traces generate in constant memory.
-// Generate is the thin collect-adapter over Emit (see Collect) retained for
-// callers that want the materialized slice; both paths produce the exact same
-// sequence by construction.
+// Callers compose it directly with the coherence engine
+// (coherence.Engine.RunSource / RunFrom take gen.Emit as their source).
 type Generator interface {
 	// Name returns the workload name as used in the paper's figures.
 	Name() string
@@ -158,9 +151,6 @@ type Generator interface {
 	// Emit streams the globally ordered accesses to yield, one at a time.
 	// A non-nil error from yield aborts emission promptly and is returned.
 	Emit(yield func(mem.Access) error) error
-	// Generate produces the globally ordered access stream by collecting
-	// Emit into a slice.
-	Generate() []mem.Access
 	// Timing returns the workload's timing profile.
 	Timing() TimingProfile
 }
@@ -264,26 +254,6 @@ func ByName(name string) (Spec, bool) {
 		}
 	}
 	return Spec{}, false
-}
-
-// interleave merges per-node access slices into a single global order by
-// taking chunks from each node in round-robin fashion, approximating the
-// simultaneous progress of the nodes within a phase. chunk controls how many
-// consecutive accesses a node performs before the next node runs. It is the
-// materialized form of interleaveEmit (see emit.go), retained for tests and
-// differential checks; the generators stream through interleaveEmit directly.
-func interleave(perNode [][]mem.Access, chunk int, rng *rand.Rand) []mem.Access {
-	total := 0
-	for _, s := range perNode {
-		total += len(s)
-	}
-	out := make([]mem.Access, 0, total)
-	// The yield never fails, so neither does the merge.
-	_ = interleaveEmit(sliceCursors(perNode), chunk, rng, func(a mem.Access) error {
-		out = append(out, a)
-		return nil
-	})
-	return out
 }
 
 // blockAddr builds a block-aligned address within a named region. Regions

@@ -6,11 +6,58 @@ import (
 
 	"tsm/internal/coherence"
 	"tsm/internal/mem"
+	"tsm/internal/trace"
 )
 
 // testConfig is a small, fast configuration for unit tests.
 func testConfig() Config {
 	return Config{Nodes: 4, Seed: 7, Scale: 0.05, Geometry: mem.DefaultGeometry()}
+}
+
+// generate collects a generator's whole emission into a slice.
+func generate(g Generator) []mem.Access {
+	var out []mem.Access
+	if err := g.Emit(func(a mem.Access) error {
+		out = append(out, a)
+		return nil
+	}); err != nil {
+		panic(err) // the yield never fails, so neither does Emit
+	}
+	return out
+}
+
+// classify runs a generator through an infinite-cache coherence engine.
+func classify(t *testing.T, g Generator, cfg Config) *trace.Trace {
+	t.Helper()
+	eng := coherence.New(coherence.Config{Nodes: cfg.Nodes, Geometry: cfg.Geometry, PointersPerEntry: 2})
+	tr, err := eng.RunFrom(g.Emit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+// sliceCursors adapts materialized per-node slices to cursors.
+func sliceCursors(perNode [][]mem.Access) []cursor {
+	out := make([]cursor, len(perNode))
+	for i, s := range perNode {
+		pos := 0
+		out[i] = cursor{n: len(s), next: func() mem.Access {
+			pos++
+			return s[pos-1]
+		}}
+	}
+	return out
+}
+
+// interleaved collects interleaveEmit over materialized per-node slices.
+func interleaved(perNode [][]mem.Access, chunk int, rng *rand.Rand) []mem.Access {
+	var out []mem.Access
+	_ = interleaveEmit(sliceCursors(perNode), chunk, rng, func(a mem.Access) error {
+		out = append(out, a)
+		return nil
+	})
+	return out
 }
 
 func TestRegistryComplete(t *testing.T) {
@@ -101,7 +148,7 @@ func TestGeneratorsProduceValidAccesses(t *testing.T) {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
 			g := spec.New(cfg)
-			accesses := g.Generate()
+			accesses := generate(g)
 			if len(accesses) < 1000 {
 				t.Fatalf("%s generated only %d accesses", spec.Name, len(accesses))
 			}
@@ -127,8 +174,8 @@ func TestGeneratorsProduceValidAccesses(t *testing.T) {
 func TestGeneratorsDeterministic(t *testing.T) {
 	cfg := testConfig()
 	for _, spec := range Registry() {
-		a := spec.New(cfg).Generate()
-		b := spec.New(cfg).Generate()
+		a := generate(spec.New(cfg))
+		b := generate(spec.New(cfg))
 		if len(a) != len(b) {
 			t.Fatalf("%s: non-deterministic length %d vs %d", spec.Name, len(a), len(b))
 		}
@@ -145,11 +192,7 @@ func TestGeneratorsProduceConsumptions(t *testing.T) {
 	for _, spec := range Registry() {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
-			g := spec.New(cfg)
-			eng := coherence.New(coherence.Config{
-				Nodes: cfg.Nodes, Geometry: cfg.Geometry, PointersPerEntry: 2,
-			})
-			tr := eng.Run(g.Generate())
+			tr := classify(t, spec.New(cfg), cfg)
 			cons := tr.ConsumptionCount()
 			if cons < 500 {
 				t.Fatalf("%s produced only %d consumptions", spec.Name, cons)
@@ -169,7 +212,7 @@ func TestCommercialWorkloadsEmitSpins(t *testing.T) {
 	cfg := testConfig()
 	for _, name := range []string{"db2", "oracle", "apache", "zeus", "memkv"} {
 		spec, _ := ByName(name)
-		accesses := spec.New(cfg).Generate()
+		accesses := generate(spec.New(cfg))
 		spins := 0
 		for _, a := range accesses {
 			if a.Spin {
@@ -189,9 +232,7 @@ func TestScientificRepetitionAcrossIterations(t *testing.T) {
 	// overlap in sequence.
 	cfg := testConfig()
 	spec, _ := ByName("em3d")
-	g := spec.New(cfg)
-	eng := coherence.New(coherence.Config{Nodes: cfg.Nodes, Geometry: cfg.Geometry, PointersPerEntry: 2})
-	tr := eng.Run(g.Generate())
+	tr := classify(t, spec.New(cfg), cfg)
 	per := tr.NodeConsumptions(cfg.Nodes)[1]
 	if len(per) < 100 {
 		t.Skip("not enough consumptions to check repetition")
@@ -221,7 +262,7 @@ func TestPageRankDegeneratePartitions(t *testing.T) {
 	// partition 99 spans [6435, 6408): empty.
 	cfg := Config{Nodes: 100, Seed: 3, Scale: 0.267, Geometry: mem.DefaultGeometry()}
 	g := NewPageRank(cfg)
-	if got := len(g.Generate()); got == 0 {
+	if got := len(generate(g)); got == 0 {
 		t.Fatalf("degenerate partitioning generated %d accesses", got)
 	}
 }
@@ -248,7 +289,7 @@ func TestInterleaveCoversAllAccesses(t *testing.T) {
 			perNode[n][i] = mem.Access{Node: mem.NodeID(n), Addr: mem.Addr(i * 64)}
 		}
 	}
-	out := interleave(perNode, 4, rng)
+	out := interleaved(perNode, 4, rng)
 	if len(out) != 38 {
 		t.Fatalf("interleave dropped accesses: got %d, want 38", len(out))
 	}
@@ -261,7 +302,7 @@ func TestInterleaveCoversAllAccesses(t *testing.T) {
 		next[a.Node] = a.Addr
 	}
 	// Zero chunk defaults sanely.
-	if got := interleave(perNode, 0, nil); len(got) != 38 {
+	if got := interleaved(perNode, 0, nil); len(got) != 38 {
 		t.Fatal("interleave with zero chunk should still cover everything")
 	}
 }

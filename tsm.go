@@ -26,6 +26,7 @@ import (
 	"tsm/internal/coherence"
 	"tsm/internal/config"
 	"tsm/internal/experiments"
+	"tsm/internal/mem"
 	"tsm/internal/stream"
 	"tsm/internal/timing"
 	"tsm/internal/trace"
@@ -75,6 +76,9 @@ func (o Options) normalize() Options {
 func (o Options) Validate() error {
 	if o.Nodes < 0 {
 		return fmt.Errorf("tsm: Options.Nodes is negative (%d); use 0 for the default of 16", o.Nodes)
+	}
+	if o.Nodes > mem.MaxNodes {
+		return fmt.Errorf("tsm: Options.Nodes %d exceeds the %d-node maximum", o.Nodes, mem.MaxNodes)
 	}
 	if o.Scale < 0 {
 		return fmt.Errorf("tsm: Options.Scale is negative (%g); use 0 for the default of 1.0", o.Scale)
@@ -390,10 +394,28 @@ func CorrelationOpportunity(tr *Trace, opts Options) []float64 {
 	return out
 }
 
-// RunExperiment regenerates one of the paper's tables or figures (see
-// Experiments for the identifiers) and returns its rendered text.
-func RunExperiment(id string, opts Options) (string, error) {
+// experimentOptions converts facade options into a workspace's options.
+// Experiments fix their own run lengths and lookaheads, so a non-default
+// Repeat or Lookahead is an error rather than silently ignored.
+func experimentOptions(opts Options) (experiments.Options, error) {
 	opts, err := opts.checked()
+	if err != nil {
+		return experiments.Options{}, err
+	}
+	if opts.Repeat != 1 {
+		return experiments.Options{}, fmt.Errorf("tsm: experiments do not support Options.Repeat (%g); leave it 0 or 1", opts.Repeat)
+	}
+	if opts.Lookahead != 0 {
+		return experiments.Options{}, fmt.Errorf("tsm: experiments do not support Options.Lookahead (%d); leave it 0", opts.Lookahead)
+	}
+	return experiments.Options{Nodes: opts.Nodes, Scale: opts.Scale, Seed: opts.Seed}, nil
+}
+
+// RunExperiment regenerates one of the paper's tables or figures (see
+// Experiments for the identifiers) and returns its rendered text. Options
+// Repeat and Lookahead must be left at their defaults.
+func RunExperiment(id string, opts Options) (string, error) {
+	eopts, err := experimentOptions(opts)
 	if err != nil {
 		return "", err
 	}
@@ -401,8 +423,7 @@ func RunExperiment(id string, opts Options) (string, error) {
 	if !ok {
 		return "", fmt.Errorf("tsm: unknown experiment %q (known: %s)", id, strings.Join(Experiments(), ", "))
 	}
-	w := experiments.NewWorkspace(experiments.Options{Nodes: opts.Nodes, Scale: opts.Scale, Seed: opts.Seed})
-	tbl, err := exp.Run(w)
+	tbl, err := exp.Run(experiments.NewWorkspace(eopts))
 	if err != nil {
 		return "", err
 	}
@@ -414,8 +435,9 @@ func RunExperiment(id string, opts Options) (string, error) {
 // parallel and each workload's trace generated exactly once. The rendered
 // tables are returned in the order requested and are identical to running
 // each experiment serially. An empty ids slice selects every experiment.
+// Options Repeat and Lookahead must be left at their defaults.
 func RunExperiments(ids []string, opts Options) ([]string, error) {
-	opts, err := opts.checked()
+	eopts, err := experimentOptions(opts)
 	if err != nil {
 		return nil, err
 	}
@@ -431,8 +453,7 @@ func RunExperiments(ids []string, opts Options) ([]string, error) {
 			exps = append(exps, exp)
 		}
 	}
-	w := experiments.NewWorkspace(experiments.Options{Nodes: opts.Nodes, Scale: opts.Scale, Seed: opts.Seed})
-	tables, err := experiments.RunAll(w, exps)
+	tables, err := experiments.RunAll(experiments.NewWorkspace(eopts), exps)
 	if err != nil {
 		return nil, err
 	}

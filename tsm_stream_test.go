@@ -9,14 +9,12 @@ import (
 	"tsm/internal/stream"
 )
 
-// TestStreamedTraceFileBytesMatchMaterialized is the tentpole's byte-level
-// acceptance criterion: for EVERY registered workload (the ten-suite plus the
-// mix), encoding the trace through the fully streamed pipeline — generator
+// TestStreamedTraceFileBytesMatchMaterialized is the byte-level check of the
+// generation path: for EVERY registered workload (the ten-suite plus the
+// mixes), encoding the trace through the fully streamed pipeline — generator
 // Emit → coherence engine → codec, no intermediate slice anywhere — must
-// produce a .tsm byte stream identical to the materialized reference path
-// (Generate → Run → SaveTrace). This is the in-process form of the
-// `tracegen` vs `tracegen -materialize` byte-diff CI runs on a large
-// workload.
+// produce a .tsm byte stream identical to encoding the classified trace
+// GenerateTrace materializes (Emit → RunFrom → copy into a writer).
 func TestStreamedTraceFileBytesMatchMaterialized(t *testing.T) {
 	opts := Options{Nodes: 4, Scale: 0.03, Seed: 11}
 	for _, name := range AllWorkloads() {

@@ -1,10 +1,13 @@
 package tsm
 
 import (
+	"errors"
 	"math"
+	"os"
 	"strings"
 	"testing"
 
+	"tsm/internal/mem"
 	"tsm/internal/stream"
 )
 
@@ -44,6 +47,7 @@ func TestOptionsValidate(t *testing.T) {
 		want string
 	}{
 		{"negative nodes", Options{Nodes: -4}, "Nodes"},
+		{"too many nodes", Options{Nodes: mem.MaxNodes + 1}, "Nodes"},
 		{"negative scale", Options{Scale: -0.5}, "Scale"},
 		{"NaN scale", Options{Scale: math.NaN()}, "Scale"},
 		{"infinite scale", Options{Scale: math.Inf(1)}, "Scale"},
@@ -89,6 +93,90 @@ func TestOptionsValidationPropagates(t *testing.T) {
 	}
 	if _, err := RunExperiments([]string{"table1"}, bad); err == nil {
 		t.Error("RunExperiments should reject negative nodes")
+	}
+}
+
+// TestNodeLimit: node counts beyond mem.MaxNodes are an error at every
+// facade entry point, never a panic inside the coherence engine, and the
+// largest supported machine still generates.
+func TestNodeLimit(t *testing.T) {
+	over := Options{Nodes: 100, Scale: 0.05}
+	if _, _, err := GenerateTrace("em3d", over); err == nil {
+		t.Error("GenerateTrace accepted 100 nodes")
+	}
+	if _, _, err := StreamTrace("em3d", over, &stream.TraceSink{}); err == nil {
+		t.Error("StreamTrace accepted 100 nodes")
+	}
+	if _, err := RunExperiment("fig6", over); err == nil {
+		t.Error("RunExperiment accepted 100 nodes")
+	}
+	tr, _, err := GenerateTrace("em3d", Options{Nodes: mem.MaxNodes, Scale: 0.02})
+	if err != nil || tr.ConsumptionCount() == 0 {
+		t.Fatalf("%d-node em3d: %d consumptions, err %v", mem.MaxNodes, tr.ConsumptionCount(), err)
+	}
+}
+
+// TestTraceHeaderBeyondMaxNodesIsCorrupt: a trace file whose header claims
+// more nodes than the directory supports fails at open with ErrCorrupt on
+// every load and replay path, instead of panicking later in evaluation.
+func TestTraceHeaderBeyondMaxNodesIsCorrupt(t *testing.T) {
+	tr, gen, err := GenerateTrace("em3d", testOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := t.TempDir() + "/em3d.tsm"
+	if err := SaveTrace(path, tr, gen, testOpts()); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Header: magic (4), version (1), name length (1), "em3d" (4), nodes.
+	const nodesAt = 4 + 1 + 1 + len("em3d")
+	if data[nodesAt] != byte(testOpts().Nodes) {
+		t.Fatalf("node count byte = %d, want %d", data[nodesAt], testOpts().Nodes)
+	}
+	data[nodesAt] = 100
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := LoadTrace(path); !errors.Is(err, stream.ErrCorrupt) {
+		t.Errorf("LoadTrace err = %v, want ErrCorrupt", err)
+	}
+	for _, rc := range []ReplayConfig{{}, {DecodeWorkers: 2}, {Mmap: true}} {
+		if _, err := EvaluateTSEFileWith(path, rc, Instrumentation{}); !errors.Is(err, stream.ErrCorrupt) {
+			t.Errorf("EvaluateTSEFileWith(%+v) err = %v, want ErrCorrupt", rc, err)
+		}
+		if _, err := EvaluateAllFileWith(path, rc, Instrumentation{}); !errors.Is(err, stream.ErrCorrupt) {
+			t.Errorf("EvaluateAllFileWith(%+v) err = %v, want ErrCorrupt", rc, err)
+		}
+	}
+}
+
+// TestRunExperimentRejectsRepeatAndLookahead: experiments fix their own run
+// lengths and lookaheads, so the facade reports a non-default Repeat or
+// Lookahead by name instead of silently ignoring it. The defaults (0, and
+// Repeat 1) still run.
+func TestRunExperimentRejectsRepeatAndLookahead(t *testing.T) {
+	for _, c := range []struct {
+		opts Options
+		want string
+	}{
+		{Options{Nodes: 4, Scale: 0.05, Repeat: 2}, "Repeat"},
+		{Options{Nodes: 4, Scale: 0.05, Lookahead: 8}, "Lookahead"},
+	} {
+		if _, err := RunExperiment("table1", c.opts); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("RunExperiment(%+v) err = %v, want an error naming %s", c.opts, err, c.want)
+		}
+		if _, err := RunExperiments([]string{"table1"}, c.opts); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("RunExperiments(%+v) err = %v, want an error naming %s", c.opts, err, c.want)
+		}
+	}
+	for _, repeat := range []float64{0, 1} {
+		if _, err := RunExperiment("table1", Options{Nodes: 4, Scale: 0.05, Repeat: repeat}); err != nil {
+			t.Errorf("RunExperiment with Repeat %g: %v", repeat, err)
+		}
 	}
 }
 
