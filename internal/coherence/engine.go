@@ -1,7 +1,9 @@
 // Package coherence implements the functional cache-coherence engine that
 // converts raw workload accesses into the classified event stream the rest
-// of the repository consumes. It models, per node, an infinite private cache
-// and a full-map directory, so the only misses are cold misses and coherence
+// of the repository consumes. It models an infinite private cache per node
+// and a full-map directory. With nothing ever evicted, the directory is the
+// whole cache state: node n holds block b exactly when n is a sharer of b or
+// the owner of its dirty copy. The only misses are cold misses and coherence
 // misses — the misses the paper's trace-driven evaluation streams, which
 // dominate as caches grow. Every access is classified as a hit, a private
 // (cold) miss, a coherent read miss ("consumption"), or a write, and the
@@ -67,7 +69,8 @@ type Config struct {
 	Nodes int
 	// Geometry is the block geometry.
 	Geometry mem.Geometry
-	// PointersPerEntry is forwarded to the directory (CMOB pointers).
+	// PointersPerEntry is forwarded to the directory. Classification never
+	// records a CMOB pointer, so it ignores the value.
 	PointersPerEntry int
 }
 
@@ -78,15 +81,6 @@ func (c Config) Validate() error {
 	}
 	return c.Geometry.Validate()
 }
-
-// lineState is the state of a node's private copy of a block. A block
-// absent from the node's line map is not cached.
-type lineState uint8
-
-const (
-	shared lineState = iota + 1
-	modified
-)
 
 // Stats accumulates per-engine counters.
 type Stats struct {
@@ -100,11 +94,12 @@ type Stats struct {
 	Invalidations uint64
 }
 
-// Engine is the functional coherence engine.
+// Engine is the functional coherence engine. Its directory is its whole
+// state: each access makes one directory lookup, and the entry answers
+// whether the node's infinite cache holds the block.
 type Engine struct {
 	cfg   Config
 	dir   *directory.Directory
-	lines []map[mem.BlockAddr]lineState // per node: its cached blocks
 	stats Stats
 }
 
@@ -118,18 +113,11 @@ func New(cfg Config) *Engine {
 		Geometry:         cfg.Geometry,
 		PointersPerEntry: cfg.PointersPerEntry,
 	})
-	lines := make([]map[mem.BlockAddr]lineState, cfg.Nodes)
-	for i := range lines {
-		lines[i] = make(map[mem.BlockAddr]lineState)
-	}
-	return &Engine{cfg: cfg, dir: dir, lines: lines}
+	return &Engine{cfg: cfg, dir: dir}
 }
 
 // Config returns the engine configuration.
 func (e *Engine) Config() Config { return e.cfg }
-
-// Directory exposes the directory (the TSE records CMOB pointers in it).
-func (e *Engine) Directory() *directory.Directory { return e.dir }
 
 // Stats returns a copy of the counters.
 func (e *Engine) Stats() Stats { return e.stats }
@@ -139,12 +127,13 @@ type Result struct {
 	Class    Classification
 	Block    mem.BlockAddr
 	Producer mem.NodeID
-	// Invalidated lists nodes whose copies a write invalidated.
-	Invalidated []mem.NodeID
+	// Invalidated is the set of nodes whose copies a write invalidated.
+	Invalidated directory.SharerSet
 }
 
-// Access processes one access, updates the caches and directory, appends the
-// corresponding events to tr (if non-nil), and returns the classification.
+// Access processes one access, updates the directory (which is the caches'
+// state), appends the corresponding events to tr (if non-nil), and returns
+// the classification.
 func (e *Engine) Access(a mem.Access, tr *trace.Trace) Result {
 	if tr == nil {
 		return e.AccessEmit(a, nil)
@@ -162,26 +151,19 @@ func (e *Engine) AccessEmit(a mem.Access, emit func(trace.Event)) Result {
 	}
 	e.stats.Accesses++
 	b := e.cfg.Geometry.BlockOf(a.Addr)
-	lines := e.lines[a.Node]
+	ent := e.dir.Entry(b)
 	if a.Type == mem.Write || a.Type == mem.AtomicRMW {
-		return e.write(a, b, lines, emit)
+		return e.write(a, b, ent, emit)
 	}
-	return e.read(a, b, lines, emit)
+	return e.read(a, b, ent, emit)
 }
 
-func (e *Engine) read(a mem.Access, b mem.BlockAddr, lines map[mem.BlockAddr]lineState, emit func(trace.Event)) Result {
-	if _, ok := lines[b]; ok {
+func (e *Engine) read(a mem.Access, b mem.BlockAddr, ent *directory.Entry, emit func(trace.Event)) Result {
+	if ent.Holds(a.Node) {
 		e.stats.Hits++
 		return Result{Class: Hit, Block: b}
 	}
-	rd := e.dir.Read(a.Node, b)
-	// Fill the local copy; the previous owner (if any) downgrades.
-	if rd.Owner != mem.InvalidNode && rd.Owner != a.Node {
-		if owner := e.lines[rd.Owner]; owner[b] == modified {
-			owner[b] = shared
-		}
-	}
-	lines[b] = shared
+	rd := ent.Read(a.Node)
 	if !rd.Coherent {
 		e.stats.PrivateMisses++
 		if emit != nil {
@@ -200,28 +182,18 @@ func (e *Engine) read(a mem.Access, b mem.BlockAddr, lines map[mem.BlockAddr]lin
 	return Result{Class: Consumption, Block: b, Producer: rd.Producer}
 }
 
-func (e *Engine) write(a mem.Access, b mem.BlockAddr, lines map[mem.BlockAddr]lineState, emit func(trace.Event)) Result {
-	// A write hit requires a locally modified copy; a hit on a shared copy
-	// is an upgrade, which still visits the directory.
-	hadModified := false
-	if _, ok := lines[b]; ok {
-		entry := e.dir.Lookup(b)
-		hadModified = entry != nil && entry.State == directory.Modified && entry.Owner == a.Node
-	}
-	if hadModified {
-		lines[b] = modified
+func (e *Engine) write(a mem.Access, b mem.BlockAddr, ent *directory.Entry, emit func(trace.Event)) Result {
+	// A write hit requires the dirty copy; a write to a shared copy is an
+	// upgrade, which still goes through the directory.
+	if ent.State == directory.Modified && ent.Owner == a.Node {
 		e.stats.WriteHits++
 		if emit != nil {
 			emit(trace.Event{Kind: trace.KindWrite, Node: a.Node, Block: b, Producer: mem.InvalidNode})
 		}
 		return Result{Class: WriteHit, Block: b}
 	}
-	wr := e.dir.Write(a.Node, b)
-	for _, victim := range wr.Invalidated {
-		delete(e.lines[victim], b)
-	}
-	e.stats.Invalidations += uint64(len(wr.Invalidated))
-	lines[b] = modified
+	wr := ent.Write(a.Node)
+	e.stats.Invalidations += uint64(wr.Invalidated.Count())
 	e.stats.WriteMisses++
 	if emit != nil {
 		emit(trace.Event{Kind: trace.KindWrite, Node: a.Node, Block: b, Producer: mem.InvalidNode})

@@ -87,7 +87,7 @@ func TestWriteInvalidatesReaders(t *testing.T) {
 	e.Access(mem.Access{Node: 1, Addr: 0x2000, Type: mem.Read}, nil)
 	e.Access(mem.Access{Node: 2, Addr: 0x2000, Type: mem.Read}, nil)
 	r := e.Access(mem.Access{Node: 3, Addr: 0x2000, Type: mem.Write}, nil)
-	if r.Class != WriteMiss || len(r.Invalidated) != 3 {
+	if r.Class != WriteMiss || r.Invalidated.Count() != 3 {
 		t.Fatalf("write over shared = %+v, want 3 invalidations", r)
 	}
 	// Node 1's next read must again be a consumption (its copy is gone and
@@ -131,7 +131,7 @@ func TestAtomicRMWBehavesAsWrite(t *testing.T) {
 	if r.Class != WriteMiss {
 		t.Fatalf("rmw = %v, want WriteMiss", r.Class)
 	}
-	if len(r.Invalidated) == 0 {
+	if r.Invalidated.Count() == 0 {
 		t.Fatal("rmw should invalidate sharers")
 	}
 }

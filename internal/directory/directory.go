@@ -4,14 +4,19 @@
 // naming a node and an offset into that node's coherence miss order buffer
 // where the block's address was most recently appended.
 //
-// Blocks are home-distributed across nodes by block index; the Directory
-// type here models the aggregate of all per-node directory slices, which is
-// sufficient because the functional and timing models only need the home
-// node's identity to charge latency and traffic.
+// The Directory type models the aggregate of all per-node directory slices.
+// Its state is flat: one table of Entry values, reached from a block index
+// through a single map, and one slab of CMOB pointers with PointersPerEntry
+// slots per entry. The slab grows only when RecordCMOBPointer reaches an
+// entry, so a directory that never records a pointer (the coherence
+// engine's) pays nothing for it. Nothing is evicted: an entry, once
+// allocated, lives as long as the directory.
 package directory
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"tsm/internal/mem"
 )
@@ -60,14 +65,10 @@ type Entry struct {
 	Owner      mem.NodeID // valid when State == Modified
 	Sharers    SharerSet
 	LastWriter mem.NodeID // most recent writer ever (InvalidNode if none)
-	// CMOBPtrs holds the most recent CMOB pointers, newest first. Its
-	// length is bounded by the directory's PointersPerEntry.
-	CMOBPtrs []CMOBPointer
 }
 
-// SharerSet is a bitmap of nodes holding a shared copy. It supports up to
-// mem.MaxNodes (64) nodes, which covers the paper's 16-node system with room
-// to spare.
+// SharerSet is a bitmap of nodes. It supports up to mem.MaxNodes (64)
+// nodes, which covers the paper's 16-node system with room to spare.
 type SharerSet uint64
 
 // Add inserts a node into the set.
@@ -77,33 +78,16 @@ func (s *SharerSet) Add(n mem.NodeID) { *s |= 1 << uint(n) }
 func (s SharerSet) Contains(n mem.NodeID) bool { return s&(1<<uint(n)) != 0 }
 
 // Count returns the number of nodes in the set.
-func (s SharerSet) Count() int {
-	n := 0
-	for v := uint64(s); v != 0; v &= v - 1 {
-		n++
-	}
-	return n
-}
+func (s SharerSet) Count() int { return bits.OnesCount64(uint64(s)) }
 
 // Clear empties the set.
 func (s *SharerSet) Clear() { *s = 0 }
-
-// Nodes returns the members of the set in ascending order.
-func (s SharerSet) Nodes() []mem.NodeID {
-	var out []mem.NodeID
-	for i := 0; i < 64; i++ {
-		if s.Contains(mem.NodeID(i)) {
-			out = append(out, mem.NodeID(i))
-		}
-	}
-	return out
-}
 
 // Config parameterises the directory.
 type Config struct {
 	// Nodes is the number of nodes in the system.
 	Nodes int
-	// Geometry supplies the block size used to home blocks.
+	// Geometry supplies the block size used to index blocks.
 	Geometry mem.Geometry
 	// PointersPerEntry is the number of CMOB pointers stored per block.
 	// Basic temporal streaming needs one; the paper's TSE configuration
@@ -129,7 +113,12 @@ func (c Config) Validate() error {
 // Directory is the aggregate full-map directory.
 type Directory struct {
 	cfg     Config
-	entries map[uint64]*Entry // keyed by block index
+	index   map[uint64]int32 // block index -> position in entries
+	entries []Entry
+	// ptrs holds PointersPerEntry slots for each of the first
+	// len(ptrs)/PointersPerEntry entries, newest first; the valid pointers
+	// are a prefix of an entry's slots.
+	ptrs []CMOBPointer
 }
 
 // New builds an empty directory. It panics on an invalid configuration.
@@ -137,36 +126,32 @@ func New(cfg Config) *Directory {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &Directory{cfg: cfg, entries: make(map[uint64]*Entry)}
+	return &Directory{cfg: cfg, index: make(map[uint64]int32)}
 }
 
-// Config returns the directory configuration.
-func (d *Directory) Config() Config { return d.cfg }
-
-// HomeNode returns the node whose memory (and directory slice) owns the
-// block. Blocks are interleaved across nodes at block granularity.
-func (d *Directory) HomeNode(b mem.BlockAddr) mem.NodeID {
-	return mem.NodeID(d.cfg.Geometry.BlockIndex(mem.Addr(b)) % uint64(d.cfg.Nodes))
+// Entry returns the entry for a block, allocating an Uncached one on the
+// block's first reference. The pointer is valid until the next entry
+// allocation (Entry or RecordCMOBPointer on a block not yet referenced).
+func (d *Directory) Entry(b mem.BlockAddr) *Entry {
+	return &d.entries[d.slot(b)]
 }
 
-// Entries returns the number of blocks with directory state allocated.
-func (d *Directory) Entries() int { return len(d.entries) }
-
-// Lookup returns the entry for a block, or nil if the block has never been
-// referenced.
-func (d *Directory) Lookup(b mem.BlockAddr) *Entry {
-	return d.entries[d.cfg.Geometry.BlockIndex(mem.Addr(b))]
-}
-
-// entry returns the entry for a block, allocating it if needed.
-func (d *Directory) entry(b mem.BlockAddr) *Entry {
+// slot returns the block's position in entries, allocating it if needed.
+func (d *Directory) slot(b mem.BlockAddr) int {
 	idx := d.cfg.Geometry.BlockIndex(mem.Addr(b))
-	e, ok := d.entries[idx]
+	i, ok := d.index[idx]
 	if !ok {
-		e = &Entry{State: Uncached, Owner: mem.InvalidNode, LastWriter: mem.InvalidNode}
-		d.entries[idx] = e
+		i = int32(len(d.entries))
+		d.entries = append(d.entries, Entry{State: Uncached, Owner: mem.InvalidNode, LastWriter: mem.InvalidNode})
+		d.index[idx] = i
 	}
-	return e
+	return int(i)
+}
+
+// Holds reports whether node n's (infinite) private cache holds the block:
+// it is a sharer, or the owner of the dirty copy.
+func (e *Entry) Holds(n mem.NodeID) bool {
+	return e.Sharers.Contains(n) || (e.State == Modified && e.Owner == n)
 }
 
 // ReadResult describes the directory's response to a read request.
@@ -179,25 +164,14 @@ type ReadResult struct {
 	// Producer is the node that wrote the value being read
 	// (InvalidNode when the value comes from untouched memory).
 	Producer mem.NodeID
-	// Owner is the previous owner that must forward/downgrade its copy
-	// (InvalidNode when memory supplies the data).
-	Owner mem.NodeID
-	// CMOBPtrs is a copy of the CMOB pointers recorded for the block at
-	// request time (newest first).
-	CMOBPtrs []CMOBPointer
 }
 
 // Read processes a read request from a node that missed in its private
 // cache hierarchy and updates sharing state.
-func (d *Directory) Read(node mem.NodeID, b mem.BlockAddr) ReadResult {
-	e := d.entry(b)
-	res := ReadResult{Producer: e.LastWriter, Owner: mem.InvalidNode}
-	if len(e.CMOBPtrs) > 0 {
-		res.CMOBPtrs = append([]CMOBPointer(nil), e.CMOBPtrs...)
-	}
+func (e *Entry) Read(node mem.NodeID) ReadResult {
+	res := ReadResult{Producer: e.LastWriter}
 	switch e.State {
 	case Modified:
-		res.Owner = e.Owner
 		res.Coherent = e.Owner != node
 		// Owner's copy is downgraded to shared.
 		e.Sharers.Add(e.Owner)
@@ -218,8 +192,8 @@ func (d *Directory) Read(node mem.NodeID, b mem.BlockAddr) ReadResult {
 // WriteResult describes the directory's response to a write (or upgrade)
 // request.
 type WriteResult struct {
-	// Invalidated lists the nodes whose copies were invalidated.
-	Invalidated []mem.NodeID
+	// Invalidated is the set of nodes whose copies were invalidated.
+	Invalidated SharerSet
 	// PreviousOwner is the node whose dirty copy was taken (InvalidNode
 	// if none).
 	PreviousOwner mem.NodeID
@@ -230,25 +204,18 @@ type WriteResult struct {
 
 // Write processes a write request (including upgrades from Shared) and
 // updates sharing state.
-func (d *Directory) Write(node mem.NodeID, b mem.BlockAddr) WriteResult {
-	e := d.entry(b)
-	var res WriteResult
-	res.PreviousOwner = mem.InvalidNode
+func (e *Entry) Write(node mem.NodeID) WriteResult {
+	res := WriteResult{PreviousOwner: mem.InvalidNode}
 	switch e.State {
 	case Modified:
 		if e.Owner != node {
 			res.PreviousOwner = e.Owner
-			res.Invalidated = append(res.Invalidated, e.Owner)
-			res.Coherent = true
+			res.Invalidated.Add(e.Owner)
 		}
 	case Shared:
-		for _, s := range e.Sharers.Nodes() {
-			if s != node {
-				res.Invalidated = append(res.Invalidated, s)
-				res.Coherent = true
-			}
-		}
+		res.Invalidated = e.Sharers &^ (1 << uint(node))
 	}
+	res.Coherent = res.Invalidated != 0
 	e.Sharers.Clear()
 	e.State = Modified
 	e.Owner = node
@@ -260,53 +227,50 @@ func (d *Directory) Write(node mem.NodeID, b mem.BlockAddr) WriteResult {
 // PointersPerEntry pointers with the newest first. A newer pointer from the
 // same node replaces that node's older pointer rather than occupying an
 // extra slot, so the retained pointers come from distinct recent consumers.
+// It allocates the block's entry if needed and grows the pointer slab to
+// cover it; recording into an entry the slab already covers does not
+// allocate.
 func (d *Directory) RecordCMOBPointer(b mem.BlockAddr, ptr CMOBPointer) {
-	if d.cfg.PointersPerEntry == 0 {
+	p := d.cfg.PointersPerEntry
+	if p == 0 {
 		return
 	}
-	e := d.entry(b)
+	i := d.slot(b)
+	if need := (i + 1) * p; need > len(d.ptrs) {
+		// Slots past len were never written, so they are zero (invalid).
+		d.ptrs = slices.Grow(d.ptrs, need-len(d.ptrs))[:need]
+	}
+	slots := d.ptrs[i*p : (i+1)*p]
+	// Shift the pointers ahead of the first slot that is invalid, holds
+	// the same node, or is the last one (the oldest, which drops out).
+	j := 0
+	for j < p-1 && slots[j].Valid && slots[j].Node != ptr.Node {
+		j++
+	}
+	copy(slots[1:j+1], slots[:j])
 	ptr.Valid = true
-	// Drop any existing pointer from the same node.
-	kept := e.CMOBPtrs[:0]
-	for _, p := range e.CMOBPtrs {
-		if p.Node != ptr.Node {
-			kept = append(kept, p)
-		}
-	}
-	e.CMOBPtrs = append([]CMOBPointer{ptr}, kept...)
-	if len(e.CMOBPtrs) > d.cfg.PointersPerEntry {
-		e.CMOBPtrs = e.CMOBPtrs[:d.cfg.PointersPerEntry]
-	}
+	slots[0] = ptr
 }
 
-// CMOBPointers returns the stored CMOB pointers for a block, newest first.
+// CMOBPointers returns the stored CMOB pointers for a block, newest first
+// (nil when none were recorded). The slice aliases the directory's pointer
+// slab: it is valid only until the next RecordCMOBPointer, which shifts the
+// slots in place and may move the slab, so callers must not retain or
+// modify it. The TSE reads it before recording the consumption's own
+// pointer.
 func (d *Directory) CMOBPointers(b mem.BlockAddr) []CMOBPointer {
-	e := d.entries[d.cfg.Geometry.BlockIndex(mem.Addr(b))]
-	if e == nil {
+	p := d.cfg.PointersPerEntry
+	i, ok := d.index[d.cfg.Geometry.BlockIndex(mem.Addr(b))]
+	if !ok || (int(i)+1)*p > len(d.ptrs) {
 		return nil
 	}
-	return append([]CMOBPointer(nil), e.CMOBPtrs...)
-}
-
-// PointerStorageBits returns the directory storage overhead, in bits per
-// entry, of the CMOB pointer extension:
-// pointers × (log2(nodes) + log2(cmobEntries)), per Section 3.2.
-func (d *Directory) PointerStorageBits(cmobEntries int) int {
-	if cmobEntries <= 0 {
-		return 0
+	slots := d.ptrs[int(i)*p : (int(i)+1)*p]
+	n := 0
+	for n < p && slots[n].Valid {
+		n++
 	}
-	return d.cfg.PointersPerEntry * (ceilLog2(d.cfg.Nodes) + ceilLog2(cmobEntries))
-}
-
-func ceilLog2(n int) int {
-	bits := 0
-	for v := 1; v < n; v <<= 1 {
-		bits++
+	if n == 0 {
+		return nil
 	}
-	return bits
-}
-
-// Reset clears all directory state.
-func (d *Directory) Reset() {
-	d.entries = make(map[uint64]*Entry)
+	return slots[:n]
 }

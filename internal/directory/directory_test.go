@@ -1,6 +1,7 @@
 package directory
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -42,30 +43,9 @@ func TestSharerSet(t *testing.T) {
 	if s.Count() != 2 {
 		t.Fatalf("Count = %d, want 2", s.Count())
 	}
-	nodes := s.Nodes()
-	if len(nodes) != 2 || nodes[0] != 3 || nodes[1] != 7 {
-		t.Fatalf("Nodes = %v, want [3 7]", nodes)
-	}
 	s.Clear()
 	if s.Count() != 0 {
 		t.Fatal("Clear failed")
-	}
-}
-
-func TestHomeNodeInterleaving(t *testing.T) {
-	d := newDir(t)
-	seen := map[mem.NodeID]int{}
-	for i := 0; i < 64; i++ {
-		h := d.HomeNode(mem.BlockAddr(i * 64))
-		if h < 0 || int(h) >= 4 {
-			t.Fatalf("home node %d out of range", h)
-		}
-		seen[h]++
-	}
-	for n, count := range seen {
-		if count != 16 {
-			t.Fatalf("node %d homes %d blocks, want 16", n, count)
-		}
 	}
 }
 
@@ -73,30 +53,30 @@ func TestProducerConsumerReadIsCoherent(t *testing.T) {
 	d := newDir(t)
 	b := mem.BlockAddr(0x1000)
 	// Node 0 writes, node 1 reads: classic producer->consumer.
-	wr := d.Write(0, b)
+	wr := d.Entry(b).Write(0)
 	if wr.Coherent {
 		t.Fatal("first write to uncached block should not be coherent")
 	}
-	rd := d.Read(1, b)
+	rd := d.Entry(b).Read(1)
 	if !rd.Coherent {
 		t.Fatal("read of another node's dirty block must be coherent")
 	}
-	if rd.Producer != 0 || rd.Owner != 0 {
-		t.Fatalf("read result %+v, want producer/owner 0", rd)
+	if e := d.Entry(b); rd.Producer != 0 || !e.Holds(0) || e.State != Shared {
+		t.Fatalf("read result %+v, entry %+v: want producer 0, owner downgraded to a sharer", rd, *e)
 	}
 	// Re-read by the same node after it holds the block: not coherent.
-	rd = d.Read(1, b)
+	rd = d.Entry(b).Read(1)
 	if rd.Coherent {
 		t.Fatal("second read by the same sharer should not be coherent")
 	}
 	// Another node reads the now-shared block written by node 0: coherent
 	// (producer->consumer communication).
-	rd = d.Read(2, b)
+	rd = d.Entry(b).Read(2)
 	if !rd.Coherent || rd.Producer != 0 {
 		t.Fatalf("read by new sharer = %+v, want coherent with producer 0", rd)
 	}
 	// The producer reading its own data back is not a consumption.
-	rd = d.Read(0, b)
+	rd = d.Entry(b).Read(0)
 	if rd.Coherent {
 		t.Fatal("producer re-reading its own block should not be coherent")
 	}
@@ -105,23 +85,23 @@ func TestProducerConsumerReadIsCoherent(t *testing.T) {
 func TestWriteInvalidatesSharers(t *testing.T) {
 	d := newDir(t)
 	b := mem.BlockAddr(0x2000)
-	d.Write(0, b)
-	d.Read(1, b)
-	d.Read(2, b)
-	wr := d.Write(3, b)
+	d.Entry(b).Write(0)
+	d.Entry(b).Read(1)
+	d.Entry(b).Read(2)
+	wr := d.Entry(b).Write(3)
 	if !wr.Coherent {
 		t.Fatal("write to shared block must be coherent")
 	}
-	if len(wr.Invalidated) != 3 {
-		t.Fatalf("invalidated %v, want 3 nodes", wr.Invalidated)
+	if wr.Invalidated != 0b0111 {
+		t.Fatalf("invalidated %b, want nodes 0, 1 and 2", wr.Invalidated)
 	}
-	e := d.Lookup(b)
+	e := d.Entry(b)
 	if e.State != Modified || e.Owner != 3 || e.LastWriter != 3 {
 		t.Fatalf("entry after write = %+v", e)
 	}
 	// Writer writes again: silent, no invalidations.
-	wr = d.Write(3, b)
-	if wr.Coherent || len(wr.Invalidated) != 0 {
+	wr = d.Entry(b).Write(3)
+	if wr.Coherent || wr.Invalidated.Count() != 0 {
 		t.Fatalf("owner rewrite = %+v, want silent", wr)
 	}
 }
@@ -129,8 +109,8 @@ func TestWriteInvalidatesSharers(t *testing.T) {
 func TestWriteTakesDirtyCopy(t *testing.T) {
 	d := newDir(t)
 	b := mem.BlockAddr(0x3000)
-	d.Write(0, b)
-	wr := d.Write(1, b)
+	d.Entry(b).Write(0)
+	wr := d.Entry(b).Write(1)
 	if !wr.Coherent || wr.PreviousOwner != 0 {
 		t.Fatalf("write over dirty copy = %+v, want coherent with previous owner 0", wr)
 	}
@@ -160,22 +140,6 @@ func TestCMOBPointers(t *testing.T) {
 	if len(ptrs) != 2 || ptrs[0].Node != 3 || ptrs[1].Node != 1 {
 		t.Fatalf("pointers = %+v, want node3 then node1", ptrs)
 	}
-	// Read returns a copy of the pointers.
-	rd := d.Read(1, b)
-	if len(rd.CMOBPtrs) != 2 {
-		t.Fatalf("Read CMOBPtrs = %+v", rd.CMOBPtrs)
-	}
-}
-
-func TestPointerStorageBits(t *testing.T) {
-	d := New(Config{Nodes: 16, Geometry: mem.DefaultGeometry(), PointersPerEntry: 2})
-	// 2 * (log2(16) + log2(1M)) = 2 * (4 + 20) = 48 bits.
-	if got := d.PointerStorageBits(1 << 20); got != 48 {
-		t.Fatalf("PointerStorageBits = %d, want 48", got)
-	}
-	if d.PointerStorageBits(0) != 0 {
-		t.Fatal("zero CMOB entries should have zero overhead")
-	}
 }
 
 func TestZeroPointerConfig(t *testing.T) {
@@ -197,11 +161,11 @@ func TestDirectoryInvariants(t *testing.T) {
 			node := mem.NodeID(op % 4)
 			block := mem.BlockAddr(uint64(op%32) * 64)
 			if op&0x8000 != 0 {
-				d.Write(node, block)
+				d.Entry(block).Write(node)
 			} else {
-				d.Read(node, block)
+				d.Entry(block).Read(node)
 			}
-			e := d.Lookup(block)
+			e := d.Entry(block)
 			switch e.State {
 			case Modified:
 				if e.Owner == mem.InvalidNode {
@@ -229,14 +193,132 @@ func TestStateString(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
+// TestHolds: a node holds a block when it is a sharer or the owner of the
+// dirty copy, and a write leaves only the writer holding it.
+func TestHolds(t *testing.T) {
 	d := newDir(t)
-	d.Write(0, 0x40)
-	if d.Entries() != 1 {
-		t.Fatalf("Entries = %d, want 1", d.Entries())
+	e := d.Entry(0x6000)
+	if e.Holds(0) {
+		t.Fatal("uncached block held")
 	}
-	d.Reset()
-	if d.Entries() != 0 {
-		t.Fatal("Reset should clear entries")
+	e.Write(0)
+	if !e.Holds(0) || e.Holds(1) {
+		t.Fatalf("after write by 0: %+v", *e)
+	}
+	e.Read(1)
+	if !e.Holds(0) || !e.Holds(1) || e.Holds(2) {
+		t.Fatalf("after read by 1: %+v", *e)
+	}
+	e.Write(2)
+	if e.Holds(0) || e.Holds(1) || !e.Holds(2) {
+		t.Fatalf("after write by 2: %+v", *e)
+	}
+}
+
+// refPointers is the naive pointer policy RecordCMOBPointer implements in
+// place: prepend the new pointer, drop the same node's older pointer, and
+// truncate to the per-entry limit.
+func refPointers(old []CMOBPointer, ptr CMOBPointer, limit int) []CMOBPointer {
+	ptr.Valid = true
+	out := []CMOBPointer{ptr}
+	for _, p := range old {
+		if p.Node != ptr.Node {
+			out = append(out, p)
+		}
+	}
+	if len(out) > limit {
+		out = out[:limit]
+	}
+	return out
+}
+
+// TestCMOBPointersMatchReference checks the in-place pointer slab against
+// refPointers over random record sequences, interleaved with reads and
+// writes that allocate entries holding no pointers.
+func TestCMOBPointersMatchReference(t *testing.T) {
+	const blocks, nodes = 12, 6
+	for limit := 0; limit <= 4; limit++ {
+		rng := rand.New(rand.NewSource(int64(limit) + 1))
+		d := New(Config{Nodes: nodes, Geometry: mem.DefaultGeometry(), PointersPerEntry: limit})
+		ref := map[mem.BlockAddr][]CMOBPointer{}
+		for step := 0; step < 4000; step++ {
+			b := mem.BlockAddr(rng.Intn(blocks) * 64)
+			node := mem.NodeID(rng.Intn(nodes))
+			switch rng.Intn(4) {
+			case 0:
+				d.Entry(b).Read(node)
+			case 1:
+				d.Entry(b).Write(node)
+			default:
+				ptr := CMOBPointer{Node: node, Offset: uint64(step)}
+				d.RecordCMOBPointer(b, ptr)
+				if limit > 0 {
+					ref[b] = refPointers(ref[b], ptr, limit)
+				}
+			}
+			for i := 0; i < blocks; i++ {
+				blk := mem.BlockAddr(i * 64)
+				got, want := d.CMOBPointers(blk), ref[blk]
+				if len(got) != len(want) {
+					t.Fatalf("limit %d step %d block %#x: pointers %+v, want %+v", limit, step, blk, got, want)
+				}
+				for k := range want {
+					if got[k] != want[k] {
+						t.Fatalf("limit %d step %d block %#x: pointers %+v, want %+v", limit, step, blk, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestEntryWithoutPointers: entries that only reads and writes allocate hold
+// no pointers and grow no pointer slab.
+func TestEntryWithoutPointers(t *testing.T) {
+	d := newDir(t)
+	for i := 0; i < 100; i++ {
+		b := mem.BlockAddr(i * 64)
+		d.Entry(b).Write(mem.NodeID(i % 4))
+		d.Entry(b).Read(mem.NodeID((i + 1) % 4))
+		if ptrs := d.CMOBPointers(b); len(ptrs) != 0 {
+			t.Fatalf("block %#x: pointers %+v, want none", b, ptrs)
+		}
+	}
+	if len(d.ptrs) != 0 {
+		t.Fatalf("pointer slab has %d slots, want 0", len(d.ptrs))
+	}
+	// Recording on the last entry grows the slab to cover it; the earlier
+	// entries still hold no pointers.
+	last := mem.BlockAddr(99 * 64)
+	d.RecordCMOBPointer(last, CMOBPointer{Node: 1, Offset: 5})
+	if ptrs := d.CMOBPointers(last); len(ptrs) != 1 || ptrs[0].Node != 1 || ptrs[0].Offset != 5 {
+		t.Fatalf("pointers after record = %+v", ptrs)
+	}
+	if ptrs := d.CMOBPointers(0); len(ptrs) != 0 {
+		t.Fatalf("block 0: pointers %+v, want none", ptrs)
+	}
+}
+
+// TestDirectoryDoesNotAllocate: once a block's entry exists and the slab
+// covers it, reads, writes, recording and returning its pointers allocate
+// nothing.
+func TestDirectoryDoesNotAllocate(t *testing.T) {
+	d := newDir(t)
+	b := mem.BlockAddr(0x7000)
+	d.RecordCMOBPointer(b, CMOBPointer{Node: 0, Offset: 1})
+	var off uint64
+	allocs := testing.AllocsPerRun(100, func() {
+		off++
+		d.RecordCMOBPointer(b, CMOBPointer{Node: mem.NodeID(off % 4), Offset: off})
+		if len(d.CMOBPointers(b)) != 2 {
+			t.Fatal("want two pointers")
+		}
+		e := d.Entry(b)
+		e.Write(mem.NodeID(off % 4))
+		e.Read(mem.NodeID((off + 1) % 4))
+		e.Read(mem.NodeID((off + 2) % 4))
+	})
+	if allocs != 0 {
+		t.Fatalf("allocs per run = %v, want 0", allocs)
 	}
 }
