@@ -42,6 +42,9 @@
 // workload's trace is generated exactly once); -serial restores the
 // one-at-a-time path.
 //
+// -nodes must lie in [1, 64] and -scale must be finite and non-negative (0
+// selects the default of 1); other values exit 2 before any work.
+//
 // Observability (all opt-in, stdout reports stay byte-identical):
 //
 //	-metrics out.json  dump the engine's metrics registry — events/chunks
@@ -62,8 +65,8 @@
 //	                   settings, per-stage wall times and (with -metrics) the
 //	                   final metrics snapshot — as JSON
 //	-pprof addr        serve net/http/pprof on addr for the duration of the
-//	                   run, plus GET /metrics for a live registry snapshot
-//	                   (add ?format=prom for Prometheus text exposition)
+//	                   run, plus GET /metrics for a live JSON registry
+//	                   snapshot
 //
 // The output of each experiment is a plain-text table whose rows mirror the
 // corresponding table or figure in the paper; the golden tables in
@@ -74,6 +77,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 	"time"
@@ -123,6 +127,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *nodes < 1 || *nodes > mem.MaxNodes {
 		fmt.Fprintf(stderr, "tsesim: -nodes %d outside [1, %d]\n", *nodes, mem.MaxNodes)
+		return 2
+	}
+	if *scale < 0 || math.IsNaN(*scale) || math.IsInf(*scale, 0) {
+		fmt.Fprintf(stderr, "tsesim: -scale %v must be finite and non-negative\n", *scale)
 		return 2
 	}
 

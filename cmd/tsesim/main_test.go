@@ -93,6 +93,39 @@ func TestRunNodeLimit(t *testing.T) {
 	}
 }
 
+// TestRunScaleLimit: -scale must be finite and non-negative. A negative,
+// NaN or infinite scale exits 2 before any work instead of silently running
+// at the default (or a degenerate) footprint; 0 selects the default of 1.
+func TestRunScaleLimit(t *testing.T) {
+	metrics := filepath.Join(t.TempDir(), "m.json")
+	for _, s := range []string{"-1", "NaN", "Inf", "-Inf"} {
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"-experiment", "fig6", "-workloads", "em3d", "-scale", s, "-metrics", metrics, "-quiet"}, &stdout, &stderr); code != 2 {
+			t.Errorf("-scale %s exited %d, want 2\nstderr:\n%s", s, code, &stderr)
+		}
+		if !strings.Contains(stderr.String(), "tsesim: -scale") {
+			t.Errorf("-scale %s: stderr lacks the flag error:\n%s", s, &stderr)
+		}
+		if stdout.Len() > 0 {
+			t.Errorf("-scale %s: printed a report:\n%s", s, &stdout)
+		}
+		if _, err := os.Stat(metrics); !os.IsNotExist(err) {
+			t.Errorf("-scale %s: metrics file exists after the usage error (stat err %v)", s, err)
+		}
+	}
+	// Table 2 reports the trace length, so it shows which scale ran.
+	var zero, one, stderr bytes.Buffer
+	if code := run([]string{"-experiment", "table2", "-workloads", "em3d", "-scale", "0", "-quiet"}, &zero, &stderr); code != 0 {
+		t.Fatalf("-scale 0 exited %d, want 0\nstderr:\n%s", code, &stderr)
+	}
+	if code := run([]string{"-experiment", "table2", "-workloads", "em3d", "-quiet"}, &one, &stderr); code != 0 {
+		t.Fatalf("default -scale exited %d, want 0\nstderr:\n%s", code, &stderr)
+	}
+	if zero.String() != one.String() {
+		t.Errorf("-scale 0 output differs from the default scale:\n%s\nvs\n%s", &zero, &one)
+	}
+}
+
 // TestRunCorruptNodeHeader: a trace whose header claims more nodes than the
 // directory supports fails at open on the in-memory and streamed paths —
 // exit 1 with a corrupt-trace error, never a panic.

@@ -1,14 +1,13 @@
 package obs
 
 // Atomic JSON artifact writes. The metrics/trace/series/manifest files are
-// consumed by CI gates and the weekly cron's artifact diffing, where a
-// half-written file is worse than a missing one: jq parses it, obsdiff
-// compares garbage, and the regression signal silently disappears. Every
-// writer in this package (and the facade's manifest writer) therefore goes
-// through WriteFileAtomic: the content lands in a temp file in the target
-// directory and is renamed over the destination only once fully written, so
-// a killed run leaves either the previous file or the complete new one —
-// never truncated JSON.
+// consumed by CI's jq checks and the weekly cron's artifact checks, where a
+// half-written file is worse than a missing one: a check reads garbage and
+// the signal silently disappears. Every writer in this package (and the
+// facade's manifest writer) therefore goes through WriteFileAtomic: the
+// content lands in a temp file in the target directory and is renamed over
+// the destination only once fully written, so a killed run leaves either the
+// previous file or the complete new one — never truncated JSON.
 
 import (
 	"fmt"

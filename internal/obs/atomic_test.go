@@ -38,7 +38,7 @@ func TestWriteFileAtomic(t *testing.T) {
 // TestWriteFileAtomicCrash simulates a writer dying mid-write (the write
 // callback fails after producing partial output): the previous file must
 // survive untouched and the partial temp file must be cleaned up — the
-// property CI's jq/obsdiff gates rely on.
+// property CI's jq checks rely on.
 func TestWriteFileAtomicCrash(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "metrics.json")

@@ -14,9 +14,7 @@ import (
 
 // ServeDebug listens on addr and serves the standard pprof handlers under
 // /debug/pprof/ plus GET /metrics returning a JSON snapshot of reg (an empty
-// snapshot when reg is nil); /metrics?format=prom returns the same state in
-// the Prometheus text exposition format 0.0.4 instead, so a stock Prometheus
-// can scrape a long run directly. The listen happens synchronously — a bad
+// snapshot when reg is nil). The listen happens synchronously — a bad
 // address fails here, not in a background goroutine — and the returned
 // shutdown function stops the server. bound is the actual listen address
 // (useful with ":0").
@@ -32,11 +30,6 @@ func ServeDebug(addr string, reg *Registry) (bound string, shutdown func(), err 
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Query().Get("format") == "prom" {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			reg.WriteProm(w)
-			return
-		}
 		w.Header().Set("Content-Type", "application/json")
 		reg.WriteJSON(w)
 	})

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -49,39 +48,6 @@ func TestServeDebug(t *testing.T) {
 	}
 }
 
-// TestServeDebugProm: /metrics?format=prom serves the Prometheus text
-// exposition with the 0.0.4 content type.
-func TestServeDebugProm(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("pipeline.events_decoded").Add(7)
-	r.Counter("pipeline.consumer.LA=8.events").Add(3)
-	addr, shutdown, err := ServeDebug("127.0.0.1:0", r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer shutdown()
-
-	resp, err := http.Get("http://" + addr + "/metrics?format=prom")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/metrics?format=prom status %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "text/plain; version=0.0.4; charset=utf-8" {
-		t.Fatalf("content type = %q", ct)
-	}
-	out := string(body)
-	if !strings.Contains(out, "tsm_pipeline_events_decoded 7\n") {
-		t.Fatalf("exposition missing counter:\n%s", out)
-	}
-	if !strings.Contains(out, `tsm_pipeline_consumer_events{consumer="LA=8"} 3`) {
-		t.Fatalf("exposition missing labelled series:\n%s", out)
-	}
-}
-
 // TestServeDebugBadAddr: a bad listen address fails synchronously.
 func TestServeDebugBadAddr(t *testing.T) {
 	if _, _, err := ServeDebug("256.256.256.256:99999", nil); err == nil {
@@ -89,9 +55,9 @@ func TestServeDebugBadAddr(t *testing.T) {
 	}
 }
 
-// TestServeDebugConcurrent hammers both /metrics formats while writer
-// goroutines update the registry — the snapshot path must be race-free
-// (meaningful under -race) and every response must parse.
+// TestServeDebugConcurrent hammers /metrics while writer goroutines update
+// the registry — the snapshot path must be race-free (meaningful under
+// -race) and every response must parse.
 func TestServeDebugConcurrent(t *testing.T) {
 	r := NewRegistry()
 	addr, shutdown, err := ServeDebug("127.0.0.1:0", r)
@@ -115,11 +81,7 @@ func TestServeDebugConcurrent(t *testing.T) {
 		}(w)
 	}
 	for i := 0; i < 25; i++ {
-		url := "http://" + addr + "/metrics"
-		if i%2 == 1 {
-			url += "?format=prom"
-		}
-		resp, err := http.Get(url)
+		resp, err := http.Get("http://" + addr + "/metrics")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,13 +90,9 @@ func TestServeDebugConcurrent(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("request %d status %d", i, resp.StatusCode)
 		}
-		if i%2 == 0 {
-			var snap Snapshot
-			if err := json.Unmarshal(body, &snap); err != nil {
-				t.Fatalf("request %d: invalid JSON under load: %v", i, err)
-			}
-		} else if !strings.Contains(string(body), "# TYPE") {
-			t.Fatalf("request %d: prom exposition empty under load:\n%s", i, body)
+		var snap Snapshot
+		if err := json.Unmarshal(body, &snap); err != nil {
+			t.Fatalf("request %d: invalid JSON under load: %v", i, err)
 		}
 	}
 	stop.Store(true)
@@ -160,7 +118,7 @@ func TestServeDebugShutdownInFlight(t *testing.T) {
 			defer wg.Done()
 			<-start
 			for i := 0; i < 20; i++ {
-				resp, err := http.Get("http://" + addr + "/metrics?format=prom")
+				resp, err := http.Get("http://" + addr + "/metrics")
 				if err != nil {
 					return // connection refused/reset after close: fine
 				}

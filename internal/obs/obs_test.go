@@ -309,7 +309,7 @@ func TestNopAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkNop is the CI-visible form of TestNopAllocs: the disabled
+// BenchmarkNop is the benchmark form of TestNopAllocs: the disabled
 // instrumentation path at 0 B/op, 0 allocs/op.
 func BenchmarkNop(b *testing.B) {
 	b.ReportAllocs()

@@ -6,9 +6,9 @@ package pipeline
 // distributions, and one trace span per stage
 // (the decode pass, each decoded chunk, every consumer). With both nil
 // (the default) the engine builds no engineObs at all and every hook below
-// is a nil-receiver no-op: the un-instrumented path costs a pointer check,
-// allocates nothing, and BenchmarkSweep/BenchmarkFileReplay numbers are
-// unchanged (pinned by obs.TestNopAllocs and TestObsDisabledAllocs).
+// is a nil-receiver no-op: the un-instrumented path costs a pointer check
+// and allocates nothing (pinned by obs.TestNopAllocs and
+// TestObsDisabledAllocs).
 //
 // Metric names (all under the "pipeline." prefix; <label> is the consumer's
 // Config.ConsumerNames entry, or its index):

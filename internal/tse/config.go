@@ -58,14 +58,6 @@ type Config struct {
 	// FIFOCapacity is the number of addresses buffered per FIFO before
 	// a refill is requested. Zero selects 2×Lookahead.
 	FIFOCapacity int
-	// StreamOnSingle controls behaviour when only a single recent stream
-	// is available for a head: if true (the default model) the engine
-	// streams it without waiting for agreement; if false it stalls until
-	// a second occurrence confirms the stream. This is an ablation knob.
-	StreamOnSingle bool
-	// SVBFIFOReplacement selects FIFO instead of LRU replacement for the
-	// SVB (ablation knob; the paper uses LRU).
-	SVBFIFOReplacement bool
 }
 
 // DefaultConfig returns the paper's chosen TSE configuration for a 16-node
@@ -79,7 +71,6 @@ func DefaultConfig() Config {
 		StreamQueues:    8,
 		ComparedStreams: 2,
 		Lookahead:       8,
-		StreamOnSingle:  true,
 	}
 }
 

@@ -64,7 +64,6 @@ func NewEngine(node mem.NodeID, cfg Config, read CMOBReader) *Engine {
 		read:          read,
 		streamLengths: stats.NewHistogram(),
 	}
-	e.svb.SetFIFOReplacement(cfg.SVBFIFOReplacement)
 	return e
 }
 
@@ -201,10 +200,6 @@ func (e *Engine) allocate(head mem.BlockAddr, ptrs []directory.CMOBPointer) {
 		})
 	}
 	if len(fifos) == 0 {
-		return
-	}
-	if len(fifos) == 1 && !e.cfg.StreamOnSingle && e.cfg.ComparedStreams > 1 {
-		// Ablation: demand a second confirming stream before fetching.
 		return
 	}
 	q := e.acquireQueue()

@@ -17,7 +17,6 @@ func testConfig() Config {
 		StreamQueues:    4,
 		ComparedStreams: 2,
 		Lookahead:       4,
-		StreamOnSingle:  true,
 	}
 }
 
@@ -185,19 +184,6 @@ func TestEngineSingleStreamNoComparisonFetchesImmediately(t *testing.T) {
 	e.Consumption(order[0], []directory.CMOBPointer{ptr(1, 0)})
 	if e.SVB().Len() != 4 {
 		t.Fatalf("single-stream engine should fetch lookahead blocks, SVB=%d", e.SVB().Len())
-	}
-}
-
-func TestEngineStreamOnSingleAblation(t *testing.T) {
-	cfg := testConfig()
-	cfg.StreamOnSingle = false
-	order := blocks(1, 2, 3, 4, 5)
-	e := NewEngine(0, cfg, staticReader(map[mem.NodeID][]mem.BlockAddr{1: order}))
-	// Only one pointer available but two compared streams requested: the
-	// conservative variant refuses to stream.
-	e.Consumption(order[0], []directory.CMOBPointer{ptr(1, 0)})
-	if e.SVB().Len() != 0 {
-		t.Fatal("StreamOnSingle=false should not fetch from a lone stream")
 	}
 }
 

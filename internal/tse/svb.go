@@ -32,10 +32,9 @@ type SVBStats struct {
 
 // svbEntry is one streamed block held by the SVB.
 type svbEntry struct {
-	block   mem.BlockAddr
-	queue   int // id of the stream queue that streamed it (-1 if unknown)
-	lru     uint64
-	fifoSeq uint64 // insertion order, for FIFO replacement ablation
+	block mem.BlockAddr
+	queue int // id of the stream queue that streamed it (-1 if unknown)
+	lru   uint64
 }
 
 // SVB is the Streamed Value Buffer: a small fully-associative buffer holding
@@ -44,10 +43,8 @@ type svbEntry struct {
 // replaced with an LRU policy.
 type SVB struct {
 	capacity int // 0 = unlimited
-	fifoRepl bool
 	entries  map[mem.BlockAddr]*svbEntry
 	clock    uint64
-	seq      uint64
 	stats    SVBStats
 	// onDiscard, if non-nil, is invoked whenever a block leaves the SVB
 	// without having been hit.
@@ -58,9 +55,6 @@ type SVB struct {
 func NewSVB(capacity int) *SVB {
 	return &SVB{capacity: capacity, entries: make(map[mem.BlockAddr]*svbEntry)}
 }
-
-// SetFIFOReplacement switches the replacement policy to FIFO (ablation).
-func (s *SVB) SetFIFOReplacement(on bool) { s.fifoRepl = on }
 
 // SetDiscardHandler registers a callback invoked on every discard.
 func (s *SVB) SetDiscardHandler(fn func(b mem.BlockAddr, reason DiscardReason)) {
@@ -99,11 +93,9 @@ func (s *SVB) discard(e *svbEntry, reason DiscardReason) {
 
 // Insert places a streamed block into the SVB, associated with the stream
 // queue that streamed it. If the block is already present the entry is
-// refreshed. If the SVB is full the victim (LRU or FIFO per configuration)
-// is discarded.
+// refreshed. If the SVB is full the least recently used entry is discarded.
 func (s *SVB) Insert(b mem.BlockAddr, queue int) {
 	s.clock++
-	s.seq++
 	if e, ok := s.entries[b]; ok {
 		e.queue = queue
 		e.lru = s.clock
@@ -112,22 +104,14 @@ func (s *SVB) Insert(b mem.BlockAddr, queue int) {
 	if s.capacity > 0 && len(s.entries) >= s.capacity {
 		s.evictOne()
 	}
-	s.entries[b] = &svbEntry{block: b, queue: queue, lru: s.clock, fifoSeq: s.seq}
+	s.entries[b] = &svbEntry{block: b, queue: queue, lru: s.clock}
 	s.stats.Inserted++
 }
 
 func (s *SVB) evictOne() {
 	var victim *svbEntry
 	for _, e := range s.entries {
-		if victim == nil {
-			victim = e
-			continue
-		}
-		if s.fifoRepl {
-			if e.fifoSeq < victim.fifoSeq {
-				victim = e
-			}
-		} else if e.lru < victim.lru {
+		if victim == nil || e.lru < victim.lru {
 			victim = e
 		}
 	}

@@ -55,21 +55,6 @@ func TestSVBLRUEviction(t *testing.T) {
 	}
 }
 
-func TestSVBFIFOReplacement(t *testing.T) {
-	s := NewSVB(2)
-	s.SetFIFOReplacement(true)
-	s.Insert(64, 0)
-	s.Insert(128, 0)
-	s.Insert(64, 0) // refresh recency, but FIFO ignores recency
-	s.Insert(192, 0)
-	if s.Contains(64) {
-		t.Fatal("FIFO replacement should evict the oldest insertion (64)")
-	}
-	if !s.Contains(128) || !s.Contains(192) {
-		t.Fatal("FIFO survivors wrong")
-	}
-}
-
 func TestSVBInvalidate(t *testing.T) {
 	s := NewSVB(4)
 	s.Insert(64, 3)

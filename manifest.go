@@ -6,8 +6,7 @@ package tsm
 // not path), which codec version, which replay and TSE settings, which tool
 // version — so the facade can emit exactly that alongside the results. The
 // record's SHAPE is deterministic (fixed field order, sorted metric names);
-// wall times naturally vary run to run and are diffed with generous
-// thresholds (or ignored) by cmd/obsdiff.
+// wall times naturally vary run to run.
 
 import (
 	"crypto/sha256"
