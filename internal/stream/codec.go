@@ -8,7 +8,8 @@
 //	          version 1 streams decode with Repeat 0, i.e. the default)
 //	chunks  repeated: event count n (uvarint, n > 0), then n events:
 //	          kind (1 byte)
-//	          node (uvarint)
+//	          node (uvarint; below the header's node count, or below
+//	            mem.MaxNodes when that is 0 — else ErrCorrupt)
 //	          block delta (zigzag varint, relative to the previous event's
 //	            block within the chunk; the first event of a chunk is
 //	            relative to zero, so chunks decode independently)
@@ -118,6 +119,15 @@ type Meta struct {
 	Repeat float64
 }
 
+// nodeLimit is one past the largest node id an event may carry: the header's
+// node count, or mem.MaxNodes when the trace records none.
+func (m Meta) nodeLimit() uint64 {
+	if m.Nodes == 0 {
+		return mem.MaxNodes
+	}
+	return uint64(m.Nodes)
+}
+
 // check reports the first field a header parser rejects. It is the one rule
 // for both ends of the format: NewWriterVersion refuses such metadata and
 // parseHeader reports it as ErrCorrupt. Nodes may be 0 (a trace that did
@@ -164,6 +174,7 @@ type Writer struct {
 	scratch []byte
 	count   uint64
 	perCh   int
+	nodes   uint64 // Meta.nodeLimit: events must come from a node below it
 	version byte
 	off     int64      // bytes emitted so far (header + flushed chunks)
 	index   []ChunkRef // offset/count per flushed chunk (version ≥ 3)
@@ -193,7 +204,7 @@ func NewWriterVersion(w io.Writer, meta Meta, version byte) (*Writer, error) {
 	if _, err := bw.Write(hdr); err != nil {
 		return nil, fmt.Errorf("stream: writing header: %w", err)
 	}
-	return &Writer{w: bw, perCh: DefaultChunkEvents, version: version, off: int64(len(hdr))}, nil
+	return &Writer{w: bw, perCh: DefaultChunkEvents, nodes: meta.nodeLimit(), version: version, off: int64(len(hdr))}, nil
 }
 
 // appendHeader appends the magic, version byte and metadata block.
@@ -223,6 +234,9 @@ func (w *Writer) Write(e trace.Event) error {
 	if w.closed {
 		w.err = errors.New("stream: write after Close")
 		return w.err
+	}
+	if uint64(e.Node) >= w.nodes {
+		return fmt.Errorf("stream: event %d from node %d outside [0,%d)", w.count, e.Node, w.nodes)
 	}
 	w.chunk = append(w.chunk, e)
 	if len(w.chunk) >= w.perCh {
@@ -499,7 +513,7 @@ func (r *Reader) readChunk() error {
 	}
 	r.chunk.Reset()
 	r.pos = 0
-	if err := appendChunkColumns(r.r, n, r.next, &r.chunk); err != nil {
+	if err := appendChunkColumns(r.r, n, r.next, r.meta.nodeLimit(), &r.chunk); err != nil {
 		r.chunk.Reset() // hand out no rows of a chunk that failed to decode
 		return err
 	}
@@ -579,8 +593,9 @@ func (r *Reader) verifyFooter() error {
 // dst with sequence numbers startSeq, startSeq+1, ... It is the serial
 // Reader's decoder: a streamed chunk carries no byte length, so it is read a
 // byte at a time rather than as the buffered region the parallel decoder's
-// appendChunkSoA parses. Both yield identical columns.
-func appendChunkColumns(r io.ByteReader, n, startSeq uint64, dst *ChunkSoA) error {
+// appendChunkSoA parses. Both yield identical columns, and both reject a
+// node id at or above nodes as ErrCorrupt.
+func appendChunkColumns(r io.ByteReader, n, startSeq, nodes uint64, dst *ChunkSoA) error {
 	dst.Grow(int(n))
 	prev := uint64(0)
 	for i := uint64(0); i < n; i++ {
@@ -591,6 +606,9 @@ func appendChunkColumns(r io.ByteReader, n, startSeq uint64, dst *ChunkSoA) erro
 		node, err := binary.ReadUvarint(r)
 		if err != nil {
 			return fmt.Errorf("stream: reading event node: %w", errTrunc(err))
+		}
+		if node >= nodes {
+			return nodeErr(startSeq+i, node, nodes)
 		}
 		delta, err := binary.ReadVarint(r)
 		if err != nil {
@@ -608,6 +626,11 @@ func appendChunkColumns(r io.ByteReader, n, startSeq uint64, dst *ChunkSoA) erro
 		dst.Producer = append(dst.Producer, mem.NodeID(int64(prod)-1))
 	}
 	return nil
+}
+
+// nodeErr reports an event from a node the header does not have.
+func nodeErr(seq, node, nodes uint64) error {
+	return fmt.Errorf("%w: event %d from node %d outside [0,%d)", ErrCorrupt, seq, node, nodes)
 }
 
 // WriteFile streams src into a new trace file at path, fsync-free but fully

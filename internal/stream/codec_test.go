@@ -31,9 +31,10 @@ func randomTrace(n int, seed int64) *trace.Trace {
 		} else {
 			block = mem.BlockAddr(uint64(rng.Intn(1<<20)) * 64)
 		}
+		// Nodes stay below every header node count the tests write.
 		tr.Append(trace.Event{
 			Kind:     kind,
-			Node:     mem.NodeID(rng.Intn(16)),
+			Node:     mem.NodeID(rng.Intn(4)),
 			Block:    block,
 			Producer: prod,
 		})

@@ -2,8 +2,9 @@ package stream
 
 // Fault injection across the three decode paths — the serial Reader over an
 // io.Reader, the parallel decoder over an io.ReaderAt, and the parallel
-// decoder over an mmap — for short reads, an I/O error inside one chunk, and
-// a file truncated after its index was read.
+// decoder over an mmap — for short reads, an I/O error inside one chunk, a
+// file truncated after its index was read, and an event from a node the
+// header does not have.
 
 import (
 	"bytes"
@@ -12,10 +13,12 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"testing/iotest"
 	"time"
 
+	"tsm/internal/mem"
 	"tsm/internal/trace"
 )
 
@@ -229,5 +232,101 @@ func TestDecodeTruncatedAfterIndex(t *testing.T) {
 				time.Sleep(10 * time.Millisecond)
 			}
 		})
+	}
+}
+
+// TestWriterRejectsOutOfRangeNode: Writer.Write refuses an event from a node
+// at or above the header's node count (mem.MaxNodes when the header records
+// none), and the refusal leaves the writer usable.
+func TestWriterRejectsOutOfRangeNode(t *testing.T) {
+	for _, nodes := range []int{16, 0} {
+		limit := nodes
+		if nodes == 0 {
+			limit = mem.MaxNodes
+		}
+		var buf bytes.Buffer
+		w, err := NewWriter(&buf, Meta{Workload: "db2", Nodes: nodes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, node := range []mem.NodeID{mem.NodeID(limit), 40 + mem.NodeID(limit), -1} {
+			if err := w.Write(trace.Event{Kind: trace.KindConsumption, Node: node, Producer: mem.InvalidNode}); err == nil {
+				t.Fatalf("Nodes %d: Write accepted an event from node %d", nodes, node)
+			}
+		}
+		ok := trace.Event{Kind: trace.KindConsumption, Node: mem.NodeID(limit - 1), Block: 64, Producer: mem.InvalidNode}
+		if err := w.Write(ok); err != nil {
+			t.Fatalf("Nodes %d: Write of node %d after a refusal: %v", nodes, limit-1, err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		r, err := NewReader(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := drainSoA(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameEvents(t, "written", got, []trace.Event{ok})
+	}
+}
+
+// TestDecodeRejectsOutOfRangeNode: an event from node 40 in chunk k of a
+// 16-node trace fails with ErrCorrupt after exactly the events of chunks
+// 0..k-1, from the serial, the parallel and the mmap decoder.
+func TestDecodeRejectsOutOfRangeNode(t *testing.T) {
+	const perCh, k = 64, 3
+	tr := randomTrace(8*perCh, 24)
+	tr.Events[k*perCh+5].Node = 40
+	// The writer refuses node 40 under a 16-node header, so write the trace
+	// under a 64-node header and patch the node count to 16.
+	wide, narrow := Meta{Workload: "db2", Nodes: 64}, Meta{Workload: "db2", Nodes: 16}
+	data := encodeChunked(t, tr, wide, perCh)
+	hdr := appendHeader(nil, narrow, Version)
+	if wideHdr := appendHeader(nil, wide, Version); !bytes.HasPrefix(data, wideHdr) || len(hdr) != len(wideHdr) {
+		t.Fatal("node count patch would change the header length")
+	}
+	copy(data, hdr)
+
+	check := func(name string, got []trace.Event, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "node 40") {
+			t.Fatalf("%s: err = %v, want ErrCorrupt naming node 40", name, err)
+		}
+		sameEvents(t, name, got, tr.Events[:k*perCh])
+	}
+	r, err := NewReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := drainSoA(r)
+	check("serial", got, err)
+
+	for _, workers := range []int{1, 4} {
+		pr, err := OpenIndexed(bytes.NewReader(data), int64(len(data)), ParallelOptions{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := drainSoA(pr)
+		check("parallel", got, err)
+		if err := pr.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	path := filepath.Join(t.TempDir(), "trace.tsm")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	mr, err := OpenFileParallel(path, ParallelOptions{Workers: 2, Mmap: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err = drainSoA(mr)
+	check("mmap", got, err)
+	if err := mr.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -109,7 +109,7 @@ func collectSoA(data []byte) ([]trace.Event, error) {
 	ra := bytes.NewReader(data)
 	size := int64(len(data))
 	pr := &posReader{r: bufio.NewReader(io.NewSectionReader(ra, 0, size))}
-	_, version, err := parseHeader(pr)
+	meta, version, err := parseHeader(pr)
 	if err != nil {
 		return nil, err
 	}
@@ -131,7 +131,7 @@ func collectSoA(data []byte) ([]trace.Event, error) {
 			return events, err
 		}
 		soa.Reset()
-		if err = decodeChunkRegion(region, ref, &soa); err != nil {
+		if err = decodeChunkRegion(region, ref, meta.nodeLimit(), &soa); err != nil {
 			return events, err
 		}
 		events = soa.AppendTo(events)

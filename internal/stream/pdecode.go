@@ -241,7 +241,7 @@ func (r *ParallelReader) worker(id int, ra io.ReaderAt, jobs <-chan job, opt Par
 		}
 		var res chunkResult
 		res.soa = soa
-		scratch, res.err = decodeChunk(ra, jb.ref, scratch, soa)
+		scratch, res.err = decodeChunk(ra, jb.ref, r.meta.nodeLimit(), scratch, soa)
 		if res.err == nil {
 			res.hi = soa.Len()
 			// Trim boundary chunks to the requested event range; events keep
@@ -276,7 +276,7 @@ func (r *ParallelReader) worker(id int, ra io.ReaderAt, jobs <-chan job, opt Par
 // SetPanicOnFault on this goroutine the fault panics instead of killing the
 // process, and the recovery reports it as a chunk error wrapping
 // ErrTruncated. Any other panic is a bug and propagates.
-func decodeChunk(ra io.ReaderAt, ref ChunkRef, scratch []byte, dst *ChunkSoA) (newScratch []byte, err error) {
+func decodeChunk(ra io.ReaderAt, ref ChunkRef, nodes uint64, scratch []byte, dst *ChunkSoA) (newScratch []byte, err error) {
 	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
 	defer func() {
 		v := recover()
@@ -297,7 +297,7 @@ func decodeChunk(ra io.ReaderAt, ref ChunkRef, scratch []byte, dst *ChunkSoA) (n
 	if err != nil {
 		return scratch, err
 	}
-	return scratch, decodeChunkRegion(region, ref, dst)
+	return scratch, decodeChunkRegion(region, ref, nodes, dst)
 }
 
 // Meta returns the stream metadata decoded from the header.

@@ -189,8 +189,8 @@ func (b *batchSource) Next() (trace.Event, error) {
 // producer IDs are small, and delta encoding keeps most block deltas short).
 // Error mapping matches the serial reader's errTrunc contract exactly:
 // running off the region is a wrapped ErrTruncated, a varint overflowing 64
-// bits is a wrapped ErrCorrupt.
-func appendChunkSoA(region []byte, pos int, n uint64, startSeq uint64, dst *ChunkSoA) (int, error) {
+// bits or a node id at or above nodes is a wrapped ErrCorrupt.
+func appendChunkSoA(region []byte, pos int, n, startSeq, nodes uint64, dst *ChunkSoA) (int, error) {
 	dst.Grow(int(n))
 	prev := uint64(0)
 	for i := uint64(0); i < n; i++ {
@@ -210,6 +210,9 @@ func appendChunkSoA(region []byte, pos int, n uint64, startSeq uint64, dst *Chun
 				return pos, varintErr(w, "node")
 			}
 			node, pos = v, pos+w
+		}
+		if node >= nodes {
+			return pos, nodeErr(startSeq+i, node, nodes)
 		}
 
 		var delta int64
@@ -264,7 +267,7 @@ func varintErr(w int, field string) error {
 // the events must consume the region exactly, so an index entry seeded
 // mid-chunk or into arbitrary bytes fails with ErrCorrupt/ErrTruncated
 // instead of yielding a silently different stream.
-func decodeChunkRegion(region []byte, ref ChunkRef, dst *ChunkSoA) error {
+func decodeChunkRegion(region []byte, ref ChunkRef, nodes uint64, dst *ChunkSoA) error {
 	n, w := binary.Uvarint(region)
 	if w == 0 {
 		return fmt.Errorf("stream: reading chunk count: %w", ErrTruncated)
@@ -275,7 +278,7 @@ func decodeChunkRegion(region []byte, ref ChunkRef, dst *ChunkSoA) error {
 	if n != ref.Events {
 		return fmt.Errorf("%w: chunk at offset %d holds %d events, index says %d", ErrCorrupt, ref.Offset, n, ref.Events)
 	}
-	pos, err := appendChunkSoA(region, w, n, ref.Start, dst)
+	pos, err := appendChunkSoA(region, w, n, ref.Start, nodes, dst)
 	if err != nil {
 		return err
 	}

@@ -17,6 +17,7 @@ import (
 	"strings"
 	"testing"
 
+	"tsm/internal/mem"
 	"tsm/internal/trace"
 )
 
@@ -146,7 +147,7 @@ func TestBatchDecodeErrorMapping(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var dst ChunkSoA
 			ref := ChunkRef{Offset: 30, Length: int64(len(tc.region)), Events: tc.events}
-			err := decodeChunkRegion(tc.region, ref, &dst)
+			err := decodeChunkRegion(tc.region, ref, mem.MaxNodes, &dst)
 			if err == nil {
 				t.Fatalf("decodeChunkRegion accepted %x", tc.region)
 			}
@@ -162,7 +163,7 @@ func TestBatchDecodeErrorMapping(t *testing.T) {
 	// The happy path the cases above are one byte away from.
 	var dst ChunkSoA
 	region := chunkRegion(1, 0x01, 0x02, 0x04, 0x03)
-	if err := decodeChunkRegion(region, ChunkRef{Length: int64(len(region)), Events: 1, Start: 9}, &dst); err != nil {
+	if err := decodeChunkRegion(region, ChunkRef{Length: int64(len(region)), Events: 1, Start: 9}, mem.MaxNodes, &dst); err != nil {
 		t.Fatal(err)
 	}
 	want := trace.Event{Seq: 9, Kind: 1, Node: 2, Block: 2, Producer: 2}

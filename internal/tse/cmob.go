@@ -4,6 +4,10 @@ import (
 	"tsm/internal/mem"
 )
 
+// cmobMinGrowth is the first allocation of a bounded CMOB's storage, in
+// entries; later growth doubles it, clamped to the capacity.
+const cmobMinGrowth = 1024
+
 // CMOB is a node's Coherence Miss Order Buffer: a circular buffer, resident
 // in a private region of main memory, that records the node's coherent read
 // misses (and useful streamed hits, which replace the misses they
@@ -13,19 +17,20 @@ import (
 // circular storage retains only the most recent Capacity entries, so reads
 // of overwritten offsets fail, which is how a too-small CMOB loses coverage
 // (Figure 10).
+//
+// The storage is allocated lazily: a new CMOB holds nothing, and Append
+// grows the buffer as entries arrive, never beyond Capacity entries. Once
+// Capacity entries are held it wraps in place.
 type CMOB struct {
 	capacity int // 0 = unlimited
 	entries  []mem.BlockAddr
 	next     uint64 // next append offset (== number of appends so far)
 }
 
-// NewCMOB returns a CMOB with the given capacity in entries (0 = unlimited).
+// NewCMOB returns an empty CMOB with the given capacity in entries
+// (0 = unlimited). It allocates no storage until the first Append.
 func NewCMOB(capacity int) *CMOB {
-	c := &CMOB{capacity: capacity}
-	if capacity > 0 {
-		c.entries = make([]mem.BlockAddr, capacity)
-	}
-	return c
+	return &CMOB{capacity: capacity}
 }
 
 // Capacity returns the configured capacity (0 = unlimited).
@@ -47,12 +52,17 @@ func (c *CMOB) Appends() uint64 { return c.next }
 // entry as a CMOB pointer.
 func (c *CMOB) Append(b mem.BlockAddr) uint64 {
 	offset := c.next
-	if c.capacity == 0 {
-		c.entries = append(c.entries, b)
-	} else {
-		c.entries[offset%uint64(c.capacity)] = b
-	}
 	c.next++
+	if c.capacity > 0 && len(c.entries) == c.capacity {
+		c.entries[offset%uint64(c.capacity)] = b
+		return offset
+	}
+	if c.capacity > 0 && len(c.entries) == cap(c.entries) {
+		grown := make([]mem.BlockAddr, len(c.entries), min(max(2*cap(c.entries), cmobMinGrowth), c.capacity))
+		copy(grown, c.entries)
+		c.entries = grown
+	}
+	c.entries = append(c.entries, b)
 	return offset
 }
 
@@ -67,51 +77,44 @@ func (c *CMOB) resident(offset uint64) bool {
 	return c.next-offset <= uint64(c.capacity)
 }
 
+// index returns the storage index of a resident offset.
+func (c *CMOB) index(offset uint64) int {
+	if c.capacity == 0 {
+		return int(offset)
+	}
+	return int(offset % uint64(c.capacity))
+}
+
 // At returns the entry at offset, if still resident.
 func (c *CMOB) At(offset uint64) (mem.BlockAddr, bool) {
 	if !c.resident(offset) {
 		return 0, false
 	}
-	if c.capacity == 0 {
-		return c.entries[offset], true
-	}
-	return c.entries[offset%uint64(c.capacity)], true
+	return c.entries[c.index(offset)], true
 }
 
-// ReadStream returns up to n addresses starting at the entry *following*
-// offset — the stream that followed the pointed-to miss — together with the
-// offset of the last address returned (so the caller can continue reading
-// when the FIFO runs half empty). It returns a nil slice when the pointed
-// entry has been overwritten or no subsequent entries exist.
-func (c *CMOB) ReadStream(offset uint64, n int) ([]mem.BlockAddr, uint64) {
+// AppendStream appends to dst up to n addresses starting at the entry
+// *following* offset — the stream that followed the pointed-to miss — and
+// returns the extended slice with the offset of the last address appended
+// (so the caller can continue reading when the FIFO runs half empty). It
+// appends nothing, and returns offset, when the pointed entry has been
+// overwritten or no subsequent entries exist.
+func (c *CMOB) AppendStream(dst []mem.BlockAddr, offset uint64, n int) ([]mem.BlockAddr, uint64) {
 	if n <= 0 || !c.resident(offset) {
-		return nil, offset
+		return dst, offset
 	}
-	out := make([]mem.BlockAddr, 0, n)
-	last := offset
-	for i := 0; i < n; i++ {
-		next := offset + 1 + uint64(i)
-		b, ok := c.At(next)
-		if !ok {
-			break
-		}
-		out = append(out, b)
-		last = next
+	if avail := c.next - 1 - offset; uint64(n) > avail {
+		n = int(avail)
 	}
-	if len(out) == 0 {
-		return nil, offset
-	}
-	return out, last
+	// Every entry after a resident one is resident too; the run wraps at
+	// most once, at the end of the storage.
+	start := c.index(offset + 1)
+	first := min(n, len(c.entries)-start)
+	dst = append(dst, c.entries[start:start+first]...)
+	dst = append(dst, c.entries[:n-first]...)
+	return dst, offset + uint64(n)
 }
 
 // StorageBytes returns the memory footprint of the retained entries using
 // the paper's 6-byte packed entries.
 func (c *CMOB) StorageBytes() int { return c.Len() * CMOBEntryBytes }
-
-// Reset discards all entries.
-func (c *CMOB) Reset() {
-	c.next = 0
-	if c.capacity == 0 {
-		c.entries = nil
-	}
-}

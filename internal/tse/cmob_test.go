@@ -1,6 +1,8 @@
 package tse
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -59,9 +61,9 @@ func TestCMOBReadStream(t *testing.T) {
 		c.Append(mem.BlockAddr(i * 64))
 	}
 	// Stream following entry 3 is entries 4..7 for n=4.
-	addrs, last := c.ReadStream(3, 4)
+	addrs, last := c.AppendStream(nil, 3, 4)
 	if len(addrs) != 4 || last != 7 {
-		t.Fatalf("ReadStream(3,4) = %v last=%d", addrs, last)
+		t.Fatalf("AppendStream(nil, 3, 4) = %v last=%d", addrs, last)
 	}
 	for i, a := range addrs {
 		if a != mem.BlockAddr((4+i)*64) {
@@ -69,18 +71,18 @@ func TestCMOBReadStream(t *testing.T) {
 		}
 	}
 	// Continue from last: entries 8,9 only.
-	addrs, last = c.ReadStream(last, 4)
+	addrs, last = c.AppendStream(nil, last, 4)
 	if len(addrs) != 2 || last != 9 {
-		t.Fatalf("continued ReadStream = %v last=%d", addrs, last)
+		t.Fatalf("continued AppendStream = %v last=%d", addrs, last)
 	}
 	// Nothing beyond the end.
-	addrs, _ = c.ReadStream(9, 4)
+	addrs, _ = c.AppendStream(nil, 9, 4)
 	if addrs != nil {
-		t.Fatalf("ReadStream at tail = %v, want nil", addrs)
+		t.Fatalf("AppendStream at tail = %v, want nil", addrs)
 	}
 	// Nothing for zero or negative n.
-	if addrs, _ := c.ReadStream(0, 0); addrs != nil {
-		t.Fatal("ReadStream with n=0 should return nil")
+	if addrs, _ := c.AppendStream(nil, 0, 0); addrs != nil {
+		t.Fatal("AppendStream with n=0 should append nothing")
 	}
 }
 
@@ -90,33 +92,39 @@ func TestCMOBReadStreamOverwritten(t *testing.T) {
 		c.Append(mem.BlockAddr(i * 64))
 	}
 	// Offset 2 is long overwritten: no stream available.
-	if addrs, _ := c.ReadStream(2, 4); addrs != nil {
+	if addrs, _ := c.AppendStream(nil, 2, 4); addrs != nil {
 		t.Fatalf("stream from overwritten offset = %v, want nil", addrs)
 	}
 	// Offset 6 is still resident; stream = entries 7,8,9.
-	addrs, last := c.ReadStream(6, 8)
+	addrs, last := c.AppendStream(nil, 6, 8)
 	if len(addrs) != 3 || last != 9 {
-		t.Fatalf("ReadStream(6,8) = %v last=%d", addrs, last)
+		t.Fatalf("AppendStream(nil, 6, 8) = %v last=%d", addrs, last)
 	}
 }
 
-func TestCMOBReset(t *testing.T) {
-	c := NewCMOB(8)
-	c.Append(64)
-	c.Reset()
-	if c.Len() != 0 || c.Appends() != 0 {
-		t.Fatal("Reset should clear the CMOB")
-	}
-	u := NewCMOB(0)
-	u.Append(64)
-	u.Reset()
-	if u.Len() != 0 {
-		t.Fatal("Reset should clear the unlimited CMOB")
+func TestCMOBFreshIsEmpty(t *testing.T) {
+	// A CMOB is discarded by making a new one, which holds nothing and
+	// allocates nothing until its first Append.
+	for _, capacity := range []int{0, 8, 262144} {
+		c := NewCMOB(capacity)
+		if c.Len() != 0 || c.Appends() != 0 || c.StorageBytes() != 0 || cap(c.entries) != 0 {
+			t.Fatalf("NewCMOB(%d): len=%d appends=%d bytes=%d cap=%d, want all 0",
+				capacity, c.Len(), c.Appends(), c.StorageBytes(), cap(c.entries))
+		}
+		if _, ok := c.At(0); ok {
+			t.Fatalf("NewCMOB(%d): offset 0 resident before any append", capacity)
+		}
+		if off := c.Append(64); off != 0 {
+			t.Fatalf("NewCMOB(%d): first Append offset = %d, want 0", capacity, off)
+		}
+		if b, ok := c.At(0); !ok || b != 64 {
+			t.Fatalf("NewCMOB(%d): At(0) = %#x,%v want 0x40,true", capacity, b, ok)
+		}
 	}
 }
 
 func TestCMOBStreamMatchesAppendOrder(t *testing.T) {
-	// Property: for an unlimited CMOB, ReadStream(i, n) returns exactly
+	// Property: for an unlimited CMOB, AppendStream(nil, i, n) returns exactly
 	// the blocks appended at positions i+1..i+n.
 	f := func(raw []uint32, start uint8, n uint8) bool {
 		c := NewCMOB(0)
@@ -130,7 +138,7 @@ func TestCMOBStreamMatchesAppendOrder(t *testing.T) {
 		}
 		i := uint64(start) % uint64(len(raw))
 		want := int(n%16) + 1
-		addrs, _ := c.ReadStream(i, want)
+		addrs, _ := c.AppendStream(nil, i, want)
 		for j, a := range addrs {
 			idx := int(i) + 1 + j
 			if idx >= len(blocks) || a != blocks[idx] {
@@ -141,5 +149,65 @@ func TestCMOBStreamMatchesAppendOrder(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// eagerCMOB is the test's reference CMOB: the whole circular buffer
+// allocated up front, read one entry at a time.
+type eagerCMOB struct {
+	ring []mem.BlockAddr
+	next uint64
+}
+
+func (c *eagerCMOB) append(b mem.BlockAddr) {
+	c.ring[c.next%uint64(len(c.ring))] = b
+	c.next++
+}
+
+func (c *eagerCMOB) stream(offset uint64, n int) ([]mem.BlockAddr, uint64) {
+	capacity := uint64(len(c.ring))
+	if offset >= c.next || c.next-offset > capacity {
+		return nil, offset
+	}
+	var out []mem.BlockAddr
+	last := offset
+	for o := offset + 1; o < c.next && len(out) < n; o++ {
+		out = append(out, c.ring[o%capacity])
+		last = o
+	}
+	return out, last
+}
+
+func TestCMOBAppendStreamMatchesEager(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, capacity := range []int{1, 2, 3, 7, 64, cmobMinGrowth, 1500, 5000} {
+		c, ref := NewCMOB(capacity), &eagerCMOB{ring: make([]mem.BlockAddr, capacity)}
+		for i := 0; i < 3*capacity+10; i++ {
+			b := mem.BlockAddr(rng.Intn(1<<20)) * 64
+			if off := c.Append(b); off != ref.next {
+				t.Fatalf("capacity %d: Append offset %d, want %d", capacity, off, ref.next)
+			}
+			ref.append(b)
+			if cap(c.entries) > capacity {
+				t.Fatalf("capacity %d: storage grew to %d entries", capacity, cap(c.entries))
+			}
+			for q := 0; q < 3; q++ {
+				// Offsets from just before the oldest retained entry to
+				// the newest; a non-empty dst must be kept as a prefix.
+				lo := int64(ref.next) - int64(capacity) - 2
+				offset := uint64(max(0, lo+rng.Int63n(int64(capacity)+3)))
+				n := rng.Intn(20)
+				dst := []mem.BlockAddr{1, 2}[:rng.Intn(3)]
+				got, last := c.AppendStream(dst, offset, n)
+				want, wantLast := ref.stream(offset, n)
+				if !slices.Equal(got[:len(dst)], dst) || !slices.Equal(got[len(dst):], want) || last != wantLast {
+					t.Fatalf("capacity %d after %d appends: AppendStream(%v, %d, %d) = %v,%d; want %v,%d",
+						capacity, ref.next, dst, offset, n, got, last, want, wantLast)
+				}
+			}
+		}
+		if c.Len() != capacity || c.StorageBytes() != capacity*CMOBEntryBytes {
+			t.Fatalf("capacity %d: full CMOB Len %d, StorageBytes %d", capacity, c.Len(), c.StorageBytes())
+		}
 	}
 }

@@ -3,7 +3,7 @@
 //
 //   - the per-node Coherence Miss Order Buffer (CMOB), a memory-resident
 //     circular buffer recording the node's order of coherent read misses
-//     (Section 3.1);
+//     (Section 3.1), allocated as it fills and never beyond its capacity;
 //   - the directory CMOB-pointer extension used to locate streams
 //     (Section 3.2; storage lives in internal/directory, the lookup logic
 //     here);
@@ -15,6 +15,14 @@
 //   - a whole-system trace-driven model (System) that consumes the global
 //     consumption/write event stream and reports coverage, discards, stream
 //     lengths and traffic — the quantities plotted in Figures 7–13.
+//
+// The per-event state is flat, like the fixed hardware it models. A bounded
+// SVB is a slice of entry values searched linearly; each stream queue owns
+// its FIFO slots and their address buffers and reuses them for every
+// stream it holds; CMOB reads append into those buffers. The System keeps a
+// per-block mask of the SVBs holding each block, so a write visits only the
+// holders. Once its CMOBs have filled, a System with a bounded SVB does not
+// allocate per event.
 package tse
 
 import (

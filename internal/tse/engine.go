@@ -6,11 +6,12 @@ import (
 	"tsm/internal/stats"
 )
 
-// CMOBReader supplies stream addresses from another node's CMOB: it returns
-// up to n addresses following offset in node's CMOB, plus the offset of the
-// last address returned. The System wires this to the per-node CMOBs and
-// charges interconnect traffic for the transfer.
-type CMOBReader func(node mem.NodeID, offset uint64, n int) ([]mem.BlockAddr, uint64)
+// CMOBReader supplies stream addresses from another node's CMOB: it appends
+// to dst up to n addresses following offset in node's CMOB, and returns the
+// extended slice plus the offset of the last address appended (offset
+// itself when it appends none). The System wires this to the per-node
+// CMOBs' AppendStream.
+type CMOBReader func(dst []mem.BlockAddr, node mem.NodeID, offset uint64, n int) ([]mem.BlockAddr, uint64)
 
 // EngineStats accumulates per-node stream-engine statistics.
 type EngineStats struct {
@@ -35,10 +36,13 @@ type EngineStats struct {
 // Engine is the per-node stream engine plus SVB (the grey components of
 // Figure 2 other than the CMOB/directory, which the System owns).
 type Engine struct {
-	node    mem.NodeID
-	cfg     Config
-	svb     *SVB
-	queues  []*streamQueue
+	node   mem.NodeID
+	cfg    Config
+	svb    *SVB
+	queues []*streamQueue
+	// spare is a set of ComparedStreams FIFO slots that allocate reads a
+	// new stream into before swapping it with the acquired queue's slots.
+	spare   []streamFIFO
 	nextQID int
 	clock   uint64
 	read    CMOBReader
@@ -61,6 +65,7 @@ func NewEngine(node mem.NodeID, cfg Config, read CMOBReader) *Engine {
 		node:          node,
 		cfg:           cfg,
 		svb:           NewSVB(cfg.SVBEntries),
+		spare:         make([]streamFIFO, cfg.ComparedStreams),
 		read:          read,
 		streamLengths: stats.NewHistogram(),
 	}
@@ -135,12 +140,12 @@ func (e *Engine) Consumption(b mem.BlockAddr, ptrs []directory.CMOBPointer) bool
 			q.fifos[idx].dropThrough(pos)
 			// Drop the skipped prefix from the other FIFOs too so heads
 			// stay comparable.
-			for j, f := range q.fifos {
+			for j := range q.fifos {
 				if j == idx {
 					continue
 				}
-				if p := f.contains(b); p >= 0 {
-					f.dropThrough(p)
+				if p := q.fifos[j].contains(b); p >= 0 {
+					q.fifos[j].dropThrough(p)
 				}
 			}
 			q.lru = e.clock
@@ -181,30 +186,32 @@ func (e *Engine) allocate(head mem.BlockAddr, ptrs []directory.CMOBPointer) {
 	if limit > len(ptrs) {
 		limit = len(ptrs)
 	}
-	var fifos []*streamFIFO
+	// Read into the spare slots first: acquiring a queue can retire an LRU
+	// victim, which must not happen when no source has addresses.
+	capacity := e.cfg.fifoCapacity()
+	n := 0
 	for _, p := range ptrs[:limit] {
 		if !p.Valid {
 			continue
 		}
-		addrs, last := e.read(p.Node, p.Offset, e.cfg.fifoCapacity())
-		if e.onRefill != nil && len(addrs) > 0 {
-			e.onRefill(p.Node, len(addrs))
+		f := &e.spare[n]
+		f.reset(streamSource{node: p.Node}, capacity)
+		f.addrs, f.source.nextOffset = e.read(f.addrs, p.Node, p.Offset, capacity)
+		if e.onRefill != nil && len(f.addrs) > 0 {
+			e.onRefill(p.Node, len(f.addrs))
 		}
-		e.stats.AddressesReceived += uint64(len(addrs))
-		if len(addrs) == 0 {
-			continue
+		e.stats.AddressesReceived += uint64(len(f.addrs))
+		if len(f.addrs) > 0 {
+			n++
 		}
-		fifos = append(fifos, &streamFIFO{
-			source: streamSource{node: p.Node, nextOffset: last},
-			addrs:  addrs,
-		})
 	}
-	if len(fifos) == 0 {
+	if n == 0 {
 		return
 	}
 	q := e.acquireQueue()
+	q.slots, e.spare = e.spare, q.slots
+	q.fifos = q.slots[:n]
 	q.head = head
-	q.fifos = fifos
 	q.stalled = false
 	q.outstanding = 0
 	q.hits = 0
@@ -225,7 +232,7 @@ func (e *Engine) acquireQueue() *streamQueue {
 		}
 	}
 	if len(e.queues) < e.cfg.StreamQueues {
-		q := &streamQueue{id: e.nextQID}
+		q := &streamQueue{id: e.nextQID, slots: make([]streamFIFO, e.cfg.ComparedStreams)}
 		e.nextQID++
 		e.queues = append(e.queues, q)
 		return q
@@ -253,7 +260,7 @@ func (e *Engine) retire(q *streamQueue) {
 		e.streamLengths.Add(int(q.hits))
 	}
 	q.active = false
-	q.fifos = nil
+	q.fifos = q.fifos[:0]
 }
 
 // fill streams blocks for a queue until the configured lookahead is
@@ -264,7 +271,7 @@ func (e *Engine) fill(q *streamQueue) {
 		e.refill(q)
 		agreed, agree, any := q.headsAgree()
 		if !any {
-			if len(q.liveFIFOs()) == 0 {
+			if !q.hasLiveFIFO() {
 				e.retire(q)
 			}
 			return
@@ -296,23 +303,24 @@ func (e *Engine) fill(q *streamQueue) {
 // addresses from the source CMOB").
 func (e *Engine) refill(q *streamQueue) {
 	capacity := e.cfg.fifoCapacity()
-	for _, f := range q.fifos {
+	for i := range q.fifos {
+		f := &q.fifos[i]
 		if f.source.exhausted || len(f.addrs) > capacity/2 {
 			continue
 		}
-		want := capacity - len(f.addrs)
-		addrs, last := e.read(f.source.node, f.source.nextOffset, want)
+		have := len(f.addrs)
+		f.compact()
+		f.addrs, f.source.nextOffset = e.read(f.addrs, f.source.node, f.source.nextOffset, capacity-have)
 		e.stats.RefillRequests++
-		if len(addrs) == 0 {
+		got := len(f.addrs) - have
+		if got == 0 {
 			f.source.exhausted = true
 			continue
 		}
 		if e.onRefill != nil {
-			e.onRefill(f.source.node, len(addrs))
+			e.onRefill(f.source.node, got)
 		}
-		e.stats.AddressesReceived += uint64(len(addrs))
-		f.addrs = append(f.addrs, addrs...)
-		f.source.nextOffset = last
+		e.stats.AddressesReceived += uint64(got)
 	}
 }
 

@@ -30,12 +30,12 @@ func staticReader(orders map[mem.NodeID][]mem.BlockAddr) CMOBReader {
 		}
 		cmobs[n] = c
 	}
-	return func(node mem.NodeID, offset uint64, n int) ([]mem.BlockAddr, uint64) {
+	return func(dst []mem.BlockAddr, node mem.NodeID, offset uint64, n int) ([]mem.BlockAddr, uint64) {
 		c, ok := cmobs[node]
 		if !ok {
-			return nil, offset
+			return dst, offset
 		}
-		return c.ReadStream(offset, n)
+		return c.AppendStream(dst, offset, n)
 	}
 }
 

@@ -15,10 +15,28 @@ type streamSource struct {
 }
 
 // streamFIFO is one of the FIFO queues inside a stream queue. It buffers
-// addresses read from one recent consumer's CMOB.
+// addresses read from one recent consumer's CMOB. addrs is the live window
+// of buf, a buffer of the FIFO capacity that the slot keeps across stream
+// allocations.
 type streamFIFO struct {
 	source streamSource
 	addrs  []mem.BlockAddr
+	buf    []mem.BlockAddr
+}
+
+// reset empties the FIFO for a new source, keeping its buffer.
+func (f *streamFIFO) reset(src streamSource, capacity int) {
+	if f.buf == nil {
+		f.buf = make([]mem.BlockAddr, 0, capacity)
+	}
+	f.source = src
+	f.addrs = f.buf[:0]
+}
+
+// compact moves the live addresses to the front of the buffer, so a refill
+// up to the FIFO capacity appends without growing it.
+func (f *streamFIFO) compact() {
+	f.addrs = f.buf[:copy(f.buf[:cap(f.buf)], f.addrs)]
 }
 
 func (f *streamFIFO) empty() bool { return len(f.addrs) == 0 }
@@ -30,13 +48,10 @@ func (f *streamFIFO) head() (mem.BlockAddr, bool) {
 	return f.addrs[0], true
 }
 
-func (f *streamFIFO) pop() (mem.BlockAddr, bool) {
-	if len(f.addrs) == 0 {
-		return 0, false
+func (f *streamFIFO) pop() {
+	if len(f.addrs) > 0 {
+		f.addrs = f.addrs[1:]
 	}
-	b := f.addrs[0]
-	f.addrs = f.addrs[1:]
-	return b, true
 }
 
 // contains reports whether the FIFO holds the block anywhere (used to let
@@ -63,9 +78,12 @@ func (f *streamFIFO) dropThrough(i int) {
 // streamQueue groups the FIFOs fetched for one stream head and tracks the
 // comparison/stall state of Section 3.3.
 type streamQueue struct {
-	id          int
-	head        mem.BlockAddr
-	fifos       []*streamFIFO
+	id   int
+	head mem.BlockAddr
+	// slots are the queue's ComparedStreams FIFO slots; fifos is the
+	// prefix of them in use.
+	slots       []streamFIFO
+	fifos       []streamFIFO
 	stalled     bool
 	outstanding int    // blocks from this queue currently sitting in the SVB
 	hits        uint64 // SVB hits attributed to this queue (stream length)
@@ -74,16 +92,15 @@ type streamQueue struct {
 	active      bool
 }
 
-// liveFIFOs returns the FIFOs that can still supply addresses (non-empty or
-// refillable).
-func (q *streamQueue) liveFIFOs() []*streamFIFO {
-	var out []*streamFIFO
-	for _, f := range q.fifos {
-		if !f.empty() || !f.source.exhausted {
-			out = append(out, f)
+// hasLiveFIFO reports whether any FIFO can still supply addresses
+// (non-empty or refillable).
+func (q *streamQueue) hasLiveFIFO() bool {
+	for i := range q.fifos {
+		if f := &q.fifos[i]; !f.empty() || !f.source.exhausted {
+			return true
 		}
 	}
-	return out
+	return false
 }
 
 // headsAgree checks whether every non-empty FIFO agrees on the next address.
@@ -92,8 +109,8 @@ func (q *streamQueue) liveFIFOs() []*streamFIFO {
 func (q *streamQueue) headsAgree() (mem.BlockAddr, bool, bool) {
 	var agreed mem.BlockAddr
 	found := false
-	for _, f := range q.fifos {
-		h, ok := f.head()
+	for i := range q.fifos {
+		h, ok := q.fifos[i].head()
 		if !ok {
 			continue
 		}
@@ -114,18 +131,19 @@ func (q *streamQueue) headsAgree() (mem.BlockAddr, bool, bool) {
 
 // popAgreed removes the agreed head from every FIFO whose head matches it.
 func (q *streamQueue) popAgreed(b mem.BlockAddr) {
-	for _, f := range q.fifos {
-		if h, ok := f.head(); ok && h == b {
-			f.pop()
+	for i := range q.fifos {
+		if h, ok := q.fifos[i].head(); ok && h == b {
+			q.fifos[i].pop()
 		}
 	}
 }
 
 // selectFIFO keeps only the FIFO at index keep, discarding the others'
-// contents (the reselection step after a stall, Section 3.3).
+// contents (the reselection step after a stall, Section 3.3). It swaps the
+// kept FIFO into the first slot, so every slot keeps a buffer of its own.
 func (q *streamQueue) selectFIFO(keep int) {
-	chosen := q.fifos[keep]
-	q.fifos = []*streamFIFO{chosen}
+	q.fifos[0], q.fifos[keep] = q.fifos[keep], q.fifos[0]
+	q.fifos = q.fifos[:1]
 }
 
 // matchStalledHead checks whether a processor miss to b matches one of the
@@ -133,8 +151,8 @@ func (q *streamQueue) selectFIFO(keep int) {
 // a FIFO). It returns the index of the matching FIFO and the position of the
 // match, or (-1, -1).
 func (q *streamQueue) matchStalledHead(b mem.BlockAddr, window int) (int, int) {
-	for i, f := range q.fifos {
-		if pos := f.contains(b); pos >= 0 && pos < window {
+	for i := range q.fifos {
+		if pos := q.fifos[i].contains(b); pos >= 0 && pos < window {
 			return i, pos
 		}
 	}

@@ -2,6 +2,7 @@ package tse
 
 import (
 	"fmt"
+	"math/bits"
 
 	"tsm/internal/directory"
 	"tsm/internal/mem"
@@ -101,10 +102,16 @@ func (r Result) String() string {
 //
 // System implements the model interface used by internal/analysis, so it can
 // be evaluated side by side with the baseline prefetchers of Figure 12.
+//
+// The System keeps one holder mask per block streamed into any SVB: bit n is
+// set exactly while node n's SVB holds the block (mem.MaxNodes is 64, so a
+// mask is one uint64). The SVBs maintain it on every insert, hit and
+// discard, and a write visits only the nodes its block's mask names.
 type System struct {
 	cfg     Config
-	cmobs   []*CMOB
+	cmobs   []CMOB
 	engines []*Engine
+	holders map[mem.BlockAddr]uint64
 	dir     *directory.Directory
 	traffic Traffic
 	peak    int
@@ -116,20 +123,21 @@ func NewSystem(cfg Config) *System {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	s := &System{cfg: cfg}
+	s := &System{cfg: cfg, holders: make(map[mem.BlockAddr]uint64)}
 	s.dir = directory.New(directory.Config{
 		Nodes:            cfg.Nodes,
 		Geometry:         cfg.Geometry,
 		PointersPerEntry: cfg.ComparedStreams,
 	})
-	s.cmobs = make([]*CMOB, cfg.Nodes)
+	s.cmobs = make([]CMOB, cfg.Nodes)
 	s.engines = make([]*Engine, cfg.Nodes)
-	read := func(node mem.NodeID, offset uint64, n int) ([]mem.BlockAddr, uint64) {
-		return s.cmobs[node].ReadStream(offset, n)
+	read := func(dst []mem.BlockAddr, node mem.NodeID, offset uint64, n int) ([]mem.BlockAddr, uint64) {
+		return s.cmobs[node].AppendStream(dst, offset, n)
 	}
 	for i := 0; i < cfg.Nodes; i++ {
-		s.cmobs[i] = NewCMOB(cfg.CMOBEntries)
+		s.cmobs[i] = CMOB{capacity: cfg.CMOBEntries}
 		e := NewEngine(mem.NodeID(i), cfg, read)
+		e.svb.holders, e.svb.bit = s.holders, 1<<i
 		e.SetRefillHandler(func(source mem.NodeID, addresses int) {
 			s.traffic.StreamRequestBytes += requestMessageBytes
 			s.traffic.StreamAddressBytes += uint64(addresses) * CMOBEntryBytes
@@ -152,7 +160,7 @@ func (s *System) Config() Config { return s.cfg }
 func (s *System) Engine(node mem.NodeID) *Engine { return s.engines[node] }
 
 // CMOB returns the CMOB of one node (for white-box tests).
-func (s *System) CMOB(node mem.NodeID) *CMOB { return s.cmobs[node] }
+func (s *System) CMOB(node mem.NodeID) *CMOB { return &s.cmobs[node] }
 
 // Consumption processes a consumption event in global order and reports
 // whether TSE eliminated it (the block was already in the node's SVB).
@@ -193,10 +201,11 @@ func (s *System) consume(node mem.NodeID, block mem.BlockAddr) bool {
 func (s *System) Write(e trace.Event) { s.writeBlock(e.Block) }
 
 // writeBlock is the write inner loop, shared by the per-event path and
-// RunColumns.
+// RunColumns. It invalidates the block at the nodes whose SVB holds it, in
+// ascending node order.
 func (s *System) writeBlock(block mem.BlockAddr) {
-	for _, eng := range s.engines {
-		eng.Write(block)
+	for m := s.holders[block]; m != 0; m &= m - 1 {
+		s.engines[bits.TrailingZeros64(m)].Write(block)
 	}
 }
 

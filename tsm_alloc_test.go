@@ -126,7 +126,7 @@ func TestAllocationBounds(t *testing.T) {
 	for _, c := range []struct {
 		consumers     int
 		allocs, bytes uint64
-	}{{4, 252688, 215213196}, {16, 978379, 866320980}, {64, 3881160, 3470742372}} {
+	}{{4, 5949, 8003784}, {16, 23352, 31738968}, {64, 92983, 126640416}} {
 		cfgs := make([]tse.Config, c.consumers)
 		for i := range cfgs {
 			cfgs[i] = tseConfig(gen, allocOpts)
