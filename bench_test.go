@@ -91,7 +91,7 @@ func BenchmarkCodec(b *testing.B) {
 	b.Run("decode", func(b *testing.B) {
 		b.SetBytes(int64(encoded.Len()))
 		for i := 0; i < b.N; i++ {
-			r, err := stream.NewReader(bytes.NewReader(encoded.Bytes()))
+			r, err := stream.Open(bytes.NewReader(encoded.Bytes()), int64(encoded.Len()), stream.Options{})
 			if err != nil {
 				b.Fatal(err)
 			}

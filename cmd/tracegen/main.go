@@ -28,10 +28,7 @@
 // -progress prints periodic events/sec lines to stderr during generation
 // (paper-scale traces take minutes and otherwise run silent); -metrics
 // dumps the generation counters (accesses, events, wall time) as JSON;
-// -pprof serves net/http/pprof for the duration of the run. -no-index
-// writes the previous codec version (2), without the seekable chunk index
-// appended to version 3 files — for compatibility testing and consumers that
-// cannot tolerate the footer.
+// -pprof serves net/http/pprof for the duration of the run.
 package main
 
 import (
@@ -70,7 +67,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seed       = fs.Int64("seed", 1, "generation seed")
 		out        = fs.String("o", "", "output trace file (.tsm; omit to skip writing)")
 		summary    = fs.Bool("summary", true, "print a trace summary")
-		noIndex    = fs.Bool("no-index", false, "write codec version 2 (no seekable chunk index; disables tsesim -decode-workers/-from/-to on the file)")
 		metricsOut = fs.String("metrics", "", "write generation counters (JSON) to this file after the run")
 		progress   = fs.Bool("progress", false, "print periodic events/sec lines to stderr during generation")
 		pprofAddr  = fs.String("pprof", "", "serve net/http/pprof on this address for the duration of the run")
@@ -184,11 +180,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var runErr error
 	if *out != "" {
 		meta := stream.Meta{Workload: spec.Name, Nodes: *nodes, Scale: cfg.Scale, Seed: *seed, Repeat: cfg.Repeat}
-		version := byte(stream.Version)
-		if *noIndex {
-			version = stream.VersionNoIndex
-		}
-		runErr = writeStreamed(*out, meta, version, eng, src, observe)
+		runErr = writeStreamed(*out, meta, eng, src, observe)
 	} else {
 		runErr = eng.RunSource(src, func(e trace.Event) error { observe(e); return nil })
 	}
@@ -227,13 +219,13 @@ func checkWritable(path string) error {
 
 // writeStreamed pipes the engine's event stream into a trace file, feeding
 // each event to observe on the way past.
-func writeStreamed(path string, meta stream.Meta, version byte, eng *coherence.Engine, src coherence.AccessSource, observe func(trace.Event)) (err error) {
+func writeStreamed(path string, meta stream.Meta, eng *coherence.Engine, src coherence.AccessSource, observe func(trace.Event)) (err error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	defer func() { err = stream.CloseMerge(f, err) }()
-	w, err := stream.NewWriterVersion(f, meta, version)
+	w, err := stream.NewWriter(f, meta)
 	if err != nil {
 		return err
 	}

@@ -8,11 +8,7 @@ import (
 	"strings"
 	"testing"
 
-	"errors"
-
 	"tsm/internal/obs"
-	"tsm/internal/stream"
-	"tsm/internal/trace"
 )
 
 // TestRunUnwritableOutput: an unwritable -o path must fail fast with a
@@ -82,57 +78,6 @@ func TestRunGenerateWithMetrics(t *testing.T) {
 	}
 	if snap.Counters["tracegen.wall_ns"] == 0 {
 		t.Fatalf("metrics lack wall time:\n%s", raw)
-	}
-}
-
-// TestRunNoIndex pins the -no-index compatibility knob: the flag writes a
-// version 2 file (serial-decodable, no chunk index), the default writes
-// version 3 with an index, and both decode to the identical event stream.
-func TestRunNoIndex(t *testing.T) {
-	dir := t.TempDir()
-	v3 := filepath.Join(dir, "v3.tsm")
-	v2 := filepath.Join(dir, "v2.tsm")
-	var stdout, stderr bytes.Buffer
-	args := []string{"-workload", "em3d", "-nodes", "4", "-scale", "0.05", "-seed", "3", "-summary=false", "-o"}
-	if code := run(append(args, v3), &stdout, &stderr); code != 0 {
-		t.Fatalf("default generation exited %d\nstderr:\n%s", code, &stderr)
-	}
-	if code := run(append(append([]string{"-no-index"}, args...), v2), &stdout, &stderr); code != 0 {
-		t.Fatalf("-no-index generation exited %d\nstderr:\n%s", code, &stderr)
-	}
-
-	for path, wantIndex := range map[string]bool{v3: true, v2: false} {
-		pr, err := stream.OpenFileParallel(path, stream.ParallelOptions{Workers: 2})
-		if wantIndex {
-			if err != nil {
-				t.Fatalf("%s: expected an indexed file: %v", path, err)
-			}
-			pr.Close()
-		} else if !errors.Is(err, stream.ErrNoIndex) {
-			t.Fatalf("%s: expected ErrNoIndex, got %v", path, err)
-		}
-	}
-
-	collect := func(path string) []trace.Event {
-		f, err := stream.OpenFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer f.Close()
-		tr, err := stream.Collect(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tr.Events
-	}
-	ev3, ev2 := collect(v3), collect(v2)
-	if len(ev3) != len(ev2) {
-		t.Fatalf("v3 has %d events, v2 has %d", len(ev3), len(ev2))
-	}
-	for i := range ev3 {
-		if ev3[i] != ev2[i] {
-			t.Fatalf("event %d differs between versions: %+v vs %+v", i, ev3[i], ev2[i])
-		}
 	}
 }
 

@@ -11,7 +11,7 @@
 //	tsesim -i db2.tsm                        # evaluate TSE on a trace file
 //	tsesim -i db2.tsm -compare               # ...all Figure 12 models
 //	tsesim -i db2.tsm -sweep lookahead       # whole sensitivity sweep, one decode
-//	tsesim -i db2.tsm -decode-workers 4      # parallel per-chunk decode (v3 files)
+//	tsesim -i db2.tsm -decode-workers 4      # parallel per-chunk decode
 //	tsesim -i db2.tsm -mmap                  # decode straight from mapped pages
 //	tsesim -i db2.tsm -from 500000 -to 900000  # replay an event sub-range via the index
 //	tsesim -i db2.tsm -metrics m.json -trace t.json -progress
@@ -29,15 +29,14 @@
 // entire named sensitivity study (streams|lookahead|svb — the Figure 7/8/9
 // sweeps) with every cell riding that same single decode through the ring
 // fan-out, so a whole sweep costs one codec pass instead of one per cell.
-// Version 3 trace files carry a chunk index: -decode-workers N decodes the
-// file with N parallel per-chunk workers (identical reports, faster wall
-// clock; -1 picks one worker per core), -mmap maps the file and lets the
-// decode workers parse chunks directly from the mapped pages (no per-chunk
-// read syscall or copy; quietly degrades to read() on platforms without mmap),
-// and -from/-to replay only the events with sequence numbers in [from, to)
-// without streaming the prefix. All fall back gracefully on pre-index files:
-// a parallel or mmap request decodes serially, a ranged request fails (the
-// range would otherwise be silently ignored).
+// Trace files carry a chunk index. By default each chunk is decoded inline
+// on the replay's producer goroutine; -decode-workers N decodes the file with
+// N parallel per-chunk workers (identical reports; -1 picks one worker per
+// core), -mmap maps the file and parses chunks directly from the mapped
+// pages (no per-chunk read syscall or copy; quietly degrades to read() on
+// platforms without mmap), and -from/-to replay only the events with
+// sequence numbers in [from, to) without decoding the prefix. Files written
+// by an older codec version fail with "unsupported trace version".
 // Batches of experiments run in parallel over a shared workspace (each
 // workload's trace is generated exactly once); -serial restores the
 // one-at-a-time path.
@@ -108,7 +107,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		compare       = fs.Bool("compare", false, "with -i: evaluate all Figure 12 models, not just TSE")
 		sweep         = fs.String("sweep", "", "with -i: run a named TSE sensitivity sweep (streams|lookahead|svb) over ONE decode of the file")
 		inmem         = fs.Bool("inmem", false, "with -i: materialize the trace and evaluate each model serially instead of streaming it (same reports)")
-		decodeWorkers = fs.Int("decode-workers", 0, "with -i: parallel per-chunk decode workers over the v3 chunk index (0 = serial, -1 = one per core)")
+		decodeWorkers = fs.Int("decode-workers", 0, "with -i: parallel per-chunk decode workers over the chunk index (0 = inline, -1 = one per core)")
 		fromEvent     = fs.Uint64("from", 0, "with -i: replay from this event sequence number (inclusive; needs a v3 indexed file)")
 		toEvent       = fs.Uint64("to", 0, "with -i: replay up to this event sequence number (exclusive; 0 = end of trace)")
 		mmapFile      = fs.Bool("mmap", false, "with -i: mmap the trace file and decode chunks from the mapped pages (implies the indexed path; falls back to read() where unsupported)")

@@ -4,7 +4,7 @@ package obs
 // paper-preset traces cost minutes of CPU and previously ran silent). It
 // watches a Counter — typically pipeline.events_decoded or the tracegen
 // event count — and prints events/sec each interval; given a fraction
-// callback (e.g. bytes consumed / file size from stream.FileReader) it adds
+// callback (e.g. chunks consumed / chunks selected from stream.Reader) it adds
 // percent complete and an ETA. Lines go to the configured writer (stderr in
 // the CLIs) so stdout reports and goldens stay byte-identical.
 

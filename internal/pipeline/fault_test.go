@@ -15,21 +15,6 @@ import (
 // errInjected is the I/O error the fault-injecting readers return.
 var errInjected = errors.New("injected I/O error")
 
-// failAtReader serves data up to byte failAt, then fails every Read.
-type failAtReader struct {
-	data        []byte
-	off, failAt int
-}
-
-func (r *failAtReader) Read(p []byte) (int, error) {
-	if r.off >= r.failAt {
-		return 0, errInjected
-	}
-	n := copy(p, r.data[r.off:r.failAt])
-	r.off += n
-	return n, nil
-}
-
 // failAtReaderAt serves data, except that reads starting inside [lo, hi)
 // fail.
 type failAtReaderAt struct {
@@ -45,10 +30,9 @@ func (r *failAtReaderAt) ReadAt(p []byte, off int64) (int, error) {
 }
 
 // TestDecodeIOErrorReachesEveryConsumer: an I/O error injected inside chunk
-// k of an encoded trace — through the io.Reader of the serial decoder and
-// the io.ReaderAt of the parallel decoder — reaches all three consumers as
-// their terminal error after exactly the events of chunks 0..k-1, and Run
-// returns it.
+// k of an encoded trace — read by the inline decoder and by four decode
+// workers — reaches all three consumers as their terminal error after
+// exactly the events of chunks 0..k-1, and Run returns it.
 func TestDecodeIOErrorReachesEveryConsumer(t *testing.T) {
 	const k = 2
 	events := makeEvents(4*stream.DefaultChunkEvents + 100)
@@ -66,12 +50,13 @@ func TestDecodeIOErrorReachesEveryConsumer(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	ix, err := stream.OpenIndexed(bytes.NewReader(data), int64(len(data)), stream.ParallelOptions{Workers: 1})
+	ix, err := stream.Open(bytes.NewReader(data), int64(len(data)), stream.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ref := ix.Index().Chunks[k]
 	ix.Close()
+	ra := &failAtReaderAt{data: data, lo: ref.Offset, hi: ref.Offset + ref.Length}
 
 	run := func(t *testing.T, src stream.Source) {
 		records := []*recordConsumer{{}, {}, {}}
@@ -94,15 +79,15 @@ func TestDecodeIOErrorReachesEveryConsumer(t *testing.T) {
 		}
 	}
 	t.Run("serial", func(t *testing.T) {
-		r, err := stream.NewReader(&failAtReader{data: data, failAt: int(ref.Offset + ref.Length/2)})
+		r, err := stream.Open(ra, int64(len(data)), stream.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer r.Close()
 		run(t, r)
 	})
 	t.Run("parallel", func(t *testing.T) {
-		ra := &failAtReaderAt{data: data, lo: ref.Offset, hi: ref.Offset + ref.Length}
-		r, err := stream.OpenIndexed(ra, int64(len(data)), stream.ParallelOptions{Workers: 4})
+		r, err := stream.Open(ra, int64(len(data)), stream.Options{Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,6 +6,8 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -44,16 +46,8 @@ func randomTrace(n int, seed int64) *trace.Trace {
 
 func encode(t *testing.T, tr *trace.Trace, meta Meta) []byte {
 	t.Helper()
-	return encodeV(t, tr, meta, Version)
-}
-
-// encodeV encodes at an explicit codec version — the legacy-layout tests
-// (trailer surgery, v1 header patching) need a version 2 stream, whose last
-// bytes are the trailer rather than the chunk-index footer.
-func encodeV(t *testing.T, tr *trace.Trace, meta Meta, version byte) []byte {
-	t.Helper()
 	var buf bytes.Buffer
-	w, err := NewWriterVersion(&buf, meta, version)
+	w, err := NewWriter(&buf, meta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,6 +60,22 @@ func encodeV(t *testing.T, tr *trace.Trace, meta Meta, version byte) []byte {
 	return buf.Bytes()
 }
 
+// openBytes opens an in-memory trace.
+func openBytes(data []byte, opt Options) (*Reader, error) {
+	return Open(bytes.NewReader(data), int64(len(data)), opt)
+}
+
+// collectOpen opens and drains an in-memory trace, reporting the first error
+// of either step.
+func collectOpen(data []byte, opt Options) (*trace.Trace, error) {
+	r, err := openBytes(data, opt)
+	if err != nil {
+		return nil, err
+	}
+	tr, err := Collect(r)
+	return tr, CloseMerge(r, err)
+}
+
 // TestCodecRoundTrip is the round-trip property test: for a range of trace
 // sizes straddling chunk boundaries, encode→decode yields identical events
 // and metadata.
@@ -75,7 +85,7 @@ func TestCodecRoundTrip(t *testing.T) {
 		tr := randomTrace(n, int64(n)+1)
 		data := encode(t, tr, meta)
 
-		r, err := NewReader(bytes.NewReader(data))
+		r, err := openBytes(data, Options{})
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -112,11 +122,11 @@ func TestCodecCompact(t *testing.T) {
 }
 
 func TestCodecBadMagic(t *testing.T) {
-	if _, err := NewReader(bytes.NewReader([]byte("NOPE!xxxxxxx"))); !errors.Is(err, ErrBadMagic) {
+	if _, err := openBytes([]byte("NOPE!xxxxxxx"), Options{}); !errors.Is(err, ErrBadMagic) {
 		t.Fatalf("err = %v, want ErrBadMagic", err)
 	}
 	// The legacy fixed-width format must be rejected too.
-	if _, err := NewReader(bytes.NewReader([]byte{'T', 'S', 'M', '1', 0, 0, 0})); !errors.Is(err, ErrBadMagic) {
+	if _, err := openBytes([]byte{'T', 'S', 'M', '1', 0, 0, 0}, Options{}); !errors.Is(err, ErrBadMagic) {
 		t.Fatalf("legacy header: err = %v, want ErrBadMagic", err)
 	}
 }
@@ -124,74 +134,90 @@ func TestCodecBadMagic(t *testing.T) {
 func TestCodecVersionMismatch(t *testing.T) {
 	data := encode(t, randomTrace(10, 1), Meta{Nodes: 4, Scale: 1, Seed: 1})
 	data[4] = Version + 8
-	_, err := NewReader(bytes.NewReader(data))
+	_, err := openBytes(data, Options{})
 	if !errors.Is(err, ErrVersion) {
 		t.Fatalf("err = %v, want ErrVersion", err)
 	}
 }
 
+// truncationModes are the ways a cut file is opened: in memory with inline
+// decode and with two workers, and from disk through a memory mapping.
+var truncationModes = []struct {
+	name string
+	opt  Options
+	file bool
+}{
+	{"inline", Options{}, false},
+	{"workers2", Options{Workers: 2}, false},
+	{"mmap", Options{Workers: 2, Mmap: true}, true},
+}
+
+// collectMode opens data in the given truncation mode and drains it.
+func collectMode(t *testing.T, data []byte, opt Options, file bool) error {
+	t.Helper()
+	if !file {
+		_, err := collectOpen(data, opt)
+		return err
+	}
+	path := filepath.Join(t.TempDir(), "cut.tsm")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenFile(path, opt)
+	if err != nil {
+		return err
+	}
+	_, err = Collect(r)
+	return CloseMerge(r, err)
+}
+
 // TestCodecTruncated cuts a valid stream at every interesting boundary and
-// expects a wrapped ErrTruncated (never a clean EOF, never a panic).
+// expects a wrapped ErrTruncated (never a clean EOF, never a panic), inline,
+// with decode workers and under mmap; then cuts a small multi-chunk stream
+// at every byte.
 func TestCodecTruncated(t *testing.T) {
 	tr := randomTrace(2*DefaultChunkEvents+5, 7)
 	data := encode(t, tr, Meta{Workload: "ocean", Nodes: 16, Scale: 1, Seed: 9})
-	cuts := []int{3, 5, 9, 20, len(data) / 2, len(data) - 1}
-	for _, cut := range cuts {
-		r, err := NewReader(bytes.NewReader(data[:cut]))
-		if err != nil {
-			if !errors.Is(err, ErrTruncated) {
-				t.Fatalf("cut=%d: header err = %v, want ErrTruncated", cut, err)
+	cuts := []int{0, 3, 5, 9, 20, len(data) / 2, len(data) - indexSuffixLen, len(data) - 1}
+	for _, mode := range truncationModes {
+		for _, cut := range cuts {
+			if err := collectMode(t, data[:cut], mode.opt, mode.file); !errors.Is(err, ErrTruncated) {
+				t.Fatalf("%s cut=%d: err = %v, want ErrTruncated", mode.name, cut, err)
 			}
-			continue
 		}
-		_, err = Collect(r)
-		if !errors.Is(err, ErrTruncated) {
-			t.Fatalf("cut=%d: decode err = %v, want ErrTruncated", cut, err)
+	}
+	small := encodeChunked(t, randomTrace(3*8+5, 7), Meta{Workload: "ocean", Nodes: 16}, 8)
+	for _, mode := range truncationModes[:2] {
+		for cut := 0; cut < len(small); cut++ {
+			if err := collectMode(t, small[:cut], mode.opt, mode.file); !errors.Is(err, ErrTruncated) {
+				t.Fatalf("%s cut=%d of %d: err = %v, want ErrTruncated", mode.name, cut, len(small), err)
+			}
 		}
 	}
 }
 
 // TestCodecMissingTrailer exercises the case a crashed writer produces:
-// complete chunks but no end marker. The reader must not report clean EOF.
+// complete chunks but no end marker, trailer or footer. The reader must not
+// report clean EOF.
 func TestCodecMissingTrailer(t *testing.T) {
 	tr := randomTrace(DefaultChunkEvents, 11) // exactly one full chunk
-	// Version 2: the stream ends at the trailer, so stripping the last
-	// bytes removes exactly the end marker + count. (A v3 stream ends at
-	// the footer instead; truncation inside it is covered elsewhere.)
-	data := encodeV(t, tr, Meta{Nodes: 16, Scale: 1, Seed: 1}, VersionNoIndex)
-	// Strip the end marker (one zero byte) and trailer varint.
-	trunc := data[:len(data)-1-len(appendUvarintLen(uint64(tr.Len())))]
-	r, err := NewReader(bytes.NewReader(trunc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Collect(r); !errors.Is(err, ErrTruncated) {
-		t.Fatalf("err = %v, want ErrTruncated", err)
+	data := encode(t, tr, Meta{Nodes: 16, Scale: 1, Seed: 1})
+	// Everything before the end marker: the header and the chunk.
+	trunc := data[:mustIndex(t, data).End]
+	for _, mode := range truncationModes {
+		if err := collectMode(t, trunc, mode.opt, mode.file); !errors.Is(err, ErrTruncated) {
+			t.Fatalf("%s: err = %v, want ErrTruncated", mode.name, err)
+		}
 	}
 }
 
-// appendUvarintLen returns the varint encoding of v (helper to compute
-// trailer length).
-func appendUvarintLen(v uint64) []byte {
-	buf := make([]byte, 0, 10)
-	for v >= 0x80 {
-		buf = append(buf, byte(v)|0x80)
-		v >>= 7
-	}
-	return append(buf, byte(v))
-}
-
-// TestCodecCorruptTrailer flips the trailer count and expects ErrCorrupt.
+// TestCodecCorruptTrailer bumps the trailer count and expects ErrCorrupt.
 func TestCodecCorruptTrailer(t *testing.T) {
 	tr := randomTrace(5, 13)
-	// Version 2, where the trailer is the last varint of the stream.
-	data := encodeV(t, tr, Meta{Nodes: 4, Scale: 1, Seed: 1}, VersionNoIndex)
-	data[len(data)-1]++ // 5 fits in one byte
-	r, err := NewReader(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Collect(r); !errors.Is(err, ErrCorrupt) {
+	data := encode(t, tr, Meta{Nodes: 4, Scale: 1, Seed: 1})
+	// The trailer count follows the one-byte end marker; 5 fits in one byte.
+	data[mustIndex(t, data).End+1]++
+	if _, err := collectOpen(data, Options{}); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt", err)
 	}
 }
@@ -222,17 +248,14 @@ var unreadableMetas = []Meta{
 // built with appendHeader directly, because NewWriter refuses to write them.
 func TestCodecCorruptMeta(t *testing.T) {
 	for _, meta := range unreadableMetas {
-		data := appendHeader(nil, meta, Version)
-		if _, err := NewReader(bytes.NewReader(data)); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("meta %+v: NewReader err = %v, want ErrCorrupt", meta, err)
-		}
-		if _, err := OpenIndexed(bytes.NewReader(data), int64(len(data)), ParallelOptions{}); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("meta %+v: OpenIndexed err = %v, want ErrCorrupt", meta, err)
+		data := appendHeader(nil, meta)
+		if _, err := openBytes(data, Options{}); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("meta %+v: Open err = %v, want ErrCorrupt", meta, err)
 		}
 	}
 	// The largest supported machine still opens.
 	meta := Meta{Workload: "db2", Nodes: mem.MaxNodes, Scale: 1, Seed: 1}
-	r, err := NewReader(bytes.NewReader(encode(t, randomTrace(3, 1), meta)))
+	r, err := openBytes(encode(t, randomTrace(3, 1), meta), Options{})
 	if err != nil || r.Meta() != meta {
 		t.Fatalf("%d-node header: meta %+v, err %v", mem.MaxNodes, r.Meta(), err)
 	}
@@ -250,11 +273,6 @@ func TestWriterRejectsUnreadableMeta(t *testing.T) {
 			t.Errorf("meta %+v: NewWriter wrote %d bytes before refusing", meta, buf.Len())
 		}
 	}
-	// Version 1 stores no repeat, so a bad repeat cannot make it unreadable.
-	meta := Meta{Workload: "db2", Nodes: 16, Scale: 1, Seed: 1, Repeat: -2}
-	if _, err := NewWriterVersion(io.Discard, meta, versionNoRepeat); err != nil {
-		t.Errorf("version 1 writer refused a repeat it does not store: %v", err)
-	}
 }
 
 // TestCodecRepeatMetaRoundTrip: the run-length multiplier a trace was
@@ -263,7 +281,7 @@ func TestWriterRejectsUnreadableMeta(t *testing.T) {
 // file's contents for -repeat/-preset traces.
 func TestCodecRepeatMetaRoundTrip(t *testing.T) {
 	meta := Meta{Workload: "db2", Nodes: 16, Scale: 4, Seed: 1, Repeat: 4}
-	r, err := NewReader(bytes.NewReader(encode(t, randomTrace(10, 1), meta)))
+	r, err := openBytes(encode(t, randomTrace(10, 1), meta), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,72 +297,38 @@ func TestCodecRepeatMetaRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCodecReadsVersion1: streams written before the repeat field existed
-// (version 1, no trailing 8-byte repeat in the header) must still decode,
-// with Repeat reported as the zero default.
-func TestCodecReadsVersion1(t *testing.T) {
-	tr := randomTrace(2*DefaultChunkEvents+5, 3)
-	meta := Meta{Workload: "db2", Nodes: 16, Scale: 0.25, Seed: 42}
-	data := encodeV(t, tr, meta, VersionNoIndex)
-	// Rewrite the v2 header as v1 by dropping the 8-byte repeat field:
-	// magic(4) + version(1) + name len(1) + "db2"(3) + nodes(1) +
-	// scale(8) + seed(1) puts it at offset 19 for this metadata.
-	const repeatOff = 4 + 1 + 1 + 3 + 1 + 8 + 1
-	v1 := append([]byte{}, data[:repeatOff]...)
-	v1 = append(v1, data[repeatOff+8:]...)
-	v1[4] = versionNoRepeat
-	r, err := NewReader(bytes.NewReader(v1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Meta() != meta {
-		t.Fatalf("meta = %+v, want %+v (Repeat must default to 0)", r.Meta(), meta)
-	}
-	got, err := Collect(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != tr.Len() {
-		t.Fatalf("decoded %d events, want %d", got.Len(), tr.Len())
-	}
-	for i := range tr.Events {
-		if got.Events[i] != tr.Events[i] {
-			t.Fatalf("event %d differs", i)
-		}
-	}
-}
-
 // TestCodecRejectsTrailingGarbage is the regression test for the silent-
-// corruption hole: the reader used to stop at the end marker + trailer
-// without confirming the stream actually ends, so a doubly-concatenated or
-// padded .tsm decoded "cleanly" as just its first stream. Every version
-// must now fail with ErrCorrupt.
+// corruption hole: a doubly-concatenated or padded .tsm must never decode
+// "cleanly" as just its first stream. Two concatenated traces end in a
+// valid footer whose trailer is followed by a whole second stream
+// (ErrCorrupt); a padded file has no footer at its end at all, which is what
+// a cut file looks like too (ErrTruncated).
 func TestCodecRejectsTrailingGarbage(t *testing.T) {
 	tr := randomTrace(DefaultChunkEvents+17, 21)
 	meta := Meta{Workload: "db2", Nodes: 16, Scale: 0.25, Seed: 42}
-	for _, version := range []byte{VersionNoIndex, Version} {
-		data := encodeV(t, tr, meta, version)
-		for name, corrupt := range map[string][]byte{
-			"doubly-concatenated": append(append([]byte{}, data...), data...),
-			"one trailing byte":   append(append([]byte{}, data...), 0),
-			"trailing zeros":      append(append([]byte{}, data...), make([]byte, 64)...),
-		} {
-			r, err := NewReader(bytes.NewReader(corrupt))
-			if err != nil {
-				t.Fatalf("v%d %s: header: %v", version, name, err)
+	data := encode(t, tr, meta)
+	for _, tc := range []struct {
+		name    string
+		corrupt []byte
+		want    error
+	}{
+		{"doubly-concatenated", append(append([]byte{}, data...), data...), ErrCorrupt},
+		{"one trailing byte", append(append([]byte{}, data...), 0), ErrTruncated},
+		{"trailing zeros", append(append([]byte{}, data...), make([]byte, 64)...), ErrTruncated},
+	} {
+		for _, workers := range []int{0, 2} {
+			if _, err := collectOpen(tc.corrupt, Options{Workers: workers}); !errors.Is(err, tc.want) {
+				t.Errorf("%s workers=%d: err = %v, want %v", tc.name, workers, err, tc.want)
 			}
-			if _, err := Collect(r); !errors.Is(err, ErrCorrupt) {
-				t.Errorf("v%d %s: err = %v, want ErrCorrupt", version, name, err)
-			}
 		}
-		// The pristine stream, for contrast, still decodes cleanly.
-		r, err := NewReader(bytes.NewReader(data))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, err := Collect(r); err != nil || got.Len() != tr.Len() {
-			t.Fatalf("v%d pristine: %d events, err %v", version, got.Len(), err)
-		}
+	}
+	// The pristine stream, for contrast, still decodes cleanly.
+	got, err := collectOpen(data, Options{})
+	if err != nil {
+		t.Fatalf("pristine: %v", err)
+	}
+	if got.Len() != tr.Len() {
+		t.Fatalf("pristine: %d events, want %d", got.Len(), tr.Len())
 	}
 }
 
@@ -400,34 +384,6 @@ func TestWriterCountStopsOnFlushError(t *testing.T) {
 	}
 	if err := w.Close(); err == nil {
 		t.Fatal("Close after a failed flush must report the error")
-	}
-}
-
-// TestCodecV2RoundTrip: NewWriterVersion(2) still produces the footerless
-// layout older readers understand, and the current reader decodes it.
-func TestCodecV2RoundTrip(t *testing.T) {
-	tr := randomTrace(2*DefaultChunkEvents+5, 31)
-	meta := Meta{Workload: "apache", Nodes: 8, Scale: 0.5, Seed: 3, Repeat: 2}
-	data := encodeV(t, tr, meta, VersionNoIndex)
-	if bytes.Equal(data[len(data)-4:], IndexMagic[:]) {
-		t.Fatal("version 2 stream must not carry a chunk-index footer")
-	}
-	r, err := NewReader(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Meta() != meta {
-		t.Fatalf("meta = %+v, want %+v", r.Meta(), meta)
-	}
-	got, err := Collect(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != tr.Len() {
-		t.Fatalf("decoded %d events, want %d", got.Len(), tr.Len())
-	}
-	if _, err := NewWriterVersion(io.Discard, meta, Version+1); !errors.Is(err, ErrVersion) {
-		t.Fatal("NewWriterVersion must reject unknown versions")
 	}
 }
 

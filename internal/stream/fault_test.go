@@ -1,21 +1,21 @@
 package stream
 
-// Fault injection across the three decode paths — the serial Reader over an
-// io.Reader, the parallel decoder over an io.ReaderAt, and the parallel
-// decoder over an mmap — for short reads, an I/O error inside one chunk, a
+// Fault injection across the decoder's settings — inline and pooled decode
+// over an io.ReaderAt, and decode over an mmap — for an io.ReaderAt that
+// reports io.EOF with its last full read, an I/O error inside one chunk, a
 // file truncated after its index was read, and an event from a node the
 // header does not have.
 
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
-	"testing/iotest"
 	"time"
 
 	"tsm/internal/mem"
@@ -52,70 +52,48 @@ func sameEvents(t *testing.T, what string, got, want []trace.Event) {
 	}
 }
 
-// TestSerialDecodeShortReads: a reader that returns one byte, or half the
-// requested bytes, per Read must decode to exactly the events of a plain
-// read, through both Next and NextChunkSoA.
-func TestSerialDecodeShortReads(t *testing.T) {
+// eofAtEndReaderAt returns io.EOF alongside every read that reaches the end
+// of its data, full reads included, as io.ReaderAt allows.
+type eofAtEndReaderAt struct{ data []byte }
+
+func (r eofAtEndReaderAt) ReadAt(p []byte, off int64) (int, error) {
+	n, err := bytes.NewReader(r.data).ReadAt(p, off)
+	if err == nil && off+int64(n) == int64(len(r.data)) {
+		err = io.EOF
+	}
+	return n, err
+}
+
+// TestInlineDecodeEOFAtEnd: a byte source that reports io.EOF with its last
+// full read — the header of a short file, the footer suffix, the last chunk
+// — must decode to exactly the events of a plain read, inline and pooled,
+// through both Next and NextChunkSoA.
+func TestInlineDecodeEOFAtEnd(t *testing.T) {
 	tr := randomTrace(5*64+13, 21)
 	data := encodeChunked(t, tr, Meta{Workload: "db2", Nodes: 16}, 64)
-	plain, err := NewReader(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := drainSoA(plain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range tr.Events {
-		if want[i] != tr.Events[i] {
-			t.Fatalf("plain read event %d = %+v, want %+v", i, want[i], tr.Events[i])
+	for _, workers := range []int{0, 2} {
+		for _, chunks := range []bool{false, true} {
+			name := fmt.Sprintf("workers=%d chunks=%v", workers, chunks)
+			r, err := Open(eofAtEndReaderAt{data}, int64(len(data)), Options{Workers: workers})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			var got []trace.Event
+			if chunks {
+				got, err = drainSoA(r)
+			} else {
+				got, err = drainNext(r)
+			}
+			if err = CloseMerge(r, err); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			sameEvents(t, name, got, tr.Events)
 		}
-	}
-	shorts := map[string]func(io.Reader) io.Reader{
-		"one-byte": iotest.OneByteReader,
-		"half":     iotest.HalfReader,
-	}
-	for name, wrap := range shorts {
-		r, err := NewReader(wrap(bytes.NewReader(data)))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		got, err := drainSoA(r)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		sameEvents(t, name+" NextChunkSoA", got, want)
-
-		r, err = NewReader(wrap(bytes.NewReader(data)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		tr2, err := Collect(r)
-		if err != nil {
-			t.Fatalf("%s Next: %v", name, err)
-		}
-		sameEvents(t, name+" Next", tr2.Events, want)
 	}
 }
 
 // errInjected is the I/O error the fault-injecting readers return.
 var errInjected = errors.New("injected I/O error")
-
-// failAtReader serves data up to byte failAt, then fails every Read with
-// errInjected.
-type failAtReader struct {
-	data        []byte
-	off, failAt int
-}
-
-func (r *failAtReader) Read(p []byte) (int, error) {
-	if r.off >= r.failAt {
-		return 0, errInjected
-	}
-	n := copy(p, r.data[r.off:r.failAt])
-	r.off += n
-	return n, nil
-}
 
 // failAtReaderAt serves data, except that reads starting inside [lo, hi) —
 // one chunk's bytes — fail with errInjected.
@@ -133,17 +111,12 @@ func (r *failAtReaderAt) ReadAt(p []byte, off int64) (int, error) {
 
 // TestDecodeIOErrorInChunk: an I/O error inside chunk k surfaces wrapped —
 // errors.Is finds it, with the decoder's context around it — after exactly
-// the events of chunks 0..k-1, from the serial and the parallel decoder.
+// the events of chunks 0..k-1, from inline and pooled decode.
 func TestDecodeIOErrorInChunk(t *testing.T) {
 	const perCh, k = 64, 3
 	tr := randomTrace(8*perCh, 22)
 	data := encodeChunked(t, tr, Meta{Workload: "db2", Nodes: 16}, perCh)
-	ix, err := OpenIndexed(bytes.NewReader(data), int64(len(data)), ParallelOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := ix.Index().Chunks[k]
-	ix.Close()
+	ref := mustIndex(t, data).Chunks[k]
 	check := func(name string, got []trace.Event, err error) {
 		t.Helper()
 		if !errors.Is(err, errInjected) || err == errInjected {
@@ -152,32 +125,26 @@ func TestDecodeIOErrorInChunk(t *testing.T) {
 		sameEvents(t, name, got, tr.Events[:k*perCh])
 	}
 
-	r, err := NewReader(&failAtReader{data: data, failAt: int(ref.Offset + ref.Length/2)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := drainSoA(r)
-	check("serial", got, err)
-
-	for _, workers := range []int{1, 4} {
-		pr, err := OpenIndexed(&failAtReaderAt{data: data, lo: ref.Offset, hi: ref.Offset + ref.Length}, int64(len(data)), ParallelOptions{Workers: workers})
+	for _, workers := range []int{0, 1, 4} {
+		pr, err := Open(&failAtReaderAt{data: data, lo: ref.Offset, hi: ref.Offset + ref.Length}, int64(len(data)), Options{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
 		got, err := drainSoA(pr)
-		check("parallel", got, err)
+		check(fmt.Sprintf("workers=%d", workers), got, err)
 		if err := pr.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
 }
 
-// TestDecodeTruncatedAfterIndex: a file truncated after the parallel
-// decoder has read its index must fail with ErrTruncated, never a crash or a
-// clean stream — on the ReadAt path (short reads) and on the mmap path,
-// where touching a page past the new end of file raises SIGBUS and the
-// decode worker recovers the fault, or where only the footer is cut and the
-// end-of-stream check sees the file shrank. No goroutine may outlive Close.
+// TestDecodeTruncatedAfterIndex: a file truncated after the Reader has read
+// its index must fail with ErrTruncated, never a crash or a clean stream —
+// inline and with two workers, on the ReadAt path (short reads) and on the
+// mmap path, where touching a page past the new end of file raises SIGBUS
+// and the decoding goroutine recovers the fault, or where only the footer is
+// cut and the end-of-stream check sees the file shrank. No goroutine may
+// outlive Close.
 func TestDecodeTruncatedAfterIndex(t *testing.T) {
 	tr := randomTrace(200*64, 23)
 	data := encodeChunked(t, tr, Meta{Workload: "db2", Nodes: 16}, 64)
@@ -202,34 +169,36 @@ func TestDecodeTruncatedAfterIndex(t *testing.T) {
 	for _, tc := range cases {
 		mmap := tc.mmap
 		t.Run(tc.name, func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "trace.tsm")
-			if err := os.WriteFile(path, data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			before := runtime.NumGoroutine()
-			r, err := OpenFileParallel(path, ParallelOptions{Workers: 2, Mmap: mmap})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if m, ok := r.closer.(*Mmap); mmap && (!ok || !m.Mapped()) {
-				r.Close()
-				t.Skip("no memory mapping on this platform")
-			}
-			if err := os.Truncate(path, int64(tc.size)); err != nil {
-				t.Fatal(err)
-			}
-			got, err := drainSoA(r)
-			if !errors.Is(err, ErrTruncated) {
-				t.Fatalf("err = %v after %d events, want ErrTruncated", err, len(got))
-			}
-			if err := r.Close(); err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; runtime.NumGoroutine() > before; i++ {
-				if i == 50 {
-					t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
+			for _, workers := range []int{0, 2} {
+				path := filepath.Join(t.TempDir(), "trace.tsm")
+				if err := os.WriteFile(path, data, 0o644); err != nil {
+					t.Fatal(err)
 				}
-				time.Sleep(10 * time.Millisecond)
+				before := runtime.NumGoroutine()
+				r, err := OpenFile(path, Options{Workers: workers, Mmap: mmap})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if m, ok := r.closer.(*Mmap); mmap && (!ok || !m.Mapped()) {
+					r.Close()
+					t.Skip("no memory mapping on this platform")
+				}
+				if err := os.Truncate(path, int64(tc.size)); err != nil {
+					t.Fatal(err)
+				}
+				got, err := drainSoA(r)
+				if !errors.Is(err, ErrTruncated) {
+					t.Fatalf("workers=%d: err = %v after %d events, want ErrTruncated", workers, err, len(got))
+				}
+				if err := r.Close(); err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; runtime.NumGoroutine() > before; i++ {
+					if i == 50 {
+						t.Fatalf("workers=%d: goroutines leaked: %d before, %d after", workers, before, runtime.NumGoroutine())
+					}
+					time.Sleep(10 * time.Millisecond)
+				}
 			}
 		})
 	}
@@ -261,7 +230,7 @@ func TestWriterRejectsOutOfRangeNode(t *testing.T) {
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-		r, err := NewReader(bytes.NewReader(buf.Bytes()))
+		r, err := openBytes(buf.Bytes(), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -275,7 +244,7 @@ func TestWriterRejectsOutOfRangeNode(t *testing.T) {
 
 // TestDecodeRejectsOutOfRangeNode: an event from node 40 in chunk k of a
 // 16-node trace fails with ErrCorrupt after exactly the events of chunks
-// 0..k-1, from the serial, the parallel and the mmap decoder.
+// 0..k-1, inline, with 1 or 4 workers, and over mmap.
 func TestDecodeRejectsOutOfRangeNode(t *testing.T) {
 	const perCh, k = 64, 3
 	tr := randomTrace(8*perCh, 24)
@@ -284,8 +253,8 @@ func TestDecodeRejectsOutOfRangeNode(t *testing.T) {
 	// under a 64-node header and patch the node count to 16.
 	wide, narrow := Meta{Workload: "db2", Nodes: 64}, Meta{Workload: "db2", Nodes: 16}
 	data := encodeChunked(t, tr, wide, perCh)
-	hdr := appendHeader(nil, narrow, Version)
-	if wideHdr := appendHeader(nil, wide, Version); !bytes.HasPrefix(data, wideHdr) || len(hdr) != len(wideHdr) {
+	hdr := appendHeader(nil, narrow)
+	if wideHdr := appendHeader(nil, wide); !bytes.HasPrefix(data, wideHdr) || len(hdr) != len(wideHdr) {
 		t.Fatal("node count patch would change the header length")
 	}
 	copy(data, hdr)
@@ -297,20 +266,13 @@ func TestDecodeRejectsOutOfRangeNode(t *testing.T) {
 		}
 		sameEvents(t, name, got, tr.Events[:k*perCh])
 	}
-	r, err := NewReader(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := drainSoA(r)
-	check("serial", got, err)
-
-	for _, workers := range []int{1, 4} {
-		pr, err := OpenIndexed(bytes.NewReader(data), int64(len(data)), ParallelOptions{Workers: workers})
+	for _, workers := range []int{0, 1, 4} {
+		pr, err := openBytes(data, Options{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
 		got, err := drainSoA(pr)
-		check("parallel", got, err)
+		check(fmt.Sprintf("workers=%d", workers), got, err)
 		if err := pr.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -320,11 +282,11 @@ func TestDecodeRejectsOutOfRangeNode(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	mr, err := OpenFileParallel(path, ParallelOptions{Workers: 2, Mmap: true})
+	mr, err := OpenFile(path, Options{Workers: 2, Mmap: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err = drainSoA(mr)
+	got, err := drainSoA(mr)
 	check("mmap", got, err)
 	if err := mr.Close(); err != nil {
 		t.Fatal(err)

@@ -1,29 +1,23 @@
-// The chunk index: a footer appended after the trailer by version ≥ 3
-// writers, mapping every chunk to its file offset and event count. Because
-// the fixed-width suffix (payload length + magic) sits at the very end of
-// the file, a seeking reader recovers the whole index with two ReadAt calls
-// and no stream decode — which is what partial replay (-from/-to) and
-// parallel-by-chunk decode (pdecode.go) build on.
+// The chunk index: a footer appended after the trailer, mapping every chunk
+// to its file offset and event count. Because the fixed-width suffix
+// (payload length + magic) sits at the very end of the file, a reader
+// recovers the whole index with a few ReadAt calls and no stream decode —
+// which is what partial replay (-from/-to) and parallel-by-chunk decode
+// (reader.go) build on.
 package stream
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 )
 
-// IndexMagic terminates the chunk-index footer of a version ≥ 3 stream.
+// IndexMagic terminates the chunk-index footer.
 var IndexMagic = [4]byte{'T', 'S', 'M', 'I'}
 
 // indexSuffixLen is the fixed-width tail of the footer: an 8-byte little
 // endian payload length followed by IndexMagic.
 const indexSuffixLen = 12
-
-// ErrNoIndex is returned (wrapped) when a seeking open is attempted on a
-// stream too old to carry a chunk index (version 1 or 2). Callers fall back
-// to the serial streaming Reader.
-var ErrNoIndex = errors.New("stream: trace has no chunk index (codec version < 3)")
 
 // ChunkRef locates one chunk inside a trace file.
 type ChunkRef struct {
@@ -64,67 +58,87 @@ func appendFooter(dst []byte, chunks []ChunkRef, end int64) []byte {
 	return append(dst, IndexMagic[:]...)
 }
 
-// walkFooterPayload decodes a footer payload from r, invoking visit (when
-// non-nil) with each chunk's absolute offset and event count, and returns
-// the chunk count, the event-count sum and the absolute end-marker offset.
-// Structural bounds (monotonic offsets, per-chunk event limits) fail with
-// ErrCorrupt; an early end of input fails with ErrTruncated.
-func walkFooterPayload(r io.ByteReader, visit func(i int, offset int64, events uint64) error) (count, sum uint64, end int64, err error) {
-	count, err = binary.ReadUvarint(r)
-	if err != nil {
-		return 0, 0, 0, fmt.Errorf("stream: reading footer chunk count: %w", errTrunc(err))
+// walkFooterPayload decodes a footer payload into an index of chunk
+// offsets, event counts and start sequence numbers, plus the absolute
+// end-marker offset. Offsets must increase and lie past the header, every
+// chunk must hold 1..maxChunkEvents events and the payload must be consumed
+// exactly; anything else fails with ErrCorrupt (or ErrTruncated when the
+// payload ends mid-varint). Lengths are left for ReadIndex to fill in.
+func walkFooterPayload(payload []byte, headerLen int64) (*Index, error) {
+	pos := 0
+	uvarint := func(what string) (uint64, error) {
+		v, w := binary.Uvarint(payload[pos:])
+		if w <= 0 {
+			return 0, varintErr(w, what)
+		}
+		pos += w
+		return v, nil
 	}
+	count, err := uvarint("footer chunk count")
+	if err != nil {
+		return nil, err
+	}
+	// Every entry takes at least two bytes, so a count beyond that is a
+	// corrupt payload, not an allocation to honour.
+	if count > uint64(len(payload))/2 {
+		return nil, fmt.Errorf("%w: footer indexes %d chunks in %d bytes", ErrCorrupt, count, len(payload))
+	}
+	ix := &Index{Chunks: make([]ChunkRef, 0, count)}
 	prev := int64(0)
 	for i := uint64(0); i < count; i++ {
-		d, err := binary.ReadUvarint(r)
+		d, err := uvarint("footer offset")
 		if err != nil {
-			return 0, 0, 0, fmt.Errorf("stream: reading footer offset: %w", errTrunc(err))
+			return nil, err
 		}
 		if d > uint64(1)<<62 || (i > 0 && d == 0) {
-			return 0, 0, 0, fmt.Errorf("%w: footer offsets not increasing", ErrCorrupt)
+			return nil, fmt.Errorf("%w: footer offsets not increasing", ErrCorrupt)
 		}
 		off := prev + int64(d)
-		events, err := binary.ReadUvarint(r)
+		if off < headerLen {
+			return nil, fmt.Errorf("%w: footer offset %d inside header", ErrCorrupt, off)
+		}
+		events, err := uvarint("footer event count")
 		if err != nil {
-			return 0, 0, 0, fmt.Errorf("stream: reading footer event count: %w", errTrunc(err))
+			return nil, err
 		}
 		if events == 0 || events > maxChunkEvents {
-			return 0, 0, 0, fmt.Errorf("%w: footer chunk of %d events", ErrCorrupt, events)
+			return nil, fmt.Errorf("%w: footer chunk of %d events", ErrCorrupt, events)
 		}
-		sum += events
-		if visit != nil {
-			if err := visit(int(i), off, events); err != nil {
-				return 0, 0, 0, err
-			}
-		}
+		ix.Chunks = append(ix.Chunks, ChunkRef{Offset: off, Events: events, Start: ix.Events})
+		ix.Events += events
 		prev = off
 	}
-	d, err := binary.ReadUvarint(r)
+	d, err := uvarint("footer end offset")
 	if err != nil {
-		return 0, 0, 0, fmt.Errorf("stream: reading footer end offset: %w", errTrunc(err))
+		return nil, err
 	}
 	if d > uint64(1)<<62 || (count > 0 && d == 0) {
-		return 0, 0, 0, fmt.Errorf("%w: footer end offset not past last chunk", ErrCorrupt)
+		return nil, fmt.Errorf("%w: footer end offset not past last chunk", ErrCorrupt)
 	}
-	return count, sum, prev + int64(d), nil
+	if pos != len(payload) {
+		return nil, fmt.Errorf("%w: footer length %d, decoded %d bytes", ErrCorrupt, len(payload), pos)
+	}
+	ix.End = prev + int64(d)
+	return ix, nil
 }
 
-// ReadIndex recovers the chunk index of a version ≥ 3 trace of the given
-// size via ra, without decoding the stream. headerLen is the length of the
-// already-parsed header (see parseHeader). Every offset is validated
-// against the file extents and the footer is cross-checked against the
-// trailer, so a corrupt index fails here with ErrCorrupt rather than
-// sending decode workers to arbitrary offsets.
+// ReadIndex recovers the chunk index of a trace of the given size via ra,
+// without decoding the stream. headerLen is the length of the
+// already-parsed header (see readHeader). A file with no complete footer at
+// its end — cut short, or with bytes appended after it — fails with
+// ErrTruncated. Every offset is validated against the file extents and the
+// footer is cross-checked against the trailer, so a corrupt index fails
+// here with ErrCorrupt rather than sending the decoder to arbitrary offsets.
 func ReadIndex(ra io.ReaderAt, size, headerLen int64) (*Index, error) {
 	if size < headerLen+indexSuffixLen {
 		return nil, fmt.Errorf("stream: reading footer: %w", ErrTruncated)
 	}
 	var suffix [indexSuffixLen]byte
-	if _, err := ra.ReadAt(suffix[:], size-indexSuffixLen); err != nil {
-		return nil, fmt.Errorf("stream: reading footer suffix: %w", errTrunc(err))
+	if err := readAt(ra, suffix[:], size-indexSuffixLen); err != nil {
+		return nil, fmt.Errorf("stream: reading footer suffix: %w", err)
 	}
 	if *(*[4]byte)(suffix[8:]) != IndexMagic {
-		return nil, fmt.Errorf("%w: bad footer magic", ErrCorrupt)
+		return nil, fmt.Errorf("stream: no footer magic at end of file (cut short, or bytes after the footer): %w", ErrTruncated)
 	}
 	payloadLen := binary.LittleEndian.Uint64(suffix[:8])
 	if payloadLen == 0 || payloadLen > uint64(size-headerLen-indexSuffixLen) {
@@ -132,34 +146,22 @@ func ReadIndex(ra io.ReaderAt, size, headerLen int64) (*Index, error) {
 	}
 	footerStart := size - indexSuffixLen - int64(payloadLen)
 	payload := make([]byte, payloadLen)
-	if _, err := ra.ReadAt(payload, footerStart); err != nil {
-		return nil, fmt.Errorf("stream: reading footer: %w", errTrunc(err))
+	if err := readAt(ra, payload, footerStart); err != nil {
+		return nil, fmt.Errorf("stream: reading footer: %w", err)
 	}
-	pr := &posReader{r: newSliceScanner(payload)}
-	ix := &Index{}
-	_, sum, end, err := walkFooterPayload(pr, func(i int, offset int64, events uint64) error {
-		if offset < headerLen {
-			return fmt.Errorf("%w: footer offset %d inside header", ErrCorrupt, offset)
-		}
-		ix.Chunks = append(ix.Chunks, ChunkRef{Offset: offset, Events: events, Start: ix.Events})
-		ix.Events += events
-		return nil
-	})
+	ix, err := walkFooterPayload(payload, headerLen)
 	if err != nil {
 		return nil, err
 	}
-	if pr.n != int64(payloadLen) {
-		return nil, fmt.Errorf("%w: footer length %d, decoded %d bytes", ErrCorrupt, payloadLen, pr.n)
-	}
+	end := ix.End
 	if end >= footerStart {
 		return nil, fmt.Errorf("%w: footer end offset %d past footer", ErrCorrupt, end)
 	}
-	ix.End = end
 	// The chunks must tile the byte range [headerLen, end) exactly — chunk N
 	// ends where chunk N+1 begins by construction (Length below), so the only
 	// possible gap is between the header and the first chunk (or the end
 	// marker, for an empty trace). A gap would be bytes the index silently
-	// skips but a streaming decode reads: silent-corruption territory.
+	// skips: silent-corruption territory.
 	bodyStart := end
 	if len(ix.Chunks) > 0 {
 		bodyStart = ix.Chunks[0].Offset
@@ -182,50 +184,22 @@ func ReadIndex(ra io.ReaderAt, size, headerLen int64) (*Index, error) {
 	// Cross-check the trailer: the bytes between the end marker and the
 	// footer must be exactly the end marker and a count matching the index.
 	tail := make([]byte, footerStart-end)
-	if _, err := ra.ReadAt(tail, end); err != nil {
-		return nil, fmt.Errorf("stream: reading trailer: %w", errTrunc(err))
+	if err := readAt(ra, tail, end); err != nil {
+		return nil, fmt.Errorf("stream: reading trailer: %w", err)
 	}
-	tr := &posReader{r: newSliceScanner(tail)}
-	if marker, err := binary.ReadUvarint(tr); err != nil || marker != 0 {
+	marker, m := binary.Uvarint(tail)
+	if m <= 0 || marker != 0 {
 		return nil, fmt.Errorf("%w: end marker missing at footer end offset", ErrCorrupt)
 	}
-	total, err := binary.ReadUvarint(tr)
-	if err != nil {
-		return nil, fmt.Errorf("stream: reading trailer: %w", errTrunc(err))
+	total, w := binary.Uvarint(tail[m:])
+	if w <= 0 {
+		return nil, varintErr(w, "trailer")
 	}
-	if total != sum {
-		return nil, fmt.Errorf("%w: trailer count %d, footer counts %d", ErrCorrupt, total, sum)
+	if total != ix.Events {
+		return nil, fmt.Errorf("%w: trailer count %d, footer counts %d", ErrCorrupt, total, ix.Events)
 	}
-	if tr.n != int64(len(tail)) {
+	if m+w != len(tail) {
 		return nil, fmt.Errorf("%w: trailing data between trailer and footer", ErrCorrupt)
 	}
 	return ix, nil
-}
-
-// sliceScanner is a minimal byteScanner over a byte slice (bytes.Reader
-// would also do, but this keeps posReader's accounting exact and
-// allocation-free).
-type sliceScanner struct {
-	b   []byte
-	pos int
-}
-
-func newSliceScanner(b []byte) *sliceScanner { return &sliceScanner{b: b} }
-
-func (s *sliceScanner) Read(p []byte) (int, error) {
-	if s.pos >= len(s.b) {
-		return 0, io.EOF
-	}
-	n := copy(p, s.b[s.pos:])
-	s.pos += n
-	return n, nil
-}
-
-func (s *sliceScanner) ReadByte() (byte, error) {
-	if s.pos >= len(s.b) {
-		return 0, io.EOF
-	}
-	b := s.b[s.pos]
-	s.pos++
-	return b, nil
 }

@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"runtime"
+	"slices"
+	"strconv"
 	"testing"
 
 	"tsm/internal/trace"
@@ -31,9 +35,9 @@ func encodeChunked(t *testing.T, tr *trace.Trace, meta Meta, perCh int) []byte {
 	return buf.Bytes()
 }
 
-// collectParallel drains a ParallelReader into a slice of events (with
-// their Seq fields as yielded, not reassigned).
-func collectParallel(t *testing.T, r *ParallelReader) []trace.Event {
+// collectEvents drains a Reader into a slice of events (with their Seq
+// fields as yielded, not reassigned).
+func collectEvents(t *testing.T, r *Reader) []trace.Event {
 	t.Helper()
 	var out []trace.Event
 	for {
@@ -54,11 +58,11 @@ func TestReadIndexRoundTrip(t *testing.T) {
 	tr := randomTrace(10*64+13, 5)
 	meta := Meta{Workload: "db2", Nodes: 16, Scale: 0.25, Seed: 42}
 	data := encodeChunked(t, tr, meta, 64)
-	pr := &posReader{r: newSliceScanner(data)}
-	if _, _, err := parseHeader(pr); err != nil {
+	_, headerLen, err := readHeader(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := ReadIndex(bytes.NewReader(data), int64(len(data)), pr.n)
+	ix, err := ReadIndex(bytes.NewReader(data), int64(len(data)), headerLen)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +72,7 @@ func TestReadIndexRoundTrip(t *testing.T) {
 	if want := (tr.Len() + 63) / 64; len(ix.Chunks) != want {
 		t.Fatalf("index has %d chunks, want %d", len(ix.Chunks), want)
 	}
-	off := pr.n
+	off := headerLen
 	var seq uint64
 	for i, c := range ix.Chunks {
 		if c.Offset != off {
@@ -85,46 +89,67 @@ func TestReadIndexRoundTrip(t *testing.T) {
 	}
 }
 
-// TestParallelDecodeMatchesSerial is the core differential: for several
-// worker counts and chunk sizes, the parallel reader yields exactly the
-// serial reader's event sequence, sequence numbers included.
+// TestParallelDecodeMatchesSerial is the core differential of the one
+// decoder across its settings: inline and with 1 or 4 workers, over ReadAt
+// and mmap, full-range and ranged, the Reader hands out exactly the columns
+// of the encoded events, sequence numbers included.
 func TestParallelDecodeMatchesSerial(t *testing.T) {
 	meta := Meta{Workload: "ocean", Nodes: 16, Scale: 0.5, Seed: 7}
+	dir := t.TempDir()
 	for _, n := range []int{0, 1, 63, 64, 65, 64*7 + 11} {
 		tr := randomTrace(n, int64(n)+3)
-		data := encodeChunked(t, tr, meta, 64)
-		serial, err := NewReader(bytes.NewReader(data))
-		if err != nil {
+		path := filepath.Join(dir, strconv.Itoa(n)+".tsm")
+		if err := os.WriteFile(path, encodeChunked(t, tr, meta, 64), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		want, err := Collect(serial)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{1, 2, 4, 8} {
-			r, err := OpenIndexed(bytes.NewReader(data), int64(len(data)), ParallelOptions{Workers: workers})
-			if err != nil {
-				t.Fatalf("n=%d workers=%d: %v", n, workers, err)
+		for _, rg := range [][2]uint64{{0, 0}, {uint64(n) / 4, 3*uint64(n)/4 + 1}} {
+			lo, hi := min(rg[0], uint64(n)), uint64(n)
+			if rg[1] > 0 {
+				hi = min(rg[1], hi)
 			}
-			if r.Meta() != meta {
-				t.Fatalf("meta = %+v, want %+v", r.Meta(), meta)
-			}
-			got := collectParallel(t, r)
-			if len(got) != want.Len() {
-				t.Fatalf("n=%d workers=%d: %d events, want %d", n, workers, len(got), want.Len())
-			}
-			for i := range got {
-				if got[i] != want.Events[i] {
-					t.Fatalf("n=%d workers=%d: event %d = %+v, want %+v", n, workers, i, got[i], want.Events[i])
+			var want ChunkSoA
+			want.AppendEvents(tr.Events[lo:hi])
+			for _, workers := range []int{0, 1, 4} {
+				for _, mmap := range []bool{false, true} {
+					name := fmt.Sprintf("n=%d range=%v workers=%d mmap=%v", n, rg, workers, mmap)
+					r, err := OpenFile(path, Options{Workers: workers, Mmap: mmap, From: rg[0], To: rg[1]})
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if r.Meta() != meta {
+						t.Fatalf("%s: meta = %+v, want %+v", name, r.Meta(), meta)
+					}
+					var got ChunkSoA
+					if err := drainColumns(r, &got); err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if !slices.Equal(got.Seq, want.Seq) || !slices.Equal(got.Kind, want.Kind) || !slices.Equal(got.Node, want.Node) ||
+						!slices.Equal(got.Block, want.Block) || !slices.Equal(got.Producer, want.Producer) {
+						t.Fatalf("%s: columns differ from the encoded events (%d rows, want %d)", name, got.Len(), want.Len())
+					}
+					if f := r.Fraction(); hi > lo && f != 1 {
+						t.Fatalf("%s: Fraction() = %v after drain, want 1", name, f)
+					}
+					if err := r.Close(); err != nil {
+						t.Fatal(err)
+					}
 				}
 			}
-			if f := r.Fraction(); n > 0 && f != 1 {
-				t.Fatalf("n=%d workers=%d: Fraction() = %v after drain, want 1", n, workers, f)
-			}
-			if err := r.Close(); err != nil {
-				t.Fatal(err)
-			}
 		}
+	}
+}
+
+// drainColumns appends every chunk r hands out to dst.
+func drainColumns(r *Reader, dst *ChunkSoA) error {
+	for {
+		c, err := r.NextChunkSoA()
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		dst.AppendSoA(c)
 	}
 }
 
@@ -135,14 +160,7 @@ func TestParallelDecodeRange(t *testing.T) {
 	tr := randomTrace(perCh*5+17, 9)
 	meta := Meta{Workload: "zeus", Nodes: 16, Scale: 1, Seed: 2}
 	data := encodeChunked(t, tr, meta, perCh)
-	serial, err := NewReader(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := Collect(serial)
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := tr
 	n := uint64(tr.Len())
 	ranges := [][2]uint64{
 		{0, 0},                 // whole stream
@@ -156,11 +174,11 @@ func TestParallelDecodeRange(t *testing.T) {
 	}
 	for _, rg := range ranges {
 		from, to := rg[0], rg[1]
-		r, err := OpenIndexed(bytes.NewReader(data), int64(len(data)), ParallelOptions{Workers: 3, From: from, To: to})
+		r, err := openBytes(data, Options{Workers: 3, From: from, To: to})
 		if err != nil {
 			t.Fatalf("[%d,%d): %v", from, to, err)
 		}
-		got := collectParallel(t, r)
+		got := collectEvents(t, r)
 		if err := r.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -183,18 +201,47 @@ func TestParallelDecodeRange(t *testing.T) {
 		}
 	}
 	// An inverted range is an error up front.
-	if _, err := OpenIndexed(bytes.NewReader(data), int64(len(data)), ParallelOptions{From: 10, To: 5}); err == nil {
+	if _, err := openBytes(data, Options{From: 10, To: 5}); err == nil {
 		t.Fatal("inverted range must fail to open")
 	}
 }
 
-// TestOpenIndexedRejectsOldVersions: v1/v2 streams have no index; the
-// seeking open must fail with ErrNoIndex so callers fall back to serial.
-func TestOpenIndexedRejectsOldVersions(t *testing.T) {
-	tr := randomTrace(100, 3)
-	data := encodeV(t, tr, Meta{Nodes: 4, Scale: 1, Seed: 1}, VersionNoIndex)
-	if _, err := OpenIndexed(bytes.NewReader(data), int64(len(data)), ParallelOptions{}); !errors.Is(err, ErrNoIndex) {
-		t.Fatalf("err = %v, want ErrNoIndex", err)
+// TestOldVersionsRejected: files of the earlier codec versions — version 2
+// (no chunk-index footer) and version 1 (additionally no repeat field) —
+// fail Open, OpenFile and Describe with a wrapped ErrVersion.
+func TestOldVersionsRejected(t *testing.T) {
+	meta := Meta{Workload: "db2", Nodes: 16, Scale: 0.25, Seed: 42}
+	data := encode(t, randomTrace(100, 3), meta)
+	// A version 2 file is a version 3 file without the footer.
+	ix := mustIndex(t, data)
+	trailer := binary.AppendUvarint([]byte{0}, ix.Events)
+	v2 := append([]byte{}, data[:ix.End+int64(len(trailer))]...)
+	v2[4] = 2
+	// A version 1 header lacks the 8-byte repeat field: magic(4) +
+	// version(1) + name length(1) + "db2"(3) + nodes(1) + scale(8) +
+	// seed(1) puts it at offset 19 for this metadata.
+	const repeatOff = 4 + 1 + 1 + 3 + 1 + 8 + 1
+	v1 := append(append([]byte{}, v2[:repeatOff]...), v2[repeatOff+8:]...)
+	v1[4] = 1
+	dir := t.TempDir()
+	for name, old := range map[string][]byte{"v1": v1, "v2": v2} {
+		for _, workers := range []int{0, 2} {
+			if _, err := openBytes(old, Options{Workers: workers}); !errors.Is(err, ErrVersion) {
+				t.Errorf("%s workers=%d: Open err = %v, want ErrVersion", name, workers, err)
+			}
+		}
+		path := filepath.Join(dir, name+".tsm")
+		if err := os.WriteFile(path, old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, mmap := range []bool{false, true} {
+			if _, err := OpenFile(path, Options{Mmap: mmap}); !errors.Is(err, ErrVersion) {
+				t.Errorf("%s mmap=%v: OpenFile err = %v, want ErrVersion", name, mmap, err)
+			}
+		}
+		if _, err := Describe(path); !errors.Is(err, ErrVersion) {
+			t.Errorf("%s: Describe err = %v, want ErrVersion", name, err)
+		}
 	}
 }
 
@@ -207,8 +254,8 @@ func TestReadIndexRejectsCorruption(t *testing.T) {
 	meta := Meta{Workload: "db2", Nodes: 16, Scale: 0.25, Seed: 42}
 	data := encodeChunked(t, tr, meta, perCh)
 
-	open := func(b []byte) (*ParallelReader, error) {
-		return OpenIndexed(bytes.NewReader(b), int64(len(b)), ParallelOptions{Workers: 2})
+	open := func(b []byte) (*Reader, error) {
+		return openBytes(b, Options{Workers: 2})
 	}
 	mustFailStructured := func(name string, b []byte) {
 		t.Helper()
@@ -259,14 +306,14 @@ func TestReadIndexRejectsCorruption(t *testing.T) {
 	mustFailStructured("count mismatch", forged)
 }
 
-// mustIndex parses the header and index of a v3 stream.
+// mustIndex parses the header and index of a stream.
 func mustIndex(t *testing.T, data []byte) *Index {
 	t.Helper()
-	pr := &posReader{r: newSliceScanner(data)}
-	if _, _, err := parseHeader(pr); err != nil {
+	_, headerLen, err := readHeader(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := ReadIndex(bytes.NewReader(data), int64(len(data)), pr.n)
+	ix, err := ReadIndex(bytes.NewReader(data), int64(len(data)), headerLen)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +341,7 @@ func TestParallelDecodeBoundedAlloc(t *testing.T) {
 	data := encodeChunked(t, tr, Meta{Nodes: 16, Scale: 1, Seed: 1}, perCh)
 	materialized := uint64(tr.Len()) * uint64(48) // ~sizeof(trace.Event)
 
-	r, err := OpenIndexed(bytes.NewReader(data), int64(len(data)), ParallelOptions{Workers: 4})
+	r, err := openBytes(data, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +379,7 @@ func TestParallelDecodeEarlyClose(t *testing.T) {
 	const perCh = 64
 	tr := randomTrace(perCh*32, 15)
 	data := encodeChunked(t, tr, Meta{Nodes: 16, Scale: 1, Seed: 1}, perCh)
-	r, err := OpenIndexed(bytes.NewReader(data), int64(len(data)), ParallelOptions{Workers: 4})
+	r, err := openBytes(data, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,62 +393,5 @@ func TestParallelDecodeEarlyClose(t *testing.T) {
 	}
 	if err := r.Close(); err != nil {
 		t.Fatal("Close must be idempotent")
-	}
-}
-
-// TestFileReaderParallel: the OpenFileParallel path over a real file, and
-// its ErrNoIndex fallback contract for a v2 file.
-func TestFileReaderParallel(t *testing.T) {
-	tr := randomTrace(3*DefaultChunkEvents+7, 19)
-	meta := Meta{Workload: "apache", Nodes: 8, Scale: 0.5, Seed: 3}
-	dir := t.TempDir()
-	path := dir + "/t.tsm"
-	if _, err := WriteFile(path, meta, TraceSource(tr)); err != nil {
-		t.Fatal(err)
-	}
-	r, err := OpenFileParallel(path, ParallelOptions{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := collectParallel(t, r)
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != tr.Len() {
-		t.Fatalf("decoded %d events, want %d", len(got), tr.Len())
-	}
-
-	// A v2 file opens serially only.
-	v2 := dir + "/v2.tsm"
-	f, err := os.Create(v2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := NewWriterVersion(f, meta, VersionNoIndex)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Copy(w, TraceSource(tr)); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenFileParallel(v2, ParallelOptions{}); !errors.Is(err, ErrNoIndex) {
-		t.Fatalf("v2 file: err = %v, want ErrNoIndex", err)
-	}
-	fr, err := OpenFile(v2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got2, err := Collect(fr)
-	if err := CloseMerge(fr, err); err != nil {
-		t.Fatal(err)
-	}
-	if got2.Len() != tr.Len() {
-		t.Fatalf("serial fallback decoded %d events, want %d", got2.Len(), tr.Len())
 	}
 }

@@ -1,17 +1,10 @@
 package stream
 
-// Trace-file introspection without decoding: Describe reads the header and —
-// on indexed (version 3) files — the chunk-index footer, yielding the
-// provenance facts a run manifest records (codec version, chunk and event
-// counts, workload metadata) and the total event count the facade uses to
-// auto-size sampling epochs. Cost is O(header + index), independent of the
-// event payload.
-
-import (
-	"bufio"
-	"io"
-	"os"
-)
+// Trace-file introspection without decoding: Describe reads the header and
+// the chunk-index footer, yielding the provenance facts a run manifest
+// records (codec version, chunk and event counts, workload metadata) and the
+// total event count the facade uses to auto-size sampling epochs. Cost is
+// O(header + index), independent of the event payload.
 
 // FileInfo describes one trace file.
 type FileInfo struct {
@@ -21,44 +14,19 @@ type FileInfo struct {
 	Meta Meta
 	// Bytes is the file size.
 	Bytes int64
-	// Indexed reports whether the file carries a chunk index (version ≥ 3);
-	// Chunks and Events are only known when it does.
-	Indexed bool
-	// Chunks is the chunk count from the index (0 when not Indexed).
+	// Chunks is the chunk count from the index.
 	Chunks int
-	// Events is the total event count from the index (0 when not Indexed).
+	// Events is the total event count from the index.
 	Events uint64
 }
 
-// Describe reads a trace file's header and, when present, its chunk index.
-// Unindexed (version 1/2) files succeed with Indexed false — counting their
-// events would require a full decode, which Describe never does.
+// Describe reads a trace file's header and chunk index. It fails as
+// OpenFile does.
 func Describe(path string) (FileInfo, error) {
-	f, err := os.Open(path)
+	r, err := OpenFile(path, Options{})
 	if err != nil {
 		return FileInfo{}, err
 	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return FileInfo{}, err
-	}
-	size := st.Size()
-	pr := &posReader{r: bufio.NewReader(io.NewSectionReader(f, 0, size))}
-	meta, version, err := parseHeader(pr)
-	if err != nil {
-		return FileInfo{}, err
-	}
-	info := FileInfo{Version: int(version), Meta: meta, Bytes: size}
-	if version < Version {
-		return info, nil
-	}
-	index, err := ReadIndex(f, size, pr.n)
-	if err != nil {
-		return FileInfo{}, err
-	}
-	info.Indexed = true
-	info.Chunks = len(index.Chunks)
-	info.Events = index.Events
-	return info, nil
+	info := FileInfo{Version: Version, Meta: r.meta, Bytes: r.size, Chunks: len(r.index.Chunks), Events: r.index.Events}
+	return info, r.Close()
 }

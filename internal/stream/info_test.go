@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// TestDescribe: an indexed file reports version, meta, chunk and event
+// TestDescribe: a trace file reports version, meta, chunk and event
 // counts, all without decoding the payload.
 func TestDescribe(t *testing.T) {
 	tr := randomTrace(10_000, 99)
@@ -18,8 +18,8 @@ func TestDescribe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Version != Version || !info.Indexed {
-		t.Fatalf("info = %+v, want indexed version %d", info, Version)
+	if info.Version != Version {
+		t.Fatalf("info = %+v, want version %d", info, Version)
 	}
 	if info.Meta != meta {
 		t.Fatalf("meta = %+v, want %+v", info.Meta, meta)
@@ -33,39 +33,6 @@ func TestDescribe(t *testing.T) {
 	st, _ := os.Stat(path)
 	if info.Bytes != st.Size() {
 		t.Fatalf("bytes = %d, want %d", info.Bytes, st.Size())
-	}
-}
-
-// TestDescribeUnindexed: version 1/2 files succeed with Indexed false and no
-// counts.
-func TestDescribeUnindexed(t *testing.T) {
-	tr := randomTrace(100, 3)
-	path := t.TempDir() + "/v2.tsm"
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := NewWriterVersion(f, Meta{Nodes: 4, Scale: 1, Seed: 1}, VersionNoIndex)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range tr.Events {
-		if err := w.Write(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	info, err := Describe(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Indexed || info.Version != VersionNoIndex || info.Events != 0 || info.Chunks != 0 {
-		t.Fatalf("unindexed info = %+v", info)
 	}
 }
 

@@ -1,7 +1,7 @@
-// Memory-mapped trace files. Codec v3's chunk index made files seekable and
-// the parallel decoder reads chunks via ReadAt; an mmap'd view drops the
-// per-chunk read syscall and copy entirely — the decode workers parse
-// straight out of the mapped pages through the Region fast path (soa.go).
+// Memory-mapped trace files. The chunk index makes files seekable and the
+// Reader reads chunks via ReadAt; an mmap'd view drops the per-chunk read
+// syscall and copy entirely — the decoder parses straight out of the mapped
+// pages through the Region fast path (soa.go).
 // The mapping is platform-gated (mmap_linux.go); everywhere else — and on
 // any mapping failure — Mmap degrades to plain ReadAt over the open file,
 // producing identical output.
@@ -84,9 +84,9 @@ func (m *Mmap) Region(off, n int64) ([]byte, bool) {
 }
 
 // shrunk reports whether the mapped file is now shorter than the mapping.
-// The decode workers turn a fault on a page past the new end into
-// ErrTruncated, but the page holding the new end reads as zeros instead of
-// faulting, so the parallel reader checks this once at end of stream.
+// The decoder turns a fault on a page past the new end into ErrTruncated,
+// but the page holding the new end reads as zeros instead of faulting, so
+// the Reader checks this once at end of stream.
 func (m *Mmap) shrunk() bool {
 	if m.data == nil {
 		return false

@@ -1,18 +1,18 @@
-// Parallel-by-chunk decode over the chunk index. Chunks are delta-reset at
-// their boundaries (codec.go), so each decodes independently: a dispatcher
-// hands chunk refs to N workers in stream order while enqueueing each
-// chunk's one-shot result channel onto a bounded window, and the consumer
-// drains the window in order — parallel execution, serial-identical output.
-// Each worker reads a chunk's bytes as one contiguous region (a single
-// ReadAt into a reusable scratch buffer, or a zero-copy view of mmap'd
-// pages) and batch-decodes it into a struct-of-arrays ChunkSoA region
-// (soa.go) with index-based varint arithmetic — no io.ByteReader dispatch.
-// SoA regions recycle through a free list, so decode allocates
+// The trace reader: decode over the chunk index. Chunks are delta-reset at
+// their boundaries (codec.go), so each decodes independently. With no
+// workers the reader decodes each chunk inline, on the goroutine that asks
+// for it. With N workers a dispatcher hands chunk refs to the workers in
+// stream order while enqueueing each chunk's one-shot result channel onto a
+// bounded window, and the consumer drains the window in order — parallel
+// execution, identical output. Inline decode is the one-worker case without
+// the goroutines: both read a chunk's bytes as one contiguous region (a
+// single ReadAt into a reusable scratch buffer, or a zero-copy view of
+// mmap'd pages) and batch-decode it into a struct-of-arrays ChunkSoA region
+// (soa.go). Pooled regions recycle through a free list, so decode allocates
 // O(workers·chunk), not O(chunks).
 package stream
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"os"
@@ -31,37 +31,51 @@ import (
 // so the two groups never collide even for wide sweeps.
 const decodeWorkerLane0 = 1000
 
-// ParallelOptions configures an indexed (seeking, parallel) trace open.
-type ParallelOptions struct {
-	// Workers is the number of decode goroutines. Zero or negative selects
-	// one per core (Workers(0)); one still uses the indexed path — useful
-	// with From/To — just without decode concurrency.
+// Options configures a trace open.
+type Options struct {
+	// Workers is the number of decode goroutines: 0 decodes each chunk
+	// inline on the goroutine calling Next/NextChunkSoA, N > 0 uses N
+	// workers, and a negative count one per core (Workers(0)).
 	Workers int
 	// From and To bound replay to events with sequence numbers in
 	// [From, To); To == 0 means the end of the trace. Events keep the
 	// sequence numbers they have in the full trace.
 	From, To uint64
-	// Mmap maps the file into memory (OpenFileMmap) instead of issuing a
-	// ReadAt per chunk, letting workers decode straight out of the mapped
-	// pages. Only honoured by OpenFileParallel (OpenIndexed takes whatever
-	// io.ReaderAt it is given); on platforms without mmap support the flag
-	// silently falls back to ReadAt, producing identical output.
+	// Mmap makes OpenFile map the file into memory (OpenFileMmap) instead
+	// of issuing a ReadAt per chunk, so chunks decode straight out of the
+	// mapped pages. It changes only the byte source: Open takes whatever
+	// io.ReaderAt it is given, and on platforms without mmap support the
+	// mapping falls back to ReadAt, producing identical output.
 	Mmap bool
 	// Metrics, when non-nil, receives per-worker and aggregate decode
-	// counters (stream.decode.*).
+	// counters (stream.decode.*) from pooled decode.
 	Metrics *obs.Registry
-	// Tracer, when non-nil, receives one span per decoded chunk on a lane
-	// per worker.
+	// Tracer, when non-nil, receives one span per chunk a worker decodes,
+	// on a lane per worker.
 	Tracer *obs.Tracer
 }
 
-// ParallelReader decodes an indexed trace with a pool of per-chunk workers,
-// merging chunks in stream order. It implements Source and SoASource, yields exactly the byte-for-byte event sequence of the serial
-// Reader, and must be Closed to release its goroutines.
-type ParallelReader struct {
+// Reader decodes a trace over its chunk index, in stream order. It
+// implements Source and SoASource and must be Closed to release its file
+// and, with workers, its goroutines.
+type Reader struct {
 	meta  Meta
 	index *Index
+	size  int64
+	ra    io.ReaderAt
+	opt   Options
 
+	// bufLen is the read buffer a decoding goroutine needs: the longest
+	// selected chunk, or 0 when chunks come straight from a memory mapping.
+	bufLen int64
+
+	// Inline decode: the chunks still to decode, the read buffer and the
+	// one decoded chunk.
+	todo    []ChunkRef
+	scratch []byte
+	inline  ChunkSoA
+
+	// Pooled decode (nil channels when inline).
 	results chan chan chunkResult
 	free    chan *ChunkSoA
 	stop    chan struct{}
@@ -92,86 +106,89 @@ type chunkResult struct {
 }
 
 // errReaderClosed surfaces on chunks abandoned by Close before dispatch.
-var errReaderClosed = fmt.Errorf("stream: parallel reader closed")
+var errReaderClosed = fmt.Errorf("stream: reader closed")
 
-// OpenFileParallel opens path via the chunk index for parallel decode,
-// failing with a wrapped ErrNoIndex on version 1/2 traces (callers fall
-// back to OpenFile) and ErrCorrupt on an invalid index. With opt.Mmap the
-// file is mapped into memory and chunks decode zero-copy from the mapping.
-// The caller must Close the reader.
-func OpenFileParallel(path string, opt ParallelOptions) (*ParallelReader, error) {
+// OpenFile opens the trace at path. With opt.Mmap the file is mapped into
+// memory and chunks decode zero-copy from the mapping. It fails with
+// ErrBadMagic, a wrapped ErrVersion on any other codec version, ErrTruncated
+// on a file without a complete footer and ErrCorrupt on an invalid header
+// or index. The caller must Close the reader.
+func OpenFile(path string, opt Options) (*Reader, error) {
+	var (
+		ra   io.ReaderAt
+		size int64
+		c    io.Closer
+	)
 	if opt.Mmap {
 		m, err := OpenFileMmap(path)
 		if err != nil {
 			return nil, err
 		}
-		r, err := OpenIndexed(m, m.Size(), opt)
+		ra, size, c = m, m.Size(), m
+	} else {
+		f, err := os.Open(path)
 		if err != nil {
-			m.Close()
-			return nil, fmt.Errorf("%s: %w", path, err)
+			return nil, err
 		}
-		r.closer = m
-		return r, nil
+		st, err := f.Stat()
+		if err != nil {
+			f.Close()
+			return nil, err
+		}
+		ra, size, c = f, st.Size(), f
 	}
-	f, err := os.Open(path)
+	r, err := Open(ra, size, opt)
 	if err != nil {
-		return nil, err
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	r, err := OpenIndexed(f, st.Size(), opt)
-	if err != nil {
-		f.Close()
+		c.Close()
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	r.closer = f
+	r.closer = c
 	return r, nil
 }
 
-// OpenIndexed builds a ParallelReader over any random-access byte range
-// holding a complete version ≥ 3 stream (a file, or bytes.Reader in tests
-// and fuzzing). It does not take ownership of ra.
-func OpenIndexed(ra io.ReaderAt, size int64, opt ParallelOptions) (*ParallelReader, error) {
-	pr := &posReader{r: bufio.NewReader(io.NewSectionReader(ra, 0, size))}
-	meta, version, err := parseHeader(pr)
+// Open builds a Reader over any random-access byte range holding a complete
+// trace of the given size (a file, or bytes.Reader in tests and fuzzing). It
+// reads the header and the chunk index and fails as OpenFile does. It does
+// not take ownership of ra.
+func Open(ra io.ReaderAt, size int64, opt Options) (*Reader, error) {
+	meta, headerLen, err := readHeader(ra, size)
 	if err != nil {
 		return nil, err
 	}
-	if version < Version {
-		return nil, fmt.Errorf("version %d: %w", version, ErrNoIndex)
-	}
-	index, err := ReadIndex(ra, size, pr.n)
+	index, err := ReadIndex(ra, size, headerLen)
 	if err != nil {
 		return nil, err
 	}
 	if opt.To > 0 && opt.To < opt.From {
 		return nil, fmt.Errorf("stream: invalid event range [%d, %d)", opt.From, opt.To)
 	}
+	sel := selectChunks(index, opt.From, opt.To)
+	r := &Reader{meta: meta, index: index, size: size, ra: ra, opt: opt, selected: uint64(len(sel))}
+	if m, ok := ra.(*Mmap); !ok || !m.Mapped() {
+		for _, c := range sel {
+			r.bufLen = max(r.bufLen, c.Length)
+		}
+	}
 	workers := opt.Workers
-	if workers <= 0 {
+	if workers < 0 {
 		workers = Workers(0)
 	}
-	sel := selectChunks(index, opt.From, opt.To)
+	if workers == 0 {
+		r.todo = sel
+		return r, nil
+	}
 	// The window bounds in-flight chunks (decoded-but-unconsumed); a little
 	// beyond the worker count keeps workers from idling on a slow consumer.
 	window := workers + 2
-	r := &ParallelReader{
-		meta:     meta,
-		index:    index,
-		results:  make(chan chan chunkResult, window),
-		free:     make(chan *ChunkSoA, window+workers),
-		stop:     make(chan struct{}),
-		selected: uint64(len(sel)),
-	}
+	r.results = make(chan chan chunkResult, window)
+	r.free = make(chan *ChunkSoA, window+workers)
+	r.stop = make(chan struct{})
 	jobs := make(chan job)
 	r.wg.Add(1 + workers)
 	for i := 0; i < workers; i++ {
-		go r.worker(i, ra, jobs, opt)
+		go r.worker(i, jobs)
 	}
-	go r.dispatch(sel, jobs, opt)
+	go r.dispatch(sel, jobs)
 	return r, nil
 }
 
@@ -192,7 +209,7 @@ func selectChunks(ix *Index, from, to uint64) []ChunkRef {
 // dispatch feeds chunk refs to the workers in stream order, enqueueing each
 // chunk's result channel onto the bounded window first so the consumer sees
 // chunks in exactly index order regardless of which worker finishes when.
-func (r *ParallelReader) dispatch(sel []ChunkRef, jobs chan<- job, opt ParallelOptions) {
+func (r *Reader) dispatch(sel []ChunkRef, jobs chan<- job) {
 	defer r.wg.Done()
 	defer close(r.results)
 	defer close(jobs)
@@ -212,13 +229,11 @@ func (r *ParallelReader) dispatch(sel []ChunkRef, jobs chan<- job, opt ParallelO
 	}
 }
 
-// worker decodes chunks from jobs until the channel closes. Each chunk is
-// read as one contiguous region — a single ReadAt into the worker's scratch
-// buffer, or a zero-copy view when ra is an mmap — and batch-decoded into a
-// recycled SoA region, so per-chunk allocation is limited to free-list
-// misses.
-func (r *ParallelReader) worker(id int, ra io.ReaderAt, jobs <-chan job, opt ParallelOptions) {
+// worker decodes chunks from jobs until the channel closes, into recycled
+// SoA regions, so per-chunk allocation is limited to free-list misses.
+func (r *Reader) worker(id int, jobs <-chan job) {
 	defer r.wg.Done()
+	opt := r.opt
 	chunks := opt.Metrics.Counter(fmt.Sprintf("stream.decode.worker.%d.chunks", id))
 	events := opt.Metrics.Counter(fmt.Sprintf("stream.decode.worker.%d.events", id))
 	busyNs := opt.Metrics.Counter(fmt.Sprintf("stream.decode.worker.%d.busy_ns", id))
@@ -239,23 +254,7 @@ func (r *ParallelReader) worker(id int, ra io.ReaderAt, jobs <-chan job, opt Par
 		if opt.Metrics != nil {
 			t0 = time.Now()
 		}
-		var res chunkResult
-		res.soa = soa
-		scratch, res.err = decodeChunk(ra, jb.ref, r.meta.nodeLimit(), scratch, soa)
-		if res.err == nil {
-			res.hi = soa.Len()
-			// Trim boundary chunks to the requested event range; events keep
-			// their full-trace sequence numbers.
-			if opt.From > jb.ref.Start {
-				res.lo = int(opt.From - jb.ref.Start)
-			}
-			if opt.To > 0 && opt.To < jb.ref.Start+uint64(res.hi) {
-				res.hi = int(opt.To - jb.ref.Start)
-			}
-			if res.hi < res.lo {
-				res.hi = res.lo
-			}
-		}
+		res := r.decode(jb.ref, &scratch, soa)
 		if opt.Metrics != nil {
 			busyNs.Add(uint64(time.Since(t0).Nanoseconds()))
 		}
@@ -268,6 +267,28 @@ func (r *ParallelReader) worker(id int, ra io.ReaderAt, jobs <-chan job, opt Par
 		}
 		jb.out <- res
 	}
+}
+
+// decode reads and decodes the chunk at ref into soa, then trims it to the
+// requested event range; events keep their full-trace sequence numbers.
+func (r *Reader) decode(ref ChunkRef, scratch *[]byte, soa *ChunkSoA) chunkResult {
+	if int64(cap(*scratch)) < r.bufLen {
+		*scratch = make([]byte, 0, r.bufLen) // one buffer fits every chunk
+	}
+	res := chunkResult{soa: soa}
+	*scratch, res.err = decodeChunk(r.ra, ref, r.meta.nodeLimit(), *scratch, soa)
+	if res.err != nil {
+		return res
+	}
+	res.hi = soa.Len()
+	if r.opt.From > ref.Start {
+		res.lo = int(r.opt.From - ref.Start)
+	}
+	if r.opt.To > 0 && r.opt.To < ref.Start+uint64(res.hi) {
+		res.hi = int(r.opt.To - ref.Start)
+	}
+	res.hi = max(res.hi, res.lo)
+	return res
 }
 
 // decodeChunk reads the chunk at ref and decodes it into dst, returning the
@@ -301,14 +322,14 @@ func decodeChunk(ra io.ReaderAt, ref ChunkRef, nodes uint64, scratch []byte, dst
 }
 
 // Meta returns the stream metadata decoded from the header.
-func (r *ParallelReader) Meta() Meta { return r.meta }
+func (r *Reader) Meta() Meta { return r.meta }
 
 // Index returns the decoded chunk index.
-func (r *ParallelReader) Index() *Index { return r.index }
+func (r *Reader) Index() *Index { return r.index }
 
 // Fraction reports the fraction of selected chunks consumed so far, in
 // [0, 1]. Safe to call from any goroutine while another decodes.
-func (r *ParallelReader) Fraction() float64 {
+func (r *Reader) Fraction() float64 {
 	if r.selected == 0 {
 		return 0
 	}
@@ -316,8 +337,8 @@ func (r *ParallelReader) Fraction() float64 {
 }
 
 // Next implements Source, returning io.EOF after the last selected event
-// and exactly the error the serial Reader would surface otherwise.
-func (r *ParallelReader) Next() (trace.Event, error) {
+// and the first decode error otherwise.
+func (r *Reader) Next() (trace.Event, error) {
 	if r.err != nil {
 		return trace.Event{}, r.err
 	}
@@ -333,7 +354,7 @@ func (r *ParallelReader) Next() (trace.Event, error) {
 
 // NextChunkSoA implements SoASource: a column view of the remaining events
 // of the current chunk, valid until the next NextChunkSoA/Next call.
-func (r *ParallelReader) NextChunkSoA() (*ChunkSoA, error) {
+func (r *Reader) NextChunkSoA() (*ChunkSoA, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
@@ -349,16 +370,11 @@ func (r *ParallelReader) NextChunkSoA() (*ChunkSoA, error) {
 
 // fetch advances to the next in-order chunk, recycling the previous chunk's
 // region; it reports false (with r.err set) at end of stream or on error.
-func (r *ParallelReader) fetch() bool {
-	if r.cur != nil {
-		select {
-		case r.free <- r.cur:
-		default:
-		}
-		r.cur = nil
-	}
+func (r *Reader) fetch() bool {
+	r.recycle(r.cur)
+	r.cur = nil
 	for {
-		out, ok := <-r.results
+		res, ok := r.next()
 		if !ok {
 			r.err = io.EOF
 			if m, ok := r.closer.(*Mmap); ok && m.shrunk() {
@@ -366,19 +382,13 @@ func (r *ParallelReader) fetch() bool {
 			}
 			return false
 		}
-		res := <-out
 		if res.err != nil {
 			r.err = res.err
 			return false
 		}
 		r.consumed.Add(1)
 		if res.hi <= res.lo {
-			if res.soa != nil {
-				select {
-				case r.free <- res.soa:
-				default:
-				}
-			}
+			r.recycle(res.soa)
 			continue
 		}
 		r.cur = res.soa
@@ -388,17 +398,51 @@ func (r *ParallelReader) fetch() bool {
 	}
 }
 
-// Close stops the workers, waits for them, and closes the underlying file
-// (when opened via OpenFileParallel). Idempotent.
-func (r *ParallelReader) Close() error {
-	r.closeOnce.Do(func() {
-		close(r.stop)
-		// Drain the window so the dispatcher unblocks; every enqueued
-		// result channel is buffered and guaranteed a send, so nothing here
-		// can wedge.
-		for range r.results {
+// next returns the next chunk in stream order, false after the last: decoded
+// here when inline, else the head of the workers' window.
+func (r *Reader) next() (chunkResult, bool) {
+	if r.results == nil {
+		if len(r.todo) == 0 {
+			return chunkResult{}, false
 		}
-		r.wg.Wait()
+		ref := r.todo[0]
+		r.todo = r.todo[1:]
+		r.inline.Reset()
+		return r.decode(ref, &r.scratch, &r.inline), true
+	}
+	out, ok := <-r.results
+	if !ok {
+		return chunkResult{}, false
+	}
+	return <-out, true
+}
+
+// recycle returns a pooled region to the free list (a no-op inline, where
+// the free list is nil).
+func (r *Reader) recycle(soa *ChunkSoA) {
+	if soa == nil {
+		return
+	}
+	select {
+	case r.free <- soa:
+	default:
+	}
+}
+
+// Close stops the workers, waits for them, and closes the underlying file
+// (when opened via OpenFile). Idempotent.
+func (r *Reader) Close() error {
+	r.closeOnce.Do(func() {
+		r.todo = nil
+		if r.stop != nil {
+			close(r.stop)
+			// Drain the window so the dispatcher unblocks; every enqueued
+			// result channel is buffered and guaranteed a send, so nothing
+			// here can wedge.
+			for range r.results {
+			}
+			r.wg.Wait()
+		}
 		if r.closer != nil {
 			r.closeErr = r.closer.Close()
 		}

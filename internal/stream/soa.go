@@ -1,13 +1,12 @@
 // Struct-of-arrays chunk regions: the one bulk form events travel in from
-// the decoders through the pipeline ring to every consumer. ChunkSoA holds
+// the decoder through the pipeline ring to every consumer. ChunkSoA holds
 // one chunk as five parallel, same-typed columns (seq/kind/node/block/
-// producer). The decoders fill the columns directly — the parallel decoder
-// from a fully buffered []byte region with index-based varint arithmetic,
-// the serial Reader through its io.ByteReader — the pipeline broadcasts a
-// chunk by bulk column copy, and consumers sweep the dense kind column,
+// producer). The decoder fills the columns directly from a fully buffered
+// []byte region with index-based varint arithmetic, the pipeline broadcasts
+// a chunk by bulk column copy, and consumers sweep the dense kind column,
 // reading only the columns an event's kind needs. The columns carry
 // explicit sequence numbers, so Event(i) reassembles exactly the event the
-// serial Reader's Next returns.
+// Reader's Next returns.
 package stream
 
 import (
@@ -184,11 +183,9 @@ func (b *batchSource) Next() (trace.Event, error) {
 // appendChunkSoA batch-decodes n delta-reset events from the fully buffered
 // region, starting at byte offset pos, appending them to dst with sequence
 // numbers startSeq, startSeq+1, ... It returns the byte offset after the
-// last event. The decode is index-based — no io.ByteReader dispatch — with
-// single-byte fast paths for the varint fields (the common case: node and
+// last event. The decode is index-based, with single-byte fast paths for the varint fields (the common case: node and
 // producer IDs are small, and delta encoding keeps most block deltas short).
-// Error mapping matches the serial reader's errTrunc contract exactly:
-// running off the region is a wrapped ErrTruncated, a varint overflowing 64
+// Running off the region is a wrapped ErrTruncated; a varint overflowing 64
 // bits or a node id at or above nodes is a wrapped ErrCorrupt.
 func appendChunkSoA(region []byte, pos int, n, startSeq, nodes uint64, dst *ChunkSoA) (int, error) {
 	dst.Grow(int(n))
@@ -207,7 +204,7 @@ func appendChunkSoA(region []byte, pos int, n, startSeq, nodes uint64, dst *Chun
 		} else {
 			v, w := binary.Uvarint(region[pos:])
 			if w <= 0 {
-				return pos, varintErr(w, "node")
+				return pos, varintErr(w, "event node")
 			}
 			node, pos = v, pos+w
 		}
@@ -223,7 +220,7 @@ func appendChunkSoA(region []byte, pos int, n, startSeq, nodes uint64, dst *Chun
 		} else {
 			v, w := binary.Varint(region[pos:])
 			if w <= 0 {
-				return pos, varintErr(w, "block")
+				return pos, varintErr(w, "event block")
 			}
 			delta, pos = v, pos+w
 		}
@@ -236,7 +233,7 @@ func appendChunkSoA(region []byte, pos int, n, startSeq, nodes uint64, dst *Chun
 		} else {
 			v, w := binary.Uvarint(region[pos:])
 			if w <= 0 {
-				return pos, varintErr(w, "producer")
+				return pos, varintErr(w, "event producer")
 			}
 			prod, pos = v, pos+w
 		}
@@ -251,14 +248,14 @@ func appendChunkSoA(region []byte, pos int, n, startSeq, nodes uint64, dst *Chun
 }
 
 // varintErr maps binary.Uvarint/Varint's sentinel returns onto the codec's
-// error taxonomy, matching errTrunc: w == 0 means the region ended
-// mid-varint (ErrTruncated), w < 0 means the varint overflows 64 bits
-// (ErrCorrupt).
-func varintErr(w int, field string) error {
+// error taxonomy: w == 0 means the bytes ended mid-varint (ErrTruncated),
+// w < 0 means the varint overflows 64 bits (ErrCorrupt). what names the
+// field being read.
+func varintErr(w int, what string) error {
 	if w == 0 {
-		return fmt.Errorf("stream: reading event %s: %w", field, ErrTruncated)
+		return fmt.Errorf("stream: reading %s: %w", what, ErrTruncated)
 	}
-	return fmt.Errorf("stream: reading event %s: %w: varint overflows a 64-bit integer", field, ErrCorrupt)
+	return fmt.Errorf("stream: reading %s: %w: varint overflows a 64-bit integer", what, ErrCorrupt)
 }
 
 // decodeChunkRegion decodes the single chunk whose encoded bytes fill
@@ -269,11 +266,8 @@ func varintErr(w int, field string) error {
 // instead of yielding a silently different stream.
 func decodeChunkRegion(region []byte, ref ChunkRef, nodes uint64, dst *ChunkSoA) error {
 	n, w := binary.Uvarint(region)
-	if w == 0 {
-		return fmt.Errorf("stream: reading chunk count: %w", ErrTruncated)
-	}
-	if w < 0 {
-		return fmt.Errorf("stream: reading chunk count: %w: varint overflows a 64-bit integer", ErrCorrupt)
+	if w <= 0 {
+		return varintErr(w, "chunk count")
 	}
 	if n != ref.Events {
 		return fmt.Errorf("%w: chunk at offset %d holds %d events, index says %d", ErrCorrupt, ref.Offset, n, ref.Events)
@@ -309,8 +303,8 @@ func readChunkRegion(ra io.ReaderAt, ref ChunkRef, scratch []byte) (region, newS
 		scratch = make([]byte, ref.Length)
 	}
 	scratch = scratch[:ref.Length]
-	if _, err := io.ReadFull(io.NewSectionReader(ra, ref.Offset, ref.Length), scratch); err != nil {
-		return nil, scratch, fmt.Errorf("stream: reading chunk at offset %d: %w", ref.Offset, errTrunc(err))
+	if err := readAt(ra, scratch, ref.Offset); err != nil {
+		return nil, scratch, fmt.Errorf("stream: reading chunk at offset %d: %w", ref.Offset, err)
 	}
 	return scratch, scratch, nil
 }

@@ -2,8 +2,9 @@ package stream
 
 // Tests for the struct-of-arrays chunk regions (soa.go) and the mmap-backed
 // reader (mmap.go): the adapter round-trip, the batch decoder's differential
-// parity with the serial reader, its error-taxonomy mapping (including the
-// fuzz counterexample corpus from earlier PRs), and mmap/ReadAt equivalence.
+// parity with the inline Reader and the reference decoder, its
+// error-taxonomy mapping (including the checked-in fuzz counterexamples),
+// and mmap/ReadAt equivalence.
 
 import (
 	"bytes"
@@ -22,8 +23,7 @@ import (
 )
 
 // AppendTo transposes the region back into an []trace.Event, appending to
-// dst: the reference view the decoder tests compare against the serial
-// Reader's events.
+// dst: the view the decoder tests compare against the expected events.
 func (c *ChunkSoA) AppendTo(dst []trace.Event) []trace.Event {
 	for i := range c.Kind {
 		dst = append(dst, c.Event(i))
@@ -82,17 +82,13 @@ func TestChunkSoAAdapterRoundTrip(t *testing.T) {
 
 // TestBatchDecodeMatchesSerial is the deterministic differential for the
 // batch SoA decoder: walking the chunk index with decodeChunkRegion yields
-// exactly the serial reader's event sequence, for several chunk geometries.
+// exactly the inline Reader's event sequence, for several chunk geometries.
 func TestBatchDecodeMatchesSerial(t *testing.T) {
 	meta := Meta{Workload: "moldyn", Nodes: 16, Scale: 0.5, Seed: 3}
 	for _, perCh := range []int{1, 7, 64, 1024} {
 		tr := randomTrace(64*5+29, int64(perCh))
 		data := encodeChunked(t, tr, meta, perCh)
-		sr, err := NewReader(bytes.NewReader(data))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := Collect(sr)
+		want, err := collectOpen(data, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,10 +113,10 @@ func chunkRegion(count uint64, body ...byte) []byte {
 	return append(binary.AppendUvarint(nil, count), body...)
 }
 
-// TestBatchDecodeErrorMapping pins the batch decoder's error taxonomy to the
-// serial reader's errTrunc contract: running off the region mid-varint is
-// ErrTruncated, a varint overflowing 64 bits is ErrCorrupt, and any
-// count/extent disagreement with the index is ErrCorrupt.
+// TestBatchDecodeErrorMapping pins the batch decoder's error taxonomy:
+// running off the region mid-varint is ErrTruncated, a varint overflowing 64
+// bits is ErrCorrupt, and any count/extent disagreement with the index is
+// ErrCorrupt.
 func TestBatchDecodeErrorMapping(t *testing.T) {
 	overlong := bytes.Repeat([]byte{0x80}, 9) // + terminator = 10 bytes, > 64 bits
 	cases := []struct {
@@ -173,10 +169,10 @@ func TestBatchDecodeErrorMapping(t *testing.T) {
 }
 
 // TestBatchDecodeFuzzCorpus replays the checked-in fuzz counterexamples
-// (testdata/fuzz, found by earlier fuzzing of the serial and indexed
-// decoders) through the batch SoA decoder: every rejection must carry one of
-// the codec's structured errors — never a panic, never a bare message — and
-// any accepted input must decode to exactly the serial reader's events.
+// (testdata/fuzz) through the batch SoA decoder: every rejection must carry
+// one of the codec's structured errors — never a panic, never a bare
+// message — and any accepted input must decode to exactly the reference
+// decoder's events.
 func TestBatchDecodeFuzzCorpus(t *testing.T) {
 	var paths []string
 	for _, fuzzer := range []string{"FuzzDecode", "FuzzDecodeIndexed"} {
@@ -194,29 +190,16 @@ func TestBatchDecodeFuzzCorpus(t *testing.T) {
 			data := readFuzzCorpus(t, path)
 			got, err := collectSoA(data)
 			if err != nil {
-				for _, structured := range []error{ErrBadMagic, ErrVersion, ErrTruncated, ErrCorrupt, ErrNoIndex} {
-					if errors.Is(err, structured) {
-						return
-					}
+				if !structured(err) {
+					t.Fatalf("batch decode failed with an unstructured error: %v", err)
 				}
-				t.Fatalf("batch decode failed with an unstructured error: %v", err)
+				return
 			}
-			sr, err := NewReader(bytes.NewReader(data))
+			_, want, err := refDecode(data)
 			if err != nil {
-				t.Fatalf("batch decode accepted a stream the serial reader rejects at the header: %v", err)
+				t.Fatalf("batch decode accepted a stream the reference decoder rejects: %v", err)
 			}
-			want, err := Collect(sr)
-			if err != nil {
-				t.Fatalf("batch decode accepted a stream the serial reader rejects: %v", err)
-			}
-			if len(got) != want.Len() {
-				t.Fatalf("batch decode yielded %d events, serial %d", len(got), want.Len())
-			}
-			for i := range got {
-				if got[i] != want.Events[i] {
-					t.Fatalf("event %d: batch %+v != serial %+v", i, got[i], want.Events[i])
-				}
-			}
+			sameEvents(t, "batch decode", got, want)
 		})
 	}
 }
@@ -313,22 +296,22 @@ func TestParallelDecodeMmapMatchesReadAt(t *testing.T) {
 	}
 	for _, rg := range [][2]uint64{{0, 0}, {100, 400}} {
 		for _, workers := range []int{1, 4, 8} {
-			opt := ParallelOptions{Workers: workers, From: rg[0], To: rg[1]}
-			plain, err := OpenFileParallel(path, opt)
+			opt := Options{Workers: workers, From: rg[0], To: rg[1]}
+			plain, err := OpenFile(path, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := collectParallel(t, plain)
+			want := collectEvents(t, plain)
 			if err := plain.Close(); err != nil {
 				t.Fatal(err)
 			}
 
 			opt.Mmap = true
-			mm, err := OpenFileParallel(path, opt)
+			mm, err := OpenFile(path, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := collectParallel(t, mm)
+			got := collectEvents(t, mm)
 			if err := mm.Close(); err != nil {
 				t.Fatal(err)
 			}

@@ -3,12 +3,13 @@
 //   - Source and Sink, the iterator abstraction that lets producers
 //     (workload generation, trace files) and consumers (model evaluation,
 //     trace files) compose without holding the whole event stream in memory;
-//   - ChunkSoA and SoASource (soa.go), the one bulk form: every decoder
+//   - ChunkSoA and SoASource (soa.go), the one bulk form: the decoder
 //     hands out whole chunks as struct-of-arrays columns, and Columns
 //     batches any other Source into the same form;
-//   - a versioned, chunked, varint/delta-encoded binary trace codec
-//     (Writer/Reader in codec.go) so traces generated by cmd/tracegen can be
-//     replayed by cmd/tsesim — or any other process — byte-for-byte;
+//   - a chunked, varint/delta-encoded binary trace codec with a chunk-index
+//     footer (Writer in codec.go, Reader in reader.go) so traces generated
+//     by cmd/tracegen can be replayed by cmd/tsesim — or any other process —
+//     byte-for-byte, inline or by a pool of per-chunk decode workers;
 //   - a small generic ordered worker pool (parallel.go) reused by the
 //     experiments package.
 package stream

@@ -36,8 +36,7 @@ type TraceProvenance struct {
 	Bytes int64 `json:"bytes"`
 	// CodecVersion is the stream codec version byte.
 	CodecVersion int `json:"codec_version"`
-	// Chunks and Events come from the version 3 chunk index (0 on unindexed
-	// files, whose event count is unknown without a full decode).
+	// Chunks and Events come from the chunk index.
 	Chunks int    `json:"chunks,omitempty"`
 	Events uint64 `json:"events,omitempty"`
 	// Workload metadata embedded in the trace header.

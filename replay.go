@@ -24,12 +24,8 @@ import (
 
 // ReplayMeta reads just the generation metadata embedded in a trace file.
 func ReplayMeta(path string) (TraceMeta, error) {
-	f, err := stream.OpenFile(path)
-	if err != nil {
-		return TraceMeta{}, err
-	}
-	meta := f.Meta()
-	return meta, f.Close()
+	info, err := stream.Describe(path)
+	return info.Meta, err
 }
 
 // replayContext rebuilds the generator, options and TSE configuration a

@@ -1,16 +1,16 @@
 package tsm
 
-// Configurable file replay: how a saved trace is opened and decoded. Version
-// 3 trace files carry a chunk index (internal/stream, codec.go), so they can
-// be decoded by a pool of parallel per-chunk workers and replayed from an
-// arbitrary event range without streaming the prefix. ReplayConfig selects
-// those behaviours; the zero value is the classic serial streaming decode.
-// The *With functions here are the only file replay entry points, so serial
-// and parallel decode share one code path and stay bit-identical (pinned by
-// differential tests at 1/4/8 workers across all workloads).
+// Configurable file replay: how a saved trace is opened and decoded. Trace
+// files carry a chunk index (internal/stream, codec.go), so they can be
+// decoded inline or by a pool of parallel per-chunk workers, mapped into
+// memory, and replayed from an arbitrary event range without decoding the
+// prefix. ReplayConfig selects those behaviours; the zero value decodes
+// each chunk inline on the replay's producer goroutine. The *With functions
+// here are the only file replay entry points, so every decode setting
+// shares one code path and stays bit-identical (pinned by differential
+// tests at 0/1/4/8 workers across all workloads).
 
 import (
-	"errors"
 	"fmt"
 	"path/filepath"
 
@@ -19,89 +19,45 @@ import (
 )
 
 // ReplayConfig selects how a trace file is decoded during replay. The zero
-// value reproduces the classic behaviour: one streaming decode pass over the
-// whole file.
+// value decodes the whole file inline, one chunk at a time.
 type ReplayConfig struct {
-	// DecodeWorkers selects parallel-by-chunk decode over the version 3
-	// chunk index: > 0 uses that many decode goroutines (1 still takes the
-	// indexed path, just without concurrency), < 0 picks one per core, and 0
-	// keeps the serial streaming decoder. On version 1/2 files — which have
-	// no index — parallel requests quietly fall back to the serial decoder
-	// unless an event range is set (ranged replay needs the index).
+	// DecodeWorkers is the number of per-chunk decode goroutines: 0
+	// decodes each chunk inline on the replay's producer goroutine, > 0
+	// uses that many workers, and < 0 one per core.
 	DecodeWorkers int
 	// From and To bound replay to events with sequence numbers in
 	// [From, To); To == 0 means the end of the trace. Events keep the
-	// sequence numbers they have in the full trace. Requires a version 3
-	// (indexed) trace file.
+	// sequence numbers they have in the full trace.
 	From, To uint64
-	// Mmap maps the trace file into memory (stream.OpenFileMmap) so decode
-	// workers parse chunks straight out of the mapped pages — no per-chunk
-	// read syscall, no copy. It implies the indexed open (per-core decode
-	// workers unless DecodeWorkers says otherwise, like From/To); on
-	// platforms without mmap support the mapping quietly degrades to ReadAt,
-	// and on version 1/2 files the request falls back to the serial decoder
-	// like any other parallel request. Output is byte-identical either way.
+	// Mmap maps the trace file into memory (stream.OpenFileMmap) so chunks
+	// decode straight out of the mapped pages — no per-chunk read syscall,
+	// no copy. It changes only the byte source; on platforms without mmap
+	// support the mapping quietly degrades to ReadAt. Output is
+	// byte-identical either way.
 	Mmap bool
 }
 
 // ranged reports whether the config restricts replay to an event sub-range.
 func (rc ReplayConfig) ranged() bool { return rc.From > 0 || rc.To > 0 }
 
-// wantsIndex reports whether the config needs the indexed (seeking) open at
-// all — any parallel-decode request, event range or mmap request does.
-func (rc ReplayConfig) wantsIndex() bool {
-	return rc.DecodeWorkers != 0 || rc.ranged() || rc.Mmap
-}
-
-// replaySource is what file replay needs from an open trace: the event
-// stream, the embedded generation metadata, a completion fraction for
-// progress/ETA, and a Close. Both the serial stream.FileReader and the
-// parallel stream.ParallelReader satisfy it.
-type replaySource interface {
-	EventSource
-	Meta() TraceMeta
-	Fraction() float64
-	Close() error
-}
-
-// openReplaySource opens path according to rc: the indexed parallel reader
-// when parallel decode or an event range was requested, the serial streaming
-// reader otherwise — or as the fallback when a parallel request hits a
-// pre-index (version 1/2) file. A ranged request on an unindexed file is an
-// error rather than a silently ignored range.
-func openReplaySource(path string, rc ReplayConfig, ins Instrumentation) (replaySource, error) {
-	if !rc.wantsIndex() {
-		return stream.OpenFile(path)
-	}
-	workers := rc.DecodeWorkers
-	if workers < 0 {
-		workers = 0 // one per core
-	}
-	pr, err := stream.OpenFileParallel(path, stream.ParallelOptions{
-		Workers: workers,
+// openFile opens path for replay under rc, with ins's metrics and tracer
+// attached to the decoder.
+func (rc ReplayConfig) openFile(path string, ins Instrumentation) (*stream.Reader, error) {
+	return stream.OpenFile(path, stream.Options{
+		Workers: rc.DecodeWorkers,
 		From:    rc.From,
 		To:      rc.To,
 		Mmap:    rc.Mmap,
 		Metrics: ins.Metrics,
 		Tracer:  ins.Tracer,
 	})
-	if err == nil {
-		return pr, nil
-	}
-	if errors.Is(err, stream.ErrNoIndex) && !rc.ranged() {
-		return stream.OpenFile(path)
-	}
-	if errors.Is(err, stream.ErrNoIndex) {
-		return nil, fmt.Errorf("tsm: replaying %s from event %d: %w (regenerate the trace, or replay without -from/-to)", path, rc.From, err)
-	}
-	return nil, err
 }
 
 // beginFileRun primes the provenance-side attachments before a file replay:
 // the manifest records the trace's header-level identity and the replay
-// settings, and — when the file is indexed, so the total event count is known
-// up front — an attached SeriesSet with no explicit interval is auto-sized to
-// land about obs.DefaultSeriesPoints samples across the run. Describe reads
+// settings, and — since the index gives the total event count up front — an
+// attached SeriesSet with no explicit interval is auto-sized to land about
+// obs.DefaultSeriesPoints samples across the run. Describe reads
 // only the header and index footer, so this is cheap; describe errors are
 // swallowed here because the open that follows reports them properly.
 func (ins Instrumentation) beginFileRun(op, path, sweep string, rc ReplayConfig) {
@@ -110,7 +66,7 @@ func (ins Instrumentation) beginFileRun(op, path, sweep string, rc ReplayConfig)
 	}
 	info, err := stream.Describe(path)
 	ins.Manifest.begin(op, path, rc, sweep, info, err)
-	if ins.Series != nil && err == nil && info.Indexed && info.Events > 0 {
+	if ins.Series != nil && err == nil && info.Events > 0 {
 		n := info.Events
 		if rc.ranged() {
 			lo, hi := rc.From, rc.To
@@ -140,16 +96,15 @@ func (ins Instrumentation) finishFileRun(m *Metrics) {
 // trace through the fused streamed pipeline: the file is decoded exactly
 // once and the single pass feeds all three consumers (see
 // EvaluateTSESource), using the generation metadata embedded in the file.
-// rc configures the decode side — serial streaming (the zero value),
-// parallel per-chunk workers over the version 3 index, mmap, or a bounded
-// event range — and ins attaches optional instrumentation (the zero value
+// rc configures the decode side — inline (the zero value), parallel
+// per-chunk workers, mmap, or a bounded event range — and ins attaches optional instrumentation (the zero value
 // attaches none). The trace is never materialized, and the Report for a
 // full-range replay is bit-identical to EvaluateTSE over LoadTrace's events
 // at any worker count.
 func EvaluateTSEFileWith(path string, rc ReplayConfig, ins Instrumentation) (Report, error) {
 	ins.beginFileRun("replay-tse", path, "", rc)
 	openDone := ins.Manifest.stage("open")
-	f, err := openReplaySource(path, rc, ins)
+	f, err := rc.openFile(path, ins)
 	openDone()
 	if err != nil {
 		return Report{}, err
@@ -176,7 +131,7 @@ func EvaluateTSEFileWith(path string, rc ReplayConfig, ins Instrumentation) (Rep
 func EvaluateAllFileWith(path string, rc ReplayConfig, ins Instrumentation) ([]Report, error) {
 	ins.beginFileRun("replay-all", path, "", rc)
 	openDone := ins.Manifest.stage("open")
-	f, err := openReplaySource(path, rc, ins)
+	f, err := rc.openFile(path, ins)
 	openDone()
 	if err != nil {
 		return nil, err
@@ -204,7 +159,7 @@ func EvaluateAllFileWith(path string, rc ReplayConfig, ins Instrumentation) ([]R
 func EvaluateTSESweepFileWith(path, sweep string, rc ReplayConfig, ins Instrumentation) ([]SweepCell, error) {
 	ins.beginFileRun("sweep", path, sweep, rc)
 	openDone := ins.Manifest.stage("open")
-	f, err := openReplaySource(path, rc, ins)
+	f, err := rc.openFile(path, ins)
 	openDone()
 	if err != nil {
 		return nil, err

@@ -1,10 +1,12 @@
 package tsm
 
-// Facade-level differential tests for the version 3 indexed codec: parallel
+// Facade-level differential tests for the indexed codec: parallel
 // per-chunk decode and ranged replay must produce reports bit-identical to
-// the serial streaming path, for every workload and any worker count.
+// the default inline decode, for every workload and any worker count.
 
 import (
+	"encoding/binary"
+	"errors"
 	"os"
 	"strings"
 	"testing"
@@ -14,7 +16,7 @@ import (
 
 // TestParallelFileReplayParityAllWorkloads is the tentpole's acceptance
 // criterion: for EVERY workload, EvaluateTSEFileWith at 1, 4 and 8 decode
-// workers produces a Report bit-identical to the serial streaming decode.
+// workers produces a Report bit-identical to the inline decode.
 // Worker count is a performance knob, never a semantics knob.
 func TestParallelFileReplayParityAllWorkloads(t *testing.T) {
 	opts := Options{Nodes: 4, Scale: 0.03, Seed: 11}
@@ -30,7 +32,7 @@ func TestParallelFileReplayParityAllWorkloads(t *testing.T) {
 			if err := SaveTrace(path, tr, gen, opts); err != nil {
 				t.Fatal(err)
 			}
-			want, err := replayTSE(path) // serial decode
+			want, err := replayTSE(path) // inline decode
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -40,7 +42,7 @@ func TestParallelFileReplayParityAllWorkloads(t *testing.T) {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
 				if got != want {
-					t.Fatalf("workers=%d report %+v != serial report %+v", workers, got, want)
+					t.Fatalf("workers=%d report %+v != inline report %+v", workers, got, want)
 				}
 			}
 		})
@@ -49,7 +51,7 @@ func TestParallelFileReplayParityAllWorkloads(t *testing.T) {
 
 // TestParallelEvaluateAllAndSweep extends the parity to the other two replay
 // entry points: the Figure 12 comparison and a named sweep, each decoded by
-// 4 parallel workers, must match their serial-decode results cell for cell.
+// 4 parallel workers, must match their inline-decode results cell for cell.
 func TestParallelEvaluateAllAndSweep(t *testing.T) {
 	path := writeTestTrace(t, "ocean")
 	rc := ReplayConfig{DecodeWorkers: 4}
@@ -67,7 +69,7 @@ func TestParallelEvaluateAllAndSweep(t *testing.T) {
 	}
 	for i := range wantAll {
 		if gotAll[i] != wantAll[i] {
-			t.Fatalf("model %d: parallel report %+v != serial %+v", i, gotAll[i], wantAll[i])
+			t.Fatalf("model %d: parallel report %+v != inline %+v", i, gotAll[i], wantAll[i])
 		}
 	}
 
@@ -84,7 +86,7 @@ func TestParallelEvaluateAllAndSweep(t *testing.T) {
 	}
 	for i := range wantSweep {
 		if gotSweep[i] != wantSweep[i] {
-			t.Fatalf("cell %d: parallel %+v != serial %+v", i, gotSweep[i], wantSweep[i])
+			t.Fatalf("cell %d: parallel %+v != inline %+v", i, gotSweep[i], wantSweep[i])
 		}
 	}
 }
@@ -135,10 +137,8 @@ func TestRangedFileReplay(t *testing.T) {
 }
 
 // TestMmapFileReplayParity extends the parity to mmap-backed decode: an
-// mmap replay must produce a Report bit-identical to the serial streaming
-// decode at any worker count (0 selects the indexed default), and an mmap
-// request on a pre-index file falls back to the serial decoder like any
-// other parallel request. On platforms without mmap support the mapping
+// mmap replay must produce a Report bit-identical to the default inline
+// decode at any worker count. On platforms without mmap support the mapping
 // degrades to ReadAt, so the parity holds everywhere.
 func TestMmapFileReplayParity(t *testing.T) {
 	path := writeTestTrace(t, "db2")
@@ -152,47 +152,34 @@ func TestMmapFileReplayParity(t *testing.T) {
 			t.Fatalf("mmap workers=%d: %v", workers, err)
 		}
 		if got != want {
-			t.Fatalf("mmap workers=%d report %+v != serial report %+v", workers, got, want)
+			t.Fatalf("mmap workers=%d report %+v != inline report %+v", workers, got, want)
 		}
-	}
-
-	v2 := rewriteAsV2(t, path)
-	got, err := EvaluateTSEFileWith(v2, ReplayConfig{Mmap: true}, Instrumentation{})
-	if err != nil {
-		t.Fatalf("mmap request on v2 file should fall back, got: %v", err)
-	}
-	if got != want {
-		t.Fatalf("v2 mmap fallback report %+v != v3 report %+v", got, want)
 	}
 }
 
-// TestParallelRequestFallsBackOnV2 pins the compatibility contract: a
-// parallel-decode request on a pre-index (version 2) file quietly falls back
-// to the serial decoder and still produces the right report, while a RANGED
-// request on the same file fails loudly — a silently ignored -from/-to would
-// be a wrong answer.
-func TestParallelRequestFallsBackOnV2(t *testing.T) {
+// TestReplayRejectsOldVersion: a file of the previous codec version (2: no
+// chunk-index footer) fails every replay setting — inline, pooled, mmap and
+// ranged — with a wrapped stream.ErrVersion instead of a report.
+func TestReplayRejectsOldVersion(t *testing.T) {
 	path := writeTestTrace(t, "em3d")
-	want, err := replayTSE(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2 := rewriteAsV2(t, path)
-
-	got, err := EvaluateTSEFileWith(v2, ReplayConfig{DecodeWorkers: 4}, Instrumentation{})
-	if err != nil {
-		t.Fatalf("parallel request on v2 file should fall back, got: %v", err)
+	// A version 2 file is a version 3 file without its footer: drop the
+	// payload, its 8-byte length and the 4-byte magic, then patch the
+	// version byte.
+	payload := binary.LittleEndian.Uint64(data[len(data)-12:])
+	v2 := data[:len(data)-12-int(payload)]
+	v2[4] = 2
+	v2Path := strings.TrimSuffix(path, ".tsm") + ".v2.tsm"
+	if err := os.WriteFile(v2Path, v2, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if got != want {
-		t.Fatalf("v2 fallback report %+v != v3 report %+v", got, want)
-	}
-
-	_, err = EvaluateTSEFileWith(v2, ReplayConfig{From: 1, To: 10}, Instrumentation{})
-	if err == nil {
-		t.Fatal("ranged replay of an unindexed file succeeded; the range would have been ignored")
-	}
-	if !strings.Contains(err.Error(), "index") {
-		t.Fatalf("ranged-replay error should explain the missing index: %v", err)
+	for _, rc := range []ReplayConfig{{}, {DecodeWorkers: 4}, {Mmap: true}, {From: 1, To: 10}} {
+		if _, err := EvaluateTSEFileWith(v2Path, rc, Instrumentation{}); !errors.Is(err, stream.ErrVersion) {
+			t.Fatalf("%+v: err = %v, want stream.ErrVersion", rc, err)
+		}
 	}
 }
 
@@ -209,33 +196,4 @@ func writeTestTrace(t *testing.T, workload string) string {
 		t.Fatal(err)
 	}
 	return path
-}
-
-// rewriteAsV2 re-encodes a trace file with the pre-index codec version.
-func rewriteAsV2(t *testing.T, path string) string {
-	t.Helper()
-	f, err := stream.OpenFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	out := strings.TrimSuffix(path, ".tsm") + ".v2.tsm"
-	of, err := os.Create(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := stream.NewWriterVersion(of, f.Meta(), stream.VersionNoIndex)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := stream.Copy(w, f); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := of.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return out
 }

@@ -251,7 +251,7 @@ func TestFileReplayParityAllWorkloads(t *testing.T) {
 }
 
 // TestEvaluateAllFileMatchesEvaluateAll: the streamed Figure 12 comparison
-// over a trace file — serial streaming decode and indexed parallel decode —
+// over a trace file — inline decode and four decode workers —
 // must reproduce the in-memory comparison (ComparePrefetchers) exactly.
 func TestEvaluateAllFileMatchesEvaluateAll(t *testing.T) {
 	opts := testOpts()
