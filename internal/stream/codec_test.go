@@ -297,6 +297,50 @@ func TestCodecRepeatMetaRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCodecReadsVersion1: a stream written before the repeat field existed
+// (version 1) is no longer decoded; opening one fails with a wrapped
+// ErrVersion, inline and with workers, never with a crash or a misread
+// header.
+func TestCodecReadsVersion1(t *testing.T) {
+	v1 := oldVersionFiles(t)["v1"]
+	for _, workers := range []int{0, 2} {
+		if _, err := openBytes(v1, Options{Workers: workers}); !errors.Is(err, ErrVersion) {
+			t.Errorf("workers=%d: Open err = %v, want ErrVersion", workers, err)
+		}
+	}
+}
+
+// TestCodecV2RoundTrip: the writer emits only the indexed layout, which
+// round-trips events and metadata and ends in the footer magic; the
+// footerless version 2 layout it replaced fails Open with ErrVersion.
+func TestCodecV2RoundTrip(t *testing.T) {
+	tr := randomTrace(2*DefaultChunkEvents+5, 31)
+	meta := Meta{Workload: "apache", Nodes: 8, Scale: 0.5, Seed: 3, Repeat: 2}
+	data := encode(t, tr, meta)
+	if data[4] != Version || !bytes.Equal(data[len(data)-4:], IndexMagic[:]) {
+		t.Fatalf("writer must emit version %d with a chunk-index footer", Version)
+	}
+	r, err := openBytes(data, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Meta() != meta {
+		t.Fatalf("meta = %+v, want %+v", r.Meta(), meta)
+	}
+	got, err := Collect(r)
+	if err := CloseMerge(r, err); err != nil {
+		t.Fatal(err)
+	}
+	if got.Len() != tr.Len() {
+		t.Fatalf("decoded %d events, want %d", got.Len(), tr.Len())
+	}
+	for _, workers := range []int{0, 2} {
+		if _, err := openBytes(oldVersionFiles(t)["v2"], Options{Workers: workers}); !errors.Is(err, ErrVersion) {
+			t.Errorf("v2 workers=%d: Open err = %v, want ErrVersion", workers, err)
+		}
+	}
+}
+
 // TestCodecRejectsTrailingGarbage is the regression test for the silent-
 // corruption hole: a doubly-concatenated or padded .tsm must never decode
 // "cleanly" as just its first stream. Two concatenated traces end in a

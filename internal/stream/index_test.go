@@ -206,10 +206,11 @@ func TestParallelDecodeRange(t *testing.T) {
 	}
 }
 
-// TestOldVersionsRejected: files of the earlier codec versions — version 2
-// (no chunk-index footer) and version 1 (additionally no repeat field) —
-// fail Open, OpenFile and Describe with a wrapped ErrVersion.
-func TestOldVersionsRejected(t *testing.T) {
+// oldVersionFiles returns a trace in the two earlier codec layouts: version
+// 2 (no chunk-index footer) and version 1 (additionally no repeat field in
+// the header). Neither is readable any more; they exist to check that.
+func oldVersionFiles(t *testing.T) map[string][]byte {
+	t.Helper()
 	meta := Meta{Workload: "db2", Nodes: 16, Scale: 0.25, Seed: 42}
 	data := encode(t, randomTrace(100, 3), meta)
 	// A version 2 file is a version 3 file without the footer.
@@ -223,24 +224,29 @@ func TestOldVersionsRejected(t *testing.T) {
 	const repeatOff = 4 + 1 + 1 + 3 + 1 + 8 + 1
 	v1 := append(append([]byte{}, v2[:repeatOff]...), v2[repeatOff+8:]...)
 	v1[4] = 1
-	dir := t.TempDir()
-	for name, old := range map[string][]byte{"v1": v1, "v2": v2} {
-		for _, workers := range []int{0, 2} {
-			if _, err := openBytes(old, Options{Workers: workers}); !errors.Is(err, ErrVersion) {
-				t.Errorf("%s workers=%d: Open err = %v, want ErrVersion", name, workers, err)
-			}
-		}
-		path := filepath.Join(dir, name+".tsm")
-		if err := os.WriteFile(path, old, 0o644); err != nil {
-			t.Fatal(err)
-		}
+	return map[string][]byte{"v1": v1, "v2": v2}
+}
+
+// writeTemp writes data to a fresh file and returns its path.
+func writeTemp(t *testing.T, name string, data []byte) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), name)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestOpenIndexedRejectsOldVersions: v1/v2 files have no chunk index, and
+// the index-first open is the only open, so OpenFile over either fails with
+// a wrapped ErrVersion, through ReadAt and mmap alike.
+func TestOpenIndexedRejectsOldVersions(t *testing.T) {
+	for name, old := range oldVersionFiles(t) {
+		path := writeTemp(t, name+".tsm", old)
 		for _, mmap := range []bool{false, true} {
 			if _, err := OpenFile(path, Options{Mmap: mmap}); !errors.Is(err, ErrVersion) {
 				t.Errorf("%s mmap=%v: OpenFile err = %v, want ErrVersion", name, mmap, err)
 			}
-		}
-		if _, err := Describe(path); !errors.Is(err, ErrVersion) {
-			t.Errorf("%s: Describe err = %v, want ErrVersion", name, err)
 		}
 	}
 }
@@ -393,5 +399,36 @@ func TestParallelDecodeEarlyClose(t *testing.T) {
 	}
 	if err := r.Close(); err != nil {
 		t.Fatal("Close must be idempotent")
+	}
+}
+
+// TestFileReaderParallel: OpenFile over a real file written by WriteFile
+// decodes every event with a worker pool, and a v2 file fails with
+// ErrVersion at every worker setting instead of falling back to a serial
+// decode.
+func TestFileReaderParallel(t *testing.T) {
+	tr := randomTrace(3*DefaultChunkEvents+7, 19)
+	meta := Meta{Workload: "apache", Nodes: 8, Scale: 0.5, Seed: 3}
+	path := filepath.Join(t.TempDir(), "t.tsm")
+	if _, err := WriteFile(path, meta, TraceSource(tr)); err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenFile(path, Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := collectEvents(t, r)
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, tr.Events) {
+		t.Fatalf("decoded %d events, want the %d written", len(got), tr.Len())
+	}
+
+	v2 := writeTemp(t, "v2.tsm", oldVersionFiles(t)["v2"])
+	for _, workers := range []int{0, 2} {
+		if _, err := OpenFile(v2, Options{Workers: workers}); !errors.Is(err, ErrVersion) {
+			t.Fatalf("v2 file workers=%d: err = %v, want ErrVersion", workers, err)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"errors"
 	"os"
 	"testing"
 )
@@ -33,6 +34,17 @@ func TestDescribe(t *testing.T) {
 	st, _ := os.Stat(path)
 	if info.Bytes != st.Size() {
 		t.Fatalf("bytes = %d, want %d", info.Bytes, st.Size())
+	}
+}
+
+// TestDescribeUnindexed: version 1/2 files carry no chunk index; Describe
+// of either fails with a wrapped ErrVersion rather than reporting a file
+// without counts.
+func TestDescribeUnindexed(t *testing.T) {
+	for name, old := range oldVersionFiles(t) {
+		if _, err := Describe(writeTemp(t, name+".tsm", old)); !errors.Is(err, ErrVersion) {
+			t.Errorf("%s: Describe err = %v, want ErrVersion", name, err)
+		}
 	}
 }
 
