@@ -55,10 +55,14 @@
 //	-progress          periodic events/sec (and, with -i, percent + ETA)
 //	                   lines on stderr during long runs
 //	-series out.json   with -i: dump per-consumer time-series of live
-//	                   cumulative state (coverage, SVB/CMOB occupancy,
-//	                   per-epoch latency quantiles), sampled at chunk
-//	                   boundaries, as JSON; the interval auto-sizes from the
-//	                   trace's indexed event count
+//	                   cumulative state, sampled at chunk boundaries, as
+//	                   JSON: a replay's "timing-base" and "timing-tse"
+//	                   series carry per-epoch latency quantiles, and
+//	                   "timing-tse" (like each sweep cell) also the TSE
+//	                   coverage and SVB/CMOB occupancy; the final
+//	                   "timing-tse" sample is the printed report; the
+//	                   interval auto-sizes from the trace's indexed event
+//	                   count
 //	-manifest out.json with -i: dump a run manifest — trace SHA-256, codec
 //	                   version, chunk/event counts, workload metadata, replay
 //	                   settings, per-stage wall times and (with -metrics) the

@@ -290,7 +290,7 @@ func TestRunObservedOutputsIdentical(t *testing.T) {
 
 // TestRunSeriesAndManifest drives -series and -manifest end to end on a
 // trace large enough for double-digit epoch counts: the series carries ≥10
-// samples per consumer, the final "coverage" sample reproduces the report's
+// samples per consumer, the final "timing-tse" sample reproduces the report's
 // coverage byte for byte (same %.1f%% rendering), and the manifest records
 // the trace's provenance, the timed stages and the final metrics snapshot.
 func TestRunSeriesAndManifest(t *testing.T) {
@@ -320,7 +320,7 @@ func TestRunSeriesAndManifest(t *testing.T) {
 	if snap.Interval == 0 {
 		t.Fatalf("series interval not auto-sized:\n%s", rawSeries)
 	}
-	for _, name := range []string{"coverage", "timing-base", "timing-tse"} {
+	for _, name := range []string{"timing-base", "timing-tse"} {
 		if n := len(snap.Series[name].Points); n < 10 {
 			t.Fatalf("consumer %q has %d samples, want >= 10:\n%s", name, n, rawSeries)
 		}
@@ -349,7 +349,7 @@ func TestRunSeriesAndManifest(t *testing.T) {
 
 	// The final epoch sample IS the report: its cumulative coverage renders
 	// to the same byte sequence the stdout report printed.
-	pts := snap.Series["coverage"].Points
+	pts := snap.Series["timing-tse"].Points
 	last := pts[len(pts)-1]
 	if last.Seq != m.Trace.Events-1 {
 		t.Fatalf("final sample at seq %d, want last event %d", last.Seq, m.Trace.Events-1)

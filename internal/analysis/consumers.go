@@ -161,15 +161,8 @@ func (c *TSEConsumer) Run(src stream.Source) error {
 		sys.RunColumns(ch.Kind, ch.Node, ch.Block)
 	})
 	c.sys = nil
-	full := sys.Finish()
-	c.Result = CoverageResult{
-		Name:         sys.Name(),
-		Consumptions: full.Consumptions,
-		Covered:      full.Covered,
-		Fetched:      full.BlocksFetched,
-		Discards:     full.Discards,
-	}
-	c.Full = full
+	c.Full = sys.Finish()
+	c.Result = TSECoverage(c.Full)
 	return err
 }
 
@@ -184,15 +177,5 @@ func (c *TSEConsumer) SampleAt(seq uint64, final bool) {
 	if c.sys == nil || !c.series.Ready(seq, final) {
 		return
 	}
-	ls := c.sys.Probe()
-	c.series.Record(seq, map[string]float64{
-		"consumptions": float64(ls.Consumptions),
-		"covered":      float64(ls.Covered),
-		"coverage":     ls.Coverage(),
-		"fetched":      float64(ls.BlocksFetched),
-		"discards":     float64(ls.Discards),
-		"streams":      float64(ls.StreamsAllocated),
-		"svb_resident": float64(ls.SVBResident),
-		"cmob_bytes":   float64(ls.CMOBBytes),
-	})
+	c.series.Record(seq, c.sys.Probe().Values())
 }

@@ -69,15 +69,19 @@ func EvaluateModel(m prefetch.Model, tr *trace.Trace) CoverageResult {
 // the common coverage summary and the full TSE result (stream lengths,
 // traffic, CMOB footprint).
 func EvaluateTSE(cfg tse.Config, tr *trace.Trace) (CoverageResult, tse.Result) {
-	sys := tse.NewSystem(cfg)
-	full := sys.Run(tr)
+	full := tse.NewSystem(cfg).Run(tr)
+	return TSECoverage(full), full
+}
+
+// TSECoverage is the common coverage summary of a TSE result.
+func TSECoverage(full tse.Result) CoverageResult {
 	return CoverageResult{
-		Name:         sys.Name(),
+		Name:         "TSE",
 		Consumptions: full.Consumptions,
 		Covered:      full.Covered,
 		Fetched:      full.BlocksFetched,
 		Discards:     full.Discards,
-	}, full
+	}
 }
 
 // StreamLengthCDF converts a TSE stream-length histogram into the Figure 13

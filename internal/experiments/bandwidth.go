@@ -3,9 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"tsm/internal/analysis"
 	"tsm/internal/interconnect"
-	"tsm/internal/timing"
 	"tsm/internal/trace"
 )
 
@@ -27,23 +25,15 @@ func Fig11(w *Workspace) (Table, error) {
 	}
 	sys := w.System()
 	for _, name := range w.WorkloadNames() {
-		data, err := w.Data(name)
+		data, pair, err := w.paper(name)
 		if err != nil {
 			return Table{}, err
 		}
-		prof := data.Generator.Timing()
-		cfg := paperTSEConfig(w, prof.Lookahead)
-		_, full := analysis.EvaluateTSE(cfg, data.Trace)
+		full := pair.withTSE.TSE
 
 		// Wall-clock duration of the run, estimated from the baseline
 		// timing model (aggregate cycles divided by node count).
-		base, err := timing.Simulate(data.Trace, timing.Params{
-			System: sys, Profile: prof, Nodes: w.Options().Nodes,
-		})
-		if err != nil {
-			return Table{}, err
-		}
-		wallCycles := base.TotalCycles() / uint64(w.Options().Nodes)
+		wallCycles := pair.base.TotalCycles() / uint64(w.Options().Nodes)
 		overheadGBs := interconnect.BandwidthGBs(full.Traffic.OverheadBytes(), wallCycles, sys.ClockGHz)
 
 		// Baseline traffic denominator: all classified events move traffic

@@ -18,7 +18,7 @@ func Fig12(w *Workspace) (Table, error) {
 	}
 	nodes := w.Options().Nodes
 	for _, name := range w.WorkloadNames() {
-		data, err := w.Data(name)
+		data, pair, err := w.paper(name)
 		if err != nil {
 			return Table{}, err
 		}
@@ -35,9 +35,7 @@ func Fig12(w *Workspace) (Table, error) {
 		gacCfg.Nodes = nodes
 		gac := analysis.EvaluateModel(prefetch.NewGHB(gacCfg), data.Trace)
 
-		tseCfg := paperTSEConfig(w, data.Generator.Timing().Lookahead)
-		tseCov, _ := analysis.EvaluateTSE(tseCfg, data.Trace)
-
+		tseCov := analysis.TSECoverage(pair.withTSE.TSE)
 		for _, r := range []analysis.CoverageResult{stride, gdc, gac, tseCov} {
 			t.Rows = append(t.Rows, []string{name, r.Name, pct(r.Coverage()), pct(r.DiscardRate())})
 		}

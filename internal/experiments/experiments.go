@@ -24,6 +24,7 @@ import (
 	"tsm/internal/obs"
 	"tsm/internal/pipeline"
 	"tsm/internal/stream"
+	"tsm/internal/timing"
 	"tsm/internal/trace"
 	"tsm/internal/tse"
 	"tsm/internal/workload"
@@ -145,11 +146,25 @@ type Workspace struct {
 	data map[string]*workloadEntry
 }
 
-// workloadEntry guards one workload's lazily generated data.
+// workloadEntry guards one workload's lazily generated data and, behind a
+// second Once, its paper-configuration timing pair.
 type workloadEntry struct {
 	once sync.Once
 	d    *WorkloadData
 	err  error
+
+	pairOnce sync.Once
+	pair     paperPair
+	pairErr  error
+}
+
+// paperPair is one workload's paired baseline and TSE timing simulations
+// under the paper's TSE configuration. withTSE.TSE is the trace-driven
+// result of the TSE run's own system: the coverage, discards, stream lengths
+// and traffic every paper-configuration figure reports, from the same run
+// as its timing.
+type paperPair struct {
+	base, withTSE timing.Result
 }
 
 // NewWorkspace builds a workspace for the given options.
@@ -197,19 +212,46 @@ func (w *Workspace) WorkloadNames() []string {
 	return out
 }
 
-// Data returns (generating lazily, exactly once, concurrency-safe) the
-// trace and generator for a workload.
-func (w *Workspace) Data(name string) (*WorkloadData, error) {
-	name = strings.ToLower(name)
+// entry returns a workload's cache entry, creating it on first use.
+func (w *Workspace) entry(name string) *workloadEntry {
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	e, ok := w.data[name]
 	if !ok {
 		e = &workloadEntry{}
 		w.data[name] = e
 	}
-	w.mu.Unlock()
+	return e
+}
+
+// Data returns (generating lazily, exactly once, concurrency-safe) the
+// trace and generator for a workload.
+func (w *Workspace) Data(name string) (*WorkloadData, error) {
+	name = strings.ToLower(name)
+	e := w.entry(name)
 	e.once.Do(func() { e.d, e.err = w.generate(name) })
 	return e.d, e.err
+}
+
+// paper returns a workload's data and its paper-configuration timing pair,
+// simulated exactly once per Workspace the way Data generates the trace
+// once: the one paper-configuration TSE run every figure shares.
+func (w *Workspace) paper(name string) (*WorkloadData, *paperPair, error) {
+	data, err := w.Data(name)
+	if err != nil {
+		return nil, nil, err
+	}
+	e := w.entry(strings.ToLower(name))
+	e.pairOnce.Do(func() {
+		params := timing.Params{System: w.system, Profile: data.Generator.Timing(), Nodes: w.opts.Nodes}
+		if e.pair.base, e.pairErr = timing.Simulate(data.Trace, params); e.pairErr != nil {
+			return
+		}
+		cfg := paperTSEConfig(w, params.Profile.Lookahead)
+		params.TSE = &cfg
+		e.pair.withTSE, e.pairErr = timing.Simulate(data.Trace, params)
+	})
+	return data, &e.pair, e.pairErr
 }
 
 // generate builds one workload's trace. Called at most once per workload.

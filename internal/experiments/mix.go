@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"tsm/internal/analysis"
 	"tsm/internal/timing"
 )
 
@@ -21,19 +20,13 @@ func mixComparison(w *Workspace, id, title, notes string, names []string) (Table
 		Notes: notes,
 	}
 	for _, name := range names {
-		data, err := w.Data(name)
+		data, pair, err := w.paper(name)
 		if err != nil {
 			return Table{}, err
 		}
-		cfg := paperTSEConfig(w, data.Generator.Timing().Lookahead)
-		cov, _ := analysis.EvaluateTSE(cfg, data.Trace)
-
-		base, withTSE, err := simulatePair(w, data)
-		if err != nil {
-			return Table{}, err
-		}
-		speedup := timing.Speedup(base, withTSE)
-		_, ci := timing.SpeedupConfidence(base, withTSE)
+		cov := pair.withTSE.TSE
+		speedup := timing.Speedup(pair.base, pair.withTSE)
+		_, ci := timing.SpeedupConfidence(pair.base, pair.withTSE)
 
 		t.Rows = append(t.Rows, []string{
 			name,

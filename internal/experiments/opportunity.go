@@ -54,13 +54,11 @@ func Fig13(w *Workspace) (Table, error) {
 		t.Columns = append(t.Columns, fmt.Sprintf("<=%d", b))
 	}
 	for _, name := range w.WorkloadNames() {
-		data, err := w.Data(name)
+		_, pair, err := w.paper(name)
 		if err != nil {
 			return Table{}, err
 		}
-		cfg := paperTSEConfig(w, data.Generator.Timing().Lookahead)
-		_, full := analysis.EvaluateTSE(cfg, data.Trace)
-		cdf := analysis.StreamLengthCDF(full, buckets)
+		cdf := analysis.StreamLengthCDF(pair.withTSE.TSE, buckets)
 		row := []string{name}
 		for _, v := range cdf {
 			row = append(row, pct(v))

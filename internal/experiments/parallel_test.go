@@ -12,7 +12,9 @@ func testWorkspaceOptions() Options {
 
 // TestDataGeneratesOnce: concurrent Data calls for the same workload must
 // share one generated trace (sync.Once semantics), and calls for different
-// workloads must not corrupt each other.
+// workloads must not corrupt each other. Concurrent paper calls share the
+// workload's timing pair the same way; under -race a second simulation
+// writing the shared pair would be reported.
 func TestDataGeneratesOnce(t *testing.T) {
 	w := NewWorkspace(testWorkspaceOptions())
 	const callers = 8
@@ -27,6 +29,10 @@ func TestDataGeneratesOnce(t *testing.T) {
 				d, err := w.Data(name)
 				if err != nil {
 					t.Error(err)
+					return
+				}
+				if _, p, err := w.paper(name); err != nil || p.withTSE.TSE.Consumptions == 0 {
+					t.Errorf("%s: timing pair %v, %v", name, p, err)
 					return
 				}
 				got[c] = append(got[c], d)

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"tsm/internal/analysis"
 	"tsm/internal/timing"
 )
 
@@ -21,23 +20,15 @@ func Table3(w *Workspace) (Table, error) {
 			"Oracle 53/34/9, Zeus 43/29/14 (trace/full/partial coverage, %).",
 	}
 	for _, name := range w.WorkloadNames() {
-		data, err := w.Data(name)
+		data, pair, err := w.paper(name)
 		if err != nil {
 			return Table{}, err
 		}
 		prof := data.Generator.Timing()
-		cfg := paperTSEConfig(w, prof.Lookahead)
-		traceCov, _ := analysis.EvaluateTSE(cfg, data.Trace)
-
-		tseRes, err := timing.Simulate(data.Trace, timing.Params{
-			System: w.System(), Profile: prof, Nodes: w.Options().Nodes, TSE: &cfg,
-		})
-		if err != nil {
-			return Table{}, err
-		}
+		tseRes := pair.withTSE
 		t.Rows = append(t.Rows, []string{
 			name,
-			pct(traceCov.Coverage()),
+			pct(tseRes.TSE.Coverage()),
 			fmt.Sprintf("%.1f", prof.MLP),
 			fmt.Sprintf("%d", prof.Lookahead),
 			pct(tseRes.FullCoverage()),
@@ -46,22 +37,6 @@ func Table3(w *Workspace) (Table, error) {
 		})
 	}
 	return t, nil
-}
-
-// simulatePair runs the paired baseline and TSE timing simulations for one
-// workload under the paper configuration — the shared core of Fig14 and the
-// suite-wide comparison, kept in one place so both tables always agree.
-func simulatePair(w *Workspace, data *WorkloadData) (base, withTSE timing.Result, err error) {
-	prof := data.Generator.Timing()
-	params := timing.Params{System: w.System(), Profile: prof, Nodes: w.Options().Nodes}
-	base, err = timing.Simulate(data.Trace, params)
-	if err != nil {
-		return base, withTSE, err
-	}
-	cfg := paperTSEConfig(w, prof.Lookahead)
-	params.TSE = &cfg
-	withTSE, err = timing.Simulate(data.Trace, params)
-	return base, withTSE, err
 }
 
 // Fig14 reproduces Figure 14: the execution-time breakdown of the base and
@@ -78,14 +53,11 @@ func Fig14(w *Workspace) (Table, error) {
 			"commercial workloads (DB2 highest).",
 	}
 	for _, name := range w.WorkloadNames() {
-		data, err := w.Data(name)
+		_, pair, err := w.paper(name)
 		if err != nil {
 			return Table{}, err
 		}
-		base, withTSE, err := simulatePair(w, data)
-		if err != nil {
-			return Table{}, err
-		}
+		base, withTSE := pair.base, pair.withTSE
 
 		baseTotal := float64(base.TotalCycles())
 		bb, bo, bc := base.Breakdown.Fractions()

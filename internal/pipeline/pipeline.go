@@ -3,9 +3,10 @@
 // own goroutine behind a shared, bounded broadcast ring.
 //
 // The paper's evaluation is inherently multi-consumer — one memory-access
-// stream feeds the TSE coverage model, the baseline timing model and the TSE
-// timing model — and every file replay, sweep and figure is evaluated here as
-// N consumers of one walk of the stream:
+// stream feeds the baseline timing model and the TSE timing model (whose TSE
+// system also yields the coverage), the Figure 12 prefetchers, or every
+// cell of a sensitivity sweep — and every file replay and every sweep is
+// evaluated here as N consumers of one walk of the stream:
 //
 //	source ──decode once──▶ ring of chunk slots ──cursor per consumer──▶ consumer 0..N-1
 //

@@ -1,10 +1,10 @@
 package stream
 
-// Trace-file introspection without decoding: Describe reads the header and
-// the chunk-index footer, yielding the provenance facts a run manifest
-// records (codec version, chunk and event counts, workload metadata) and the
-// total event count the facade uses to auto-size sampling epochs. Cost is
-// O(header + index), independent of the event payload.
+// Trace-file introspection without decoding: Describe, or Info on an open
+// Reader, yields what the header and the chunk-index footer say — codec
+// version, chunk and event counts, workload metadata — the provenance facts
+// a run manifest records. Cost is O(header + index), independent of the
+// event payload.
 
 // FileInfo describes one trace file.
 type FileInfo struct {
@@ -27,6 +27,11 @@ func Describe(path string) (FileInfo, error) {
 	if err != nil {
 		return FileInfo{}, err
 	}
-	info := FileInfo{Version: Version, Meta: r.meta, Bytes: r.size, Chunks: len(r.index.Chunks), Events: r.index.Events}
-	return info, r.Close()
+	return r.Info(), r.Close()
+}
+
+// Info describes the trace the reader decodes, from the header and chunk
+// index its open read.
+func (r *Reader) Info() FileInfo {
+	return FileInfo{Version: Version, Meta: r.meta, Bytes: r.size, Chunks: len(r.index.Chunks), Events: r.index.Events}
 }

@@ -72,6 +72,12 @@ type Result struct {
 	// segmentation for base and TSE runs), enabling paired speedup
 	// confidence intervals in the SMARTS style.
 	SegmentCycles []uint64
+	// TSE is the trace-driven result of the run's own TSE system (zero for
+	// the baseline). The timing model only taps the system's fetches, so
+	// this equals a plain tse.System run over the same trace: the coverage,
+	// stream lengths and traffic of the paper configuration come from the
+	// same pass as its timing.
+	TSE tse.Result
 }
 
 // TotalCycles returns the total execution cycles (summed over nodes), the
@@ -336,6 +342,18 @@ func (s *simulator) step(kind trace.EventKind, node mem.NodeID, block mem.BlockA
 					n.arrivals[b] = n.clock + s.streamStart + uint64(k)*streamSpacing
 				}
 			}
+			// An arrival time is read only while its block sits in the SVB,
+			// and every insertion sets a fresh one, so the times of blocks
+			// the SVB discarded unconsumed are dead. Drop them once they
+			// outnumber the live ones: the map stays the SVB's size instead
+			// of growing to every block ever streamed to the node.
+			if svb := s.sys.Engine(node).SVB(); len(n.arrivals) > 2*svb.Len()+64 {
+				for b := range n.arrivals {
+					if !svb.Contains(b) {
+						delete(n.arrivals, b)
+					}
+				}
+			}
 		}
 
 		if s.p.Observer != nil {
@@ -365,10 +383,10 @@ func (s *simulator) finish() Result {
 	for _, n := range s.nodes {
 		s.flushBurst(n)
 	}
-	if s.sys != nil {
-		s.sys.Finish()
-	}
 	res := s.res
+	if s.sys != nil {
+		res.TSE = s.sys.Finish()
+	}
 	for _, n := range s.nodes {
 		res.Breakdown.BusyCycles += n.breakdown.BusyCycles
 		res.Breakdown.OtherStallCycles += n.breakdown.OtherStallCycles
@@ -407,13 +425,16 @@ func Simulate(tr *trace.Trace, p Params) (Result, error) {
 // every consumption latency through Params.Observer into a per-epoch
 // obs.Histogram, and each chunk-boundary pump records the epoch's latency
 // distribution (count, mean, interpolated p50/p90/p99) as one sample, then
-// starts a fresh epoch. The simulation's results are identical with and
-// without the tap.
+// starts a fresh epoch. With TSE enabled the sample also carries the live
+// TSE system's values (tse.LiveStats.Values), so the final sample's coverage
+// is the run's Result.TSE coverage. The simulation's results are identical
+// with and without the tap.
 type Consumer struct {
 	params Params
 	// Result is the simulation result, valid after Run returns nil.
 	Result Result
 	series *obs.Series
+	sim    *simulator     // live simulation while Run is in flight (sampling only)
 	epoch  *obs.Histogram // latencies observed since the last sample
 	cum    uint64         // consumptions observed so far
 }
@@ -437,6 +458,8 @@ func (c *Consumer) Run(src stream.Source) error {
 	if err != nil {
 		return err
 	}
+	c.sim = s
+	defer func() { c.sim = nil }()
 	cols := stream.Columns(src, stream.DefaultChunkEvents)
 	for {
 		ch, err := cols.NextChunkSoA()
@@ -458,21 +481,25 @@ func (c *Consumer) Run(src stream.Source) error {
 func (c *Consumer) AttachSeries(s *obs.Series) { c.series = s }
 
 // SampleAt implements pipeline.Sampler: one epoch sample of the latency
-// distribution since the previous sample. Runs on the consumer's goroutine
-// between events.
+// distribution since the previous sample, plus the live TSE values when TSE
+// is enabled. Runs on the consumer's goroutine between events; outside Run
+// it is a no-op.
 func (c *Consumer) SampleAt(seq uint64, final bool) {
-	if c.epoch == nil || !c.series.Ready(seq, final) {
+	if c.sim == nil || c.epoch == nil || !c.series.Ready(seq, final) {
 		return
 	}
+	values := map[string]float64{}
+	if c.sim.sys != nil {
+		values = c.sim.sys.Probe().Values()
+	}
 	snap := c.epoch.Snapshot()
-	c.series.Record(seq, map[string]float64{
-		"consumptions":  float64(c.cum),
-		"latency_count": float64(snap.Count),
-		"latency_mean":  snap.Mean(),
-		"latency_p50":   snap.P50,
-		"latency_p90":   snap.P90,
-		"latency_p99":   snap.P99,
-	})
+	values["consumptions"] = float64(c.cum)
+	values["latency_count"] = float64(snap.Count)
+	values["latency_mean"] = snap.Mean()
+	values["latency_p50"] = snap.P50
+	values["latency_p90"] = snap.P90
+	values["latency_p99"] = snap.P99
+	c.series.Record(seq, values)
 	c.epoch = &obs.Histogram{}
 }
 

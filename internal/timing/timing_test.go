@@ -2,8 +2,11 @@ package timing
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
 	"testing"
 
+	"tsm/internal/analysis"
 	"tsm/internal/coherence"
 	"tsm/internal/config"
 	"tsm/internal/mem"
@@ -274,6 +277,9 @@ func TestConsumerMatchesSimulate(t *testing.T) {
 			got.PartialLatencyHidden != want.PartialLatencyHidden || got.MeasuredMLP != want.MeasuredMLP {
 			t.Fatalf("consumer %d result %+v differs from Simulate result %+v", ci, got, want)
 		}
+		if !reflect.DeepEqual(got.TSE, want.TSE) {
+			t.Fatalf("consumer %d TSE result %+v differs from Simulate's %+v", ci, got.TSE, want.TSE)
+		}
 		if len(got.SegmentCycles) != len(want.SegmentCycles) {
 			t.Fatalf("consumer %d: segment count %d vs %d", ci, len(got.SegmentCycles), len(want.SegmentCycles))
 		}
@@ -281,6 +287,51 @@ func TestConsumerMatchesSimulate(t *testing.T) {
 			if got.SegmentCycles[i] != want.SegmentCycles[i] {
 				t.Fatalf("consumer %d segment %d: %d vs %d", ci, i, got.SegmentCycles[i], want.SegmentCycles[i])
 			}
+		}
+	}
+}
+
+// TestTSEResultMatchesEvaluateTSE: the TSE run's own system, which the
+// timing model only taps for fetch arrival times, yields exactly the
+// trace-driven result of a plain TSE pass (analysis.EvaluateTSE) under the
+// paper configuration — coverage, discards, stream-length histogram, traffic
+// and CMOB footprint — for every registered workload at 4 and 16 nodes. This
+// is what lets one timing run be the coverage source of every report.
+func TestTSEResultMatchesEvaluateTSE(t *testing.T) {
+	for _, nodes := range []int{4, 16} {
+		for _, name := range workload.AllNames() {
+			t.Run(fmt.Sprintf("%s/nodes=%d", name, nodes), func(t *testing.T) {
+				spec, _ := workload.ByName(name)
+				gen := spec.New(workload.Config{Nodes: nodes, Seed: 5, Scale: 0.05, Geometry: mem.DefaultGeometry()})
+				eng := coherence.New(coherence.Config{Nodes: nodes, Geometry: mem.DefaultGeometry(), PointersPerEntry: 2})
+				tr, err := eng.RunFrom(gen.Emit)
+				if err != nil {
+					t.Fatal(err)
+				}
+				p := baseParams(nodes, gen.Timing())
+				base, err := Simulate(tr, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(base.TSE, tse.Result{}) {
+					t.Fatalf("baseline run reports a TSE result: %+v", base.TSE)
+				}
+				cfg := config.DefaultSystem().DefaultTSE()
+				cfg.Nodes = nodes
+				cfg.Lookahead = gen.Timing().Lookahead
+				p.TSE = &cfg
+				got, err := Simulate(tr, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, want := analysis.EvaluateTSE(cfg, tr)
+				if want.Consumptions == 0 {
+					t.Fatal("trace has no consumptions")
+				}
+				if !reflect.DeepEqual(got.TSE, want) {
+					t.Fatalf("timing run's TSE result %+v != EvaluateTSE %+v", got.TSE, want)
+				}
+			})
 		}
 	}
 }

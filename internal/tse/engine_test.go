@@ -171,6 +171,23 @@ func TestEngineDivergingStreamsStallThenResolve(t *testing.T) {
 			t.Fatalf("block %#x from the losing stream should not be fetched", b)
 		}
 	}
+
+	// Only the lookahead window of each FIFO identifies the stream: block
+	// 20 sits past the window (lookahead 4) in FIFO 0 and inside it in FIFO
+	// 1, so the miss resolves to order B's FIFO.
+	orderA = append([]mem.BlockAddr{head}, blocks(1, 2, 3, 4, 5, 20)...)
+	orderB = append([]mem.BlockAddr{head}, blocks(11, 20, 13, 14, 15)...)
+	e = NewEngine(0, testConfig(), staticReader(map[mem.NodeID][]mem.BlockAddr{1: orderA, 2: orderB}))
+	e.Consumption(head, []directory.CMOBPointer{ptr(1, 0), ptr(2, 0)})
+	e.Consumption(mem.BlockAddr(20*64), nil)
+	if e.Stats().StreamsResolved != 1 {
+		t.Fatalf("StreamsResolved = %d, want 1", e.Stats().StreamsResolved)
+	}
+	for _, b := range blocks(13, 14, 15) {
+		if !e.Consumption(b, nil) {
+			t.Fatalf("block %#x should be covered after resolving to FIFO 1", b)
+		}
+	}
 }
 
 func TestEngineSingleStreamNoComparisonFetchesImmediately(t *testing.T) {

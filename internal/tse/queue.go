@@ -149,11 +149,16 @@ func (q *streamQueue) selectFIFO(keep int) {
 // matchStalledHead checks whether a processor miss to b matches one of the
 // stalled queue's FIFO heads (or an entry within the SVB-lookahead window of
 // a FIFO). It returns the index of the matching FIFO and the position of the
-// match, or (-1, -1).
+// match, or (-1, -1). Only the first window entries of each FIFO are
+// scanned: the first match there is the first match in the whole FIFO
+// whenever that one lies inside the window.
 func (q *streamQueue) matchStalledHead(b mem.BlockAddr, window int) (int, int) {
 	for i := range q.fifos {
-		if pos := q.fifos[i].contains(b); pos >= 0 && pos < window {
-			return i, pos
+		addrs := q.fifos[i].addrs
+		for pos, a := range addrs[:min(window, len(addrs))] {
+			if a == b {
+				return i, pos
+			}
 		}
 	}
 	return -1, -1

@@ -287,6 +287,21 @@ func (ls LiveStats) Coverage() float64 {
 	return float64(ls.Covered) / float64(ls.Consumptions)
 }
 
+// Values renders the snapshot as the values of one series sample: the one
+// schema of every TSE series, coverage model and TSE timing model alike.
+func (ls LiveStats) Values() map[string]float64 {
+	return map[string]float64{
+		"consumptions": float64(ls.Consumptions),
+		"covered":      float64(ls.Covered),
+		"coverage":     ls.Coverage(),
+		"fetched":      float64(ls.BlocksFetched),
+		"discards":     float64(ls.Discards),
+		"streams":      float64(ls.StreamsAllocated),
+		"svb_resident": float64(ls.SVBResident),
+		"cmob_bytes":   float64(ls.CMOBBytes),
+	}
+}
+
 // Probe aggregates the current per-node state without flushing anything. It
 // must run between events (same goroutine as Consumption/Write), which is
 // exactly when the pipeline's sampling pump fires.

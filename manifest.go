@@ -109,9 +109,9 @@ func (rm *RunManifest) SetCommand(args []string) {
 }
 
 // begin records the run configuration and the input's header-level
-// provenance. A describe error leaves the trace record at path+op only; the
-// open stage will surface the real error to the caller.
-func (rm *RunManifest) begin(op, path string, rc ReplayConfig, sweep string, info stream.FileInfo, descErr error) {
+// provenance from the opened reader. A nil reader (the open failed) leaves
+// the trace record at path+op only; the caller reports the open's error.
+func (rm *RunManifest) begin(op, path string, rc ReplayConfig, sweep string, r *stream.Reader) {
 	if rm == nil {
 		return
 	}
@@ -126,9 +126,10 @@ func (rm *RunManifest) begin(op, path string, rc ReplayConfig, sweep string, inf
 		Mmap:          rc.Mmap,
 	}
 	rm.m.Trace = TraceProvenance{Path: path}
-	if descErr != nil {
+	if r == nil {
 		return
 	}
+	info := r.Info()
 	rm.m.Trace = TraceProvenance{
 		Path:         path,
 		Bytes:        info.Bytes,

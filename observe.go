@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"tsm/internal/obs"
-	"tsm/internal/pipeline"
 )
 
 // Metrics is a registry of atomic counters, gauges and log-bucket
@@ -77,18 +76,6 @@ type Instrumentation struct {
 	Manifest *RunManifest
 }
 
-// pipelineConfig builds the engine configuration carrying the attachments.
-// The returned registry is the one the engine will write to: normally
-// ins.Metrics, but a Progress-only instrumentation gets a private registry
-// so the meter has a decode counter to watch.
-func (ins Instrumentation) pipelineConfig(names []string) (pipeline.Config, *Metrics) {
-	m := ins.Metrics
-	if m == nil && ins.Progress != nil {
-		m = NewMetrics()
-	}
-	return pipeline.Config{Metrics: m, Tracer: ins.Tracer, Series: ins.Series, ConsumerNames: names}, m
-}
-
 // startProgress launches the progress meter when requested (nil otherwise —
 // and the nil Progress handle's Stop is a no-op).
 func (ins Instrumentation) startProgress(label string, m *Metrics, fraction func() float64) *obs.Progress {
@@ -104,6 +91,7 @@ func (ins Instrumentation) startProgress(label string, m *Metrics, fraction func
 	})
 }
 
-// tseConsumerNames labels the three consumers of the TSE evaluation fan-out
-// in metrics and trace lanes.
-func tseConsumerNames() []string { return []string{"coverage", "timing-base", "timing-tse"} }
+// tseConsumerNames labels the two consumers of the TSE evaluation fan-out
+// in metrics, trace lanes and series: the baseline timing run and the TSE
+// timing run, whose own TSE system also yields the coverage report.
+func tseConsumerNames() []string { return []string{"timing-base", "timing-tse"} }

@@ -5,15 +5,17 @@ package tsm
 // replay memory-bound on large traces. The functions here instead drive the
 // full TSE + timing stack directly from an event source in bounded memory,
 // decoding it exactly ONCE: a single decode pass is teed into every consumer
-// (the coverage model, the baseline timing model, the TSE timing model, the
-// Figure 12 baselines) by the fan-out engine in internal/pipeline, with each
-// consumer on its own goroutine reading a cursor of the shared broadcast
-// ring. The reports are bit-identical to the serial in-memory oracle
-// (EvaluateTSE, ComparePrefetchers) — proven by tests over every registered
-// workload and pinned by the golden-file harness in testdata/. The file entry
-// points live in replay_config.go (EvaluateTSEFileWith and friends); for
-// whole sensitivity sweeps over one file, see sweep.go: N configurations,
-// still exactly one decode.
+// (the baseline and TSE timing models, or the Figure 12 models) by the
+// fan-out engine in internal/pipeline, with each consumer on its own
+// goroutine reading a cursor of the shared broadcast ring. The paper's TSE
+// configuration runs once per replay: the TSE timing model's own TSE system
+// yields the coverage report too. The reports are bit-identical to the serial
+// in-memory oracle (EvaluateTSE, ComparePrefetchers, which run the coverage
+// model separately) — proven by tests over every registered workload and
+// pinned by the golden-file harness in testdata/. The file entry points live
+// in replay_config.go (EvaluateTSEFileWith and friends); for whole
+// sensitivity sweeps over one file, see sweep.go: N configurations, still
+// exactly one decode.
 
 import (
 	"tsm/internal/analysis"
@@ -39,20 +41,20 @@ func replayContext(meta TraceMeta) (Generator, Options, error) {
 }
 
 // EvaluateTSESource evaluates the paper's TSE configuration over a single
-// pass of an event source: ONE decode of src is teed into the trace-driven
-// coverage model, the baseline timing model and the TSE timing model, each
-// running concurrently on its own goroutine over the fan-out engine's
-// default ring broadcast. The events are never materialized, and the Report
-// is bit-identical to EvaluateTSE over the equivalent in-memory trace. meta
-// names the workload the source was generated from (as embedded in trace
-// files).
+// pass of an event source: ONE decode of src is teed into the baseline timing
+// model and the TSE timing model, each running concurrently on its own
+// goroutine over the fan-out engine's default ring broadcast; the coverage
+// and discards come from the TSE timing model's own TSE system. The events
+// are never materialized, and the Report is bit-identical to EvaluateTSE over
+// the equivalent in-memory trace. meta names the workload the source was
+// generated from (as embedded in trace files).
 func EvaluateTSESource(src EventSource, meta TraceMeta) (Report, error) {
 	return evaluateTSESourceWith(pipeline.Config{}, src, meta)
 }
 
 // evaluateTSESourceWith is EvaluateTSESource under an explicit pipeline
 // configuration — the observability seam. Consumers default to the
-// coverage/timing-base/timing-tse labels in metrics and trace lanes.
+// timing-base/timing-tse labels in metrics, trace lanes and series.
 func evaluateTSESourceWith(pcfg pipeline.Config, src EventSource, meta TraceMeta) (Report, error) {
 	gen, opts, err := replayContext(meta)
 	if err != nil {
@@ -62,16 +64,14 @@ func evaluateTSESourceWith(pcfg pipeline.Config, src EventSource, meta TraceMeta
 		pcfg.ConsumerNames = tseConsumerNames()
 	}
 	cfg := tseConfig(gen, opts)
-	cov := analysis.NewTSEConsumer(cfg)
 	params := timingParams(gen, opts)
 	base := timing.NewConsumer(params)
-	tseParams := params
-	tseParams.TSE = &cfg
-	withTSE := timing.NewConsumer(tseParams)
-	if err := pcfg.Run(src, cov, base, withTSE); err != nil {
+	params.TSE = &cfg
+	withTSE := timing.NewConsumer(params)
+	if err := pcfg.Run(src, base, withTSE); err != nil {
 		return Report{}, err
 	}
-	return tseReport(cov.Result, base.Result, withTSE.Result), nil
+	return tseReport(withTSE.Result.TSE, base.Result, withTSE.Result), nil
 }
 
 // EvaluateAllSource runs the Figure 12 comparison — stride, both GHB

@@ -6,15 +6,18 @@ package tsm
 // memory, and replayed from an arbitrary event range without decoding the
 // prefix. ReplayConfig selects those behaviours; the zero value decodes
 // each chunk inline on the replay's producer goroutine. The *With functions
-// here are the only file replay entry points, so every decode setting
-// shares one code path and stays bit-identical (pinned by differential
-// tests at 0/1/4/8 workers across all workloads).
+// here are the only file replay entry points, and all three run through one
+// scaffold (replayFile): a single open reads the header and index that the
+// run manifest and the series interval need, so every decode setting shares
+// one code path and stays bit-identical (pinned by differential tests at
+// 0/1/4/8 workers across all workloads).
 
 import (
 	"fmt"
 	"path/filepath"
 
 	"tsm/internal/obs"
+	"tsm/internal/pipeline"
 	"tsm/internal/stream"
 )
 
@@ -53,73 +56,76 @@ func (rc ReplayConfig) openFile(path string, ins Instrumentation) (*stream.Reade
 	})
 }
 
-// beginFileRun primes the provenance-side attachments before a file replay:
-// the manifest records the trace's header-level identity and the replay
-// settings, and — since the index gives the total event count up front — an
-// attached SeriesSet with no explicit interval is auto-sized to land about
-// obs.DefaultSeriesPoints samples across the run. Describe reads
-// only the header and index footer, so this is cheap; describe errors are
-// swallowed here because the open that follows reports them properly.
-func (ins Instrumentation) beginFileRun(op, path, sweep string, rc ReplayConfig) {
-	if ins.Series == nil && ins.Manifest == nil {
-		return
+// replayFile is the one scaffold of every file replay: it opens path under
+// rc, records the run in an attached manifest from the opened reader (a
+// failed open leaves the path and settings only), sizes an attached series
+// from the reader's index, runs eval under the progress meter as the
+// manifest stage "replay" (op "sweep": "sweep"), then closes the reader
+// and finalizes the manifest. eval resolves its own consumer names.
+func replayFile[T any](path, op, sweep string, rc ReplayConfig, ins Instrumentation, eval func(pipeline.Config, *stream.Reader) (T, error)) (T, error) {
+	var zero T
+	stage := "replay"
+	if op == "sweep" {
+		stage = "sweep"
 	}
-	info, err := stream.Describe(path)
-	ins.Manifest.begin(op, path, rc, sweep, info, err)
-	if ins.Series != nil && err == nil && info.Events > 0 {
-		n := info.Events
-		if rc.ranged() {
-			lo, hi := rc.From, rc.To
-			if hi == 0 || hi > n {
-				hi = n
-			}
-			if lo < hi {
-				n = hi - lo
-			}
-		}
-		interval := n / obs.DefaultSeriesPoints
-		if interval == 0 {
-			interval = 1
-		}
-		ins.Series.EnsureInterval(interval)
+	openDone := ins.Manifest.stage("open")
+	f, err := rc.openFile(path, ins)
+	openDone()
+	ins.Manifest.begin(op, path, rc, sweep, f)
+	if err != nil {
+		return zero, err
 	}
+	ins.sizeSeries(f.Index().Events, rc)
+	m := ins.Metrics
+	if m == nil && ins.Progress != nil {
+		m = NewMetrics() // a private registry gives the meter a decode counter to watch
+	}
+	pcfg := pipeline.Config{Metrics: m, Tracer: ins.Tracer, Series: ins.Series}
+	p := ins.startProgress(stage+" "+filepath.Base(path), m, f.Fraction)
+	runDone := ins.Manifest.stage(stage)
+	out, err := eval(pcfg, f)
+	runDone()
+	p.Stop()
+	if err = stream.CloseMerge(f, err); err != nil {
+		return zero, fmt.Errorf("tsm: %sing %s: %w", stage, path, err) // replaying, sweeping
+	}
+	ins.Manifest.finalize(m)
+	return out, nil
 }
 
-// finishFileRun completes the manifest after the run: the trace content hash
-// (its own timed stage) and the final metrics snapshot from the registry the
-// engine actually wrote to.
-func (ins Instrumentation) finishFileRun(m *Metrics) {
-	ins.Manifest.finalize(m)
+// sizeSeries sizes an attached SeriesSet that has no explicit interval to
+// land about obs.DefaultSeriesPoints samples across the replayed range of a
+// trace of the given event count.
+func (ins Instrumentation) sizeSeries(events uint64, rc ReplayConfig) {
+	if ins.Series == nil || events == 0 {
+		return
+	}
+	n := events
+	if rc.ranged() {
+		lo, hi := rc.From, rc.To
+		if hi == 0 || hi > n {
+			hi = n
+		}
+		if lo < hi {
+			n = hi - lo
+		}
+	}
+	ins.Series.EnsureInterval(max(n/obs.DefaultSeriesPoints, 1))
 }
 
 // EvaluateTSEFileWith evaluates the paper's TSE configuration on a saved
 // trace through the fused streamed pipeline: the file is decoded exactly
-// once and the single pass feeds all three consumers (see
+// once and the single pass feeds both timing consumers (see
 // EvaluateTSESource), using the generation metadata embedded in the file.
 // rc configures the decode side — inline (the zero value), parallel
-// per-chunk workers, mmap, or a bounded event range — and ins attaches optional instrumentation (the zero value
-// attaches none). The trace is never materialized, and the Report for a
-// full-range replay is bit-identical to EvaluateTSE over LoadTrace's events
-// at any worker count.
+// per-chunk workers, mmap, or a bounded event range — and ins attaches
+// optional instrumentation (the zero value attaches none). The trace is
+// never materialized, and the Report for a full-range replay is
+// bit-identical to EvaluateTSE over LoadTrace's events at any worker count.
 func EvaluateTSEFileWith(path string, rc ReplayConfig, ins Instrumentation) (Report, error) {
-	ins.beginFileRun("replay-tse", path, "", rc)
-	openDone := ins.Manifest.stage("open")
-	f, err := rc.openFile(path, ins)
-	openDone()
-	if err != nil {
-		return Report{}, err
-	}
-	pcfg, m := ins.pipelineConfig(tseConsumerNames())
-	p := ins.startProgress("replay "+filepath.Base(path), m, f.Fraction)
-	runDone := ins.Manifest.stage("replay")
-	rep, err := evaluateTSESourceWith(pcfg, f, f.Meta())
-	runDone()
-	p.Stop()
-	if err = stream.CloseMerge(f, err); err != nil {
-		return Report{}, fmt.Errorf("tsm: replaying %s: %w", path, err)
-	}
-	ins.finishFileRun(m)
-	return rep, nil
+	return replayFile(path, "replay-tse", "", rc, ins, func(pcfg pipeline.Config, f *stream.Reader) (Report, error) {
+		return evaluateTSESourceWith(pcfg, f, f.Meta())
+	})
 }
 
 // EvaluateAllFileWith runs the Figure 12 comparison on a saved trace through
@@ -129,24 +135,9 @@ func EvaluateTSEFileWith(path string, rc ReplayConfig, ins Instrumentation) (Rep
 // reports are identical to ComparePrefetchers over the loaded trace, in the
 // same order; consumers are labelled with their model names.
 func EvaluateAllFileWith(path string, rc ReplayConfig, ins Instrumentation) ([]Report, error) {
-	ins.beginFileRun("replay-all", path, "", rc)
-	openDone := ins.Manifest.stage("open")
-	f, err := rc.openFile(path, ins)
-	openDone()
-	if err != nil {
-		return nil, err
-	}
-	pcfg, m := ins.pipelineConfig(nil) // names resolved from the model specs
-	p := ins.startProgress("replay "+filepath.Base(path), m, f.Fraction)
-	runDone := ins.Manifest.stage("replay")
-	reports, err := evaluateAllSourceWith(pcfg, f, f.Meta())
-	runDone()
-	p.Stop()
-	if err = stream.CloseMerge(f, err); err != nil {
-		return nil, fmt.Errorf("tsm: replaying %s: %w", path, err)
-	}
-	ins.finishFileRun(m)
-	return reports, nil
+	return replayFile(path, "replay-all", "", rc, ins, func(pcfg pipeline.Config, f *stream.Reader) ([]Report, error) {
+		return evaluateAllSourceWith(pcfg, f, f.Meta())
+	})
 }
 
 // EvaluateTSESweepFileWith runs a named TSE sweep (see TSESweeps) over a
@@ -157,22 +148,7 @@ func EvaluateAllFileWith(path string, rc ReplayConfig, ins Instrumentation) ([]R
 // or bounded to an event range (rc); per-cell consumer throughput lands in
 // the attached metrics, one trace lane per cell labelled "LA=8" and so on.
 func EvaluateTSESweepFileWith(path, sweep string, rc ReplayConfig, ins Instrumentation) ([]SweepCell, error) {
-	ins.beginFileRun("sweep", path, sweep, rc)
-	openDone := ins.Manifest.stage("open")
-	f, err := rc.openFile(path, ins)
-	openDone()
-	if err != nil {
-		return nil, err
-	}
-	pcfg, m := ins.pipelineConfig(nil) // names resolved from the cell labels
-	p := ins.startProgress("sweep "+filepath.Base(path), m, f.Fraction)
-	runDone := ins.Manifest.stage("sweep")
-	cells, err := evaluateTSESweepSourceWith(pcfg, f, f.Meta(), sweep)
-	runDone()
-	p.Stop()
-	if err = stream.CloseMerge(f, err); err != nil {
-		return nil, fmt.Errorf("tsm: sweeping %s: %w", path, err)
-	}
-	ins.finishFileRun(m)
-	return cells, nil
+	return replayFile(path, "sweep", sweep, rc, ins, func(pcfg pipeline.Config, f *stream.Reader) ([]SweepCell, error) {
+		return evaluateTSESweepSourceWith(pcfg, f, f.Meta(), sweep)
+	})
 }

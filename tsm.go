@@ -312,12 +312,13 @@ func coverageReport(r analysis.CoverageResult) Report {
 	}
 }
 
-// tseReport assembles the facade Report from a coverage pass and the paired
-// baseline/TSE timing passes. It is the single definition of this
-// arithmetic: the serial in-memory oracle (EvaluateTSE) and the streamed
-// pipeline (EvaluateTSESource, EvaluateTSEFileWith) both end here, which is
-// what keeps their reports bit-identical by construction.
-func tseReport(cov analysis.CoverageResult, base, withTSE timing.Result) Report {
+// tseReport assembles the facade Report from a TSE coverage result and the
+// paired baseline/TSE timing passes. It is the single definition of this
+// arithmetic: the serial in-memory oracle (EvaluateTSE, coverage from its
+// own tse.System pass) and the streamed pipeline (EvaluateTSESource,
+// EvaluateTSEFileWith, coverage from the TSE timing run's system) both end
+// here, so their reports agree whenever the two systems do.
+func tseReport(cov tse.Result, base, withTSE timing.Result) Report {
 	speedup := timing.Speedup(base, withTSE)
 	_, ci := timing.SpeedupConfidence(base, withTSE)
 	return Report{
@@ -344,7 +345,7 @@ func EvaluateTSE(tr *Trace, gen Generator, opts Options) (Report, error) {
 		return Report{}, fmt.Errorf("tsm: EvaluateTSE requires a trace and a generator")
 	}
 	cfg := tseConfig(gen, opts)
-	cov, _ := analysis.EvaluateTSE(cfg, tr)
+	_, cov := analysis.EvaluateTSE(cfg, tr)
 
 	params := timingParams(gen, opts)
 	base, err := timing.Simulate(tr, params)

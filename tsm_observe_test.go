@@ -17,10 +17,10 @@ import (
 )
 
 // TestFileReplaySeries: an attached SeriesSet collects one series per
-// consumer of the TSE replay, the sampling interval auto-sizes from the
-// trace's indexed event count, and the final "coverage" sample carries
-// exactly the coverage the Report states — the time-series lands on the
-// end-of-run truth, not an approximation of it.
+// consumer of the TSE replay (the two timing runs), the sampling interval
+// auto-sizes from the trace's indexed event count, and the final
+// "timing-tse" sample carries exactly the coverage the Report states — the
+// time-series lands on the end-of-run truth, not an approximation of it.
 func TestFileReplaySeries(t *testing.T) {
 	path := writeTestTrace(t, "db2")
 	info, err := stream.Describe(path)
@@ -41,7 +41,10 @@ func TestFileReplaySeries(t *testing.T) {
 			t.Fatalf("consumer %q collected no samples; snapshot has %v", name, snap.Series)
 		}
 	}
-	pts := snap.Series["coverage"].Points
+	if len(snap.Series) != 2 {
+		t.Fatalf("replay sampled %d consumers, want the two timing runs: %v", len(snap.Series), snap.Series)
+	}
+	pts := snap.Series["timing-tse"].Points
 	last := pts[len(pts)-1]
 	if last.Seq != info.Events-1 {
 		t.Fatalf("final sample at seq %d, want last event %d", last.Seq, info.Events-1)
@@ -63,9 +66,8 @@ func TestFileReplaySeries(t *testing.T) {
 		}
 	}
 	// The timing consumers sample per-epoch latency quantiles.
-	tpts := snap.Series["timing-tse"].Points
-	if v, ok := tpts[len(tpts)-1].Values["latency_p99"]; !ok || v <= 0 {
-		t.Fatalf("timing series missing latency_p99: %v", tpts[len(tpts)-1].Values)
+	if v, ok := last.Values["latency_p99"]; !ok || v <= 0 {
+		t.Fatalf("timing series missing latency_p99: %v", last.Values)
 	}
 }
 
@@ -139,6 +141,17 @@ func TestFileReplayManifest(t *testing.T) {
 	}
 	if back.Trace.SHA256 != m.Trace.SHA256 || len(back.Stages) != len(m.Stages) {
 		t.Fatalf("round-tripped manifest %+v != %+v", back, m)
+	}
+
+	// A failed open leaves the path and settings, and only the open stage.
+	missing := t.TempDir() + "/missing.tsm"
+	rm = NewRunManifest()
+	if _, err := EvaluateTSEFileWith(missing, ReplayConfig{}, Instrumentation{Manifest: rm}); err == nil {
+		t.Fatal("replaying a missing file succeeded")
+	}
+	m = rm.Snapshot()
+	if m.Trace != (TraceProvenance{Path: missing}) || m.Replay.Op != "replay-tse" || len(m.Stages) != 1 || m.Stages[0].Name != "open" {
+		t.Fatalf("failed-open manifest trace %+v, replay %+v, stages %v", m.Trace, m.Replay, m.Stages)
 	}
 }
 
@@ -215,5 +228,8 @@ func TestSweepSeriesAndManifest(t *testing.T) {
 	m := rm.Snapshot()
 	if m.Replay.Op != "sweep" || m.Replay.Sweep != "lookahead" {
 		t.Fatalf("sweep manifest replay settings %+v", m.Replay)
+	}
+	if len(m.Stages) != 3 || m.Stages[0].Name != "open" || m.Stages[1].Name != "sweep" || m.Stages[2].Name != "hash" {
+		t.Fatalf("sweep manifest stages %v, want [open sweep hash]", m.Stages)
 	}
 }
