@@ -150,7 +150,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	gen := spec.New(cfg)
-	eng := coherence.New(coherence.Config{Nodes: *nodes, Geometry: mem.DefaultGeometry(), PointersPerEntry: 2})
+	eng := coherence.New(coherence.Config{Nodes: *nodes, Geometry: mem.DefaultGeometry()})
 
 	// The access source streams straight from the generator, counting the
 	// accesses on the way past for the summary.

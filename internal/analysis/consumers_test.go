@@ -21,7 +21,7 @@ func consumerTrace(t *testing.T, name string, nodes int) (*trace.Trace, tse.Conf
 		t.Fatalf("unknown workload %q", name)
 	}
 	gen := spec.New(workload.Config{Nodes: nodes, Seed: 5, Scale: 0.05})
-	eng := coherence.New(coherence.Config{Nodes: nodes, Geometry: mem.DefaultGeometry(), PointersPerEntry: 2})
+	eng := coherence.New(coherence.Config{Nodes: nodes, Geometry: mem.DefaultGeometry()})
 	tr, err := eng.RunFrom(gen.Emit)
 	if err != nil {
 		t.Fatal(err)

@@ -94,13 +94,3 @@ func StreamLengthCDF(res tse.Result, buckets []int) []float64 {
 	}
 	return out
 }
-
-// Figure13Buckets are the stream-length buckets the paper plots
-// (0,1,2,4,...,128K).
-func Figure13Buckets() []int {
-	buckets := []int{0, 1}
-	for v := 2; v <= 128*1024; v *= 2 {
-		buckets = append(buckets, v)
-	}
-	return buckets
-}

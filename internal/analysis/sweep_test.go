@@ -16,7 +16,7 @@ import (
 func sweepTestTrace(t *testing.T) (*trace.Trace, tse.Config) {
 	t.Helper()
 	gen := workload.NewOLTP(workload.Config{Nodes: 4, Seed: 3, Scale: 0.05}, "DB2")
-	eng := coherence.New(coherence.Config{Nodes: 4, Geometry: mem.DefaultGeometry(), PointersPerEntry: 2})
+	eng := coherence.New(coherence.Config{Nodes: 4, Geometry: mem.DefaultGeometry()})
 	tr, err := eng.RunFrom(gen.Emit)
 	if err != nil {
 		t.Fatal(err)

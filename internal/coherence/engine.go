@@ -12,12 +12,16 @@
 // This corresponds to the paper's trace-driven methodology: traces collected
 // with in-order execution and no memory-system stalls (Section 4), which is
 // exactly a functional simulation.
+//
+// The directory here (directory.go) is the MSI sharing state only: one flat
+// table of per-block entries. The paper's CMOB-pointer extension of the
+// directory (Section 3.2) serves stream lookup, not classification, and
+// lives with the rest of the TSE in internal/tse.
 package coherence
 
 import (
 	"fmt"
 
-	"tsm/internal/directory"
 	"tsm/internal/mem"
 	"tsm/internal/trace"
 )
@@ -69,8 +73,9 @@ type Config struct {
 	Nodes int
 	// Geometry is the block geometry.
 	Geometry mem.Geometry
-	// PointersPerEntry is forwarded to the directory. Classification never
-	// records a CMOB pointer, so it ignores the value.
+	// PointersPerEntry is ignored: classification keeps no CMOB pointers
+	// (the TSE's pointer table lives in internal/tse). The field remains
+	// only because the benchmark harness still sets it.
 	PointersPerEntry int
 }
 
@@ -99,7 +104,7 @@ type Stats struct {
 // whether the node's infinite cache holds the block.
 type Engine struct {
 	cfg   Config
-	dir   *directory.Directory
+	dir   *directory
 	stats Stats
 }
 
@@ -108,12 +113,7 @@ func New(cfg Config) *Engine {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	dir := directory.New(directory.Config{
-		Nodes:            cfg.Nodes,
-		Geometry:         cfg.Geometry,
-		PointersPerEntry: cfg.PointersPerEntry,
-	})
-	return &Engine{cfg: cfg, dir: dir}
+	return &Engine{cfg: cfg, dir: newDirectory(cfg.Geometry)}
 }
 
 // Config returns the engine configuration.
@@ -128,7 +128,7 @@ type Result struct {
 	Block    mem.BlockAddr
 	Producer mem.NodeID
 	// Invalidated is the set of nodes whose copies a write invalidated.
-	Invalidated directory.SharerSet
+	Invalidated SharerSet
 }
 
 // Access processes one access, updates the directory (which is the caches'
@@ -151,54 +151,54 @@ func (e *Engine) AccessEmit(a mem.Access, emit func(trace.Event)) Result {
 	}
 	e.stats.Accesses++
 	b := e.cfg.Geometry.BlockOf(a.Addr)
-	ent := e.dir.Entry(b)
+	ent := e.dir.entry(b)
 	if a.Type == mem.Write || a.Type == mem.AtomicRMW {
 		return e.write(a, b, ent, emit)
 	}
 	return e.read(a, b, ent, emit)
 }
 
-func (e *Engine) read(a mem.Access, b mem.BlockAddr, ent *directory.Entry, emit func(trace.Event)) Result {
-	if ent.Holds(a.Node) {
+func (e *Engine) read(a mem.Access, b mem.BlockAddr, ent *dirEntry, emit func(trace.Event)) Result {
+	if ent.holds(a.Node) {
 		e.stats.Hits++
 		return Result{Class: Hit, Block: b}
 	}
-	rd := ent.Read(a.Node)
-	if !rd.Coherent {
+	rd := ent.read(a.Node)
+	if !rd.coherent {
 		e.stats.PrivateMisses++
 		if emit != nil {
 			emit(trace.Event{Kind: trace.KindReadMiss, Node: a.Node, Block: b, Producer: mem.InvalidNode})
 		}
-		return Result{Class: PrivateMiss, Block: b, Producer: rd.Producer}
+		return Result{Class: PrivateMiss, Block: b, Producer: rd.producer}
 	}
 	if a.Spin {
 		e.stats.SpinMisses++
-		return Result{Class: SpinMiss, Block: b, Producer: rd.Producer}
+		return Result{Class: SpinMiss, Block: b, Producer: rd.producer}
 	}
 	e.stats.Consumptions++
 	if emit != nil {
-		emit(trace.Event{Kind: trace.KindConsumption, Node: a.Node, Block: b, Producer: rd.Producer})
+		emit(trace.Event{Kind: trace.KindConsumption, Node: a.Node, Block: b, Producer: rd.producer})
 	}
-	return Result{Class: Consumption, Block: b, Producer: rd.Producer}
+	return Result{Class: Consumption, Block: b, Producer: rd.producer}
 }
 
-func (e *Engine) write(a mem.Access, b mem.BlockAddr, ent *directory.Entry, emit func(trace.Event)) Result {
+func (e *Engine) write(a mem.Access, b mem.BlockAddr, ent *dirEntry, emit func(trace.Event)) Result {
 	// A write hit requires the dirty copy; a write to a shared copy is an
 	// upgrade, which still goes through the directory.
-	if ent.State == directory.Modified && ent.Owner == a.Node {
+	if ent.state == modified && ent.owner == a.Node {
 		e.stats.WriteHits++
 		if emit != nil {
 			emit(trace.Event{Kind: trace.KindWrite, Node: a.Node, Block: b, Producer: mem.InvalidNode})
 		}
 		return Result{Class: WriteHit, Block: b}
 	}
-	wr := ent.Write(a.Node)
-	e.stats.Invalidations += uint64(wr.Invalidated.Count())
+	wr := ent.write(a.Node)
+	e.stats.Invalidations += uint64(wr.invalidated.Count())
 	e.stats.WriteMisses++
 	if emit != nil {
 		emit(trace.Event{Kind: trace.KindWrite, Node: a.Node, Block: b, Producer: mem.InvalidNode})
 	}
-	return Result{Class: WriteMiss, Block: b, Invalidated: wr.Invalidated}
+	return Result{Class: WriteMiss, Block: b, Invalidated: wr.invalidated}
 }
 
 // AccessSource pushes a globally ordered access stream to a yield callback,

@@ -8,17 +8,12 @@ import (
 )
 
 func smallEngine() *Engine {
-	return New(Config{
-		Nodes:    4,
-		Geometry: mem.DefaultGeometry(),
-		// Infinite caches keep classification focused on coherence.
-		PointersPerEntry: 2,
-	})
+	return New(Config{Nodes: 4, Geometry: mem.DefaultGeometry()})
 }
 
 func TestConfigValidate(t *testing.T) {
 	for _, n := range []int{1, 16, mem.MaxNodes} {
-		if err := (Config{Nodes: n, Geometry: mem.DefaultGeometry(), PointersPerEntry: 2}).Validate(); err != nil {
+		if err := (Config{Nodes: n, Geometry: mem.DefaultGeometry()}).Validate(); err != nil {
 			t.Fatalf("%d-node config invalid: %v", n, err)
 		}
 	}

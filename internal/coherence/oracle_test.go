@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"tsm/internal/directory"
 	"tsm/internal/mem"
 )
 
@@ -27,7 +26,7 @@ const (
 )
 
 type refEntry struct {
-	state      directory.State
+	state      blockState
 	owner      mem.NodeID
 	sharers    map[mem.NodeID]bool
 	lastWriter mem.NodeID
@@ -44,7 +43,7 @@ func newRefEngine(nodes int) *refEngine {
 func (r *refEngine) entry(b mem.BlockAddr) *refEntry {
 	e, ok := r.dir[b]
 	if !ok {
-		e = &refEntry{state: directory.Uncached, owner: mem.InvalidNode, sharers: map[mem.NodeID]bool{}, lastWriter: mem.InvalidNode}
+		e = &refEntry{state: uncached, owner: mem.InvalidNode, sharers: map[mem.NodeID]bool{}, lastWriter: mem.InvalidNode}
 		r.dir[b] = e
 	}
 	return e
@@ -58,16 +57,16 @@ func (r *refEngine) access(a mem.Access) (res Result, invalidated []mem.NodeID) 
 	e := r.entry(b)
 	lines := r.lines[a.Node]
 	if a.Type == mem.Write || a.Type == mem.AtomicRMW {
-		if _, ok := lines[b]; ok && e.state == directory.Modified && e.owner == a.Node {
+		if _, ok := lines[b]; ok && e.state == modified && e.owner == a.Node {
 			r.stats.WriteHits++
 			return Result{Class: WriteHit, Block: b}, nil
 		}
 		switch e.state {
-		case directory.Modified:
+		case modified:
 			if e.owner != a.Node {
 				invalidated = append(invalidated, e.owner)
 			}
-		case directory.Shared:
+		case shared:
 			for s := range e.sharers {
 				if s != a.Node {
 					invalidated = append(invalidated, s)
@@ -78,7 +77,7 @@ func (r *refEngine) access(a mem.Access) (res Result, invalidated []mem.NodeID) 
 			delete(r.lines[v], b)
 		}
 		e.sharers = map[mem.NodeID]bool{}
-		e.state, e.owner, e.lastWriter = directory.Modified, a.Node, a.Node
+		e.state, e.owner, e.lastWriter = modified, a.Node, a.Node
 		lines[b] = refModified
 		r.stats.Invalidations += uint64(len(invalidated))
 		r.stats.WriteMisses++
@@ -90,7 +89,7 @@ func (r *refEngine) access(a mem.Access) (res Result, invalidated []mem.NodeID) 
 	}
 	producer := e.lastWriter
 	var coherent bool
-	if e.state == directory.Modified {
+	if e.state == modified {
 		coherent = e.owner != a.Node
 		e.sharers[e.owner] = true
 		if r.lines[e.owner][b] == refModified {
@@ -101,7 +100,7 @@ func (r *refEngine) access(a mem.Access) (res Result, invalidated []mem.NodeID) 
 		coherent = e.lastWriter != mem.InvalidNode && e.lastWriter != a.Node && !e.sharers[a.Node]
 	}
 	e.sharers[a.Node] = true
-	e.state = directory.Shared
+	e.state = shared
 	lines[b] = refShared
 	switch {
 	case !coherent:
@@ -122,7 +121,7 @@ func TestEngineMatchesReference(t *testing.T) {
 	for _, nodes := range []int{1, 4, 16, 64} {
 		for seed := int64(1); seed <= 3; seed++ {
 			rng := rand.New(rand.NewSource(seed*100 + int64(nodes)))
-			eng := New(Config{Nodes: nodes, Geometry: mem.DefaultGeometry(), PointersPerEntry: 2})
+			eng := New(Config{Nodes: nodes, Geometry: mem.DefaultGeometry()})
 			ref := newRefEngine(nodes)
 			// Few blocks so that sharing, upgrades and invalidations are
 			// frequent; unaligned addresses exercise block mapping.
@@ -144,7 +143,7 @@ func TestEngineMatchesReference(t *testing.T) {
 				}
 				got := eng.Access(a, nil)
 				want, inv := ref.access(a)
-				var wantInv directory.SharerSet
+				var wantInv SharerSet
 				for _, n := range inv {
 					wantInv.Add(n)
 				}
@@ -164,7 +163,7 @@ func TestEngineMatchesReference(t *testing.T) {
 // an already-referenced block allocates nothing.
 func TestAccessDoesNotAllocate(t *testing.T) {
 	const shared, private = mem.Addr(0x1000), mem.Addr(0x2000)
-	eng := New(Config{Nodes: mem.MaxNodes, Geometry: mem.DefaultGeometry(), PointersPerEntry: 2})
+	eng := New(Config{Nodes: mem.MaxNodes, Geometry: mem.DefaultGeometry()})
 	acc := func(n mem.NodeID, addr mem.Addr, typ mem.AccessType) Result {
 		return eng.AccessEmit(mem.Access{Node: n, Addr: addr, Type: typ}, nil)
 	}

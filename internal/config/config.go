@@ -1,12 +1,14 @@
 // Package config collects the system and application parameters of the
 // paper's Tables 1 and 2 in one place, together with the latency derivations
 // (nanoseconds to cycles at the 4 GHz core clock) used by the timing model.
+// Table 1's 2D torus is described here too: its dimensions, hop latency and
+// peak bisection bandwidth, the average routing distance behind the 3-hop
+// latency, and the bisection-bandwidth conversion of Figure 11.
 package config
 
 import (
 	"fmt"
 
-	"tsm/internal/interconnect"
 	"tsm/internal/mem"
 	"tsm/internal/tse"
 	"tsm/internal/workload"
@@ -28,7 +30,7 @@ type SystemConfig struct {
 	// MemoryLatencyNs is the DRAM access latency (60 ns).
 	MemoryLatencyNs float64
 	// Torus is the interconnect description.
-	Torus interconnect.Config
+	Torus Torus
 	// ROBEntries, a processor-side limit, bounds how far the core can run
 	// ahead (256).
 	ROBEntries int
@@ -70,6 +72,83 @@ func (c Cache) Validate() error {
 	return nil
 }
 
+// Torus is Table 1's 2D torus interconnect (4x4, 25 ns per hop, 128 GB/s
+// peak bisection bandwidth) with dimension-order routing.
+type Torus struct {
+	// Width and Height are the torus dimensions (4x4 in the paper).
+	Width, Height int
+	// HopLatencyCycles is the per-hop latency in processor cycles.
+	// The paper's 25 ns per hop at 4 GHz is 100 cycles.
+	HopLatencyCycles uint64
+	// PeakBisectionGBs is the peak bisection bandwidth in GB/s (128 in
+	// the paper).
+	PeakBisectionGBs float64
+}
+
+// Validate reports whether the torus is usable.
+func (t Torus) Validate() error {
+	if t.Width <= 0 || t.Height <= 0 {
+		return fmt.Errorf("config: torus dimensions must be positive, got %dx%d", t.Width, t.Height)
+	}
+	if t.HopLatencyCycles == 0 {
+		return fmt.Errorf("config: torus hop latency must be positive")
+	}
+	return nil
+}
+
+// hops returns the dimension-order routing distance between two nodes,
+// taking the shorter way around each ring.
+func (t Torus) hops(from, to mem.NodeID) int {
+	return ringDistance(int(from)%t.Width, int(to)%t.Width, t.Width) +
+		ringDistance(int(from)/t.Width, int(to)/t.Width, t.Height)
+}
+
+func ringDistance(a, b, size int) int {
+	d := a - b
+	if d < 0 {
+		d = -d
+	}
+	if wrap := size - d; wrap < d {
+		return wrap
+	}
+	return d
+}
+
+// averageHops returns the mean routing distance over all ordered pairs of
+// distinct nodes, the distance the latency derivations charge per hop.
+func (t Torus) averageHops() float64 {
+	n := t.Width * t.Height
+	if n <= 1 {
+		return 0
+	}
+	var total, pairs int
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if i == j {
+				continue
+			}
+			total += t.hops(mem.NodeID(i), mem.NodeID(j))
+			pairs++
+		}
+	}
+	return float64(total) / float64(pairs)
+}
+
+// bisectionFraction is the share of injected bytes assumed to cross the
+// torus bisection: the standard approximation for a symmetric torus under
+// uniform traffic is half.
+const bisectionFraction = 0.5
+
+// BandwidthGBs converts a byte count accumulated over a number of cycles at
+// the given clock rate (GHz) into GB/s of bisection bandwidth demand.
+func BandwidthGBs(bytes uint64, cycles uint64, clockGHz float64) float64 {
+	if cycles == 0 {
+		return 0
+	}
+	seconds := float64(cycles) / (clockGHz * 1e9)
+	return float64(bytes) * bisectionFraction / seconds / 1e9
+}
+
 // DefaultSystem returns the Table 1 configuration.
 func DefaultSystem() SystemConfig {
 	return SystemConfig{
@@ -85,7 +164,7 @@ func DefaultSystem() SystemConfig {
 		L2LatencyCycles: 25,
 		L2MSHRs:         32,
 		MemoryLatencyNs: 60,
-		Torus:           interconnect.DefaultConfig(),
+		Torus:           Torus{Width: 4, Height: 4, HopLatencyCycles: 100, PeakBisectionGBs: 128},
 		ROBEntries:      256,
 		Geometry:        mem.DefaultGeometry(),
 	}
@@ -124,24 +203,12 @@ func (c SystemConfig) MemoryLatencyCycles() uint64 {
 // HopLatencyCycles is one interconnect hop in cycles.
 func (c SystemConfig) HopLatencyCycles() uint64 { return c.Torus.HopLatencyCycles }
 
-// averageHops is the mean routing distance of the configured torus.
-func (c SystemConfig) averageHops() float64 {
-	return interconnect.New(c.Torus).AverageHops()
-}
-
-// TwoHopLatencyCycles approximates a coherent read satisfied at the home
-// node: request to home, directory + memory access, data back.
-func (c SystemConfig) TwoHopLatencyCycles() uint64 {
-	hop := float64(c.HopLatencyCycles()) * c.averageHops()
-	return uint64(2*hop) + c.MemoryLatencyCycles() + c.L2LatencyCycles
-}
-
 // ThreeHopLatencyCycles approximates a dirty coherent read miss: request to
 // home, forward to the owner, owner's L2 access, data to the requester.
 // This is the "3-hop coherence miss latency" Section 5.6 uses to size the
 // stream lookahead.
 func (c SystemConfig) ThreeHopLatencyCycles() uint64 {
-	hop := float64(c.HopLatencyCycles()) * c.averageHops()
+	hop := float64(c.HopLatencyCycles()) * c.Torus.averageHops()
 	return uint64(3*hop) + c.L2LatencyCycles*2
 }
 

@@ -2,6 +2,9 @@ package config
 
 import (
 	"testing"
+	"testing/quick"
+
+	"tsm/internal/mem"
 )
 
 func TestDefaultSystemValid(t *testing.T) {
@@ -45,12 +48,7 @@ func TestLatencyDerivations(t *testing.T) {
 	if c.SVBHitLatencyCycles() != c.L2LatencyCycles {
 		t.Fatal("SVB hit should cost an L2-like latency")
 	}
-	// A 3-hop miss must cost more than a 2-hop miss, and both must exceed
-	// the local L2 latency by a wide margin.
-	if c.ThreeHopLatencyCycles() <= c.TwoHopLatencyCycles()-200 {
-		// allow difference because 2-hop includes memory latency
-		t.Logf("2-hop=%d 3-hop=%d", c.TwoHopLatencyCycles(), c.ThreeHopLatencyCycles())
-	}
+	// A 3-hop miss must exceed the local L2 latency by a wide margin.
 	if c.ThreeHopLatencyCycles() < 10*c.L2LatencyCycles {
 		t.Fatalf("3-hop latency %d suspiciously small", c.ThreeHopLatencyCycles())
 	}
@@ -109,5 +107,100 @@ func TestCacheValidate(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Errorf("Validate(%+v) = nil, want error", c)
 		}
+	}
+}
+
+func TestDefaultTorus(t *testing.T) {
+	tor := DefaultSystem().Torus
+	if err := tor.Validate(); err != nil {
+		t.Fatalf("default torus invalid: %v", err)
+	}
+	if tor.Width*tor.Height != 16 {
+		t.Fatalf("default torus is %dx%d, want 16 nodes", tor.Width, tor.Height)
+	}
+}
+
+func TestTorusValidate(t *testing.T) {
+	bad := []Torus{
+		{Width: 0, Height: 4, HopLatencyCycles: 1},
+		{Width: 4, Height: -1, HopLatencyCycles: 1},
+		{Width: 4, Height: 4, HopLatencyCycles: 0},
+	}
+	for _, tor := range bad {
+		if err := tor.Validate(); err == nil {
+			t.Errorf("Validate(%+v) = nil, want error", tor)
+		}
+		c := DefaultSystem()
+		c.Torus = tor
+		if c.Validate() == nil {
+			t.Errorf("system with torus %+v should fail", tor)
+		}
+	}
+}
+
+func TestHops(t *testing.T) {
+	tor := Torus{Width: 4, Height: 4, HopLatencyCycles: 100}
+	cases := []struct {
+		from, to mem.NodeID
+		want     int
+	}{
+		{0, 0, 0},
+		{0, 1, 1},
+		{0, 3, 1},  // wraparound in x
+		{0, 12, 1}, // wraparound in y
+		{0, 15, 2}, // (3,3): 1+1 with wraparound
+		{0, 5, 2},
+		{0, 10, 4}, // (2,2): 2+2
+		{5, 10, 2},
+	}
+	for _, c := range cases {
+		if got := tor.hops(c.from, c.to); got != c.want {
+			t.Errorf("hops(%d,%d) = %d, want %d", c.from, c.to, got, c.want)
+		}
+	}
+}
+
+func TestHopsSymmetricAndBounded(t *testing.T) {
+	tor := Torus{Width: 4, Height: 4, HopLatencyCycles: 100}
+	f := func(a, b uint8) bool {
+		from := mem.NodeID(int(a) % 16)
+		to := mem.NodeID(int(b) % 16)
+		h := tor.hops(from, to)
+		if h != tor.hops(to, from) {
+			return false
+		}
+		if h < 0 || h > 4 { // max 2+2 in a 4x4 torus
+			return false
+		}
+		return (h == 0) == (from == to)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestAverageHops(t *testing.T) {
+	tor := Torus{Width: 4, Height: 4, HopLatencyCycles: 100}
+	avg := tor.averageHops()
+	// For a 4x4 torus the mean distance over distinct pairs is 32/15.
+	want := 32.0 / 15.0
+	if diff := avg - want; diff > 1e-9 || diff < -1e-9 {
+		t.Fatalf("averageHops = %v, want %v", avg, want)
+	}
+	single := Torus{Width: 1, Height: 1, HopLatencyCycles: 1}
+	if single.averageHops() != 0 {
+		t.Fatal("single-node torus should have zero average hops")
+	}
+}
+
+func TestBandwidthGBs(t *testing.T) {
+	// 1e9 bytes over 1e9 cycles at 1 GHz = 1 second -> 0.5 GB/s after
+	// bisection fraction.
+	got := BandwidthGBs(1e9, 1e9, 1.0)
+	if diff := got - 0.5; diff > 1e-9 || diff < -1e-9 {
+		t.Fatalf("BandwidthGBs = %v, want 0.5", got)
+	}
+	if BandwidthGBs(100, 0, 1.0) != 0 {
+		t.Fatal("zero cycles should yield zero bandwidth")
 	}
 }

@@ -3,7 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"tsm/internal/interconnect"
+	"tsm/internal/config"
 	"tsm/internal/trace"
 )
 
@@ -34,7 +34,7 @@ func Fig11(w *Workspace) (Table, error) {
 		// Wall-clock duration of the run, estimated from the baseline
 		// timing model (aggregate cycles divided by node count).
 		wallCycles := pair.base.TotalCycles() / uint64(w.Options().Nodes)
-		overheadGBs := interconnect.BandwidthGBs(full.Traffic.OverheadBytes(), wallCycles, sys.ClockGHz)
+		overheadGBs := config.BandwidthGBs(full.Traffic.OverheadBytes(), wallCycles, sys.ClockGHz)
 
 		// Baseline traffic denominator: all classified events move traffic
 		// in the base system — consumptions and other read misses carry a

@@ -273,11 +273,7 @@ func (w *Workspace) generate(name string) (*WorkloadData, error) {
 	// opportunity studies free of capacity-miss noise. Generation streams
 	// straight into the engine — only the classified trace the experiments
 	// share is materialized, never the raw access stream.
-	eng := coherence.New(coherence.Config{
-		Nodes:            w.opts.Nodes,
-		Geometry:         w.system.Geometry,
-		PointersPerEntry: 2,
-	})
+	eng := coherence.New(coherence.Config{Nodes: w.opts.Nodes, Geometry: w.system.Geometry})
 	tr, err := eng.RunFrom(gen.Emit)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: generating %s: %w", name, err)

@@ -98,11 +98,6 @@ func (g Geometry) BlockIndex(a Addr) uint64 {
 	return uint64(a) / uint64(g.BlockSize)
 }
 
-// AddrOfBlock converts a block number back into a block address.
-func (g Geometry) AddrOfBlock(index uint64) BlockAddr {
-	return BlockAddr(index * uint64(g.BlockSize))
-}
-
 // Access is a single memory operation performed by a node. Workload
 // generators emit Access values; the functional coherence engine turns them
 // into classified events (hits, private misses, consumptions).

@@ -59,9 +59,7 @@ func TestBlockIndexRoundTrip(t *testing.T) {
 	g := Geometry{BlockSize: 64}
 	f := func(raw uint32) bool {
 		a := Addr(raw)
-		idx := g.BlockIndex(a)
-		back := g.AddrOfBlock(idx)
-		return back == g.BlockOf(a)
+		return BlockAddr(g.BlockIndex(a)*uint64(g.BlockSize)) == g.BlockOf(a)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -116,37 +116,3 @@ func CloseMerge(c io.Closer, err error) error {
 	}
 	return err
 }
-
-// FuncSink adapts a callback to the Sink interface.
-type FuncSink func(e trace.Event) error
-
-// Write implements Sink.
-func (f FuncSink) Write(e trace.Event) error { return f(e) }
-
-// Close implements Sink.
-func (f FuncSink) Close() error { return nil }
-
-// MultiSink fans every event out to several sinks (in order).
-type MultiSink []Sink
-
-// Write implements Sink.
-func (m MultiSink) Write(e trace.Event) error {
-	for _, s := range m {
-		if err := s.Write(e); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Close implements Sink, closing every sub-sink and returning the first
-// error encountered.
-func (m MultiSink) Close() error {
-	var first error
-	for _, s := range m {
-		if err := s.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}

@@ -52,25 +52,6 @@ func TestCollectReassignsSeq(t *testing.T) {
 	}
 }
 
-func TestMultiSinkAndFuncSink(t *testing.T) {
-	tr := randomTrace(50, 2)
-	var a TraceSink
-	var n int
-	count := FuncSink(func(e trace.Event) error { n++; return nil })
-	if _, err := Copy(MultiSink{&a, count}, TraceSource(tr)); err != nil {
-		t.Fatal(err)
-	}
-	if a.Trace.Len() != tr.Len() || n != tr.Len() {
-		t.Fatalf("fan-out saw %d/%d events, want %d", a.Trace.Len(), n, tr.Len())
-	}
-
-	boom := errors.New("boom")
-	fail := FuncSink(func(e trace.Event) error { return boom })
-	if _, err := Copy(MultiSink{fail}, TraceSource(tr)); !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want boom", err)
-	}
-}
-
 func TestRunOrdered(t *testing.T) {
 	out, err := RunOrdered(100, 8, func(i int) (int, error) { return i * i, nil })
 	if err != nil {

@@ -200,7 +200,7 @@ func TestEndToEndWithWorkloadTrace(t *testing.T) {
 	wcfg := workload.Config{Nodes: 4, Seed: 3, Scale: 0.05, Geometry: mem.DefaultGeometry()}
 	spec, _ := workload.ByName("db2")
 	gen := spec.New(wcfg)
-	eng := coherence.New(coherence.Config{Nodes: 4, Geometry: wcfg.Geometry, PointersPerEntry: 2})
+	eng := coherence.New(coherence.Config{Nodes: 4, Geometry: wcfg.Geometry})
 	tr, err := eng.RunFrom(gen.Emit)
 	if err != nil {
 		t.Fatal(err)
@@ -256,7 +256,7 @@ func TestBreakdownHelpers(t *testing.T) {
 // configuration, on a real workload trace.
 func TestConsumerMatchesSimulate(t *testing.T) {
 	gen := workload.NewEM3D(workload.Config{Nodes: 4, Seed: 11, Scale: 0.05})
-	eng := coherence.New(coherence.Config{Nodes: 4, Geometry: mem.DefaultGeometry(), PointersPerEntry: 2})
+	eng := coherence.New(coherence.Config{Nodes: 4, Geometry: mem.DefaultGeometry()})
 	tr, err := eng.RunFrom(gen.Emit)
 	if err != nil {
 		t.Fatal(err)
@@ -303,7 +303,7 @@ func TestTSEResultMatchesEvaluateTSE(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/nodes=%d", name, nodes), func(t *testing.T) {
 				spec, _ := workload.ByName(name)
 				gen := spec.New(workload.Config{Nodes: nodes, Seed: 5, Scale: 0.05, Geometry: mem.DefaultGeometry()})
-				eng := coherence.New(coherence.Config{Nodes: nodes, Geometry: mem.DefaultGeometry(), PointersPerEntry: 2})
+				eng := coherence.New(coherence.Config{Nodes: nodes, Geometry: mem.DefaultGeometry()})
 				tr, err := eng.RunFrom(gen.Emit)
 				if err != nil {
 					t.Fatal(err)

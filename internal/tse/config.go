@@ -4,9 +4,10 @@
 //   - the per-node Coherence Miss Order Buffer (CMOB), a memory-resident
 //     circular buffer recording the node's order of coherent read misses
 //     (Section 3.1), allocated as it fills and never beyond its capacity;
-//   - the directory CMOB-pointer extension used to locate streams
-//     (Section 3.2; storage lives in internal/directory, the lookup logic
-//     here);
+//   - the directory's CMOB-pointer extension used to locate streams
+//     (Section 3.2): a pointer table with ComparedStreams slots per
+//     consumed block, kept apart from the MSI sharing state that
+//     internal/coherence classifies with;
 //   - the per-node stream engine: stream queues holding one FIFO per
 //     compared stream, head comparison, stall/reselect on divergence, and
 //     half-empty refill from the source CMOB (Section 3.3);
@@ -21,8 +22,9 @@
 // its FIFO slots and their address buffers and reuses them for every
 // stream it holds; CMOB reads append into those buffers. The System keeps a
 // per-block mask of the SVBs holding each block, so a write visits only the
-// holders. Once its CMOBs have filled, a System with a bounded SVB does not
-// allocate per event.
+// holders, and one dense pointer slot per consumed block, found with one
+// lookup per consumption. Once its CMOBs have filled, a System with a
+// bounded SVB does not allocate per event.
 package tse
 
 import (
@@ -115,9 +117,3 @@ func (c Config) fifoCapacity() int {
 	}
 	return 2 * c.Lookahead
 }
-
-// CMOBBytes returns the per-node CMOB storage in bytes.
-func (c Config) CMOBBytes() int { return c.CMOBEntries * CMOBEntryBytes }
-
-// SVBBytes returns the per-node SVB storage in bytes.
-func (c Config) SVBBytes() int { return c.SVBEntries * c.Geometry.BlockSize }

@@ -1,10 +1,6 @@
 package tse
 
-import (
-	"tsm/internal/directory"
-	"tsm/internal/mem"
-	"tsm/internal/stats"
-)
+import "tsm/internal/mem"
 
 // CMOBReader supplies stream addresses from another node's CMOB: it appends
 // to dst up to n addresses following offset in node's CMOB, and returns the
@@ -49,7 +45,7 @@ type Engine struct {
 	stats   EngineStats
 	// streamLengths records the number of SVB hits each retired stream
 	// produced (Figure 13).
-	streamLengths *stats.Histogram
+	streamLengths *Histogram
 	// onFetch is called for every block streamed into the SVB so the
 	// System can charge data traffic for it.
 	onFetch func(block mem.BlockAddr)
@@ -67,7 +63,7 @@ func NewEngine(node mem.NodeID, cfg Config, read CMOBReader) *Engine {
 		svb:           NewSVB(cfg.SVBEntries),
 		spare:         make([]streamFIFO, cfg.ComparedStreams),
 		read:          read,
-		streamLengths: stats.NewHistogram(),
+		streamLengths: NewHistogram(),
 	}
 	return e
 }
@@ -79,7 +75,7 @@ func (e *Engine) SVB() *SVB { return e.svb }
 func (e *Engine) Stats() EngineStats { return e.stats }
 
 // StreamLengths returns the histogram of hits per retired stream.
-func (e *Engine) StreamLengths() *stats.Histogram { return e.streamLengths }
+func (e *Engine) StreamLengths() *Histogram { return e.streamLengths }
 
 // SetFetchHandler registers a callback invoked for each streamed block.
 func (e *Engine) SetFetchHandler(fn func(mem.BlockAddr)) { e.onFetch = fn }
@@ -92,7 +88,7 @@ func (e *Engine) SetRefillHandler(fn func(mem.NodeID, int)) { e.onRefill = fn }
 // CMOB pointers the directory returned for the block (newest first).
 // It reports whether the SVB already held the block (the consumption is
 // covered/eliminated).
-func (e *Engine) Consumption(b mem.BlockAddr, ptrs []directory.CMOBPointer) bool {
+func (e *Engine) Consumption(b mem.BlockAddr, ptrs []CMOBPointer) bool {
 	e.stats.Consumptions++
 	e.clock++
 	if qid, ok := e.svb.Hit(b); ok {
@@ -178,7 +174,7 @@ func (e *Engine) findQueue(id int) *streamQueue {
 
 // allocate sets up a stream queue for a stream head using the directory's
 // CMOB pointers, fetching the initial addresses from the source CMOBs.
-func (e *Engine) allocate(head mem.BlockAddr, ptrs []directory.CMOBPointer) {
+func (e *Engine) allocate(head mem.BlockAddr, ptrs []CMOBPointer) {
 	if len(ptrs) == 0 {
 		return
 	}

@@ -3,7 +3,6 @@ package tse
 import (
 	"testing"
 
-	"tsm/internal/directory"
 	"tsm/internal/mem"
 )
 
@@ -47,8 +46,8 @@ func blocks(idx ...int) []mem.BlockAddr {
 	return out
 }
 
-func ptr(node mem.NodeID, offset uint64) directory.CMOBPointer {
-	return directory.CMOBPointer{Node: node, Offset: offset, Valid: true}
+func ptr(node mem.NodeID, offset uint64) CMOBPointer {
+	return CMOBPointer{Node: node, Offset: offset, Valid: true}
 }
 
 func TestEngineFollowsSingleStream(t *testing.T) {
@@ -58,7 +57,7 @@ func TestEngineFollowsSingleStream(t *testing.T) {
 	order := blocks(0, 1, 2, 3, 4, 5) // A..F
 	e := NewEngine(0, testConfig(), staticReader(map[mem.NodeID][]mem.BlockAddr{1: order}))
 
-	if covered := e.Consumption(order[1], []directory.CMOBPointer{ptr(1, 1)}); covered {
+	if covered := e.Consumption(order[1], []CMOBPointer{ptr(1, 1)}); covered {
 		t.Fatal("the stream head itself cannot be covered")
 	}
 	for i := 2; i < 6; i++ {
@@ -83,7 +82,7 @@ func TestEngineLookaheadLimitsOutstanding(t *testing.T) {
 	cfg := testConfig()
 	cfg.Lookahead = 4
 	e := NewEngine(0, cfg, staticReader(map[mem.NodeID][]mem.BlockAddr{1: order}))
-	e.Consumption(order[0], []directory.CMOBPointer{ptr(1, 0)})
+	e.Consumption(order[0], []CMOBPointer{ptr(1, 0)})
 	if got := e.SVB().Len(); got != 4 {
 		t.Fatalf("SVB holds %d blocks after allocation, want lookahead=4", got)
 	}
@@ -104,7 +103,7 @@ func TestEngineFollowsLongStreamViaRefills(t *testing.T) {
 		order[i] = mem.BlockAddr(i * 64)
 	}
 	e := NewEngine(0, testConfig(), staticReader(map[mem.NodeID][]mem.BlockAddr{1: order}))
-	e.Consumption(order[0], []directory.CMOBPointer{ptr(1, 0)})
+	e.Consumption(order[0], []CMOBPointer{ptr(1, 0)})
 	covered := 0
 	for i := 1; i < n; i++ {
 		if e.Consumption(order[i], nil) {
@@ -124,7 +123,7 @@ func TestEngineTwoStreamAgreement(t *testing.T) {
 	order := blocks(10, 11, 12, 13, 14)
 	reader := staticReader(map[mem.NodeID][]mem.BlockAddr{1: order, 2: order})
 	e := NewEngine(0, testConfig(), reader)
-	e.Consumption(order[0], []directory.CMOBPointer{ptr(1, 0), ptr(2, 0)})
+	e.Consumption(order[0], []CMOBPointer{ptr(1, 0), ptr(2, 0)})
 	if e.SVB().Len() == 0 {
 		t.Fatal("agreeing streams should be fetched")
 	}
@@ -145,7 +144,7 @@ func TestEngineDivergingStreamsStallThenResolve(t *testing.T) {
 	reader := staticReader(map[mem.NodeID][]mem.BlockAddr{1: orderA, 2: orderB})
 	e := NewEngine(0, testConfig(), reader)
 
-	e.Consumption(head, []directory.CMOBPointer{ptr(1, 0), ptr(2, 0)})
+	e.Consumption(head, []CMOBPointer{ptr(1, 0), ptr(2, 0)})
 	if e.SVB().Len() != 0 {
 		t.Fatalf("diverging streams must not fetch; SVB holds %d", e.SVB().Len())
 	}
@@ -178,7 +177,7 @@ func TestEngineDivergingStreamsStallThenResolve(t *testing.T) {
 	orderA = append([]mem.BlockAddr{head}, blocks(1, 2, 3, 4, 5, 20)...)
 	orderB = append([]mem.BlockAddr{head}, blocks(11, 20, 13, 14, 15)...)
 	e = NewEngine(0, testConfig(), staticReader(map[mem.NodeID][]mem.BlockAddr{1: orderA, 2: orderB}))
-	e.Consumption(head, []directory.CMOBPointer{ptr(1, 0), ptr(2, 0)})
+	e.Consumption(head, []CMOBPointer{ptr(1, 0), ptr(2, 0)})
 	e.Consumption(mem.BlockAddr(20*64), nil)
 	if e.Stats().StreamsResolved != 1 {
 		t.Fatalf("StreamsResolved = %d, want 1", e.Stats().StreamsResolved)
@@ -198,7 +197,7 @@ func TestEngineSingleStreamNoComparisonFetchesImmediately(t *testing.T) {
 	cfg.ComparedStreams = 1
 	order := blocks(1, 2, 3, 4, 5)
 	e := NewEngine(0, cfg, staticReader(map[mem.NodeID][]mem.BlockAddr{1: order}))
-	e.Consumption(order[0], []directory.CMOBPointer{ptr(1, 0)})
+	e.Consumption(order[0], []CMOBPointer{ptr(1, 0)})
 	if e.SVB().Len() != 4 {
 		t.Fatalf("single-stream engine should fetch lookahead blocks, SVB=%d", e.SVB().Len())
 	}
@@ -207,7 +206,7 @@ func TestEngineSingleStreamNoComparisonFetchesImmediately(t *testing.T) {
 func TestEngineWriteInvalidatesStreamedBlock(t *testing.T) {
 	order := blocks(1, 2, 3, 4, 5)
 	e := NewEngine(0, testConfig(), staticReader(map[mem.NodeID][]mem.BlockAddr{1: order}))
-	e.Consumption(order[0], []directory.CMOBPointer{ptr(1, 0)})
+	e.Consumption(order[0], []CMOBPointer{ptr(1, 0)})
 	target := order[2]
 	if !e.SVB().Contains(target) {
 		t.Fatal("expected block to be streamed")
@@ -239,10 +238,10 @@ func TestEngineQueueLRUReplacementRecordsStreamLength(t *testing.T) {
 		1: blocks(1, 2, 3, 4, 5),
 	}
 	e := NewEngine(0, cfg, staticReader(orders))
-	e.Consumption(blocks(1)[0], []directory.CMOBPointer{ptr(1, 0)})
+	e.Consumption(blocks(1)[0], []CMOBPointer{ptr(1, 0)})
 	e.Consumption(blocks(2)[0], nil) // one hit on the stream
 	// A new unrelated head forces the single queue to be recycled.
-	e.Consumption(mem.BlockAddr(100*64), []directory.CMOBPointer{ptr(1, 0)})
+	e.Consumption(mem.BlockAddr(100*64), []CMOBPointer{ptr(1, 0)})
 	e.Finish()
 	h := e.StreamLengths()
 	if h.Total() == 0 {
@@ -253,7 +252,7 @@ func TestEngineQueueLRUReplacementRecordsStreamLength(t *testing.T) {
 func TestEngineFinishFlushesSVB(t *testing.T) {
 	order := blocks(1, 2, 3, 4, 5)
 	e := NewEngine(0, testConfig(), staticReader(map[mem.NodeID][]mem.BlockAddr{1: order}))
-	e.Consumption(order[0], []directory.CMOBPointer{ptr(1, 0)})
+	e.Consumption(order[0], []CMOBPointer{ptr(1, 0)})
 	fetched := e.Stats().BlocksFetched
 	if fetched == 0 {
 		t.Fatal("expected fetched blocks")

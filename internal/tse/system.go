@@ -4,15 +4,12 @@ import (
 	"fmt"
 	"math/bits"
 
-	"tsm/internal/directory"
 	"tsm/internal/mem"
-	"tsm/internal/stats"
 	"tsm/internal/trace"
 )
 
 // Traffic accumulates the interconnect bytes attributable to TSE, by
-// category, plus the baseline coherence traffic the same consumptions would
-// generate. Section 5.4 / Figure 11 report the overhead categories relative
+// category. Section 5.4 / Figure 11 report the overhead categories relative
 // to base traffic; correctly streamed blocks replace baseline coherent read
 // misses one-for-one and are therefore not overhead.
 type Traffic struct {
@@ -26,10 +23,6 @@ type Traffic struct {
 	StreamAddressBytes uint64
 	// DiscardedDataBytes is data blocks streamed but never used.
 	DiscardedDataBytes uint64
-	// BaseBytes is the baseline traffic of the consumptions themselves
-	// (request + data reply), used as the denominator of Figure 11's
-	// ratio annotations.
-	BaseBytes uint64
 }
 
 // requestMessageBytes approximates a coherence request/control message.
@@ -41,14 +34,6 @@ const dataHeaderBytes = 8
 // OverheadBytes returns the TSE overhead traffic.
 func (t Traffic) OverheadBytes() uint64 {
 	return t.PointerUpdateBytes + t.StreamRequestBytes + t.StreamAddressBytes + t.DiscardedDataBytes
-}
-
-// OverheadRatio returns overhead traffic as a fraction of base traffic.
-func (t Traffic) OverheadRatio() float64 {
-	if t.BaseBytes == 0 {
-		return 0
-	}
-	return float64(t.OverheadBytes()) / float64(t.BaseBytes)
 }
 
 // Result summarises a trace-driven TSE run.
@@ -64,7 +49,7 @@ type Result struct {
 	// StreamsAllocated counts stream-queue allocations across all nodes.
 	StreamsAllocated uint64
 	// StreamLengths is the distribution of SVB hits per stream.
-	StreamLengths *stats.Histogram
+	StreamLengths *Histogram
 	// Traffic is the interconnect accounting.
 	Traffic Traffic
 	// CMOBPeakBytes is the largest per-node CMOB residency observed.
@@ -95,7 +80,7 @@ func (r Result) String() string {
 }
 
 // System is the whole-machine trace-driven TSE model: one CMOB and one
-// stream engine per node, plus the directory CMOB-pointer extension. It
+// stream engine per node, plus the directory's CMOB-pointer extension. It
 // consumes the globally ordered consumption/write event stream produced by
 // the functional coherence engine and accumulates the metrics the paper
 // reports.
@@ -112,7 +97,7 @@ type System struct {
 	cmobs   []CMOB
 	engines []*Engine
 	holders map[mem.BlockAddr]uint64
-	dir     *directory.Directory
+	ptrs    pointerTable
 	traffic Traffic
 	peak    int
 }
@@ -123,12 +108,7 @@ func NewSystem(cfg Config) *System {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	s := &System{cfg: cfg, holders: make(map[mem.BlockAddr]uint64)}
-	s.dir = directory.New(directory.Config{
-		Nodes:            cfg.Nodes,
-		Geometry:         cfg.Geometry,
-		PointersPerEntry: cfg.ComparedStreams,
-	})
+	s := &System{cfg: cfg, holders: make(map[mem.BlockAddr]uint64), ptrs: newPointerTable(cfg.ComparedStreams)}
 	s.cmobs = make([]CMOB, cfg.Nodes)
 	s.engines = make([]*Engine, cfg.Nodes)
 	read := func(dst []mem.BlockAddr, node mem.NodeID, offset uint64, n int) ([]mem.BlockAddr, uint64) {
@@ -173,26 +153,21 @@ func (s *System) consume(node mem.NodeID, block mem.BlockAddr) bool {
 		panic(fmt.Sprintf("tse: consumption from node %d outside [0,%d)", node, s.cfg.Nodes))
 	}
 
-	// The directory lookup happens on the miss path; the engine only uses
-	// the pointers if the SVB misses.
-	ptrs := s.dir.CMOBPointers(block)
-	covered := s.engines[node].Consumption(block, ptrs)
+	// One pointer-table lookup serves the whole consumption: the engine
+	// uses the block's pointers only if the SVB misses, and the
+	// consumption's own pointer is then recorded into the same slots.
+	slots := s.ptrs.slot(block)
+	covered := s.engines[node].Consumption(block, validPointers(slots))
 
 	// Record the consumption in the node's CMOB (useful streamed hits are
 	// recorded too, since they replace the misses they eliminated), and
 	// send the CMOB pointer update to the directory.
 	offset := s.cmobs[node].Append(block)
-	s.dir.RecordCMOBPointer(block, directory.CMOBPointer{Node: node, Offset: offset})
+	recordPointer(slots, CMOBPointer{Node: node, Offset: offset})
 	s.traffic.PointerUpdateBytes += CMOBPointerBytes
 	if sb := s.cmobs[node].StorageBytes(); sb > s.peak {
 		s.peak = sb
 	}
-
-	// Baseline traffic for this consumption (request + data reply). With
-	// TSE a covered consumption's data arrived via streaming instead, but
-	// it replaces the baseline transfer one-for-one, so the base bytes are
-	// charged either way.
-	s.traffic.BaseBytes += requestMessageBytes + uint64(s.cfg.Geometry.BlockSize) + dataHeaderBytes
 	return covered
 }
 
@@ -232,7 +207,7 @@ func (s *System) RunColumns(kinds []trace.EventKind, nodes []mem.NodeID, blocks 
 // discards) and returns the aggregated result. The System must not be used
 // after Finish.
 func (s *System) Finish() Result {
-	res := Result{StreamLengths: stats.NewHistogram()}
+	res := Result{StreamLengths: NewHistogram()}
 	for _, eng := range s.engines {
 		eng.Finish()
 	}

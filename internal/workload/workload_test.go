@@ -29,7 +29,7 @@ func generate(g Generator) []mem.Access {
 // classify runs a generator through an infinite-cache coherence engine.
 func classify(t *testing.T, g Generator, cfg Config) *trace.Trace {
 	t.Helper()
-	eng := coherence.New(coherence.Config{Nodes: cfg.Nodes, Geometry: cfg.Geometry, PointersPerEntry: 2})
+	eng := coherence.New(coherence.Config{Nodes: cfg.Nodes, Geometry: cfg.Geometry})
 	tr, err := eng.RunFrom(g.Emit)
 	if err != nil {
 		t.Fatal(err)

@@ -175,7 +175,7 @@ func StreamTrace(name string, opts Options, sink EventSink) (Generator, uint64, 
 	if err != nil {
 		return nil, 0, err
 	}
-	eng := coherence.New(coherence.Config{Nodes: opts.Nodes, Geometry: config.DefaultSystem().Geometry, PointersPerEntry: 2})
+	eng := coherence.New(coherence.Config{Nodes: opts.Nodes, Geometry: config.DefaultSystem().Geometry})
 	var n uint64
 	err = eng.RunSource(gen.Emit, func(e trace.Event) error {
 		if err := sink.Write(e); err != nil {
@@ -246,7 +246,7 @@ func GenerateTrace(name string, opts Options) (*Trace, Generator, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	eng := coherence.New(coherence.Config{Nodes: opts.Nodes, Geometry: config.DefaultSystem().Geometry, PointersPerEntry: 2})
+	eng := coherence.New(coherence.Config{Nodes: opts.Nodes, Geometry: config.DefaultSystem().Geometry})
 	tr, err := eng.RunFrom(gen.Emit)
 	if err != nil {
 		return nil, nil, fmt.Errorf("tsm: generating %s trace: %w", name, err)
