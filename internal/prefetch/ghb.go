@@ -43,7 +43,9 @@ type GHBConfig struct {
 	HistoryEntries int
 	// Degree is the number of blocks fetched per prefetch operation.
 	Degree int
-	// BufferEntries is the per-node prefetch buffer capacity.
+	// BufferEntries is the per-node prefetch buffer capacity; zero or
+	// less selects BufferEntries. The buffer is always bounded: it is
+	// keyed by raw block addresses, which an unlimited SVB cannot index.
 	BufferEntries int
 }
 
@@ -94,6 +96,9 @@ func NewGHB(cfg GHBConfig) *GHB {
 	}
 	if cfg.Degree <= 0 {
 		cfg.Degree = PrefetchDegree
+	}
+	if cfg.BufferEntries <= 0 {
+		cfg.BufferEntries = BufferEntries
 	}
 	g := &GHB{cfg: cfg}
 	for i := 0; i < cfg.Nodes; i++ {
@@ -199,7 +204,7 @@ func (g *GHB) prefetchFrom(n *ghbNode, prev uint64, current mem.BlockAddr) {
 // Write implements Model.
 func (g *GHB) Write(e trace.Event) {
 	for _, n := range g.nodes {
-		n.buffer.Invalidate(e.Block)
+		n.buffer.Invalidate(uint64(e.Block))
 	}
 }
 

@@ -126,6 +126,9 @@ func TestGHBNamesAndDefaults(t *testing.T) {
 		t.Fatal("unexpected method strings")
 	}
 	g := NewGHB(GHBConfig{})
+	if got := g.nodes[0].buffer.Capacity(); got != BufferEntries {
+		t.Fatalf("zero-config buffer capacity = %d, want %d", got, BufferEntries)
+	}
 	g.Consumption(cons(0, 1))
 	g.Consumption(cons(3, 2)) // out-of-range node folds to node 0
 	if _, d := g.Finish(); d > 0 {

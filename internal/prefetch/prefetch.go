@@ -61,16 +61,16 @@ func newPerNode(bufferEntries int) *perNode {
 
 // lookup probes the buffer and removes the block on a hit.
 func (p *perNode) lookup(b mem.BlockAddr) bool {
-	_, ok := p.buffer.Hit(b)
+	_, ok := p.buffer.Hit(uint64(b))
 	return ok
 }
 
 // insert places a prefetched block in the buffer.
 func (p *perNode) insert(b mem.BlockAddr) {
-	if p.buffer.Contains(b) {
+	if p.buffer.Contains(uint64(b)) {
 		return
 	}
-	p.buffer.Insert(b, 0)
+	p.buffer.Insert(uint64(b), 0)
 	p.fetched++
 }
 

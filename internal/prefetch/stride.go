@@ -14,7 +14,9 @@ type StrideConfig struct {
 	// Degree is the number of blocks prefetched ahead once a stride is
 	// confirmed (eight in the paper's comparison).
 	Degree int
-	// BufferEntries is the per-node prefetch buffer capacity.
+	// BufferEntries is the per-node prefetch buffer capacity; zero or
+	// less selects BufferEntries. The buffer is always bounded: it is
+	// keyed by raw block addresses, which an unlimited SVB cannot index.
 	BufferEntries int
 }
 
@@ -50,6 +52,9 @@ func NewStride(cfg StrideConfig) *Stride {
 	}
 	if cfg.Degree <= 0 {
 		cfg.Degree = PrefetchDegree
+	}
+	if cfg.BufferEntries <= 0 {
+		cfg.BufferEntries = BufferEntries
 	}
 	s := &Stride{cfg: cfg}
 	for i := 0; i < cfg.Nodes; i++ {
@@ -92,7 +97,7 @@ func (s *Stride) Consumption(e trace.Event) bool {
 // Write implements Model.
 func (s *Stride) Write(e trace.Event) {
 	for _, n := range s.nodes {
-		n.buffer.Invalidate(e.Block)
+		n.buffer.Invalidate(uint64(e.Block))
 	}
 }
 

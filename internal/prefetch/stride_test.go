@@ -122,4 +122,13 @@ func TestStrideDefaults(t *testing.T) {
 	if f == 0 {
 		t.Fatal("default-config stride prefetcher should fetch on a unit stride")
 	}
+	// The buffer is the default 32-entry one, never an unlimited SVB.
+	for _, n := range s.nodes {
+		if got := n.buffer.Capacity(); got != BufferEntries {
+			t.Fatalf("zero-config buffer capacity = %d, want %d", got, BufferEntries)
+		}
+	}
+	if got := NewStride(StrideConfig{BufferEntries: -1}).nodes[0].buffer.Capacity(); got != BufferEntries {
+		t.Fatalf("negative BufferEntries gave capacity %d, want %d", got, BufferEntries)
+	}
 }

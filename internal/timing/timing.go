@@ -154,10 +154,10 @@ type nodeState struct {
 	mlpAcc float64
 	// arrivals maps streamed blocks to the cycle at which their data will
 	// have arrived in the SVB.
-	arrivals map[mem.BlockAddr]uint64
+	arrivals map[tse.BlockID]uint64
 	// pendingFetches collects blocks streamed during the current
 	// consumption call, before their arrival times are assigned.
-	pendingFetches []mem.BlockAddr
+	pendingFetches []tse.BlockID
 	breakdown      Breakdown
 }
 
@@ -227,7 +227,7 @@ func newSimulator(p Params) (*simulator, error) {
 
 	s.nodes = make([]*nodeState, p.Nodes)
 	for i := range s.nodes {
-		n := &nodeState{arrivals: make(map[mem.BlockAddr]uint64)}
+		n := &nodeState{arrivals: make(map[tse.BlockID]uint64)}
 		n.burstBudget = s.nextBurstSize(n)
 		s.nodes[i] = n
 	}
@@ -237,7 +237,7 @@ func newSimulator(p Params) (*simulator, error) {
 		s.sys = tse.NewSystem(cfg)
 		for i := 0; i < p.Nodes; i++ {
 			n := s.nodes[i]
-			s.sys.Engine(mem.NodeID(i)).SetFetchHandler(func(b mem.BlockAddr) {
+			s.sys.Engine(mem.NodeID(i)).SetFetchHandler(func(b tse.BlockID) {
 				n.pendingFetches = append(n.pendingFetches, b)
 			})
 		}
@@ -311,10 +311,10 @@ func (s *simulator) step(kind trace.EventKind, node mem.NodeID, block mem.BlockA
 		latency := lCoh
 		if s.sys != nil {
 			n.pendingFetches = n.pendingFetches[:0]
-			covered := s.sys.Consumption(trace.Event{Kind: kind, Node: node, Block: block})
+			id, covered := s.sys.Consume(node, block)
 			if covered {
-				arrival, ok := n.arrivals[block]
-				delete(n.arrivals, block)
+				arrival, ok := n.arrivals[id]
+				delete(n.arrivals, id)
 				if !ok || arrival <= n.clock {
 					latency = s.lSVB
 					s.res.FullCovered++
@@ -349,7 +349,7 @@ func (s *simulator) step(kind trace.EventKind, node mem.NodeID, block mem.BlockA
 			// of growing to every block ever streamed to the node.
 			if svb := s.sys.Engine(node).SVB(); len(n.arrivals) > 2*svb.Len()+64 {
 				for b := range n.arrivals {
-					if !svb.Contains(b) {
+					if !svb.Contains(uint64(b)) {
 						delete(n.arrivals, b)
 					}
 				}

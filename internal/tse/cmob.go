@@ -1,9 +1,5 @@
 package tse
 
-import (
-	"tsm/internal/mem"
-)
-
 // cmobMinGrowth is the first allocation of a bounded CMOB's storage, in
 // entries; later growth doubles it, clamped to the capacity.
 const cmobMinGrowth = 1024
@@ -13,9 +9,12 @@ const cmobMinGrowth = 1024
 // misses (and useful streamed hits, which replace the misses they
 // eliminated) in program order (Section 3.1).
 //
-// Entries are addressed by a monotonically increasing append offset; the
-// circular storage retains only the most recent Capacity entries, so reads
-// of overwritten offsets fail, which is how a too-small CMOB loses coverage
+// An entry is the block's 4-byte BlockID rather than its address: a stream
+// read from the CMOB is compared and streamed by id. StorageBytes still
+// charges the paper's 6-byte packed address per entry. Entries are
+// addressed by a monotonically increasing append offset; the circular
+// storage retains only the most recent Capacity entries, so reads of
+// overwritten offsets fail, which is how a too-small CMOB loses coverage
 // (Figure 10).
 //
 // The storage is allocated lazily: a new CMOB holds nothing, and Append
@@ -23,7 +22,7 @@ const cmobMinGrowth = 1024
 // Capacity entries are held it wraps in place.
 type CMOB struct {
 	capacity int // 0 = unlimited
-	entries  []mem.BlockAddr
+	entries  []BlockID
 	next     uint64 // next append offset (== number of appends so far)
 }
 
@@ -47,10 +46,10 @@ func (c *CMOB) Len() int {
 // Appends returns the total number of appends performed.
 func (c *CMOB) Appends() uint64 { return c.next }
 
-// Append records a block address and returns the offset at which it was
+// Append records a block and returns the offset at which it was
 // stored. The recording node sends this offset to the block's directory
 // entry as a CMOB pointer.
-func (c *CMOB) Append(b mem.BlockAddr) uint64 {
+func (c *CMOB) Append(b BlockID) uint64 {
 	offset := c.next
 	c.next++
 	if c.capacity > 0 && len(c.entries) == c.capacity {
@@ -58,7 +57,7 @@ func (c *CMOB) Append(b mem.BlockAddr) uint64 {
 		return offset
 	}
 	if c.capacity > 0 && len(c.entries) == cap(c.entries) {
-		grown := make([]mem.BlockAddr, len(c.entries), min(max(2*cap(c.entries), cmobMinGrowth), c.capacity))
+		grown := make([]BlockID, len(c.entries), min(max(2*cap(c.entries), cmobMinGrowth), c.capacity))
 		copy(grown, c.entries)
 		c.entries = grown
 	}
@@ -86,20 +85,20 @@ func (c *CMOB) index(offset uint64) int {
 }
 
 // At returns the entry at offset, if still resident.
-func (c *CMOB) At(offset uint64) (mem.BlockAddr, bool) {
+func (c *CMOB) At(offset uint64) (BlockID, bool) {
 	if !c.resident(offset) {
 		return 0, false
 	}
 	return c.entries[c.index(offset)], true
 }
 
-// AppendStream appends to dst up to n addresses starting at the entry
+// AppendStream appends to dst up to n entries starting at the entry
 // *following* offset — the stream that followed the pointed-to miss — and
-// returns the extended slice with the offset of the last address appended
+// returns the extended slice with the offset of the last entry appended
 // (so the caller can continue reading when the FIFO runs half empty). It
 // appends nothing, and returns offset, when the pointed entry has been
 // overwritten or no subsequent entries exist.
-func (c *CMOB) AppendStream(dst []mem.BlockAddr, offset uint64, n int) ([]mem.BlockAddr, uint64) {
+func (c *CMOB) AppendStream(dst []BlockID, offset uint64, n int) ([]BlockID, uint64) {
 	if n <= 0 || !c.resident(offset) {
 		return dst, offset
 	}

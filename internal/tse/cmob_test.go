@@ -5,8 +5,6 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
-
-	"tsm/internal/mem"
 )
 
 func TestCMOBAppendAndAt(t *testing.T) {
@@ -16,7 +14,7 @@ func TestCMOBAppendAndAt(t *testing.T) {
 	}
 	offsets := make([]uint64, 0, 6)
 	for i := 0; i < 6; i++ {
-		offsets = append(offsets, c.Append(mem.BlockAddr(i*64)))
+		offsets = append(offsets, c.Append(BlockID(i*64)))
 	}
 	if c.Appends() != 6 || c.Len() != 4 {
 		t.Fatalf("appends=%d len=%d, want 6/4", c.Appends(), c.Len())
@@ -30,7 +28,7 @@ func TestCMOBAppendAndAt(t *testing.T) {
 	}
 	for i := 2; i < 6; i++ {
 		b, ok := c.At(offsets[i])
-		if !ok || b != mem.BlockAddr(i*64) {
+		if !ok || b != BlockID(i*64) {
 			t.Fatalf("At(%d) = %#x,%v want %#x", offsets[i], b, ok, i*64)
 		}
 	}
@@ -42,7 +40,7 @@ func TestCMOBAppendAndAt(t *testing.T) {
 func TestCMOBUnlimited(t *testing.T) {
 	c := NewCMOB(0)
 	for i := 0; i < 1000; i++ {
-		c.Append(mem.BlockAddr(i * 64))
+		c.Append(BlockID(i * 64))
 	}
 	if c.Len() != 1000 {
 		t.Fatalf("Len = %d, want 1000", c.Len())
@@ -58,7 +56,7 @@ func TestCMOBUnlimited(t *testing.T) {
 func TestCMOBReadStream(t *testing.T) {
 	c := NewCMOB(0)
 	for i := 0; i < 10; i++ {
-		c.Append(mem.BlockAddr(i * 64))
+		c.Append(BlockID(i * 64))
 	}
 	// Stream following entry 3 is entries 4..7 for n=4.
 	addrs, last := c.AppendStream(nil, 3, 4)
@@ -66,7 +64,7 @@ func TestCMOBReadStream(t *testing.T) {
 		t.Fatalf("AppendStream(nil, 3, 4) = %v last=%d", addrs, last)
 	}
 	for i, a := range addrs {
-		if a != mem.BlockAddr((4+i)*64) {
+		if a != BlockID((4+i)*64) {
 			t.Fatalf("stream entry %d = %#x, want %#x", i, a, (4+i)*64)
 		}
 	}
@@ -89,7 +87,7 @@ func TestCMOBReadStream(t *testing.T) {
 func TestCMOBReadStreamOverwritten(t *testing.T) {
 	c := NewCMOB(4)
 	for i := 0; i < 10; i++ {
-		c.Append(mem.BlockAddr(i * 64))
+		c.Append(BlockID(i * 64))
 	}
 	// Offset 2 is long overwritten: no stream available.
 	if addrs, _ := c.AppendStream(nil, 2, 4); addrs != nil {
@@ -128,9 +126,9 @@ func TestCMOBStreamMatchesAppendOrder(t *testing.T) {
 	// the blocks appended at positions i+1..i+n.
 	f := func(raw []uint32, start uint8, n uint8) bool {
 		c := NewCMOB(0)
-		blocks := make([]mem.BlockAddr, len(raw))
+		blocks := make([]BlockID, len(raw))
 		for i, r := range raw {
-			blocks[i] = mem.BlockAddr(uint64(r) &^ 63)
+			blocks[i] = BlockID(r)
 			c.Append(blocks[i])
 		}
 		if len(raw) == 0 {
@@ -155,21 +153,21 @@ func TestCMOBStreamMatchesAppendOrder(t *testing.T) {
 // eagerCMOB is the test's reference CMOB: the whole circular buffer
 // allocated up front, read one entry at a time.
 type eagerCMOB struct {
-	ring []mem.BlockAddr
+	ring []BlockID
 	next uint64
 }
 
-func (c *eagerCMOB) append(b mem.BlockAddr) {
+func (c *eagerCMOB) append(b BlockID) {
 	c.ring[c.next%uint64(len(c.ring))] = b
 	c.next++
 }
 
-func (c *eagerCMOB) stream(offset uint64, n int) ([]mem.BlockAddr, uint64) {
+func (c *eagerCMOB) stream(offset uint64, n int) ([]BlockID, uint64) {
 	capacity := uint64(len(c.ring))
 	if offset >= c.next || c.next-offset > capacity {
 		return nil, offset
 	}
-	var out []mem.BlockAddr
+	var out []BlockID
 	last := offset
 	for o := offset + 1; o < c.next && len(out) < n; o++ {
 		out = append(out, c.ring[o%capacity])
@@ -181,9 +179,9 @@ func (c *eagerCMOB) stream(offset uint64, n int) ([]mem.BlockAddr, uint64) {
 func TestCMOBAppendStreamMatchesEager(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, capacity := range []int{1, 2, 3, 7, 64, cmobMinGrowth, 1500, 5000} {
-		c, ref := NewCMOB(capacity), &eagerCMOB{ring: make([]mem.BlockAddr, capacity)}
+		c, ref := NewCMOB(capacity), &eagerCMOB{ring: make([]BlockID, capacity)}
 		for i := 0; i < 3*capacity+10; i++ {
-			b := mem.BlockAddr(rng.Intn(1<<20)) * 64
+			b := BlockID(rng.Intn(1 << 20))
 			if off := c.Append(b); off != ref.next {
 				t.Fatalf("capacity %d: Append offset %d, want %d", capacity, off, ref.next)
 			}
@@ -197,7 +195,7 @@ func TestCMOBAppendStreamMatchesEager(t *testing.T) {
 				lo := int64(ref.next) - int64(capacity) - 2
 				offset := uint64(max(0, lo+rng.Int63n(int64(capacity)+3)))
 				n := rng.Intn(20)
-				dst := []mem.BlockAddr{1, 2}[:rng.Intn(3)]
+				dst := []BlockID{1, 2}[:rng.Intn(3)]
 				got, last := c.AppendStream(dst, offset, n)
 				want, wantLast := ref.stream(offset, n)
 				if !slices.Equal(got[:len(dst)], dst) || !slices.Equal(got[len(dst):], want) || last != wantLast {

@@ -2,12 +2,11 @@ package tse
 
 import "tsm/internal/mem"
 
-// CMOBReader supplies stream addresses from another node's CMOB: it appends
-// to dst up to n addresses following offset in node's CMOB, and returns the
-// extended slice plus the offset of the last address appended (offset
-// itself when it appends none). The System wires this to the per-node
-// CMOBs' AppendStream.
-type CMOBReader func(dst []mem.BlockAddr, node mem.NodeID, offset uint64, n int) ([]mem.BlockAddr, uint64)
+// CMOBReader supplies a stream from another node's CMOB: it appends to dst
+// up to n entries following offset in node's CMOB, and returns the extended
+// slice plus the offset of the last entry appended (offset itself when it
+// appends none). The System wires this to the per-node CMOBs' AppendStream.
+type CMOBReader func(dst []BlockID, node mem.NodeID, offset uint64, n int) ([]BlockID, uint64)
 
 // EngineStats accumulates per-node stream-engine statistics.
 type EngineStats struct {
@@ -30,7 +29,8 @@ type EngineStats struct {
 }
 
 // Engine is the per-node stream engine plus SVB (the grey components of
-// Figure 2 other than the CMOB/directory, which the System owns).
+// Figure 2 other than the CMOB/directory, which the System owns). It names
+// blocks by BlockID, as its CMOB reader does.
 type Engine struct {
 	node   mem.NodeID
 	cfg    Config
@@ -38,17 +38,16 @@ type Engine struct {
 	queues []*streamQueue
 	// spare is a set of ComparedStreams FIFO slots that allocate reads a
 	// new stream into before swapping it with the acquired queue's slots.
-	spare   []streamFIFO
-	nextQID int
-	clock   uint64
-	read    CMOBReader
-	stats   EngineStats
+	spare []streamFIFO
+	clock uint64
+	read  CMOBReader
+	stats EngineStats
 	// streamLengths records the number of SVB hits each retired stream
 	// produced (Figure 13).
 	streamLengths *Histogram
 	// onFetch is called for every block streamed into the SVB so the
 	// System can charge data traffic for it.
-	onFetch func(block mem.BlockAddr)
+	onFetch func(block BlockID)
 	// onRefill is called for every refill request (source node, addresses
 	// transferred) so the System can charge address-stream traffic.
 	onRefill func(source mem.NodeID, addresses int)
@@ -78,7 +77,7 @@ func (e *Engine) Stats() EngineStats { return e.stats }
 func (e *Engine) StreamLengths() *Histogram { return e.streamLengths }
 
 // SetFetchHandler registers a callback invoked for each streamed block.
-func (e *Engine) SetFetchHandler(fn func(mem.BlockAddr)) { e.onFetch = fn }
+func (e *Engine) SetFetchHandler(fn func(BlockID)) { e.onFetch = fn }
 
 // SetRefillHandler registers a callback invoked for each CMOB address
 // transfer into this engine.
@@ -88,10 +87,10 @@ func (e *Engine) SetRefillHandler(fn func(mem.NodeID, int)) { e.onRefill = fn }
 // CMOB pointers the directory returned for the block (newest first).
 // It reports whether the SVB already held the block (the consumption is
 // covered/eliminated).
-func (e *Engine) Consumption(b mem.BlockAddr, ptrs []CMOBPointer) bool {
+func (e *Engine) Consumption(b BlockID, ptrs []CMOBPointer) bool {
 	e.stats.Consumptions++
 	e.clock++
-	if qid, ok := e.svb.Hit(b); ok {
+	if qid, ok := e.svb.Hit(uint64(b)); ok {
 		e.stats.Covered++
 		if q := e.findQueue(qid); q != nil {
 			q.hits++
@@ -152,20 +151,21 @@ func (e *Engine) Consumption(b mem.BlockAddr, ptrs []CMOBPointer) bool {
 
 	// Otherwise allocate a new stream for this head if the directory knows
 	// recent consumers.
-	e.allocate(b, ptrs)
+	e.allocate(ptrs)
 	return false
 }
 
 // Write invalidates any streamed copy of the block (writes by any node,
 // including this one, reach the SVB).
-func (e *Engine) Write(b mem.BlockAddr) {
-	e.svb.Invalidate(b)
+func (e *Engine) Write(b BlockID) {
+	e.svb.Invalidate(uint64(b))
 }
 
-// findQueue returns the queue with the given id, if it is still active.
+// findQueue returns the queue with the given id, if it is still active. The
+// id names the queue's slot, so only that slot is checked.
 func (e *Engine) findQueue(id int) *streamQueue {
-	for _, q := range e.queues {
-		if q.active && q.id == id {
+	if slot := id % e.cfg.StreamQueues; slot >= 0 && slot < len(e.queues) {
+		if q := e.queues[slot]; q.active && q.id == id {
 			return q
 		}
 	}
@@ -174,7 +174,7 @@ func (e *Engine) findQueue(id int) *streamQueue {
 
 // allocate sets up a stream queue for a stream head using the directory's
 // CMOB pointers, fetching the initial addresses from the source CMOBs.
-func (e *Engine) allocate(head mem.BlockAddr, ptrs []CMOBPointer) {
+func (e *Engine) allocate(ptrs []CMOBPointer) {
 	if len(ptrs) == 0 {
 		return
 	}
@@ -207,7 +207,6 @@ func (e *Engine) allocate(head mem.BlockAddr, ptrs []CMOBPointer) {
 	q := e.acquireQueue()
 	q.slots, e.spare = e.spare, q.slots
 	q.fifos = q.slots[:n]
-	q.head = head
 	q.stalled = false
 	q.outstanding = 0
 	q.hits = 0
@@ -228,8 +227,7 @@ func (e *Engine) acquireQueue() *streamQueue {
 		}
 	}
 	if len(e.queues) < e.cfg.StreamQueues {
-		q := &streamQueue{id: e.nextQID, slots: make([]streamFIFO, e.cfg.ComparedStreams)}
-		e.nextQID++
+		q := &streamQueue{id: len(e.queues), slots: make([]streamFIFO, e.cfg.ComparedStreams)}
 		e.queues = append(e.queues, q)
 		return q
 	}
@@ -240,10 +238,9 @@ func (e *Engine) acquireQueue() *streamQueue {
 		}
 	}
 	e.retire(victim)
-	// Re-use the slot under a fresh id so stale SVB entries do not
-	// advance the new stream.
-	victim.id = e.nextQID
-	e.nextQID++
+	// Re-use the slot under the slot's next id so stale SVB entries do
+	// not advance the new stream.
+	victim.id += e.cfg.StreamQueues
 	return victim
 }
 
@@ -281,8 +278,8 @@ func (e *Engine) fill(q *streamQueue) {
 		}
 		q.popAgreed(agreed)
 		// Do not re-stream a block the SVB already holds.
-		if !e.svb.Contains(agreed) {
-			e.svb.Insert(agreed, q.id)
+		if !e.svb.Contains(uint64(agreed)) {
+			e.svb.Insert(uint64(agreed), q.id)
 			q.outstanding++
 			q.fetched++
 			e.stats.BlocksFetched++

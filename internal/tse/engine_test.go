@@ -20,7 +20,7 @@ func testConfig() Config {
 }
 
 // staticReader builds a CMOBReader over fixed per-node orders.
-func staticReader(orders map[mem.NodeID][]mem.BlockAddr) CMOBReader {
+func staticReader(orders map[mem.NodeID][]BlockID) CMOBReader {
 	cmobs := map[mem.NodeID]*CMOB{}
 	for n, order := range orders {
 		c := NewCMOB(0)
@@ -29,7 +29,7 @@ func staticReader(orders map[mem.NodeID][]mem.BlockAddr) CMOBReader {
 		}
 		cmobs[n] = c
 	}
-	return func(dst []mem.BlockAddr, node mem.NodeID, offset uint64, n int) ([]mem.BlockAddr, uint64) {
+	return func(dst []BlockID, node mem.NodeID, offset uint64, n int) ([]BlockID, uint64) {
 		c, ok := cmobs[node]
 		if !ok {
 			return dst, offset
@@ -38,10 +38,10 @@ func staticReader(orders map[mem.NodeID][]mem.BlockAddr) CMOBReader {
 	}
 }
 
-func blocks(idx ...int) []mem.BlockAddr {
-	out := make([]mem.BlockAddr, len(idx))
+func blocks(idx ...int) []BlockID {
+	out := make([]BlockID, len(idx))
 	for i, v := range idx {
-		out[i] = mem.BlockAddr(v * 64)
+		out[i] = BlockID(v * 64)
 	}
 	return out
 }
@@ -55,7 +55,7 @@ func TestEngineFollowsSingleStream(t *testing.T) {
 	// handed a pointer to B's position in node 1's CMOB. Subsequent
 	// consumptions C,D,E,F must hit the SVB (Figure 1's scenario).
 	order := blocks(0, 1, 2, 3, 4, 5) // A..F
-	e := NewEngine(0, testConfig(), staticReader(map[mem.NodeID][]mem.BlockAddr{1: order}))
+	e := NewEngine(0, testConfig(), staticReader(map[mem.NodeID][]BlockID{1: order}))
 
 	if covered := e.Consumption(order[1], []CMOBPointer{ptr(1, 1)}); covered {
 		t.Fatal("the stream head itself cannot be covered")
@@ -75,13 +75,13 @@ func TestEngineFollowsSingleStream(t *testing.T) {
 }
 
 func TestEngineLookaheadLimitsOutstanding(t *testing.T) {
-	order := make([]mem.BlockAddr, 64)
+	order := make([]BlockID, 64)
 	for i := range order {
-		order[i] = mem.BlockAddr(i * 64)
+		order[i] = BlockID(i * 64)
 	}
 	cfg := testConfig()
 	cfg.Lookahead = 4
-	e := NewEngine(0, cfg, staticReader(map[mem.NodeID][]mem.BlockAddr{1: order}))
+	e := NewEngine(0, cfg, staticReader(map[mem.NodeID][]BlockID{1: order}))
 	e.Consumption(order[0], []CMOBPointer{ptr(1, 0)})
 	if got := e.SVB().Len(); got != 4 {
 		t.Fatalf("SVB holds %d blocks after allocation, want lookahead=4", got)
@@ -98,11 +98,11 @@ func TestEngineFollowsLongStreamViaRefills(t *testing.T) {
 	// end to end thanks to half-empty refills (Section 3.3); this is what
 	// distinguishes TSE from fixed-depth prefetchers.
 	n := 500
-	order := make([]mem.BlockAddr, n)
+	order := make([]BlockID, n)
 	for i := range order {
-		order[i] = mem.BlockAddr(i * 64)
+		order[i] = BlockID(i * 64)
 	}
-	e := NewEngine(0, testConfig(), staticReader(map[mem.NodeID][]mem.BlockAddr{1: order}))
+	e := NewEngine(0, testConfig(), staticReader(map[mem.NodeID][]BlockID{1: order}))
 	e.Consumption(order[0], []CMOBPointer{ptr(1, 0)})
 	covered := 0
 	for i := 1; i < n; i++ {
@@ -121,7 +121,7 @@ func TestEngineFollowsLongStreamViaRefills(t *testing.T) {
 func TestEngineTwoStreamAgreement(t *testing.T) {
 	// Both recent consumers followed the same order: the engine streams.
 	order := blocks(10, 11, 12, 13, 14)
-	reader := staticReader(map[mem.NodeID][]mem.BlockAddr{1: order, 2: order})
+	reader := staticReader(map[mem.NodeID][]BlockID{1: order, 2: order})
 	e := NewEngine(0, testConfig(), reader)
 	e.Consumption(order[0], []CMOBPointer{ptr(1, 0), ptr(2, 0)})
 	if e.SVB().Len() == 0 {
@@ -138,10 +138,10 @@ func TestEngineDivergingStreamsStallThenResolve(t *testing.T) {
 	// The two recent consumers followed different orders after the head:
 	// the engine must stall (fetch nothing) until a processor miss
 	// identifies which stream is being followed, then follow only that one.
-	head := mem.BlockAddr(0)
-	orderA := append([]mem.BlockAddr{head}, blocks(1, 2, 3, 4, 5)...)
-	orderB := append([]mem.BlockAddr{head}, blocks(11, 12, 13, 14, 15)...)
-	reader := staticReader(map[mem.NodeID][]mem.BlockAddr{1: orderA, 2: orderB})
+	head := BlockID(0)
+	orderA := append([]BlockID{head}, blocks(1, 2, 3, 4, 5)...)
+	orderB := append([]BlockID{head}, blocks(11, 12, 13, 14, 15)...)
+	reader := staticReader(map[mem.NodeID][]BlockID{1: orderA, 2: orderB})
 	e := NewEngine(0, testConfig(), reader)
 
 	e.Consumption(head, []CMOBPointer{ptr(1, 0), ptr(2, 0)})
@@ -153,7 +153,7 @@ func TestEngineDivergingStreamsStallThenResolve(t *testing.T) {
 	}
 	// The processor follows order B: the miss on block 11 resolves the
 	// stall and subsequent blocks stream from order B only.
-	if covered := e.Consumption(mem.BlockAddr(11*64), nil); covered {
+	if covered := e.Consumption(BlockID(11*64), nil); covered {
 		t.Fatal("the resolving miss itself is not covered")
 	}
 	if e.Stats().StreamsResolved != 1 {
@@ -166,7 +166,7 @@ func TestEngineDivergingStreamsStallThenResolve(t *testing.T) {
 	}
 	// Nothing from order A was ever fetched.
 	for _, b := range blocks(1, 2, 3, 4, 5) {
-		if e.SVB().Contains(b) {
+		if e.SVB().Contains(uint64(b)) {
 			t.Fatalf("block %#x from the losing stream should not be fetched", b)
 		}
 	}
@@ -174,11 +174,11 @@ func TestEngineDivergingStreamsStallThenResolve(t *testing.T) {
 	// Only the lookahead window of each FIFO identifies the stream: block
 	// 20 sits past the window (lookahead 4) in FIFO 0 and inside it in FIFO
 	// 1, so the miss resolves to order B's FIFO.
-	orderA = append([]mem.BlockAddr{head}, blocks(1, 2, 3, 4, 5, 20)...)
-	orderB = append([]mem.BlockAddr{head}, blocks(11, 20, 13, 14, 15)...)
-	e = NewEngine(0, testConfig(), staticReader(map[mem.NodeID][]mem.BlockAddr{1: orderA, 2: orderB}))
+	orderA = append([]BlockID{head}, blocks(1, 2, 3, 4, 5, 20)...)
+	orderB = append([]BlockID{head}, blocks(11, 20, 13, 14, 15)...)
+	e = NewEngine(0, testConfig(), staticReader(map[mem.NodeID][]BlockID{1: orderA, 2: orderB}))
 	e.Consumption(head, []CMOBPointer{ptr(1, 0), ptr(2, 0)})
-	e.Consumption(mem.BlockAddr(20*64), nil)
+	e.Consumption(BlockID(20*64), nil)
 	if e.Stats().StreamsResolved != 1 {
 		t.Fatalf("StreamsResolved = %d, want 1", e.Stats().StreamsResolved)
 	}
@@ -196,7 +196,7 @@ func TestEngineSingleStreamNoComparisonFetchesImmediately(t *testing.T) {
 	cfg := testConfig()
 	cfg.ComparedStreams = 1
 	order := blocks(1, 2, 3, 4, 5)
-	e := NewEngine(0, cfg, staticReader(map[mem.NodeID][]mem.BlockAddr{1: order}))
+	e := NewEngine(0, cfg, staticReader(map[mem.NodeID][]BlockID{1: order}))
 	e.Consumption(order[0], []CMOBPointer{ptr(1, 0)})
 	if e.SVB().Len() != 4 {
 		t.Fatalf("single-stream engine should fetch lookahead blocks, SVB=%d", e.SVB().Len())
@@ -205,14 +205,14 @@ func TestEngineSingleStreamNoComparisonFetchesImmediately(t *testing.T) {
 
 func TestEngineWriteInvalidatesStreamedBlock(t *testing.T) {
 	order := blocks(1, 2, 3, 4, 5)
-	e := NewEngine(0, testConfig(), staticReader(map[mem.NodeID][]mem.BlockAddr{1: order}))
+	e := NewEngine(0, testConfig(), staticReader(map[mem.NodeID][]BlockID{1: order}))
 	e.Consumption(order[0], []CMOBPointer{ptr(1, 0)})
 	target := order[2]
-	if !e.SVB().Contains(target) {
+	if !e.SVB().Contains(uint64(target)) {
 		t.Fatal("expected block to be streamed")
 	}
 	e.Write(target)
-	if e.SVB().Contains(target) {
+	if e.SVB().Contains(uint64(target)) {
 		t.Fatal("write must invalidate the streamed copy")
 	}
 	// The invalidated block now misses.
@@ -234,14 +234,14 @@ func TestEngineNoPointersNoStream(t *testing.T) {
 func TestEngineQueueLRUReplacementRecordsStreamLength(t *testing.T) {
 	cfg := testConfig()
 	cfg.StreamQueues = 1
-	orders := map[mem.NodeID][]mem.BlockAddr{
+	orders := map[mem.NodeID][]BlockID{
 		1: blocks(1, 2, 3, 4, 5),
 	}
 	e := NewEngine(0, cfg, staticReader(orders))
 	e.Consumption(blocks(1)[0], []CMOBPointer{ptr(1, 0)})
 	e.Consumption(blocks(2)[0], nil) // one hit on the stream
 	// A new unrelated head forces the single queue to be recycled.
-	e.Consumption(mem.BlockAddr(100*64), []CMOBPointer{ptr(1, 0)})
+	e.Consumption(BlockID(100*64), []CMOBPointer{ptr(1, 0)})
 	e.Finish()
 	h := e.StreamLengths()
 	if h.Total() == 0 {
@@ -251,7 +251,7 @@ func TestEngineQueueLRUReplacementRecordsStreamLength(t *testing.T) {
 
 func TestEngineFinishFlushesSVB(t *testing.T) {
 	order := blocks(1, 2, 3, 4, 5)
-	e := NewEngine(0, testConfig(), staticReader(map[mem.NodeID][]mem.BlockAddr{1: order}))
+	e := NewEngine(0, testConfig(), staticReader(map[mem.NodeID][]BlockID{1: order}))
 	e.Consumption(order[0], []CMOBPointer{ptr(1, 0)})
 	fetched := e.Stats().BlocksFetched
 	if fetched == 0 {

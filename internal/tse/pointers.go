@@ -14,31 +14,44 @@ type CMOBPointer struct {
 	Valid bool
 }
 
+// BlockID is a System's dense name for a consumed block: the first block
+// consumed gets 0, the next new one 1, and so on. Every per-block structure
+// of the System (pointer slots, holder masks, CMOB entries, stream FIFOs and
+// SVB positions) is indexed by it, so a consumption pays one hash probe, the
+// one that finds the id. Ids are only ever compared for equality, so the
+// model's results do not depend on which id a block gets.
+type BlockID uint32
+
 // pointerTable holds the directory's CMOB pointers for every consumed
-// block. Its state is flat: one map from block to a dense slot, and one
-// slab with per pointer slots for each slot, newest first; the valid
-// pointers are a prefix of a slot. Nothing is evicted.
+// block, and names the blocks. Its state is flat: one map from block to its
+// id, and one slab with per pointer slots for each id, newest first; the
+// valid pointers are a prefix of a block's slots. Nothing is evicted.
 type pointerTable struct {
 	per   int
-	index map[mem.BlockAddr]int32
+	index map[mem.BlockAddr]BlockID
 	ptrs  []CMOBPointer
 }
 
 func newPointerTable(per int) pointerTable {
-	return pointerTable{per: per, index: make(map[mem.BlockAddr]int32)}
+	return pointerTable{per: per, index: make(map[mem.BlockAddr]BlockID)}
 }
 
-// slot returns a block's pointer slots, allocating empty ones on the
-// block's first reference. The slice aliases the slab: it is valid until the
-// next call, which may move the slab.
-func (t *pointerTable) slot(b mem.BlockAddr) []CMOBPointer {
-	i, ok := t.index[b]
+// intern returns a block's id, assigning the next one, with empty pointer
+// slots, on the block's first reference; fresh reports that it did.
+func (t *pointerTable) intern(b mem.BlockAddr) (id BlockID, fresh bool) {
+	id, ok := t.index[b]
 	if !ok {
-		i = int32(len(t.ptrs) / t.per)
-		t.index[b] = i
+		id = BlockID(len(t.ptrs) / t.per)
+		t.index[b] = id
 		t.ptrs = append(t.ptrs, make([]CMOBPointer, t.per)...)
 	}
-	return t.ptrs[int(i)*t.per : (int(i)+1)*t.per]
+	return id, !ok
+}
+
+// slots returns the pointer slots of an interned block. The slice aliases
+// the slab: it is valid until the next intern, which may move the slab.
+func (t *pointerTable) slots(id BlockID) []CMOBPointer {
+	return t.ptrs[int(id)*t.per : (int(id)+1)*t.per]
 }
 
 // validPointers returns the prefix of slots holding valid pointers.

@@ -8,6 +8,12 @@ import (
 	"tsm/internal/mem"
 )
 
+// slot interns a block and returns its pointer slots.
+func (t *pointerTable) slot(b mem.BlockAddr) []CMOBPointer {
+	id, _ := t.intern(b)
+	return t.slots(id)
+}
+
 // record is the System's use of the table: look the block up once, then
 // record the pointer into its slots.
 func (t *pointerTable) record(b mem.BlockAddr, ptr CMOBPointer) {

@@ -20,14 +20,14 @@ type streamSource struct {
 // allocations.
 type streamFIFO struct {
 	source streamSource
-	addrs  []mem.BlockAddr
-	buf    []mem.BlockAddr
+	addrs  []BlockID
+	buf    []BlockID
 }
 
 // reset empties the FIFO for a new source, keeping its buffer.
 func (f *streamFIFO) reset(src streamSource, capacity int) {
 	if f.buf == nil {
-		f.buf = make([]mem.BlockAddr, 0, capacity)
+		f.buf = make([]BlockID, 0, capacity)
 	}
 	f.source = src
 	f.addrs = f.buf[:0]
@@ -41,7 +41,7 @@ func (f *streamFIFO) compact() {
 
 func (f *streamFIFO) empty() bool { return len(f.addrs) == 0 }
 
-func (f *streamFIFO) head() (mem.BlockAddr, bool) {
+func (f *streamFIFO) head() (BlockID, bool) {
 	if len(f.addrs) == 0 {
 		return 0, false
 	}
@@ -57,7 +57,7 @@ func (f *streamFIFO) pop() {
 // contains reports whether the FIFO holds the block anywhere (used to let
 // the SVB window tolerate small reorderings: a miss that matches a block a
 // few entries down the FIFO still identifies this stream).
-func (f *streamFIFO) contains(b mem.BlockAddr) int {
+func (f *streamFIFO) contains(b BlockID) int {
 	for i, a := range f.addrs {
 		if a == b {
 			return i
@@ -78,8 +78,11 @@ func (f *streamFIFO) dropThrough(i int) {
 // streamQueue groups the FIFOs fetched for one stream head and tracks the
 // comparison/stall state of Section 3.3.
 type streamQueue struct {
-	id   int
-	head mem.BlockAddr
+	// id is generation*StreamQueues + slot, where slot is the queue's
+	// index in its engine and generation counts the streams an LRU
+	// replacement has retired from that slot, so an id is unique within
+	// the engine and names its slot.
+	id int
 	// slots are the queue's ComparedStreams FIFO slots; fifos is the
 	// prefix of them in use.
 	slots       []streamFIFO
@@ -106,8 +109,8 @@ func (q *streamQueue) hasLiveFIFO() bool {
 // headsAgree checks whether every non-empty FIFO agrees on the next address.
 // It returns the agreed address, whether agreement holds, and whether any
 // address is available at all.
-func (q *streamQueue) headsAgree() (mem.BlockAddr, bool, bool) {
-	var agreed mem.BlockAddr
+func (q *streamQueue) headsAgree() (BlockID, bool, bool) {
+	var agreed BlockID
 	found := false
 	for i := range q.fifos {
 		h, ok := q.fifos[i].head()
@@ -130,7 +133,7 @@ func (q *streamQueue) headsAgree() (mem.BlockAddr, bool, bool) {
 }
 
 // popAgreed removes the agreed head from every FIFO whose head matches it.
-func (q *streamQueue) popAgreed(b mem.BlockAddr) {
+func (q *streamQueue) popAgreed(b BlockID) {
 	for i := range q.fifos {
 		if h, ok := q.fifos[i].head(); ok && h == b {
 			q.fifos[i].pop()
@@ -152,7 +155,7 @@ func (q *streamQueue) selectFIFO(keep int) {
 // match, or (-1, -1). Only the first window entries of each FIFO are
 // scanned: the first match there is the first match in the whole FIFO
 // whenever that one lies inside the window.
-func (q *streamQueue) matchStalledHead(b mem.BlockAddr, window int) (int, int) {
+func (q *streamQueue) matchStalledHead(b BlockID, window int) (int, int) {
 	for i := range q.fifos {
 		addrs := q.fifos[i].addrs
 		for pos, a := range addrs[:min(window, len(addrs))] {

@@ -3,8 +3,6 @@ package tse
 import (
 	"cmp"
 	"slices"
-
-	"tsm/internal/mem"
 )
 
 // DiscardReason classifies why a streamed block left the SVB without being
@@ -35,7 +33,7 @@ type SVBStats struct {
 
 // svbEntry is one streamed block held by the SVB.
 type svbEntry struct {
-	block mem.BlockAddr
+	key   uint64
 	queue int // id of the stream queue that streamed it (-1 if unknown)
 	lru   uint64
 }
@@ -45,24 +43,28 @@ type svbEntry struct {
 // miss (Section 3.3). Entries are invalidated on any write to the block and
 // replaced with an LRU policy.
 //
-// A bounded SVB holds its entries as values in one slice of at most
-// Capacity slots, like the hardware's fixed entry array: lookups and the
-// LRU victim are linear scans, and every insert stamps a strictly
-// increasing clock, so the victim is unique. Only an unlimited SVB keys its
-// entries by block in a map.
+// The SVB names a block by a key chosen by its owner: a System's engines
+// pass the block's BlockID, the baseline prefetchers the block address.
+// It holds its entries as values in one slice, like the hardware's entry
+// array, and every insert stamps a strictly increasing clock, so the LRU
+// victim is unique. A bounded SVB has at most Capacity slots; lookups and
+// the victim are linear scans. An unlimited SVB also keeps a position table
+// indexed by key, so its keys must be dense ids: the table is as long as
+// the largest key held.
 type SVB struct {
-	capacity int                        // 0 = unlimited
-	slots    []svbEntry                 // bounded: the held entries, in no order
-	entries  map[mem.BlockAddr]svbEntry // unlimited: the held entries
+	capacity int        // 0 = unlimited
+	slots    []svbEntry // the held entries, in no order
+	pos      []int32    // unlimited: 1 + the slot holding each key, 0 if absent
 	clock    uint64
 	stats    SVBStats
 	// onDiscard, if non-nil, is invoked whenever a block leaves the SVB
 	// without having been hit.
-	onDiscard func(b mem.BlockAddr, reason DiscardReason)
+	onDiscard func(key uint64, reason DiscardReason)
 	// holders, if non-nil, is the System's per-block mask of the SVBs
-	// holding each block; this SVB sets and clears bit in it whenever a
-	// block enters or leaves, so a write visits only the holders.
-	holders map[mem.BlockAddr]uint64
+	// holding each block, indexed by key; this SVB sets and clears bit in
+	// it whenever a block enters or leaves, so a write visits only the
+	// holders and a probe of a block this SVB does not hold reads one bit.
+	holders *[]uint64
 	bit     uint64
 }
 
@@ -71,14 +73,12 @@ func NewSVB(capacity int) *SVB {
 	s := &SVB{capacity: capacity}
 	if capacity > 0 {
 		s.slots = make([]svbEntry, 0, capacity)
-	} else {
-		s.entries = make(map[mem.BlockAddr]svbEntry)
 	}
 	return s
 }
 
 // SetDiscardHandler registers a callback invoked on every discard.
-func (s *SVB) SetDiscardHandler(fn func(b mem.BlockAddr, reason DiscardReason)) {
+func (s *SVB) SetDiscardHandler(fn func(key uint64, reason DiscardReason)) {
 	s.onDiscard = fn
 }
 
@@ -86,20 +86,27 @@ func (s *SVB) SetDiscardHandler(fn func(b mem.BlockAddr, reason DiscardReason)) 
 func (s *SVB) Capacity() int { return s.capacity }
 
 // Len returns the number of blocks currently held.
-func (s *SVB) Len() int {
-	if s.capacity > 0 {
-		return len(s.slots)
-	}
-	return len(s.entries)
-}
+func (s *SVB) Len() int { return len(s.slots) }
 
 // Stats returns a copy of the statistics.
 func (s *SVB) Stats() SVBStats { return s.stats }
 
-// find returns the slot index holding b in a bounded SVB, or -1.
-func (s *SVB) find(b mem.BlockAddr) int {
+// held reports whether this SVB's bit is set in key's holder mask.
+func (s *SVB) held(key uint64) bool { return (*s.holders)[key]&s.bit != 0 }
+
+// find returns the slot index holding key, or -1.
+func (s *SVB) find(key uint64) int {
+	if s.holders != nil && !s.held(key) {
+		return -1
+	}
+	if s.capacity == 0 {
+		if key < uint64(len(s.pos)) {
+			return int(s.pos[key]) - 1
+		}
+		return -1
+	}
 	for i := range s.slots {
-		if s.slots[i].block == b {
+		if s.slots[i].key == key {
 			return i
 		}
 	}
@@ -107,50 +114,41 @@ func (s *SVB) find(b mem.BlockAddr) int {
 }
 
 // Contains reports whether the SVB holds the block, without changing state.
-func (s *SVB) Contains(b mem.BlockAddr) bool {
-	if s.capacity > 0 {
-		return s.find(b) >= 0
+func (s *SVB) Contains(key uint64) bool {
+	if s.holders != nil {
+		return s.held(key)
 	}
-	_, ok := s.entries[b]
-	return ok
+	return s.find(key) >= 0
 }
 
-// take removes b, if held, and returns its entry.
-func (s *SVB) take(b mem.BlockAddr) (svbEntry, bool) {
-	var e svbEntry
-	if s.capacity > 0 {
-		i := s.find(b)
-		if i < 0 {
-			return e, false
-		}
-		e = s.slots[i]
-		last := len(s.slots) - 1
-		s.slots[i] = s.slots[last]
-		s.slots = s.slots[:last]
-	} else {
-		var ok bool
-		if e, ok = s.entries[b]; !ok {
-			return e, false
-		}
-		delete(s.entries, b)
+// take removes key, if held, and returns its entry.
+func (s *SVB) take(key uint64) (svbEntry, bool) {
+	i := s.find(key)
+	if i < 0 {
+		return svbEntry{}, false
 	}
-	s.release(b)
+	e := s.slots[i]
+	last := len(s.slots) - 1
+	s.slots[i] = s.slots[last]
+	s.slots = s.slots[:last]
+	if s.capacity == 0 {
+		if i < last {
+			s.pos[s.slots[i].key] = int32(i + 1)
+		}
+		s.pos[key] = 0
+	}
+	s.release(key)
 	return e, true
 }
 
 // release clears this SVB's bit in the block's holder mask.
-func (s *SVB) release(b mem.BlockAddr) {
-	if s.holders == nil {
-		return
-	}
-	if m := s.holders[b] &^ s.bit; m != 0 {
-		s.holders[b] = m
-	} else {
-		delete(s.holders, b)
+func (s *SVB) release(key uint64) {
+	if s.holders != nil {
+		(*s.holders)[key] &^= s.bit
 	}
 }
 
-func (s *SVB) discard(b mem.BlockAddr, reason DiscardReason) {
+func (s *SVB) discard(key uint64, reason DiscardReason) {
 	s.stats.Discards++
 	switch reason {
 	case DiscardEvicted:
@@ -161,44 +159,43 @@ func (s *SVB) discard(b mem.BlockAddr, reason DiscardReason) {
 		s.stats.Unused++
 	}
 	if s.onDiscard != nil {
-		s.onDiscard(b, reason)
+		s.onDiscard(key, reason)
 	}
 }
 
 // Insert places a streamed block into the SVB, associated with the stream
 // queue that streamed it. If the block is already present the entry is
 // refreshed. If the SVB is full the least recently used entry is discarded.
-func (s *SVB) Insert(b mem.BlockAddr, queue int) {
+func (s *SVB) Insert(key uint64, queue int) {
 	s.clock++
-	e := svbEntry{block: b, queue: queue, lru: s.clock}
-	if s.capacity > 0 {
-		if i := s.find(b); i >= 0 {
-			s.slots[i] = e
-			return
+	e := svbEntry{key: key, queue: queue, lru: s.clock}
+	if i := s.find(key); i >= 0 {
+		s.slots[i] = e
+		return
+	}
+	switch {
+	case s.capacity == 0:
+		if key >= uint64(len(s.pos)) {
+			s.pos = append(s.pos, make([]int32, key+1-uint64(len(s.pos)))...)
 		}
-		if len(s.slots) < s.capacity {
-			s.slots = append(s.slots, e)
-		} else {
-			v := 0
-			for i := 1; i < len(s.slots); i++ {
-				if s.slots[i].lru < s.slots[v].lru {
-					v = i
-				}
+		s.slots = append(s.slots, e)
+		s.pos[key] = int32(len(s.slots))
+	case len(s.slots) < s.capacity:
+		s.slots = append(s.slots, e)
+	default:
+		v := 0
+		for i := 1; i < len(s.slots); i++ {
+			if s.slots[i].lru < s.slots[v].lru {
+				v = i
 			}
-			victim := s.slots[v].block
-			s.slots[v] = e
-			s.release(victim)
-			s.discard(victim, DiscardEvicted)
 		}
-	} else {
-		_, held := s.entries[b]
-		s.entries[b] = e
-		if held {
-			return
-		}
+		victim := s.slots[v].key
+		s.slots[v] = e
+		s.release(victim)
+		s.discard(victim, DiscardEvicted)
 	}
 	if s.holders != nil {
-		s.holders[b] |= s.bit
+		(*s.holders)[key] |= s.bit
 	}
 	s.stats.Inserted++
 }
@@ -207,8 +204,8 @@ func (s *SVB) Insert(b mem.BlockAddr, queue int) {
 // is removed (the block moves to the L1 data cache) and the id of the stream
 // queue that streamed it is returned so the engine can retrieve a subsequent
 // block from that queue.
-func (s *SVB) Hit(b mem.BlockAddr) (queue int, ok bool) {
-	e, ok := s.take(b)
+func (s *SVB) Hit(key uint64) (queue int, ok bool) {
+	e, ok := s.take(key)
 	if !ok {
 		return -1, false
 	}
@@ -218,11 +215,11 @@ func (s *SVB) Hit(b mem.BlockAddr) (queue int, ok bool) {
 
 // Invalidate removes a block on a write by any processor; the streamed copy
 // is clean so it is simply dropped (and counted as a discard).
-func (s *SVB) Invalidate(b mem.BlockAddr) bool {
-	if _, ok := s.take(b); !ok {
+func (s *SVB) Invalidate(key uint64) bool {
+	if _, ok := s.take(key); !ok {
 		return false
 	}
-	s.discard(b, DiscardInvalidated)
+	s.discard(key, DiscardInvalidated)
 	return true
 }
 
@@ -231,17 +228,13 @@ func (s *SVB) Invalidate(b mem.BlockAddr) bool {
 // against accuracy.
 func (s *SVB) Flush() {
 	held := s.slots
-	if s.capacity == 0 {
-		held = make([]svbEntry, 0, len(s.entries))
-		for _, e := range s.entries {
-			held = append(held, e)
-		}
-		clear(s.entries)
-	}
 	slices.SortFunc(held, func(a, b svbEntry) int { return cmp.Compare(a.lru, b.lru) })
 	s.slots = s.slots[:0]
 	for _, e := range held {
-		s.release(e.block)
-		s.discard(e.block, DiscardUnused)
+		if s.capacity == 0 {
+			s.pos[e.key] = 0
+		}
+		s.release(e.key)
+		s.discard(e.key, DiscardUnused)
 	}
 }

@@ -3,12 +3,9 @@ package tse
 import (
 	"cmp"
 	"fmt"
-	"maps"
 	"math/rand"
 	"slices"
 	"testing"
-
-	"tsm/internal/mem"
 )
 
 // refSVB is the test's reference streamed value buffer: a scanned slice in
@@ -23,12 +20,12 @@ type refSVB struct {
 }
 
 type svbDiscard struct {
-	block  mem.BlockAddr
+	key    uint64
 	reason DiscardReason
 }
 
-func (r *refSVB) index(b mem.BlockAddr) int {
-	return slices.IndexFunc(r.held, func(e svbEntry) bool { return e.block == b })
+func (r *refSVB) index(b uint64) int {
+	return slices.IndexFunc(r.held, func(e svbEntry) bool { return e.key == b })
 }
 
 func (r *refSVB) remove(i int) svbEntry {
@@ -37,7 +34,7 @@ func (r *refSVB) remove(i int) svbEntry {
 	return e
 }
 
-func (r *refSVB) discard(b mem.BlockAddr, reason DiscardReason) {
+func (r *refSVB) discard(b uint64, reason DiscardReason) {
 	r.stats.Discards++
 	switch reason {
 	case DiscardEvicted:
@@ -50,7 +47,7 @@ func (r *refSVB) discard(b mem.BlockAddr, reason DiscardReason) {
 	r.discards = append(r.discards, svbDiscard{b, reason})
 }
 
-func (r *refSVB) insert(b mem.BlockAddr, queue int) {
+func (r *refSVB) insert(b uint64, queue int) {
 	r.clock++
 	if i := r.index(b); i >= 0 {
 		r.held[i].queue, r.held[i].lru = queue, r.clock
@@ -58,14 +55,14 @@ func (r *refSVB) insert(b mem.BlockAddr, queue int) {
 	}
 	if r.capacity > 0 && len(r.held) >= r.capacity {
 		oldest := slices.MinFunc(r.held, func(a, b svbEntry) int { return cmp.Compare(a.lru, b.lru) })
-		r.remove(r.index(oldest.block))
-		r.discard(oldest.block, DiscardEvicted)
+		r.remove(r.index(oldest.key))
+		r.discard(oldest.key, DiscardEvicted)
 	}
-	r.held = append(r.held, svbEntry{block: b, queue: queue, lru: r.clock})
+	r.held = append(r.held, svbEntry{key: b, queue: queue, lru: r.clock})
 	r.stats.Inserted++
 }
 
-func (r *refSVB) hit(b mem.BlockAddr) (int, bool) {
+func (r *refSVB) hit(b uint64) (int, bool) {
 	i := r.index(b)
 	if i < 0 {
 		return -1, false
@@ -74,7 +71,7 @@ func (r *refSVB) hit(b mem.BlockAddr) (int, bool) {
 	return r.remove(i).queue, true
 }
 
-func (r *refSVB) invalidate(b mem.BlockAddr) bool {
+func (r *refSVB) invalidate(b uint64) bool {
 	i := r.index(b)
 	if i < 0 {
 		return false
@@ -87,7 +84,7 @@ func (r *refSVB) invalidate(b mem.BlockAddr) bool {
 func (r *refSVB) flush() {
 	slices.SortFunc(r.held, func(a, b svbEntry) int { return cmp.Compare(a.lru, b.lru) })
 	for _, e := range r.held {
-		r.discard(e.block, DiscardUnused)
+		r.discard(e.key, DiscardUnused)
 	}
 	r.held = nil
 }
@@ -95,62 +92,114 @@ func (r *refSVB) flush() {
 // svbOpKinds is the number of distinct operations checkSVB decodes.
 const svbOpKinds = 5
 
+// svbKeys is the key universe checkSVB draws from: 40 block addresses of
+// 64-byte blocks.
+const svbKeys = 40 * 64
+
 // checkSVB decodes ops two bytes at a time — an operation and a block out
-// of 40 — and applies each to an SVB of the given capacity and to refSVB.
-// After every operation it compares the results, Stats, Len, the discard
-// callbacks so far, and the SVB's bit in a holder mask against the
-// reference's held set. It returns the first difference.
+// of 40 — and applies each to two SVBs of the given capacity and to refSVB:
+// one SVB standalone, as the prefetchers use it, and one with a bit in a
+// holder-mask slice, as a System's engines use it. After every operation it
+// compares each SVB's results, Stats, Len and discard callbacks so far with
+// the reference; the holder mask of every key and, for an unlimited SVB,
+// the position table against the reference's held set. It returns the
+// first difference.
 func checkSVB(capacity int, ops []byte) error {
 	const bit = 1 << 5
-	s := NewSVB(capacity)
-	s.holders, s.bit = make(map[mem.BlockAddr]uint64), bit
-	var got []svbDiscard
-	s.SetDiscardHandler(func(b mem.BlockAddr, reason DiscardReason) {
-		got = append(got, svbDiscard{b, reason})
-	})
+	holders := make([]uint64, svbKeys)
+	plain, owned := NewSVB(capacity), NewSVB(capacity)
+	owned.holders, owned.bit = &holders, bit
+	svbs := []*SVB{plain, owned}
+	got := make([][]svbDiscard, len(svbs))
+	for j, s := range svbs {
+		s.SetDiscardHandler(func(b uint64, reason DiscardReason) {
+			got[j] = append(got[j], svbDiscard{b, reason})
+		})
+	}
 	ref := &refSVB{capacity: capacity}
 	for i := 0; i+1 < len(ops); i += 2 {
-		b := mem.BlockAddr(ops[i+1]%40) * 64
+		b := uint64(ops[i+1]%40) * 64
 		var op string
 		switch ops[i] % svbOpKinds {
 		case 0:
 			op = fmt.Sprintf("Insert(%#x, %d)", b, i)
-			s.Insert(b, i)
+			for _, s := range svbs {
+				s.Insert(b, i)
+			}
 			ref.insert(b, i)
 		case 1:
 			op = fmt.Sprintf("Hit(%#x)", b)
-			q, ok := s.Hit(b)
 			wq, wok := ref.hit(b)
-			if q != wq || ok != wok {
-				return fmt.Errorf("op %d %s = %d,%v, want %d,%v", i/2, op, q, ok, wq, wok)
+			for j, s := range svbs {
+				if q, ok := s.Hit(b); q != wq || ok != wok {
+					return fmt.Errorf("svb %d op %d %s = %d,%v, want %d,%v", j, i/2, op, q, ok, wq, wok)
+				}
 			}
 		case 2:
 			op = fmt.Sprintf("Invalidate(%#x)", b)
-			if ok, want := s.Invalidate(b), ref.invalidate(b); ok != want {
-				return fmt.Errorf("op %d %s = %v, want %v", i/2, op, ok, want)
+			want := ref.invalidate(b)
+			for j, s := range svbs {
+				if ok := s.Invalidate(b); ok != want {
+					return fmt.Errorf("svb %d op %d %s = %v, want %v", j, i/2, op, ok, want)
+				}
 			}
 		case 3:
 			op = fmt.Sprintf("Contains(%#x)", b)
-			if ok, want := s.Contains(b), ref.index(b) >= 0; ok != want {
-				return fmt.Errorf("op %d %s = %v, want %v", i/2, op, ok, want)
+			want := ref.index(b) >= 0
+			for j, s := range svbs {
+				if ok := s.Contains(b); ok != want {
+					return fmt.Errorf("svb %d op %d %s = %v, want %v", j, i/2, op, ok, want)
+				}
 			}
 		case 4:
 			op = "Flush()"
-			s.Flush()
+			for _, s := range svbs {
+				s.Flush()
+			}
 			ref.flush()
 		}
-		if s.Stats() != ref.stats || s.Len() != len(ref.held) {
-			return fmt.Errorf("op %d %s: stats %+v len %d, want %+v len %d", i/2, op, s.Stats(), s.Len(), ref.stats, len(ref.held))
+		for j, s := range svbs {
+			if s.Stats() != ref.stats || s.Len() != len(ref.held) {
+				return fmt.Errorf("svb %d op %d %s: stats %+v len %d, want %+v len %d", j, i/2, op, s.Stats(), s.Len(), ref.stats, len(ref.held))
+			}
+			if !slices.Equal(got[j], ref.discards) {
+				return fmt.Errorf("svb %d op %d %s: discards %v, want %v", j, i/2, op, got[j], ref.discards)
+			}
+			if err := checkPositions(s); err != nil {
+				return fmt.Errorf("svb %d op %d %s: %v", j, i/2, op, err)
+			}
 		}
-		if !slices.Equal(got, ref.discards) {
-			return fmt.Errorf("op %d %s: discards %v, want %v", i/2, op, got, ref.discards)
-		}
-		want := make(map[mem.BlockAddr]uint64, len(ref.held))
+		want := make([]uint64, svbKeys)
 		for _, e := range ref.held {
-			want[e.block] = bit
+			want[e.key] = bit
 		}
-		if !maps.Equal(s.holders, want) {
-			return fmt.Errorf("op %d %s: holder mask %v, want %v", i/2, op, s.holders, want)
+		if !slices.Equal(holders, want) {
+			return fmt.Errorf("op %d %s: holder masks differ from the held set %v", i/2, op, ref.held)
+		}
+	}
+	return nil
+}
+
+// checkPositions reports whether an unlimited SVB's position table names
+// exactly the slot of each held key.
+func checkPositions(s *SVB) error {
+	if s.capacity > 0 {
+		if s.pos != nil {
+			return fmt.Errorf("bounded SVB has a position table")
+		}
+		return nil
+	}
+	for k, p := range s.pos {
+		switch {
+		case p < 0 || int(p) > len(s.slots):
+			return fmt.Errorf("position of %#x is %d, %d slots", k, p, len(s.slots))
+		case p > 0 && s.slots[p-1].key != uint64(k):
+			return fmt.Errorf("position of %#x names slot %d, which holds %#x", k, p-1, s.slots[p-1].key)
+		}
+	}
+	for i, e := range s.slots {
+		if e.key >= uint64(len(s.pos)) || s.pos[e.key] != int32(i+1) {
+			return fmt.Errorf("slot %d holds %#x, which has no position", i, e.key)
 		}
 	}
 	return nil

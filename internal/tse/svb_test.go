@@ -2,8 +2,6 @@ package tse
 
 import (
 	"testing"
-
-	"tsm/internal/mem"
 )
 
 func TestSVBInsertHit(t *testing.T) {
@@ -30,9 +28,9 @@ func TestSVBInsertHit(t *testing.T) {
 }
 
 func TestSVBLRUEviction(t *testing.T) {
-	var discarded []mem.BlockAddr
+	var discarded []uint64
 	s := NewSVB(2)
-	s.SetDiscardHandler(func(b mem.BlockAddr, r DiscardReason) {
+	s.SetDiscardHandler(func(b uint64, r DiscardReason) {
 		if r != DiscardEvicted {
 			t.Fatalf("discard reason = %v, want evicted", r)
 		}
@@ -73,7 +71,7 @@ func TestSVBInvalidate(t *testing.T) {
 func TestSVBFlushCountsUnused(t *testing.T) {
 	s := NewSVB(0)
 	for i := 0; i < 10; i++ {
-		s.Insert(mem.BlockAddr(i*64), 0)
+		s.Insert(uint64(i*64), 0)
 	}
 	s.Hit(0)
 	s.Flush()
@@ -89,7 +87,7 @@ func TestSVBFlushCountsUnused(t *testing.T) {
 func TestSVBUnlimitedNeverEvicts(t *testing.T) {
 	s := NewSVB(0)
 	for i := 0; i < 10000; i++ {
-		s.Insert(mem.BlockAddr(i*64), 0)
+		s.Insert(uint64(i*64), 0)
 	}
 	if s.Len() != 10000 {
 		t.Fatalf("Len = %d, want 10000", s.Len())
@@ -115,7 +113,7 @@ func TestSVBReinsertRefreshesWithoutDoubleCount(t *testing.T) {
 func TestSVBCapacityRespected(t *testing.T) {
 	s := NewSVB(8)
 	for i := 0; i < 100; i++ {
-		s.Insert(mem.BlockAddr(i*64), 0)
+		s.Insert(uint64(i*64), 0)
 		if s.Len() > 8 {
 			t.Fatalf("SVB grew to %d entries, capacity 8", s.Len())
 		}

@@ -88,15 +88,17 @@ func (r Result) String() string {
 // System implements the model interface used by internal/analysis, so it can
 // be evaluated side by side with the baseline prefetchers of Figure 12.
 //
-// The System keeps one holder mask per block streamed into any SVB: bit n is
-// set exactly while node n's SVB holds the block (mem.MaxNodes is 64, so a
-// mask is one uint64). The SVBs maintain it on every insert, hit and
-// discard, and a write visits only the nodes its block's mask names.
+// The System names each consumed block by a dense BlockID, found with the
+// one hash probe of a consumption, and indexes all its per-block state by
+// it. It keeps one holder mask per block: bit n is set exactly while node
+// n's SVB holds the block (mem.MaxNodes is 64, so a mask is one uint64).
+// The SVBs maintain it on every insert, hit and discard, and a write visits
+// only the nodes its block's mask names.
 type System struct {
 	cfg     Config
 	cmobs   []CMOB
 	engines []*Engine
-	holders map[mem.BlockAddr]uint64
+	holders []uint64 // by BlockID
 	ptrs    pointerTable
 	traffic Traffic
 	peak    int
@@ -108,21 +110,21 @@ func NewSystem(cfg Config) *System {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	s := &System{cfg: cfg, holders: make(map[mem.BlockAddr]uint64), ptrs: newPointerTable(cfg.ComparedStreams)}
+	s := &System{cfg: cfg, ptrs: newPointerTable(cfg.ComparedStreams)}
 	s.cmobs = make([]CMOB, cfg.Nodes)
 	s.engines = make([]*Engine, cfg.Nodes)
-	read := func(dst []mem.BlockAddr, node mem.NodeID, offset uint64, n int) ([]mem.BlockAddr, uint64) {
+	read := func(dst []BlockID, node mem.NodeID, offset uint64, n int) ([]BlockID, uint64) {
 		return s.cmobs[node].AppendStream(dst, offset, n)
 	}
 	for i := 0; i < cfg.Nodes; i++ {
 		s.cmobs[i] = CMOB{capacity: cfg.CMOBEntries}
 		e := NewEngine(mem.NodeID(i), cfg, read)
-		e.svb.holders, e.svb.bit = s.holders, 1<<i
+		e.svb.holders, e.svb.bit = &s.holders, 1<<i
 		e.SetRefillHandler(func(source mem.NodeID, addresses int) {
 			s.traffic.StreamRequestBytes += requestMessageBytes
 			s.traffic.StreamAddressBytes += uint64(addresses) * CMOBEntryBytes
 		})
-		e.SVB().SetDiscardHandler(func(b mem.BlockAddr, reason DiscardReason) {
+		e.SVB().SetDiscardHandler(func(uint64, DiscardReason) {
 			s.traffic.DiscardedDataBytes += uint64(cfg.Geometry.BlockSize + dataHeaderBytes + requestMessageBytes)
 		})
 		s.engines[i] = e
@@ -144,31 +146,40 @@ func (s *System) CMOB(node mem.NodeID) *CMOB { return &s.cmobs[node] }
 
 // Consumption processes a consumption event in global order and reports
 // whether TSE eliminated it (the block was already in the node's SVB).
-func (s *System) Consumption(e trace.Event) bool { return s.consume(e.Node, e.Block) }
+func (s *System) Consumption(e trace.Event) bool {
+	_, covered := s.Consume(e.Node, e.Block)
+	return covered
+}
 
-// consume is the consumption inner loop over the only two fields a
-// consumption uses, shared by the per-event path and RunColumns.
-func (s *System) consume(node mem.NodeID, block mem.BlockAddr) bool {
+// Consume is the consumption inner loop over the only two fields a
+// consumption uses, shared by the per-event path and RunColumns. It
+// returns the block's id, the name under which the node's engine reports
+// the blocks it streams, and whether TSE eliminated the consumption.
+func (s *System) Consume(node mem.NodeID, block mem.BlockAddr) (BlockID, bool) {
 	if int(node) < 0 || int(node) >= s.cfg.Nodes {
 		panic(fmt.Sprintf("tse: consumption from node %d outside [0,%d)", node, s.cfg.Nodes))
 	}
 
-	// One pointer-table lookup serves the whole consumption: the engine
-	// uses the block's pointers only if the SVB misses, and the
-	// consumption's own pointer is then recorded into the same slots.
-	slots := s.ptrs.slot(block)
-	covered := s.engines[node].Consumption(block, validPointers(slots))
+	// The id lookup is the consumption's one hash probe. The engine uses
+	// the block's pointers only if the SVB misses, and the consumption's
+	// own pointer is then recorded into the same slots.
+	id, fresh := s.ptrs.intern(block)
+	if fresh {
+		s.holders = append(s.holders, 0)
+	}
+	slots := s.ptrs.slots(id)
+	covered := s.engines[node].Consumption(id, validPointers(slots))
 
 	// Record the consumption in the node's CMOB (useful streamed hits are
 	// recorded too, since they replace the misses they eliminated), and
 	// send the CMOB pointer update to the directory.
-	offset := s.cmobs[node].Append(block)
+	offset := s.cmobs[node].Append(id)
 	recordPointer(slots, CMOBPointer{Node: node, Offset: offset})
 	s.traffic.PointerUpdateBytes += CMOBPointerBytes
 	if sb := s.cmobs[node].StorageBytes(); sb > s.peak {
 		s.peak = sb
 	}
-	return covered
+	return id, covered
 }
 
 // Write processes a write event: streamed copies of the block anywhere in
@@ -177,10 +188,15 @@ func (s *System) Write(e trace.Event) { s.writeBlock(e.Block) }
 
 // writeBlock is the write inner loop, shared by the per-event path and
 // RunColumns. It invalidates the block at the nodes whose SVB holds it, in
-// ascending node order.
+// ascending node order. It assigns no id: a block never consumed is in no
+// CMOB, so no SVB can hold it.
 func (s *System) writeBlock(block mem.BlockAddr) {
-	for m := s.holders[block]; m != 0; m &= m - 1 {
-		s.engines[bits.TrailingZeros64(m)].Write(block)
+	id, ok := s.ptrs.index[block]
+	if !ok {
+		return
+	}
+	for m := s.holders[id]; m != 0; m &= m - 1 {
+		s.engines[bits.TrailingZeros64(m)].Write(id)
 	}
 }
 
@@ -196,7 +212,7 @@ func (s *System) RunColumns(kinds []trace.EventKind, nodes []mem.NodeID, blocks 
 	for i, k := range kinds {
 		switch k {
 		case trace.KindConsumption:
-			s.consume(nodes[i], blocks[i])
+			s.Consume(nodes[i], blocks[i])
 		case trace.KindWrite:
 			s.writeBlock(blocks[i])
 		}

@@ -53,33 +53,24 @@ func streamingEvents(nodes, n int, seed int64) []trace.Event {
 	return events
 }
 
-// heldBlocks returns the blocks an SVB holds.
-func heldBlocks(s *SVB) []mem.BlockAddr {
-	if s.capacity == 0 {
-		return slices.Collect(maps.Keys(s.entries))
-	}
-	out := make([]mem.BlockAddr, len(s.slots))
-	for i, e := range s.slots {
-		out[i] = e.block
-	}
-	return out
-}
-
 // checkHolders reports whether the System's holder masks name exactly the
-// nodes whose SVB contains each block.
+// nodes whose SVB contains each block, one mask per id.
 func checkHolders(t *testing.T, s *System, event int) {
 	t.Helper()
-	want := make(map[mem.BlockAddr]uint64)
+	want := make([]uint64, len(s.ptrs.index))
 	for n := range s.engines {
 		svb := s.Engine(mem.NodeID(n)).SVB()
-		for _, b := range heldBlocks(svb) {
-			if !svb.Contains(b) {
-				t.Fatalf("event %d: node %d holds %#x but Contains is false", event, n, b)
+		for _, e := range svb.slots {
+			if !svb.Contains(e.key) {
+				t.Fatalf("event %d: node %d holds %#x but Contains is false", event, n, e.key)
 			}
-			want[b] |= 1 << n
+			want[e.key] |= 1 << n
+		}
+		if err := checkPositions(svb); err != nil {
+			t.Fatalf("event %d: node %d: %v", event, n, err)
 		}
 	}
-	if !maps.Equal(s.holders, want) {
+	if !slices.Equal(s.holders, want) {
 		t.Fatalf("event %d: holder masks %v, want %v", event, s.holders, want)
 	}
 }
@@ -94,6 +85,18 @@ func flatStateConfigs(nodes int) map[string]Config {
 	return map[string]Config{"bounded": bounded, "unlimited": unlimited}
 }
 
+// writeAll is the twin's write: Engine.Write on every node, for a block
+// the System has named (a block never consumed is held nowhere).
+func writeAll(s *System, block mem.BlockAddr) {
+	id, ok := s.ptrs.index[block]
+	if !ok {
+		return
+	}
+	for n := range s.engines {
+		s.engines[n].Write(id)
+	}
+}
+
 // TestSystemHolderMaskAndWriteAllTwin checks, after every event, that the
 // holder masks match the SVBs' contents, and that a System whose writes
 // visit only holders finishes deep-equal to a twin whose writes call
@@ -106,9 +109,7 @@ func TestSystemHolderMaskAndWriteAllTwin(t *testing.T) {
 				for i, e := range streamingEvents(nodes, 4000+100*nodes, int64(nodes)) {
 					if e.Kind == trace.KindWrite {
 						s.Write(e)
-						for n := 0; n < nodes; n++ {
-							twin.Engine(mem.NodeID(n)).Write(e.Block)
-						}
+						writeAll(twin, e.Block)
 					} else if got, want := s.Consumption(e), twin.Consumption(e); got != want {
 						t.Fatalf("event %d: Consumption = %v, twin %v", i, got, want)
 					}
@@ -121,36 +122,192 @@ func TestSystemHolderMaskAndWriteAllTwin(t *testing.T) {
 				if got.Covered == 0 || got.Traffic.DiscardedDataBytes == 0 {
 					t.Fatalf("events streamed nothing: %+v", got)
 				}
-				if len(s.holders) != 0 {
-					t.Fatalf("holder masks left after Finish: %v", s.holders)
+				if i := slices.IndexFunc(s.holders, func(m uint64) bool { return m != 0 }); i >= 0 {
+					t.Fatalf("holder mask of id %d left after Finish: %#x", i, s.holders[i])
 				}
 			})
 		}
 	}
 }
 
-// TestSystemDoesNotAllocate pins the per-event path of a warmed System with
-// a bounded SVB and CMOB at zero heap allocations.
-func TestSystemDoesNotAllocate(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.CMOBEntries = 2048
+// FuzzSystemTwin feeds fuzzed events, three bytes each (kind, node < 8,
+// block < 64), to a System and to a twin whose writes call Engine.Write on
+// every node, in a bounded and an unlimited configuration, and checks that
+// both report the same coverage per event and finish deep-equal.
+func FuzzSystemTwin(f *testing.F) {
+	f.Add([]byte{1, 0, 1, 1, 0, 2, 1, 1, 1, 1, 1, 2, 0, 0, 1, 1, 2, 1})
+	f.Add([]byte{1, 3, 7, 1, 3, 8, 1, 3, 9, 1, 5, 7, 0, 2, 8, 1, 5, 8, 1, 5, 9})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for name, cfg := range flatStateConfigs(8) {
+			s, twin := NewSystem(cfg), NewSystem(cfg)
+			for i := 0; i+2 < len(data); i += 3 {
+				e := trace.Event{Node: mem.NodeID(data[i+1] % 8), Block: mem.BlockAddr(data[i+2]%64) * 64}
+				if data[i]%2 == 0 {
+					e.Kind = trace.KindWrite
+					s.Write(e)
+					writeAll(twin, e.Block)
+					continue
+				}
+				e.Kind = trace.KindConsumption
+				if got, want := s.Consumption(e), twin.Consumption(e); got != want {
+					t.Fatalf("%s: event %d: Consumption = %v, twin %v", name, i/3, got, want)
+				}
+			}
+			if got, want := s.Finish(), twin.Finish(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: Finish = %+v, twin %+v", name, got, want)
+			}
+		}
+	})
+}
+
+// TestBlockIDsDenseInFirstSeenOrder checks that a System names blocks 0, 1,
+// 2, … in the order of their first consumption, and that writes name none.
+func TestBlockIDsDenseInFirstSeenOrder(t *testing.T) {
+	cfg := flatStateConfigs(16)["bounded"]
 	s := NewSystem(cfg)
-	events := streamingEvents(cfg.Nodes, 5000, 1)
-	run := func() {
-		for _, e := range events {
+	want := make(map[mem.BlockAddr]BlockID)
+	for i, e := range streamingEvents(cfg.Nodes, 6000, 3) {
+		if e.Kind == trace.KindWrite {
+			s.Write(e)
+			continue
+		}
+		wantID, seen := want[e.Block]
+		if !seen {
+			wantID = BlockID(len(want))
+			want[e.Block] = wantID
+		}
+		if id, _ := s.Consume(e.Node, e.Block); id != wantID {
+			t.Fatalf("event %d: block %#x got id %d, want %d", i, e.Block, id, wantID)
+		}
+	}
+	if !maps.Equal(s.ptrs.index, want) {
+		t.Fatalf("%d ids assigned, want %d (one per consumed block)", len(s.ptrs.index), len(want))
+	}
+	if len(s.holders) != len(want) || len(s.ptrs.ptrs) != len(want)*cfg.ComparedStreams {
+		t.Fatalf("%d holder masks and %d pointer slots for %d ids", len(s.holders), len(s.ptrs.ptrs), len(want))
+	}
+}
+
+// TestSystemInvariantUnderBlockRemap: ids are only compared for equality,
+// so a System fed a trace whose block addresses pass through a bijection
+// finishes deep-equal to one fed the original, per event and by columns.
+func TestSystemInvariantUnderBlockRemap(t *testing.T) {
+	const mask = 0x5a5a_0000_dead_beef
+	for name, cfg := range flatStateConfigs(16) {
+		events := streamingEvents(cfg.Nodes, 8000, 5)
+		remapped := slices.Clone(events)
+		for i := range remapped {
+			remapped[i].Block ^= mask
+		}
+		want := NewSystem(cfg).Run(&trace.Trace{Events: events})
+		if want.Covered == 0 {
+			t.Fatalf("%s: events streamed nothing: %+v", name, want)
+		}
+		if got := NewSystem(cfg).Run(&trace.Trace{Events: remapped}); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: remapped per-event run %+v, want %+v", name, got, want)
+		}
+		kinds := make([]trace.EventKind, len(remapped))
+		nodes := make([]mem.NodeID, len(remapped))
+		blocks := make([]mem.BlockAddr, len(remapped))
+		for i, e := range remapped {
+			kinds[i], nodes[i], blocks[i] = e.Kind, e.Node, e.Block
+		}
+		s := NewSystem(cfg)
+		for lo := 0; lo < len(kinds); lo += 1000 {
+			hi := min(lo+1000, len(kinds))
+			s.RunColumns(kinds[lo:hi], nodes[lo:hi], blocks[lo:hi])
+		}
+		if got := s.Finish(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: remapped column run %+v, want %+v", name, got, want)
+		}
+	}
+}
+
+// TestSystemDoesNotAllocate pins the per-event path of a warmed System at
+// zero heap allocations, with a bounded SVB and CMOB and with an unlimited
+// SVB. Warming takes longer with 64 stream queues, which are created only
+// when every existing one is busy: it runs until every block has an id and
+// the SVB slots, position tables and queues have stopped growing. A stream
+// length never seen before still adds a bucket to an engine's histogram
+// now and then, fewer than one allocation per run.
+func TestSystemDoesNotAllocate(t *testing.T) {
+	bounded := DefaultConfig()
+	bounded.CMOBEntries = 2048
+	unlimited := bounded
+	unlimited.SVBEntries, unlimited.StreamQueues = 0, 64
+	for name, cfg := range map[string]Config{"bounded": bounded, "unlimited": unlimited} {
+		s := NewSystem(cfg)
+		events := streamingEvents(cfg.Nodes, 5000, 1)
+		run := func() {
+			for _, e := range events {
+				if e.Kind == trace.KindWrite {
+					s.Write(e)
+				} else {
+					s.Consumption(e)
+				}
+			}
+		}
+		for i := 0; i < 60; i++ {
+			run()
+		}
+		if allocs := testing.AllocsPerRun(5, run); allocs != 0 {
+			t.Fatalf("%s: %v allocations per %d events, want 0", name, allocs, len(events))
+		}
+		ls := s.Probe()
+		t.Logf("%s: coverage %.1f%%, %d streams allocated in total", name, 100*ls.Coverage(), ls.StreamsAllocated)
+	}
+}
+
+// TestFindQueueMatchesScan checks the O(1) queue lookup against a scan of
+// every queue, for each queue id an SVB entry carries and for the ids on
+// either side of each live queue's, with few queues so LRU replacement
+// retires streams whose blocks are still in the SVB. It also checks that
+// every queue's id names its slot and that ids are unique.
+func TestFindQueueMatchesScan(t *testing.T) {
+	for name, cfg := range flatStateConfigs(4) {
+		cfg.StreamQueues = 2
+		s := NewSystem(cfg)
+		replaced := 0
+		prev := make([][]int, cfg.Nodes)
+		for i, e := range streamingEvents(cfg.Nodes, 6000, 9) {
 			if e.Kind == trace.KindWrite {
 				s.Write(e)
 			} else {
 				s.Consumption(e)
 			}
+			for n, eng := range s.engines {
+				var ids []int
+				for slot, q := range eng.queues {
+					if q.id%cfg.StreamQueues != slot || slices.Contains(ids, q.id) {
+						t.Fatalf("%s: event %d node %d: queue %d has id %d", name, i, n, slot, q.id)
+					}
+					if slot < len(prev[n]) && q.id != prev[n][slot] {
+						replaced++
+					}
+					ids = append(ids, q.id, q.id-cfg.StreamQueues, q.id+cfg.StreamQueues)
+				}
+				prev[n] = prev[n][:0]
+				for _, q := range eng.queues {
+					prev[n] = append(prev[n], q.id)
+				}
+				for _, se := range eng.svb.slots {
+					ids = append(ids, se.queue)
+				}
+				for _, id := range ids {
+					var want *streamQueue
+					for _, q := range eng.queues {
+						if q.active && q.id == id {
+							want = q
+						}
+					}
+					if got := eng.findQueue(id); got != want {
+						t.Fatalf("%s: event %d node %d: findQueue(%d) = %p, scan %p", name, i, n, id, got, want)
+					}
+				}
+			}
+		}
+		if replaced == 0 {
+			t.Fatalf("%s: no queue was replaced", name)
 		}
 	}
-	for i := 0; i < 20; i++ {
-		run()
-	}
-	if allocs := testing.AllocsPerRun(5, run); allocs != 0 {
-		t.Fatalf("%v allocations per %d events, want 0", allocs, len(events))
-	}
-	ls := s.Probe()
-	t.Logf("coverage %.1f%%, %d streams allocated in total", 100*ls.Coverage(), ls.StreamsAllocated)
 }
