@@ -17,14 +17,20 @@
 //     consumption/write event stream and reports coverage, discards, stream
 //     lengths and traffic — the quantities plotted in Figures 7–13.
 //
-// The per-event state is flat, like the fixed hardware it models. A bounded
-// SVB is a slice of entry values searched linearly; each stream queue owns
-// its FIFO slots and their address buffers and reuses them for every
-// stream it holds; CMOB reads append into those buffers. The System keeps a
-// per-block mask of the SVBs holding each block, so a write visits only the
-// holders, and one dense pointer slot per consumed block, found with one
-// lookup per consumption. Once its CMOBs have filled, a System with a
-// bounded SVB does not allocate per event.
+// The per-event state is flat, like the fixed hardware it models, and is
+// reached by index. A consumption makes the System's one hash probe: the
+// pointer table's index names the block by a dense BlockID, assigned in
+// first-seen order, and a write looks the id up without assigning one.
+// Everything downstream carries the id: the pointer slab, the per-block
+// holder masks (the SVBs holding each block, so a write visits only
+// them), the CMOB entries and the stream FIFOs, which hold 4-byte ids.
+// An SVB is a slice of entry values: bounded, it is searched linearly;
+// unlimited, it adds a position table indexed by id. Inside a System an
+// SVB probe of a block it does not hold reads one holder bit. Each stream
+// queue owns its FIFO slots and their buffers and reuses them for every
+// stream it holds, and its id names its slot. Once warm, a System
+// allocates nothing per event, except a histogram bucket for a stream
+// length never seen before.
 package tse
 
 import (

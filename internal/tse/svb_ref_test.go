@@ -92,12 +92,12 @@ func (r *refSVB) flush() {
 // svbOpKinds is the number of distinct operations checkSVB decodes.
 const svbOpKinds = 5
 
-// svbKeys is the key universe checkSVB draws from: 40 block addresses of
-// 64-byte blocks.
-const svbKeys = 40 * 64
+// svbKeys bounds the keys checkSVB draws: 40 keys spaced three apart, so
+// an unlimited SVB's position table has gaps.
+const svbKeys = 40 * 3
 
-// checkSVB decodes ops two bytes at a time — an operation and a block out
-// of 40 — and applies each to two SVBs of the given capacity and to refSVB:
+// checkSVB decodes ops two bytes at a time — an operation and a key out of
+// 40 — and applies each to two SVBs of the given capacity and to refSVB:
 // one SVB standalone, as the prefetchers use it, and one with a bit in a
 // holder-mask slice, as a System's engines use it. After every operation it
 // compares each SVB's results, Stats, Len and discard callbacks so far with
@@ -118,7 +118,7 @@ func checkSVB(capacity int, ops []byte) error {
 	}
 	ref := &refSVB{capacity: capacity}
 	for i := 0; i+1 < len(ops); i += 2 {
-		b := uint64(ops[i+1]%40) * 64
+		b := uint64(ops[i+1]%40) * 3
 		var op string
 		switch ops[i] % svbOpKinds {
 		case 0:
