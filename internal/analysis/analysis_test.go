@@ -45,8 +45,8 @@ func TestCorrelationDistancePerfect(t *testing.T) {
 	}
 	// Node 1's consumptions (half the total) follow node 0's order exactly,
 	// so roughly half of all consumptions are perfectly correlated.
-	if got := res.PerfectFraction(); got < 0.45 || got > 0.55 {
-		t.Fatalf("PerfectFraction = %v, want ~0.5", got)
+	if got := res.CumulativeFraction(1); got < 0.45 || got > 0.55 {
+		t.Fatalf("CumulativeFraction(1) = %v, want ~0.5", got)
 	}
 	// Cumulative fractions are monotone in d.
 	prev := 0.0

@@ -48,10 +48,6 @@ func (r CorrelationResult) CumulativeFraction(d int) float64 {
 	return float64(r.WithinDistance[d]) / float64(r.Total)
 }
 
-// PerfectFraction returns the fraction of consumptions that precisely follow
-// a recent sharer's order (distance 1).
-func (r CorrelationResult) PerfectFraction() float64 { return r.CumulativeFraction(1) }
-
 // occurrence locates one appearance of a block in some node's consumption
 // order.
 type occurrence struct {

@@ -3,7 +3,6 @@ package analysis
 import (
 	"tsm/internal/pipeline"
 	"tsm/internal/stream"
-	"tsm/internal/trace"
 	"tsm/internal/tse"
 )
 
@@ -37,11 +36,6 @@ type SweepResult struct {
 // without reading src.
 func Sweep(cfgs []tse.Config, src stream.Source) ([]SweepResult, error) {
 	return SweepWith(pipeline.Config{}, cfgs, src)
-}
-
-// SweepTrace is Sweep over an in-memory trace.
-func SweepTrace(cfgs []tse.Config, tr *trace.Trace) ([]SweepResult, error) {
-	return Sweep(cfgs, stream.TraceSource(tr))
 }
 
 // SweepWith is Sweep under an explicit pipeline configuration — the seam the

@@ -99,26 +99,6 @@ func TestSweepEmpty(t *testing.T) {
 	}
 }
 
-// TestSweepTraceMatchesSweep: SweepTrace is the same single pass over the
-// materialized trace.
-func TestSweepTraceMatchesSweep(t *testing.T) {
-	tr, base := sweepTestTrace(t)
-	cfgs := sweepTestConfigs(base, 6)
-	viaSource, err := Sweep(cfgs, stream.TraceSource(tr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaTrace, err := SweepTrace(cfgs, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range cfgs {
-		if viaTrace[i].Coverage != viaSource[i].Coverage {
-			t.Fatalf("cell %d: SweepTrace %+v != Sweep %+v", i, viaTrace[i].Coverage, viaSource[i].Coverage)
-		}
-	}
-}
-
 // TestSweepPropagatesSourceError: a terminal decode error must fail the
 // sweep with that error.
 func TestSweepPropagatesSourceError(t *testing.T) {

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"tsm/internal/config"
 	"tsm/internal/tse"
 )
 
@@ -14,16 +15,43 @@ import (
 // alone used to be 44 independent passes across the eleven-workload matrix).
 
 // SweepBaseLookahead is the fixed stream lookahead the Figure 7 and
-// Figure 9 sweeps evaluate at (the paper's chosen default). The facade's
-// "streams" and "svb" trace-file sweeps share it, so the axes cannot drift.
+// Figure 9 sweeps evaluate at (the paper's chosen default).
 const SweepBaseLookahead = 8
+
+// SweepConfigs returns the cell labels and TSE configurations of a named
+// sensitivity sweep on system sys: "streams" (Figure 7), "lookahead"
+// (Figure 8) or "svb" (Figure 9). It reports false for any other name. The
+// configurations are the figure drivers' own, so the facade's trace-file
+// sweeps cannot drift from the figures they reproduce.
+func SweepConfigs(sweep string, sys config.SystemConfig) (labels []string, cfgs []tse.Config, ok bool) {
+	switch sweep {
+	case "streams":
+		cfgs = fig7Configs(sys)
+		for i := range cfgs {
+			labels = append(labels, fmt.Sprintf("streams=%d", i+1))
+		}
+	case "lookahead":
+		cfgs = fig8Configs(sys)
+		for _, l := range Fig8Lookaheads() {
+			labels = append(labels, fmt.Sprintf("LA=%d", l))
+		}
+	case "svb":
+		cfgs = fig9Configs(sys)
+		for _, p := range Fig9SVBPoints() {
+			labels = append(labels, p.Label)
+		}
+	default:
+		return nil, nil, false
+	}
+	return labels, cfgs, true
+}
 
 // fig7Configs is Figure 7's sweep: one to four compared streams, lookahead
 // eight, no TSE hardware restrictions.
-func fig7Configs(w *Workspace) []tse.Config {
+func fig7Configs(sys config.SystemConfig) []tse.Config {
 	cfgs := make([]tse.Config, 0, 4)
 	for streams := 1; streams <= 4; streams++ {
-		cfgs = append(cfgs, unconstrainedTSEConfig(w, streams, SweepBaseLookahead))
+		cfgs = append(cfgs, unconstrainedTSEConfig(sys, streams, SweepBaseLookahead))
 	}
 	return cfgs
 }
@@ -39,7 +67,7 @@ func Fig7(w *Workspace) (Table, error) {
 		Notes: "Paper: with a single stream commercial workloads discard up to ~240% of consumptions; " +
 			"comparing two streams drops discards drastically with minimal coverage loss.",
 	}
-	cfgs := fig7Configs(w)
+	cfgs := fig7Configs(w.System())
 	for _, name := range w.WorkloadNames() {
 		data, err := w.Data(name)
 		if err != nil {
@@ -58,18 +86,16 @@ func Fig7(w *Workspace) (Table, error) {
 	return t, nil
 }
 
-// Fig8Lookaheads returns the stream-lookahead axis Figure 8 sweeps. It is
-// the single definition of that axis: the facade's "lookahead" trace-file
-// sweep builds its cells from this list too.
+// Fig8Lookaheads returns the stream-lookahead axis Figure 8 sweeps.
 func Fig8Lookaheads() []int { return []int{1, 2, 4, 8, 16, 24} }
 
 // fig8Configs is Figure 8's sweep: two compared streams, unconstrained
 // hardware, one cell per lookahead.
-func fig8Configs(w *Workspace) []tse.Config {
+func fig8Configs(sys config.SystemConfig) []tse.Config {
 	lookaheads := Fig8Lookaheads()
 	cfgs := make([]tse.Config, 0, len(lookaheads))
 	for _, l := range lookaheads {
-		cfgs = append(cfgs, unconstrainedTSEConfig(w, 2, l))
+		cfgs = append(cfgs, unconstrainedTSEConfig(sys, 2, l))
 	}
 	return cfgs
 }
@@ -87,7 +113,7 @@ func Fig8(w *Workspace) (Table, error) {
 	for _, l := range Fig8Lookaheads() {
 		t.Columns = append(t.Columns, fmt.Sprintf("LA=%d", l))
 	}
-	cfgs := fig8Configs(w)
+	cfgs := fig8Configs(w.System())
 	for _, name := range w.WorkloadNames() {
 		data, err := w.Data(name)
 		if err != nil {
@@ -114,9 +140,7 @@ type SVBPoint struct {
 	Entries int
 }
 
-// Fig9SVBPoints returns the SVB-capacity axis Figure 9 sweeps. It is the
-// single definition of that axis: the facade's "svb" trace-file sweep
-// builds its cells from this list too.
+// Fig9SVBPoints returns the SVB-capacity axis Figure 9 sweeps.
 func Fig9SVBPoints() []SVBPoint {
 	return []SVBPoint{
 		{"512B", 512 / 64},
@@ -128,11 +152,11 @@ func Fig9SVBPoints() []SVBPoint {
 
 // fig9Configs is Figure 9's sweep: the paper configuration with an unlimited
 // CMOB (isolating the SVB effect), one cell per SVB capacity.
-func fig9Configs(w *Workspace) []tse.Config {
+func fig9Configs(sys config.SystemConfig) []tse.Config {
 	points := Fig9SVBPoints()
 	cfgs := make([]tse.Config, 0, len(points))
 	for _, p := range points {
-		cfg := paperTSEConfig(w, SweepBaseLookahead)
+		cfg := paperTSEConfig(sys, SweepBaseLookahead)
 		cfg.CMOBEntries = 0 // isolate the SVB effect
 		cfg.SVBEntries = p.Entries
 		cfgs = append(cfgs, cfg)
@@ -151,7 +175,7 @@ func Fig9(w *Workspace) (Table, error) {
 			"512 bytes per active stream of lookahead.",
 	}
 	points := Fig9SVBPoints()
-	cfgs := fig9Configs(w)
+	cfgs := fig9Configs(w.System())
 	for _, name := range w.WorkloadNames() {
 		data, err := w.Data(name)
 		if err != nil {
@@ -174,13 +198,13 @@ var fig10Capacities = []int{192, 768, 3 << 10, 12 << 10, 48 << 10, 192 << 10, 76
 // fig10Configs is Figure 10's sweep for one workload: the unlimited-CMOB
 // peak first, then one cell per capacity (the lookahead is per-workload, so
 // unlike Figures 7-9 the config list depends on the workload).
-func fig10Configs(w *Workspace, lookahead int) []tse.Config {
+func fig10Configs(sys config.SystemConfig, lookahead int) []tse.Config {
 	cfgs := make([]tse.Config, 0, len(fig10Capacities)+1)
-	peak := paperTSEConfig(w, lookahead)
+	peak := paperTSEConfig(sys, lookahead)
 	peak.CMOBEntries = 0
 	cfgs = append(cfgs, peak)
 	for _, capBytes := range fig10Capacities {
-		cfg := paperTSEConfig(w, lookahead)
+		cfg := paperTSEConfig(sys, lookahead)
 		cfg.CMOBEntries = capBytes / tse.CMOBEntryBytes
 		cfgs = append(cfgs, cfg)
 	}
@@ -206,7 +230,7 @@ func Fig10(w *Workspace) (Table, error) {
 		if err != nil {
 			return Table{}, err
 		}
-		cells, err := sweepCells(w, data, fig10Configs(w, data.Generator.Timing().Lookahead))
+		cells, err := sweepCells(w, data, fig10Configs(w.System(), data.Generator.Timing().Lookahead))
 		if err != nil {
 			return Table{}, err
 		}

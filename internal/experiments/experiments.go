@@ -247,7 +247,7 @@ func (w *Workspace) paper(name string) (*WorkloadData, *paperPair, error) {
 		if e.pair.base, e.pairErr = timing.Simulate(data.Trace, params); e.pairErr != nil {
 			return
 		}
-		cfg := paperTSEConfig(w, params.Profile.Lookahead)
+		cfg := paperTSEConfig(w.System(), params.Profile.Lookahead)
 		params.TSE = &cfg
 		e.pair.withTSE, e.pairErr = timing.Simulate(data.Trace, params)
 	})

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"tsm/internal/analysis"
+	"tsm/internal/config"
 	"tsm/internal/tse"
 )
 
@@ -71,9 +72,8 @@ func Fig13(w *Workspace) (Table, error) {
 // paperTSEConfig returns the paper's chosen TSE configuration (two compared
 // streams, 32-entry SVB, 1.5 MB CMOB) with the per-workload lookahead of
 // Table 3.
-func paperTSEConfig(w *Workspace, lookahead int) tse.Config {
-	cfg := w.System().DefaultTSE()
-	cfg.Nodes = w.Options().Nodes
+func paperTSEConfig(sys config.SystemConfig, lookahead int) tse.Config {
+	cfg := sys.DefaultTSE()
 	if lookahead > 0 {
 		cfg.Lookahead = lookahead
 	}
@@ -83,9 +83,8 @@ func paperTSEConfig(w *Workspace, lookahead int) tse.Config {
 // unconstrainedTSEConfig returns the configuration used for the opportunity
 // and accuracy studies of Section 5.2 (unlimited SVB storage, unlimited
 // stream queues, near-infinite CMOB capacity).
-func unconstrainedTSEConfig(w *Workspace, comparedStreams, lookahead int) tse.Config {
-	cfg := w.System().DefaultTSE()
-	cfg.Nodes = w.Options().Nodes
+func unconstrainedTSEConfig(sys config.SystemConfig, comparedStreams, lookahead int) tse.Config {
+	cfg := sys.DefaultTSE()
 	cfg.CMOBEntries = 0
 	cfg.SVBEntries = 0
 	cfg.StreamQueues = 64

@@ -61,7 +61,7 @@ func Sensitivity(w *Workspace) (Table, error) {
 			// count changes generation — so the sweep here is width-one:
 			// the same single-pass evaluator as Figures 7-10, one walk of
 			// this cell's trace.
-			cfg := paperTSEConfig(sub, data.Generator.Timing().Lookahead)
+			cfg := paperTSEConfig(sub.System(), data.Generator.Timing().Lookahead)
 			cells, err := sweepCells(w, data, []tse.Config{cfg})
 			if err != nil {
 				return column{}, err

@@ -38,11 +38,11 @@ func TestFigureSweepsWalkTraceOncePerFigure(t *testing.T) {
 			id   string
 			cfgs []tse.Config
 		}{
-			{"fig7", fig7Configs(w)},
-			{"fig8", fig8Configs(w)},
-			{"fig9", fig9Configs(w)},
-			{"fig10", fig10Configs(w, data.Generator.Timing().Lookahead)},
-			{"sensitivity-cell", []tse.Config{paperTSEConfig(w, data.Generator.Timing().Lookahead)}},
+			{"fig7", fig7Configs(w.System())},
+			{"fig8", fig8Configs(w.System())},
+			{"fig9", fig9Configs(w.System())},
+			{"fig10", fig10Configs(w.System(), data.Generator.Timing().Lookahead)},
+			{"sensitivity-cell", []tse.Config{paperTSEConfig(w.System(), data.Generator.Timing().Lookahead)}},
 		}
 		for _, fig := range figures {
 			if len(fig.cfgs) < 1 {
@@ -76,7 +76,7 @@ func TestSweepCellsMatchesPerCell(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfgs := fig7Configs(w)
+	cfgs := fig7Configs(w.System())
 	cells, err := sweepCells(w, data, cfgs)
 	if err != nil {
 		t.Fatal(err)

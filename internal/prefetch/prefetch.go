@@ -23,10 +23,10 @@ import (
 	"tsm/internal/tse"
 )
 
-// Model is the evaluation interface shared by all baseline prefetchers (and
-// satisfied, via internal/analysis adapters, by TSE): models observe the
-// globally ordered consumption/write stream and report which consumptions
-// their prefetch buffer covered.
+// Model is the evaluation interface shared by all baseline prefetchers:
+// models observe the globally ordered consumption/write stream and report
+// which consumptions their prefetch buffer covered. TSE is evaluated by
+// tse.System directly.
 type Model interface {
 	// Name identifies the model in comparison tables.
 	Name() string

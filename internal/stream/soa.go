@@ -30,13 +30,6 @@ type ChunkSoA struct {
 	Producer []mem.NodeID
 }
 
-// NewChunkSoA returns an empty region with capacity for n events per column.
-func NewChunkSoA(n int) *ChunkSoA {
-	c := &ChunkSoA{}
-	c.Grow(n)
-	return c
-}
-
 // Len returns the number of events in the region.
 func (c *ChunkSoA) Len() int { return len(c.Kind) }
 

@@ -37,7 +37,8 @@ func (c *ChunkSoA) AppendTo(dst []trace.Event) []trace.Event {
 // capacity.
 func TestChunkSoAAdapterRoundTrip(t *testing.T) {
 	tr := randomTrace(137, 3)
-	c := NewChunkSoA(8)
+	c := &ChunkSoA{}
+	c.Grow(8)
 	for _, e := range tr.Events[:10] {
 		c.AppendEvent(e)
 	}

@@ -73,8 +73,8 @@ type Result struct {
 	// confidence intervals in the SMARTS style.
 	SegmentCycles []uint64
 	// TSE is the trace-driven result of the run's own TSE system (zero for
-	// the baseline). The timing model only taps the system's fetches, so
-	// this equals a plain tse.System run over the same trace: the coverage,
+	// the baseline). The timing model only reads back the system's fetches,
+	// so this equals a plain tse.System run over the same trace: the coverage,
 	// stream lengths and traffic of the paper configuration come from the
 	// same pass as its timing.
 	TSE tse.Result
@@ -115,12 +115,6 @@ type Params struct {
 	// SegmentConsumptions sets how many consumptions form one measurement
 	// segment for confidence intervals (0 selects a default of 2000).
 	SegmentConsumptions int
-	// Observer, when non-nil, receives every consumption's resolved latency
-	// in cycles, immediately after it is determined and before it is issued
-	// into the MLP burst. It is a pure tap — the simulation's arithmetic and
-	// results are unaffected — used by the sampling Consumer to build
-	// per-epoch latency histograms. Nil (the default) disables it.
-	Observer func(latencyCycles uint64)
 }
 
 // Validate reports whether the parameters are usable.
@@ -145,20 +139,19 @@ func (p Params) Validate() error {
 // nodeState is the per-node simulation state.
 type nodeState struct {
 	clock uint64
-	// burst accumulates the latencies of the consumptions issued in the
-	// current MLP burst; the burst stall is their maximum.
-	burstLatencies []uint64
-	burstBudget    int
+	// burstMax and burstLen are the longest latency and the number of the
+	// consumptions issued in the current MLP burst; the burst stall is the
+	// maximum.
+	burstMax    uint64
+	burstLen    int
+	burstBudget int
 	// mlpAcc carries the fractional part of the target burst size so that
 	// the average burst size matches a non-integer MLP.
 	mlpAcc float64
 	// arrivals maps streamed blocks to the cycle at which their data will
 	// have arrived in the SVB.
-	arrivals map[tse.BlockID]uint64
-	// pendingFetches collects blocks streamed during the current
-	// consumption call, before their arrival times are assigned.
-	pendingFetches []tse.BlockID
-	breakdown      Breakdown
+	arrivals  map[tse.BlockID]uint64
+	breakdown Breakdown
 }
 
 // streamSpacing is the spacing in cycles between successive streamed data
@@ -186,6 +179,10 @@ type simulator struct {
 
 	nodes []*nodeState
 	sys   *tse.System // nil for the baseline system
+	// epoch, when non-nil, receives every consumption's resolved latency in
+	// cycles (the sampling Consumer's per-epoch histogram). It is a pure
+	// tap: the simulation's arithmetic and results are unaffected.
+	epoch *obs.Histogram
 
 	res                       Result
 	partialHiddenSum          float64
@@ -195,7 +192,7 @@ type simulator struct {
 }
 
 // newSimulator validates p and builds the per-node state (and, with TSE
-// enabled, the TSE system whose fetches feed the arrival times).
+// enabled, the TSE system whose fetches set the arrival times).
 func newSimulator(p Params) (*simulator, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -235,12 +232,6 @@ func newSimulator(p Params) (*simulator, error) {
 		cfg := *p.TSE
 		cfg.Nodes = p.Nodes
 		s.sys = tse.NewSystem(cfg)
-		for i := 0; i < p.Nodes; i++ {
-			n := s.nodes[i]
-			s.sys.Engine(mem.NodeID(i)).SetFetchHandler(func(b tse.BlockID) {
-				n.pendingFetches = append(n.pendingFetches, b)
-			})
-		}
 	}
 	return s, nil
 }
@@ -259,20 +250,14 @@ func (s *simulator) nextBurstSize(n *nodeState) int {
 
 // flushBurst stalls the node for the longest latency of its current burst.
 func (s *simulator) flushBurst(n *nodeState) {
-	if len(n.burstLatencies) == 0 {
+	if n.burstLen == 0 {
 		return
 	}
-	var maxLat uint64
-	for _, l := range n.burstLatencies {
-		if l > maxLat {
-			maxLat = l
-		}
-	}
-	n.clock += maxLat
-	n.breakdown.CoherentStallCycles += maxLat
+	n.clock += n.burstMax
+	n.breakdown.CoherentStallCycles += n.burstMax
 	s.bursts++
-	s.burstConsumptions += uint64(len(n.burstLatencies))
-	n.burstLatencies = n.burstLatencies[:0]
+	s.burstConsumptions += uint64(n.burstLen)
+	n.burstMax, n.burstLen = 0, 0
 	n.burstBudget = s.nextBurstSize(n)
 }
 
@@ -292,7 +277,7 @@ func (s *simulator) step(kind trace.EventKind, node mem.NodeID, block mem.BlockA
 	switch kind {
 	case trace.KindWrite:
 		if s.sys != nil {
-			s.sys.Write(trace.Event{Kind: kind, Node: node, Block: block})
+			s.sys.WriteBlock(block)
 		}
 	case trace.KindConsumption:
 		if int(node) < 0 || int(node) >= s.p.Nodes {
@@ -310,7 +295,6 @@ func (s *simulator) step(kind trace.EventKind, node mem.NodeID, block mem.BlockA
 		lCoh := s.lCoh
 		latency := lCoh
 		if s.sys != nil {
-			n.pendingFetches = n.pendingFetches[:0]
 			id, covered := s.sys.Consume(node, block)
 			if covered {
 				arrival, ok := n.arrivals[id]
@@ -332,7 +316,8 @@ func (s *simulator) step(kind trace.EventKind, node mem.NodeID, block mem.BlockA
 				}
 			}
 			// Assign arrival times to blocks streamed during this call.
-			for k, b := range n.pendingFetches {
+			eng := s.sys.Engine(node)
+			for k, b := range eng.Fetched() {
 				if covered {
 					// Steady-state advance: one retrieval round trip.
 					n.arrivals[b] = n.clock + lCoh
@@ -347,7 +332,7 @@ func (s *simulator) step(kind trace.EventKind, node mem.NodeID, block mem.BlockA
 			// the SVB discarded unconsumed are dead. Drop them once they
 			// outnumber the live ones: the map stays the SVB's size instead
 			// of growing to every block ever streamed to the node.
-			if svb := s.sys.Engine(node).SVB(); len(n.arrivals) > 2*svb.Len()+64 {
+			if svb := eng.SVB(); len(n.arrivals) > 2*svb.Len()+64 {
 				for b := range n.arrivals {
 					if !svb.Contains(uint64(b)) {
 						delete(n.arrivals, b)
@@ -356,12 +341,11 @@ func (s *simulator) step(kind trace.EventKind, node mem.NodeID, block mem.BlockA
 			}
 		}
 
-		if s.p.Observer != nil {
-			s.p.Observer(latency)
-		}
+		s.epoch.Observe(latency)
 
 		// Issue into the current MLP burst.
-		n.burstLatencies = append(n.burstLatencies, latency)
+		n.burstMax = max(n.burstMax, latency)
+		n.burstLen++
 		n.burstBudget--
 		if n.burstBudget <= 0 {
 			s.flushBurst(n)
@@ -422,21 +406,19 @@ func Simulate(tr *trace.Trace, p Params) (Result, error) {
 // over the equivalent in-memory trace.
 //
 // Consumer also satisfies pipeline.Sampler: with a series attached, Run taps
-// every consumption latency through Params.Observer into a per-epoch
-// obs.Histogram, and each chunk-boundary pump records the epoch's latency
-// distribution (count, mean, interpolated p50/p90/p99) as one sample, then
-// starts a fresh epoch. With TSE enabled the sample also carries the live
-// TSE system's values (tse.LiveStats.Values), so the final sample's coverage
-// is the run's Result.TSE coverage. The simulation's results are identical
+// every consumption latency into the simulator's per-epoch obs.Histogram,
+// and each chunk-boundary pump records the epoch's latency distribution
+// (count, mean, interpolated p50/p90/p99) as one sample, then starts a fresh
+// epoch. With TSE enabled the sample also carries the live TSE system's
+// values (tse.LiveStats.Values), so the final sample's coverage is the
+// run's Result.TSE coverage. The simulation's results are identical
 // with and without the tap.
 type Consumer struct {
 	params Params
 	// Result is the simulation result, valid after Run returns nil.
 	Result Result
 	series *obs.Series
-	sim    *simulator     // live simulation while Run is in flight (sampling only)
-	epoch  *obs.Histogram // latencies observed since the last sample
-	cum    uint64         // consumptions observed so far
+	sim    *simulator // live simulation while Run is in flight (sampling only)
 }
 
 // NewConsumer wraps one timing simulation at the given parameters.
@@ -444,19 +426,13 @@ func NewConsumer(p Params) *Consumer { return &Consumer{params: p} }
 
 // Run implements the pipeline consumer contract.
 func (c *Consumer) Run(src stream.Source) error {
-	p := c.params
-	if c.series != nil {
-		c.cum = 0
-		c.epoch = &obs.Histogram{}
-		p.Observer = func(latency uint64) {
-			c.cum++
-			c.epoch.Observe(latency)
-		}
-	}
 	c.Result = Result{}
-	s, err := newSimulator(p)
+	s, err := newSimulator(c.params)
 	if err != nil {
 		return err
+	}
+	if c.series != nil {
+		s.epoch = &obs.Histogram{}
 	}
 	c.sim = s
 	defer func() { c.sim = nil }()
@@ -485,22 +461,22 @@ func (c *Consumer) AttachSeries(s *obs.Series) { c.series = s }
 // is enabled. Runs on the consumer's goroutine between events; outside Run
 // it is a no-op.
 func (c *Consumer) SampleAt(seq uint64, final bool) {
-	if c.sim == nil || c.epoch == nil || !c.series.Ready(seq, final) {
+	if c.sim == nil || c.sim.epoch == nil || !c.series.Ready(seq, final) {
 		return
 	}
 	values := map[string]float64{}
 	if c.sim.sys != nil {
 		values = c.sim.sys.Probe().Values()
 	}
-	snap := c.epoch.Snapshot()
-	values["consumptions"] = float64(c.cum)
+	snap := c.sim.epoch.Snapshot()
+	values["consumptions"] = float64(c.sim.res.Consumptions)
 	values["latency_count"] = float64(snap.Count)
 	values["latency_mean"] = snap.Mean()
 	values["latency_p50"] = snap.P50
 	values["latency_p90"] = snap.P90
 	values["latency_p99"] = snap.P99
 	c.series.Record(seq, values)
-	c.epoch = &obs.Histogram{}
+	c.sim.epoch = &obs.Histogram{}
 }
 
 // Speedup returns base execution time divided by the comparison execution

@@ -292,7 +292,7 @@ func TestConsumerMatchesSimulate(t *testing.T) {
 }
 
 // TestTSEResultMatchesEvaluateTSE: the TSE run's own system, which the
-// timing model only taps for fetch arrival times, yields exactly the
+// timing model only reads back for fetch arrival times, yields exactly the
 // trace-driven result of a plain TSE pass (analysis.EvaluateTSE) under the
 // paper configuration — coverage, discards, stream-length histogram, traffic
 // and CMOB footprint — for every registered workload at 4 and 16 nodes. This

@@ -31,6 +31,12 @@
 // stream it holds, and its id names its slot. Once warm, a System
 // allocates nothing per event, except a histogram bucket for a stream
 // length never seen before.
+//
+// Nothing in the package calls back into its users. Finish derives the
+// traffic of each Figure 11 category from counters the engines and SVBs
+// already keep (a message count times a message size), and a caller that
+// needs the blocks a consumption streamed, like the timing model, reads
+// them back with Engine.Fetched after System.Consume.
 package tse
 
 import (

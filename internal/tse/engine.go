@@ -24,6 +24,9 @@ type EngineStats struct {
 	BlocksFetched uint64
 	// RefillRequests counts CMOB refill requests for active streams.
 	RefillRequests uint64
+	// StreamRequests counts the CMOB reads, at allocation or refill, that
+	// delivered at least one address: one stream request message each.
+	StreamRequests uint64
 	// AddressesReceived counts stream addresses delivered to this node.
 	AddressesReceived uint64
 }
@@ -45,12 +48,9 @@ type Engine struct {
 	// streamLengths records the number of SVB hits each retired stream
 	// produced (Figure 13).
 	streamLengths *Histogram
-	// onFetch is called for every block streamed into the SVB so the
-	// System can charge data traffic for it.
-	onFetch func(block BlockID)
-	// onRefill is called for every refill request (source node, addresses
-	// transferred) so the System can charge address-stream traffic.
-	onRefill func(source mem.NodeID, addresses int)
+	// fetched is the blocks streamed into the SVB by the current
+	// consumption, in stream order (see Fetched).
+	fetched []BlockID
 }
 
 // NewEngine builds a stream engine for one node. read supplies remote CMOB
@@ -76,12 +76,9 @@ func (e *Engine) Stats() EngineStats { return e.stats }
 // StreamLengths returns the histogram of hits per retired stream.
 func (e *Engine) StreamLengths() *Histogram { return e.streamLengths }
 
-// SetFetchHandler registers a callback invoked for each streamed block.
-func (e *Engine) SetFetchHandler(fn func(BlockID)) { e.onFetch = fn }
-
-// SetRefillHandler registers a callback invoked for each CMOB address
-// transfer into this engine.
-func (e *Engine) SetRefillHandler(fn func(mem.NodeID, int)) { e.onRefill = fn }
+// Fetched returns the blocks the last Consumption streamed into the SVB, in
+// stream order. The slice is reused by the next Consumption.
+func (e *Engine) Fetched() []BlockID { return e.fetched }
 
 // Consumption processes a coherent read miss by this node. ptrs are the
 // CMOB pointers the directory returned for the block (newest first).
@@ -90,6 +87,7 @@ func (e *Engine) SetRefillHandler(fn func(mem.NodeID, int)) { e.onRefill = fn }
 func (e *Engine) Consumption(b BlockID, ptrs []CMOBPointer) bool {
 	e.stats.Consumptions++
 	e.clock++
+	e.fetched = e.fetched[:0]
 	if qid, ok := e.svb.Hit(uint64(b)); ok {
 		e.stats.Covered++
 		if q := e.findQueue(qid); q != nil {
@@ -193,11 +191,9 @@ func (e *Engine) allocate(ptrs []CMOBPointer) {
 		f := &e.spare[n]
 		f.reset(streamSource{node: p.Node}, capacity)
 		f.addrs, f.source.nextOffset = e.read(f.addrs, p.Node, p.Offset, capacity)
-		if e.onRefill != nil && len(f.addrs) > 0 {
-			e.onRefill(p.Node, len(f.addrs))
-		}
 		e.stats.AddressesReceived += uint64(len(f.addrs))
 		if len(f.addrs) > 0 {
+			e.stats.StreamRequests++
 			n++
 		}
 	}
@@ -283,9 +279,7 @@ func (e *Engine) fill(q *streamQueue) {
 			q.outstanding++
 			q.fetched++
 			e.stats.BlocksFetched++
-			if e.onFetch != nil {
-				e.onFetch(agreed)
-			}
+			e.fetched = append(e.fetched, agreed)
 		}
 	}
 }
@@ -310,9 +304,7 @@ func (e *Engine) refill(q *streamQueue) {
 			f.source.exhausted = true
 			continue
 		}
-		if e.onRefill != nil {
-			e.onRefill(f.source.node, got)
-		}
+		e.stats.StreamRequests++
 		e.stats.AddressesReceived += uint64(got)
 	}
 }

@@ -1,34 +1,21 @@
 package tse
 
-import (
-	"cmp"
-	"slices"
-)
-
-// DiscardReason classifies why a streamed block left the SVB without being
-// used.
-type DiscardReason uint8
-
-const (
-	// DiscardEvicted means the block was replaced by a newer streamed
-	// block (SVB capacity pressure).
-	DiscardEvicted DiscardReason = iota
-	// DiscardInvalidated means a write to the block (by any node)
-	// invalidated the clean streamed copy.
-	DiscardInvalidated
-	// DiscardUnused means the block was still sitting unused in the SVB
-	// when the measurement ended or its queue was torn down.
-	DiscardUnused
-)
-
-// SVBStats accumulates streamed value buffer statistics.
+// SVBStats accumulates streamed value buffer statistics. Every block that
+// leaves the SVB without being hit counts as one discard, under one of three
+// reasons.
 type SVBStats struct {
-	Inserted    uint64
-	Hits        uint64
-	Discards    uint64
-	Evicted     uint64
+	Inserted uint64
+	Hits     uint64
+	Discards uint64
+	// Evicted counts blocks replaced by a newer streamed block (SVB
+	// capacity pressure).
+	Evicted uint64
+	// Invalidated counts clean streamed copies dropped on a write to the
+	// block by any node.
 	Invalidated uint64
-	Unused      uint64
+	// Unused counts blocks still sitting unused in the SVB when the
+	// measurement ended.
+	Unused uint64
 }
 
 // svbEntry is one streamed block held by the SVB.
@@ -57,9 +44,6 @@ type SVB struct {
 	pos      []int32    // unlimited: 1 + the slot holding each key, 0 if absent
 	clock    uint64
 	stats    SVBStats
-	// onDiscard, if non-nil, is invoked whenever a block leaves the SVB
-	// without having been hit.
-	onDiscard func(key uint64, reason DiscardReason)
 	// holders, if non-nil, is the System's per-block mask of the SVBs
 	// holding each block, indexed by key; this SVB sets and clears bit in
 	// it whenever a block enters or leaves, so a write visits only the
@@ -75,11 +59,6 @@ func NewSVB(capacity int) *SVB {
 		s.slots = make([]svbEntry, 0, capacity)
 	}
 	return s
-}
-
-// SetDiscardHandler registers a callback invoked on every discard.
-func (s *SVB) SetDiscardHandler(fn func(key uint64, reason DiscardReason)) {
-	s.onDiscard = fn
 }
 
 // Capacity returns the configured capacity (0 = unlimited).
@@ -148,21 +127,6 @@ func (s *SVB) release(key uint64) {
 	}
 }
 
-func (s *SVB) discard(key uint64, reason DiscardReason) {
-	s.stats.Discards++
-	switch reason {
-	case DiscardEvicted:
-		s.stats.Evicted++
-	case DiscardInvalidated:
-		s.stats.Invalidated++
-	case DiscardUnused:
-		s.stats.Unused++
-	}
-	if s.onDiscard != nil {
-		s.onDiscard(key, reason)
-	}
-}
-
 // Insert places a streamed block into the SVB, associated with the stream
 // queue that streamed it. If the block is already present the entry is
 // refreshed. If the SVB is full the least recently used entry is discarded.
@@ -192,7 +156,8 @@ func (s *SVB) Insert(key uint64, queue int) {
 		victim := s.slots[v].key
 		s.slots[v] = e
 		s.release(victim)
-		s.discard(victim, DiscardEvicted)
+		s.stats.Discards++
+		s.stats.Evicted++
 	}
 	if s.holders != nil {
 		(*s.holders)[key] |= s.bit
@@ -219,22 +184,23 @@ func (s *SVB) Invalidate(key uint64) bool {
 	if _, ok := s.take(key); !ok {
 		return false
 	}
-	s.discard(key, DiscardInvalidated)
+	s.stats.Discards++
+	s.stats.Invalidated++
 	return true
 }
 
-// Flush discards every remaining entry as unused, oldest first. Called at
-// the end of a measurement so that blocks streamed but never consumed count
-// against accuracy.
+// Flush discards every remaining entry as unused. Called at the end of a
+// measurement so that blocks streamed but never consumed count against
+// accuracy.
 func (s *SVB) Flush() {
-	held := s.slots
-	slices.SortFunc(held, func(a, b svbEntry) int { return cmp.Compare(a.lru, b.lru) })
-	s.slots = s.slots[:0]
-	for _, e := range held {
+	for _, e := range s.slots {
 		if s.capacity == 0 {
 			s.pos[e.key] = 0
 		}
 		s.release(e.key)
-		s.discard(e.key, DiscardUnused)
 	}
+	n := uint64(len(s.slots))
+	s.stats.Discards += n
+	s.stats.Unused += n
+	s.slots = s.slots[:0]
 }

@@ -9,19 +9,12 @@ import (
 )
 
 // refSVB is the test's reference streamed value buffer: a scanned slice in
-// insertion order, with the victim and the flush order found by sorting on
-// the LRU stamp.
+// insertion order, with the victim found by the minimum LRU stamp.
 type refSVB struct {
 	capacity int
 	held     []svbEntry
 	clock    uint64
 	stats    SVBStats
-	discards []svbDiscard
-}
-
-type svbDiscard struct {
-	key    uint64
-	reason DiscardReason
 }
 
 func (r *refSVB) index(b uint64) int {
@@ -34,17 +27,10 @@ func (r *refSVB) remove(i int) svbEntry {
 	return e
 }
 
-func (r *refSVB) discard(b uint64, reason DiscardReason) {
+// discard counts one discard under the given per-reason counter.
+func (r *refSVB) discard(reason *uint64) {
 	r.stats.Discards++
-	switch reason {
-	case DiscardEvicted:
-		r.stats.Evicted++
-	case DiscardInvalidated:
-		r.stats.Invalidated++
-	case DiscardUnused:
-		r.stats.Unused++
-	}
-	r.discards = append(r.discards, svbDiscard{b, reason})
+	*reason++
 }
 
 func (r *refSVB) insert(b uint64, queue int) {
@@ -56,7 +42,7 @@ func (r *refSVB) insert(b uint64, queue int) {
 	if r.capacity > 0 && len(r.held) >= r.capacity {
 		oldest := slices.MinFunc(r.held, func(a, b svbEntry) int { return cmp.Compare(a.lru, b.lru) })
 		r.remove(r.index(oldest.key))
-		r.discard(oldest.key, DiscardEvicted)
+		r.discard(&r.stats.Evicted)
 	}
 	r.held = append(r.held, svbEntry{key: b, queue: queue, lru: r.clock})
 	r.stats.Inserted++
@@ -77,14 +63,13 @@ func (r *refSVB) invalidate(b uint64) bool {
 		return false
 	}
 	r.remove(i)
-	r.discard(b, DiscardInvalidated)
+	r.discard(&r.stats.Invalidated)
 	return true
 }
 
 func (r *refSVB) flush() {
-	slices.SortFunc(r.held, func(a, b svbEntry) int { return cmp.Compare(a.lru, b.lru) })
-	for _, e := range r.held {
-		r.discard(e.key, DiscardUnused)
+	for range r.held {
+		r.discard(&r.stats.Unused)
 	}
 	r.held = nil
 }
@@ -100,9 +85,10 @@ const svbKeys = 40 * 3
 // 40 — and applies each to two SVBs of the given capacity and to refSVB:
 // one SVB standalone, as the prefetchers use it, and one with a bit in a
 // holder-mask slice, as a System's engines use it. After every operation it
-// compares each SVB's results, Stats, Len and discard callbacks so far with
-// the reference; the holder mask of every key and, for an unlimited SVB,
-// the position table against the reference's held set. It returns the
+// compares each SVB's results, per-reason Stats and Len with the reference,
+// and each SVB's Contains of every key, the holder mask of every key and,
+// for an unlimited SVB, the position table against the reference's held
+// set; so an eviction's victim is checked when it happens. It returns the
 // first difference.
 func checkSVB(capacity int, ops []byte) error {
 	const bit = 1 << 5
@@ -110,12 +96,6 @@ func checkSVB(capacity int, ops []byte) error {
 	plain, owned := NewSVB(capacity), NewSVB(capacity)
 	owned.holders, owned.bit = &holders, bit
 	svbs := []*SVB{plain, owned}
-	got := make([][]svbDiscard, len(svbs))
-	for j, s := range svbs {
-		s.SetDiscardHandler(func(b uint64, reason DiscardReason) {
-			got[j] = append(got[j], svbDiscard{b, reason})
-		})
-	}
 	ref := &refSVB{capacity: capacity}
 	for i := 0; i+1 < len(ops); i += 2 {
 		b := uint64(ops[i+1]%40) * 3
@@ -158,20 +138,22 @@ func checkSVB(capacity int, ops []byte) error {
 			}
 			ref.flush()
 		}
+		want := make([]uint64, svbKeys)
+		for _, e := range ref.held {
+			want[e.key] = bit
+		}
 		for j, s := range svbs {
 			if s.Stats() != ref.stats || s.Len() != len(ref.held) {
 				return fmt.Errorf("svb %d op %d %s: stats %+v len %d, want %+v len %d", j, i/2, op, s.Stats(), s.Len(), ref.stats, len(ref.held))
 			}
-			if !slices.Equal(got[j], ref.discards) {
-				return fmt.Errorf("svb %d op %d %s: discards %v, want %v", j, i/2, op, got[j], ref.discards)
+			for k := range want {
+				if held := want[k] != 0; s.Contains(uint64(k)) != held {
+					return fmt.Errorf("svb %d op %d %s: Contains(%#x) = %v, want %v", j, i/2, op, k, !held, held)
+				}
 			}
 			if err := checkPositions(s); err != nil {
 				return fmt.Errorf("svb %d op %d %s: %v", j, i/2, op, err)
 			}
-		}
-		want := make([]uint64, svbKeys)
-		for _, e := range ref.held {
-			want[e.key] = bit
 		}
 		if !slices.Equal(holders, want) {
 			return fmt.Errorf("op %d %s: holder masks differ from the held set %v", i/2, op, ref.held)

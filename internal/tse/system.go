@@ -8,20 +8,25 @@ import (
 	"tsm/internal/trace"
 )
 
-// Traffic accumulates the interconnect bytes attributable to TSE, by
-// category. Section 5.4 / Figure 11 report the overhead categories relative
-// to base traffic; correctly streamed blocks replace baseline coherent read
-// misses one-for-one and are therefore not overhead.
+// Traffic is the interconnect bytes attributable to TSE, by category.
+// Section 5.4 / Figure 11 report the overhead categories relative to base
+// traffic; correctly streamed blocks replace baseline coherent read misses
+// one-for-one and are therefore not overhead. Each category is a message
+// count the engines and SVBs already keep times a message size.
 type Traffic struct {
-	// PointerUpdateBytes is CMOB-pointer update messages to directories.
+	// PointerUpdateBytes is CMOB-pointer update messages to directories:
+	// CMOBPointerBytes per consumption.
 	PointerUpdateBytes uint64
 	// StreamRequestBytes is stream request messages from directories to
-	// recent consumers.
+	// recent consumers: requestMessageBytes per CMOB read that delivered
+	// addresses (EngineStats.StreamRequests).
 	StreamRequestBytes uint64
 	// StreamAddressBytes is the address streams forwarded between nodes
-	// (the dominant overhead component per Section 5.4).
+	// (the dominant overhead component per Section 5.4): CMOBEntryBytes per
+	// address received.
 	StreamAddressBytes uint64
-	// DiscardedDataBytes is data blocks streamed but never used.
+	// DiscardedDataBytes is data blocks streamed but never used: the block,
+	// its data header and its request per discard.
 	DiscardedDataBytes uint64
 }
 
@@ -85,9 +90,6 @@ func (r Result) String() string {
 // the functional coherence engine and accumulates the metrics the paper
 // reports.
 //
-// System implements the model interface used by internal/analysis, so it can
-// be evaluated side by side with the baseline prefetchers of Figure 12.
-//
 // The System names each consumed block by a dense BlockID, found with the
 // one hash probe of a consumption, and indexes all its per-block state by
 // it. It keeps one holder mask per block: bit n is set exactly while node
@@ -100,7 +102,6 @@ type System struct {
 	engines []*Engine
 	holders []uint64 // by BlockID
 	ptrs    pointerTable
-	traffic Traffic
 	peak    int
 }
 
@@ -120,41 +121,25 @@ func NewSystem(cfg Config) *System {
 		s.cmobs[i] = CMOB{capacity: cfg.CMOBEntries}
 		e := NewEngine(mem.NodeID(i), cfg, read)
 		e.svb.holders, e.svb.bit = &s.holders, 1<<i
-		e.SetRefillHandler(func(source mem.NodeID, addresses int) {
-			s.traffic.StreamRequestBytes += requestMessageBytes
-			s.traffic.StreamAddressBytes += uint64(addresses) * CMOBEntryBytes
-		})
-		e.SVB().SetDiscardHandler(func(uint64, DiscardReason) {
-			s.traffic.DiscardedDataBytes += uint64(cfg.Geometry.BlockSize + dataHeaderBytes + requestMessageBytes)
-		})
 		s.engines[i] = e
 	}
 	return s
 }
 
-// Name identifies the model in comparison tables.
-func (s *System) Name() string { return "TSE" }
-
 // Config returns the system configuration.
 func (s *System) Config() Config { return s.cfg }
 
-// Engine returns the stream engine of one node (for white-box tests).
+// Engine returns the stream engine of one node: its Fetched and SVB, read
+// after Consume, and white-box tests.
 func (s *System) Engine(node mem.NodeID) *Engine { return s.engines[node] }
 
 // CMOB returns the CMOB of one node (for white-box tests).
 func (s *System) CMOB(node mem.NodeID) *CMOB { return &s.cmobs[node] }
 
-// Consumption processes a consumption event in global order and reports
-// whether TSE eliminated it (the block was already in the node's SVB).
-func (s *System) Consumption(e trace.Event) bool {
-	_, covered := s.Consume(e.Node, e.Block)
-	return covered
-}
-
-// Consume is the consumption inner loop over the only two fields a
-// consumption uses, shared by the per-event path and RunColumns. It
-// returns the block's id, the name under which the node's engine reports
-// the blocks it streams, and whether TSE eliminated the consumption.
+// Consume processes a consumption by node in global order. It returns the
+// block's id, the name under which the node's engine reports the blocks it
+// streams (Engine.Fetched), and whether TSE eliminated the consumption (the
+// block was already in the node's SVB).
 func (s *System) Consume(node mem.NodeID, block mem.BlockAddr) (BlockID, bool) {
 	if int(node) < 0 || int(node) >= s.cfg.Nodes {
 		panic(fmt.Sprintf("tse: consumption from node %d outside [0,%d)", node, s.cfg.Nodes))
@@ -175,22 +160,17 @@ func (s *System) Consume(node mem.NodeID, block mem.BlockAddr) (BlockID, bool) {
 	// send the CMOB pointer update to the directory.
 	offset := s.cmobs[node].Append(id)
 	recordPointer(slots, CMOBPointer{Node: node, Offset: offset})
-	s.traffic.PointerUpdateBytes += CMOBPointerBytes
 	if sb := s.cmobs[node].StorageBytes(); sb > s.peak {
 		s.peak = sb
 	}
 	return id, covered
 }
 
-// Write processes a write event: streamed copies of the block anywhere in
-// the system are invalidated.
-func (s *System) Write(e trace.Event) { s.writeBlock(e.Block) }
-
-// writeBlock is the write inner loop, shared by the per-event path and
-// RunColumns. It invalidates the block at the nodes whose SVB holds it, in
-// ascending node order. It assigns no id: a block never consumed is in no
-// CMOB, so no SVB can hold it.
-func (s *System) writeBlock(block mem.BlockAddr) {
+// WriteBlock processes a write to block by any node: it invalidates the
+// streamed copies at the nodes whose SVB holds it, in ascending node order.
+// It assigns no id: a block never consumed is in no CMOB, so no SVB can hold
+// it.
+func (s *System) WriteBlock(block mem.BlockAddr) {
 	id, ok := s.ptrs.index[block]
 	if !ok {
 		return
@@ -206,7 +186,7 @@ func (s *System) writeBlock(block mem.BlockAddr) {
 // sweeps a dense same-typed array and each event touches only the columns
 // its kind actually uses — consumptions read node+block, writes read block,
 // read-miss annotations are skipped without assembling anything. Results
-// are bit-identical to feeding the same events through Consumption/Write
+// are bit-identical to feeding the same events through Consume/WriteBlock
 // one at a time.
 func (s *System) RunColumns(kinds []trace.EventKind, nodes []mem.NodeID, blocks []mem.BlockAddr) {
 	for i, k := range kinds {
@@ -214,19 +194,20 @@ func (s *System) RunColumns(kinds []trace.EventKind, nodes []mem.NodeID, blocks 
 		case trace.KindConsumption:
 			s.Consume(nodes[i], blocks[i])
 		case trace.KindWrite:
-			s.writeBlock(blocks[i])
+			s.WriteBlock(blocks[i])
 		}
 	}
 }
 
 // Finish flushes all per-node state (counting unconsumed streamed blocks as
-// discards) and returns the aggregated result. The System must not be used
-// after Finish.
+// discards) and returns the aggregated result, with the traffic derived from
+// the summed counters. The System must not be used after Finish.
 func (s *System) Finish() Result {
 	res := Result{StreamLengths: NewHistogram()}
 	for _, eng := range s.engines {
 		eng.Finish()
 	}
+	var requests, addresses uint64
 	for _, eng := range s.engines {
 		es := eng.Stats()
 		res.Consumptions += es.Consumptions
@@ -234,11 +215,18 @@ func (s *System) Finish() Result {
 		res.BlocksFetched += es.BlocksFetched
 		res.StreamsAllocated += es.StreamsAllocated
 		res.Discards += eng.SVB().Stats().Discards
+		requests += es.StreamRequests
+		addresses += es.AddressesReceived
 		for _, b := range eng.StreamLengths().Buckets() {
 			res.StreamLengths.AddN(b, eng.StreamLengths().Count(b))
 		}
 	}
-	res.Traffic = s.traffic
+	res.Traffic = Traffic{
+		PointerUpdateBytes: res.Consumptions * CMOBPointerBytes,
+		StreamRequestBytes: requests * requestMessageBytes,
+		StreamAddressBytes: addresses * CMOBEntryBytes,
+		DiscardedDataBytes: res.Discards * uint64(s.cfg.Geometry.BlockSize+dataHeaderBytes+requestMessageBytes),
+	}
 	res.CMOBPeakBytes = s.peak
 	return res
 }
@@ -294,7 +282,7 @@ func (ls LiveStats) Values() map[string]float64 {
 }
 
 // Probe aggregates the current per-node state without flushing anything. It
-// must run between events (same goroutine as Consumption/Write), which is
+// must run between events (same goroutine as Consume/WriteBlock), which is
 // exactly when the pipeline's sampling pump fires.
 func (s *System) Probe() LiveStats {
 	var ls LiveStats
@@ -312,16 +300,16 @@ func (s *System) Probe() LiveStats {
 }
 
 // Run processes every event of an in-memory trace, one at a time through
-// Consumption/Write, and returns the final result. It is the per-event
+// Consume/WriteBlock, and returns the final result. It is the per-event
 // oracle the column path (RunColumns, driven by analysis.TSEConsumer) is
 // tested against. The System must not be used afterwards.
 func (s *System) Run(tr *trace.Trace) Result {
 	for _, e := range tr.Events {
 		switch e.Kind {
 		case trace.KindConsumption:
-			s.Consumption(e)
+			s.Consume(e.Node, e.Block)
 		case trace.KindWrite:
-			s.Write(e)
+			s.WriteBlock(e.Block)
 		}
 	}
 	return s.Finish()

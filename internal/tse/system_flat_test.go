@@ -1,6 +1,7 @@
 package tse
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
 	"math/rand"
@@ -85,6 +86,13 @@ func flatStateConfigs(nodes int) map[string]Config {
 	return map[string]Config{"bounded": bounded, "unlimited": unlimited}
 }
 
+// consume feeds one consumption event to s and reports whether TSE
+// eliminated it.
+func consume(s *System, e trace.Event) bool {
+	_, covered := s.Consume(e.Node, e.Block)
+	return covered
+}
+
 // writeAll is the twin's write: Engine.Write on every node, for a block
 // the System has named (a block never consumed is held nowhere).
 func writeAll(s *System, block mem.BlockAddr) {
@@ -108,9 +116,9 @@ func TestSystemHolderMaskAndWriteAllTwin(t *testing.T) {
 				s, twin := NewSystem(cfg), NewSystem(cfg)
 				for i, e := range streamingEvents(nodes, 4000+100*nodes, int64(nodes)) {
 					if e.Kind == trace.KindWrite {
-						s.Write(e)
+						s.WriteBlock(e.Block)
 						writeAll(twin, e.Block)
-					} else if got, want := s.Consumption(e), twin.Consumption(e); got != want {
+					} else if got, want := consume(s, e), consume(twin, e); got != want {
 						t.Fatalf("event %d: Consumption = %v, twin %v", i, got, want)
 					}
 					checkHolders(t, s, i)
@@ -144,12 +152,12 @@ func FuzzSystemTwin(f *testing.F) {
 				e := trace.Event{Node: mem.NodeID(data[i+1] % 8), Block: mem.BlockAddr(data[i+2]%64) * 64}
 				if data[i]%2 == 0 {
 					e.Kind = trace.KindWrite
-					s.Write(e)
+					s.WriteBlock(e.Block)
 					writeAll(twin, e.Block)
 					continue
 				}
 				e.Kind = trace.KindConsumption
-				if got, want := s.Consumption(e), twin.Consumption(e); got != want {
+				if got, want := consume(s, e), consume(twin, e); got != want {
 					t.Fatalf("%s: event %d: Consumption = %v, twin %v", name, i/3, got, want)
 				}
 			}
@@ -160,6 +168,53 @@ func FuzzSystemTwin(f *testing.F) {
 	})
 }
 
+// TestEngineFetchedIsSVBGain checks, after every consumption, that the
+// consuming node's Engine.Fetched holds exactly the blocks its SVB gained,
+// in stream order, and that its length is the engine's BlocksFetched delta.
+// The SVB stamps each insert with a rising clock, so a gained entry is one
+// whose stamp is new, even for a block that was hit and streamed again.
+func TestEngineFetchedIsSVBGain(t *testing.T) {
+	for name, cfg := range flatStateConfigs(4) {
+		s := NewSystem(cfg)
+		streamed := 0
+		for i, e := range streamingEvents(cfg.Nodes, 6000, 7) {
+			if e.Kind == trace.KindWrite {
+				s.WriteBlock(e.Block)
+				continue
+			}
+			eng := s.Engine(e.Node)
+			before := make(map[uint64]uint64)
+			for _, se := range eng.svb.slots {
+				before[se.key] = se.lru
+			}
+			fetchedBefore := eng.Stats().BlocksFetched
+			s.Consume(e.Node, e.Block)
+			var gained []svbEntry
+			for _, se := range eng.svb.slots {
+				if before[se.key] != se.lru {
+					gained = append(gained, se)
+				}
+			}
+			slices.SortFunc(gained, func(a, b svbEntry) int { return cmp.Compare(a.lru, b.lru) })
+			want := make([]BlockID, len(gained))
+			for k, se := range gained {
+				want[k] = BlockID(se.key)
+			}
+			got := eng.Fetched()
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: event %d node %d: Fetched %v, SVB gained %v", name, i, e.Node, got, want)
+			}
+			if delta := eng.Stats().BlocksFetched - fetchedBefore; uint64(len(got)) != delta {
+				t.Fatalf("%s: event %d node %d: %d fetched, BlocksFetched rose by %d", name, i, e.Node, len(got), delta)
+			}
+			streamed += len(got)
+		}
+		if streamed == 0 {
+			t.Fatalf("%s: events streamed nothing", name)
+		}
+	}
+}
+
 // TestBlockIDsDenseInFirstSeenOrder checks that a System names blocks 0, 1,
 // 2, … in the order of their first consumption, and that writes name none.
 func TestBlockIDsDenseInFirstSeenOrder(t *testing.T) {
@@ -168,7 +223,7 @@ func TestBlockIDsDenseInFirstSeenOrder(t *testing.T) {
 	want := make(map[mem.BlockAddr]BlockID)
 	for i, e := range streamingEvents(cfg.Nodes, 6000, 3) {
 		if e.Kind == trace.KindWrite {
-			s.Write(e)
+			s.WriteBlock(e.Block)
 			continue
 		}
 		wantID, seen := want[e.Block]
@@ -241,9 +296,9 @@ func TestSystemDoesNotAllocate(t *testing.T) {
 		run := func() {
 			for _, e := range events {
 				if e.Kind == trace.KindWrite {
-					s.Write(e)
+					s.WriteBlock(e.Block)
 				} else {
-					s.Consumption(e)
+					s.Consume(e.Node, e.Block)
 				}
 			}
 		}
@@ -271,9 +326,9 @@ func TestFindQueueMatchesScan(t *testing.T) {
 		prev := make([][]int, cfg.Nodes)
 		for i, e := range streamingEvents(cfg.Nodes, 6000, 9) {
 			if e.Kind == trace.KindWrite {
-				s.Write(e)
+				s.WriteBlock(e.Block)
 			} else {
-				s.Consumption(e)
+				s.Consume(e.Node, e.Block)
 			}
 			for n, eng := range s.engines {
 				var ids []int

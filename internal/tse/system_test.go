@@ -3,8 +3,10 @@ package tse
 import (
 	"testing"
 
+	"tsm/internal/coherence"
 	"tsm/internal/mem"
 	"tsm/internal/trace"
+	"tsm/internal/workload"
 )
 
 // migratoryTrace builds a trace in which node 0 produces a sequence of
@@ -92,16 +94,16 @@ func TestSystemWriteInvalidatesEverywhere(t *testing.T) {
 	// of B is NOT covered.
 	a, b, c := mem.BlockAddr(0), mem.BlockAddr(64), mem.BlockAddr(128)
 	for _, blk := range []mem.BlockAddr{a, b, c} {
-		s.Consumption(trace.Event{Kind: trace.KindConsumption, Node: 1, Block: blk})
+		s.Consume(1, blk)
 	}
-	if covered := s.Consumption(trace.Event{Kind: trace.KindConsumption, Node: 2, Block: a}); covered {
+	if _, covered := s.Consume(2, a); covered {
 		t.Fatal("head miss cannot be covered")
 	}
-	s.Write(trace.Event{Kind: trace.KindWrite, Node: 3, Block: b})
-	if covered := s.Consumption(trace.Event{Kind: trace.KindConsumption, Node: 2, Block: b}); covered {
+	s.WriteBlock(b)
+	if _, covered := s.Consume(2, b); covered {
 		t.Fatal("invalidated streamed block must not be covered")
 	}
-	if covered := s.Consumption(trace.Event{Kind: trace.KindConsumption, Node: 2, Block: c}); !covered {
+	if _, covered := s.Consume(2, c); !covered {
 		t.Fatal("unaffected streamed block should still be covered")
 	}
 }
@@ -140,6 +142,29 @@ func TestSystemTrafficAccounting(t *testing.T) {
 	base := res.Consumptions * uint64(requestMessageBytes+cfg.Geometry.BlockSize+dataHeaderBytes)
 	if ratio := float64(tr.OverheadBytes()) / float64(base); ratio <= 0 || ratio > 1.0 {
 		t.Fatalf("overhead ratio = %v, want in (0, 1] for perfect streams", ratio)
+	}
+
+	// Exact bytes per category on two workload traces (4 nodes, scale 0.05,
+	// seed 1, the default configuration), as charged message by message
+	// before the categories were derived from counters.
+	for _, tc := range []struct {
+		workload string
+		want     Traffic
+	}{
+		{"em3d", Traffic{PointerUpdateBytes: 53280, StreamRequestBytes: 6952, StreamAddressBytes: 45192, DiscardedDataBytes: 50160}},
+		{"db2", Traffic{PointerUpdateBytes: 99616, StreamRequestBytes: 25784, StreamAddressBytes: 216828, DiscardedDataBytes: 337040}},
+	} {
+		spec, _ := workload.ByName(tc.workload)
+		gen := spec.New(workload.Config{Nodes: 4, Seed: 1, Scale: 0.05, Geometry: mem.DefaultGeometry()})
+		tr, err := coherence.New(coherence.Config{Nodes: 4, Geometry: mem.DefaultGeometry()}).RunFrom(gen.Emit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultConfig()
+		cfg.Nodes = 4
+		if got := NewSystem(cfg).Run(tr).Traffic; got != tc.want {
+			t.Errorf("%s: traffic %+v, want %+v", tc.workload, got, tc.want)
+		}
 	}
 }
 
@@ -184,14 +209,11 @@ func TestSystemPanicsOnBadConfigOrNode(t *testing.T) {
 			t.Error("consumption from out-of-range node should panic")
 		}
 	}()
-	s.Consumption(trace.Event{Kind: trace.KindConsumption, Node: 99, Block: 0})
+	s.Consume(99, 0)
 }
 
-func TestSystemNameAndAccessors(t *testing.T) {
+func TestSystemAccessors(t *testing.T) {
 	s := NewSystem(smallSystemConfig())
-	if s.Name() != "TSE" {
-		t.Fatalf("Name = %q", s.Name())
-	}
 	if s.Config().Nodes != 4 {
 		t.Fatal("Config accessor wrong")
 	}
@@ -249,9 +271,9 @@ func TestSystemProbe(t *testing.T) {
 	for i, e := range tr.Events {
 		switch e.Kind {
 		case trace.KindConsumption:
-			s.Consumption(e)
+			s.Consume(e.Node, e.Block)
 		case trace.KindWrite:
-			s.Write(e)
+			s.WriteBlock(e.Block)
 		}
 		// Probe at every event: the run's outcome must be unaffected.
 		ls := s.Probe()

@@ -15,6 +15,7 @@ import (
 	"strings"
 
 	"tsm/internal/analysis"
+	"tsm/internal/config"
 	"tsm/internal/experiments"
 	"tsm/internal/pipeline"
 	"tsm/internal/tse"
@@ -42,46 +43,15 @@ func (c SweepCell) String() string { return fmt.Sprintf("%-10s %s", c.Label, c.R
 func TSESweeps() []string { return []string{"streams", "lookahead", "svb"} }
 
 // sweepConfigs expands a named sweep into its cell labels and TSE
-// configurations for the workload a trace's metadata describes. The cell
-// axes are the experiment drivers' own, imported from internal/experiments
-// (Fig8Lookaheads, Fig9SVBPoints, SweepBaseLookahead), so the trace-file
-// sweeps cannot drift from the figures they reproduce.
-func sweepConfigs(sweep string, gen Generator, opts Options) ([]string, []tse.Config, error) {
-	base := tseConfig(gen, opts)
-	// The opportunity/accuracy studies of Section 5.2 lift the hardware
-	// restrictions to isolate the swept parameter.
-	unconstrained := func(streams, lookahead int) tse.Config {
-		cfg := base
-		cfg.CMOBEntries = 0
-		cfg.SVBEntries = 0
-		cfg.StreamQueues = 64
-		cfg.ComparedStreams = streams
-		cfg.Lookahead = lookahead
-		return cfg
-	}
-	var labels []string
-	var cfgs []tse.Config
-	switch strings.ToLower(strings.TrimSpace(sweep)) {
-	case "streams":
-		for streams := 1; streams <= 4; streams++ {
-			labels = append(labels, fmt.Sprintf("streams=%d", streams))
-			cfgs = append(cfgs, unconstrained(streams, experiments.SweepBaseLookahead))
-		}
-	case "lookahead":
-		for _, la := range experiments.Fig8Lookaheads() {
-			labels = append(labels, fmt.Sprintf("LA=%d", la))
-			cfgs = append(cfgs, unconstrained(2, la))
-		}
-	case "svb":
-		for _, p := range experiments.Fig9SVBPoints() {
-			cfg := base
-			cfg.Lookahead = experiments.SweepBaseLookahead // as fig9Configs pins it
-			cfg.CMOBEntries = 0                            // isolate the SVB effect
-			cfg.SVBEntries = p.Entries
-			labels = append(labels, p.Label)
-			cfgs = append(cfgs, cfg)
-		}
-	default:
+// configurations at the given node count. The cells are the experiment
+// drivers' own (experiments.SweepConfigs), so the trace-file sweeps cannot
+// drift from the figures they reproduce; every cell sets its own lookahead,
+// so the workload's does not matter.
+func sweepConfigs(sweep string, opts Options) ([]string, []tse.Config, error) {
+	sys := config.DefaultSystem()
+	sys.Nodes = opts.Nodes
+	labels, cfgs, ok := experiments.SweepConfigs(strings.ToLower(strings.TrimSpace(sweep)), sys)
+	if !ok {
 		return nil, nil, fmt.Errorf("tsm: unknown sweep %q (known: %s)", sweep, strings.Join(TSESweeps(), ", "))
 	}
 	return labels, cfgs, nil
@@ -102,11 +72,11 @@ func EvaluateTSESweepSource(src EventSource, meta TraceMeta, sweep string) ([]Sw
 // pipeline configuration — the observability seam. Cell consumers default to
 // their sweep labels in metrics and trace lanes.
 func evaluateTSESweepSourceWith(pcfg pipeline.Config, src EventSource, meta TraceMeta, sweep string) ([]SweepCell, error) {
-	gen, opts, err := replayContext(meta)
+	_, opts, err := replayContext(meta)
 	if err != nil {
 		return nil, err
 	}
-	labels, cfgs, err := sweepConfigs(sweep, gen, opts)
+	labels, cfgs, err := sweepConfigs(sweep, opts)
 	if err != nil {
 		return nil, err
 	}

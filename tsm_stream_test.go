@@ -173,7 +173,7 @@ func oracleFor(t *testing.T, path string) oracle {
 		t.Fatal(err)
 	}
 	for _, sweep := range TSESweeps() {
-		labels, cfgs, err := sweepConfigs(sweep, gen, opts)
+		labels, cfgs, err := sweepConfigs(sweep, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

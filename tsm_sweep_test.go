@@ -12,20 +12,11 @@ import (
 
 // TestSweepConfigsMirrorFigureDrivers: the named sweeps must use the figure
 // drivers' own cell axes — shared via internal/experiments — not private
-// copies that could drift. em3d is the probe workload because its Table 3
-// lookahead (18) differs from the sweeps' fixed base lookahead, so any
-// config that forgets to pin the lookahead shows up here.
+// copies that could drift, and every cell must pin its lookahead, since no
+// workload's lookahead reaches a sweep.
 func TestSweepConfigsMirrorFigureDrivers(t *testing.T) {
 	opts := testOpts()
-	gen, err := newGenerator("em3d", opts.normalize())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if la := gen.Timing().Lookahead; la == experiments.SweepBaseLookahead {
-		t.Fatalf("probe workload lookahead %d equals the sweep base; pick a different workload", la)
-	}
-
-	labels, cfgs, err := sweepConfigs("svb", gen, opts)
+	labels, cfgs, err := sweepConfigs("svb", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +36,7 @@ func TestSweepConfigsMirrorFigureDrivers(t *testing.T) {
 		}
 	}
 
-	labels, cfgs, err = sweepConfigs("lookahead", gen, opts)
+	labels, cfgs, err = sweepConfigs("lookahead", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +50,7 @@ func TestSweepConfigsMirrorFigureDrivers(t *testing.T) {
 		}
 	}
 
-	_, cfgs, err = sweepConfigs("streams", gen, opts)
+	_, cfgs, err = sweepConfigs("streams", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +68,7 @@ func TestSweepConfigsMirrorFigureDrivers(t *testing.T) {
 // cell's report must match evaluating that cell's configuration on its own.
 func TestSweepSingleDecodePass(t *testing.T) {
 	opts := testOpts()
-	tr, gen, err := GenerateTrace("db2", opts)
+	tr, _, err := GenerateTrace("db2", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +90,7 @@ func TestSweepSingleDecodePass(t *testing.T) {
 		}
 
 		// Per-cell parity: each cell must equal its own independent pass.
-		labels, cfgs, err := sweepConfigs(sweep, gen, opts)
+		labels, cfgs, err := sweepConfigs(sweep, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,11 +124,11 @@ func TestSweepStrategyParityAllWorkloads(t *testing.T) {
 	for _, name := range AllWorkloads() {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			tr, gen, err := GenerateTrace(name, opts)
+			tr, _, err := GenerateTrace(name, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, cfgs, err := sweepConfigs("lookahead", gen, opts)
+			_, cfgs, err := sweepConfigs("lookahead", opts)
 			if err != nil {
 				t.Fatal(err)
 			}
