@@ -9,14 +9,18 @@ import (
 
 // The accuracy/sensitivity figures below are sweeps: many TSE configurations
 // evaluated over the SAME workload trace. Each driver builds its figure's
-// config list once and evaluates all cells through sweepCells — one walk of
-// each workload's trace per figure, with the cells as concurrent consumers
-// of a single pass — instead of one full evaluation pass per cell (Figure 7
-// alone used to be 44 independent passes across the eleven-workload matrix).
+// config list once and evaluates all cells through sweepCells — at most one
+// walk of each workload's trace per figure, with the cells as concurrent
+// consumers of a single pass — instead of one full evaluation pass per cell
+// (Figure 7 alone used to be 44 independent passes across the
+// eleven-workload matrix). The cells overlap across figures: Figure 7's
+// streams=2 cell is Figure 8's LA=8 cell, and a CMOB that never wraps is an
+// unlimited one, so most of Figure 10's capacity cells are its peak cell.
+// sweepCells evaluates each distinct cell once per Workspace.
 
-// SweepBaseLookahead is the fixed stream lookahead the Figure 7 and
+// sweepBaseLookahead is the fixed stream lookahead the Figure 7 and
 // Figure 9 sweeps evaluate at (the paper's chosen default).
-const SweepBaseLookahead = 8
+const sweepBaseLookahead = 8
 
 // SweepConfigs returns the cell labels and TSE configurations of a named
 // sensitivity sweep on system sys: "streams" (Figure 7), "lookahead"
@@ -37,7 +41,7 @@ func SweepConfigs(sweep string, sys config.SystemConfig) (labels []string, cfgs 
 		}
 	case "svb":
 		cfgs = fig9Configs(sys)
-		for _, p := range Fig9SVBPoints() {
+		for _, p := range fig9SVBPoints() {
 			labels = append(labels, p.Label)
 		}
 	default:
@@ -51,7 +55,7 @@ func SweepConfigs(sweep string, sys config.SystemConfig) (labels []string, cfgs 
 func fig7Configs(sys config.SystemConfig) []tse.Config {
 	cfgs := make([]tse.Config, 0, 4)
 	for streams := 1; streams <= 4; streams++ {
-		cfgs = append(cfgs, unconstrainedTSEConfig(sys, streams, SweepBaseLookahead))
+		cfgs = append(cfgs, unconstrainedTSEConfig(sys, streams, sweepBaseLookahead))
 	}
 	return cfgs
 }
@@ -132,17 +136,17 @@ func Fig8(w *Workspace) (Table, error) {
 	return t, nil
 }
 
-// SVBPoint is one cell of Figure 9's SVB-capacity axis.
-type SVBPoint struct {
+// svbPoint is one cell of Figure 9's SVB-capacity axis.
+type svbPoint struct {
 	// Label names the capacity ("512B", ..., "inf").
 	Label string
 	// Entries is the SVB capacity in 64-byte blocks (0 means unlimited).
 	Entries int
 }
 
-// Fig9SVBPoints returns the SVB-capacity axis Figure 9 sweeps.
-func Fig9SVBPoints() []SVBPoint {
-	return []SVBPoint{
+// fig9SVBPoints returns the SVB-capacity axis Figure 9 sweeps.
+func fig9SVBPoints() []svbPoint {
+	return []svbPoint{
 		{"512B", 512 / 64},
 		{"2KB", 2048 / 64},
 		{"8KB", 8192 / 64},
@@ -153,10 +157,10 @@ func Fig9SVBPoints() []SVBPoint {
 // fig9Configs is Figure 9's sweep: the paper configuration with an unlimited
 // CMOB (isolating the SVB effect), one cell per SVB capacity.
 func fig9Configs(sys config.SystemConfig) []tse.Config {
-	points := Fig9SVBPoints()
+	points := fig9SVBPoints()
 	cfgs := make([]tse.Config, 0, len(points))
 	for _, p := range points {
-		cfg := paperTSEConfig(sys, SweepBaseLookahead)
+		cfg := paperTSEConfig(sys, sweepBaseLookahead)
 		cfg.CMOBEntries = 0 // isolate the SVB effect
 		cfg.SVBEntries = p.Entries
 		cfgs = append(cfgs, cfg)
@@ -174,7 +178,7 @@ func Fig9(w *Workspace) (Table, error) {
 		Notes: "Paper: a 2 KB (32-entry) SVB achieves near-optimal coverage; little is gained beyond " +
 			"512 bytes per active stream of lookahead.",
 	}
-	points := Fig9SVBPoints()
+	points := fig9SVBPoints()
 	cfgs := fig9Configs(w.System())
 	for _, name := range w.WorkloadNames() {
 		data, err := w.Data(name)

@@ -5,15 +5,19 @@
 // Each driver reproduces its result on the synthetic workload suite and
 // returns a printable Table with the same rows/series the paper (or the
 // extension's doc comment) reports. Drivers share one concurrent Workspace,
-// so a batch generates every workload's trace exactly once; the sensitivity
-// sweeps additionally share one WALK of each trace, evaluating all their
-// cells as concurrent consumers of a single pass (see sweepCells). The
+// so a batch generates every workload's trace exactly once and simulates its
+// paper-configuration timing pair once. The sensitivity sweeps share one
+// WALK of each trace per figure, evaluating its cells as concurrent
+// consumers of a single pass, and the Workspace memoizes every TSE cell by
+// its canonical configuration, so a cell two figures share is evaluated once
+// (see sweepCells). The
 // cmd/tsesim CLI and the repository's benchmark harness are thin wrappers
 // around this package.
 package experiments
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -125,13 +129,31 @@ type WorkloadData struct {
 	Trace *trace.Trace
 	// Consumptions is the consumption count of the trace.
 	Consumptions int
+
+	// maxNodeConsumptions is the largest per-node consumption count: a
+	// CMOB of at least this many entries never wraps on this trace.
+	maxNodeConsumptions int
+}
+
+// canonical returns the one configuration that every configuration behaving
+// identically to cfg on this trace maps to. System.Consume appends every
+// consumption to its node's CMOB, and an entry stays readable while fewer
+// than capacity entries follow it, so a CMOB that never wraps is exactly an
+// unlimited one (CMOBEntries 0).
+func (d *WorkloadData) canonical(cfg tse.Config) tse.Config {
+	if cfg.CMOBEntries >= d.maxNodeConsumptions {
+		cfg.CMOBEntries = 0
+	}
+	return cfg
 }
 
 // Workspace prepares and caches workload traces so that a batch of
 // experiments shares them. It is safe for concurrent use: each workload's
 // trace is generated exactly once (the first caller generates, concurrent
 // callers block on the same entry), so independent experiments and models
-// can run in parallel over shared traces without regenerating them.
+// can run in parallel over shared traces without regenerating them. TSE
+// sweep cells are cached the same way, by workload and canonical
+// configuration.
 type Workspace struct {
 	opts   Options
 	system config.SystemConfig
@@ -142,8 +164,24 @@ type Workspace struct {
 	metrics *obs.Registry
 	tracer  *obs.Tracer
 
-	mu   sync.Mutex
-	data map[string]*workloadEntry
+	mu    sync.Mutex
+	data  map[string]*workloadEntry
+	cells map[cellKey]*cellEntry
+}
+
+// cellKey names one TSE sweep cell: a workload's data and the canonical form
+// of the cell's configuration (WorkloadData.canonical).
+type cellKey struct {
+	data *WorkloadData
+	cfg  tse.Config
+}
+
+// cellEntry is one memoized sweep cell. The driver that claims it sets res
+// or err and then closes done; every other driver reads them after done.
+type cellEntry struct {
+	done chan struct{}
+	res  analysis.CoverageResult
+	err  error
 }
 
 // workloadEntry guards one workload's lazily generated data and, behind a
@@ -172,7 +210,7 @@ func NewWorkspace(opts Options) *Workspace {
 	opts = opts.normalize()
 	sys := config.DefaultSystem()
 	sys.Nodes = opts.Nodes
-	return &Workspace{opts: opts, system: sys, data: make(map[string]*workloadEntry)}
+	return &Workspace{opts: opts, system: sys, data: make(map[string]*workloadEntry), cells: make(map[cellKey]*cellEntry)}
 }
 
 // Observe attaches a metrics registry and/or stage tracer to the workspace:
@@ -278,11 +316,18 @@ func (w *Workspace) generate(name string) (*WorkloadData, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: generating %s: %w", name, err)
 	}
+	perNode := make([]int, w.opts.Nodes)
+	for _, e := range tr.Events {
+		if e.Kind == trace.KindConsumption {
+			perNode[e.Node]++
+		}
+	}
 	return &WorkloadData{
-		Spec:         spec,
-		Generator:    gen,
-		Trace:        tr,
-		Consumptions: tr.ConsumptionCount(),
+		Spec:                spec,
+		Generator:           gen,
+		Trace:               tr,
+		Consumptions:        tr.ConsumptionCount(),
+		maxNodeConsumptions: slices.Max(perNode),
 	}, nil
 }
 
@@ -311,30 +356,81 @@ func RunAll(w *Workspace, exps []Experiment) ([]Table, error) {
 	})
 }
 
-// sweepCells evaluates every cell of a figure's TSE configuration sweep over
-// ONE walk of the workload's trace: the cells become concurrent consumers of
-// a single pass through the fan-out engine (analysis.Sweep, ring broadcast),
-// instead of one full EvaluateTSE pass per cell. The per-cell results are
-// bit-identical to the per-cell passes — the TSE consumer is pinned equal
-// to EvaluateTSE — which is what keeps every sweep figure's golden
-// byte-identical to the pre-sweep drivers.
+// sweepCells returns the coverage of every cell of a figure's TSE
+// configuration sweep over data, which must be w's own (from w.Data). Each
+// distinct cell is evaluated once per Workspace: cells are memoized by their
+// canonical configuration, so Figure 7's streams=2 cell is Figure 8's LA=8
+// cell, and a CMOB that never wraps shares the unlimited cell.
+//
+// Under w.mu a call claims every cell no one holds yet. It evaluates them
+// over ONE walk of the trace, as concurrent consumers of a single pass
+// through analysis.SweepWith, and publishes them before it waits on cells
+// other drivers have in flight. A driver never waits before finishing its
+// own cells, so parallel drivers cannot deadlock. A failed walk's error
+// reaches every waiter, and its cells leave the memo so that a later call
+// retries them. The per-cell results are bit-identical to per-cell
+// EvaluateTSE passes, which keeps every sweep figure's golden byte-identical.
 func sweepCells(w *Workspace, data *WorkloadData, cfgs []tse.Config) ([]analysis.CoverageResult, error) {
+	entries := make([]*cellEntry, len(cfgs))
+	var claimed []cellKey
+	var claimedEntries []*cellEntry
+	w.mu.Lock()
+	for i, cfg := range cfgs {
+		k := cellKey{data, data.canonical(cfg)}
+		e, ok := w.cells[k]
+		if !ok {
+			e = &cellEntry{done: make(chan struct{})}
+			w.cells[k] = e
+			claimed = append(claimed, k)
+			claimedEntries = append(claimedEntries, e)
+		}
+		entries[i] = e
+	}
+	w.mu.Unlock()
+
+	if len(claimed) > 0 {
+		w.evaluateCells(data, claimed, claimedEntries)
+	}
+	out := make([]analysis.CoverageResult, len(cfgs))
+	for i, e := range entries {
+		<-e.done
+		if e.err != nil {
+			return nil, e.err
+		}
+		out[i] = e.res
+	}
+	return out, nil
+}
+
+// evaluateCells walks the cells a sweepCells call claimed and publishes
+// them: on an error it drops them from the memo, then it closes every
+// entry's done channel.
+func (w *Workspace) evaluateCells(data *WorkloadData, keys []cellKey, entries []*cellEntry) {
 	pcfg := pipeline.Config{Metrics: w.metrics, Tracer: w.tracer}
-	if pcfg.Metrics != nil || pcfg.Tracer != nil {
-		pcfg.ConsumerNames = make([]string, len(cfgs))
-		for i := range cfgs {
-			pcfg.ConsumerNames[i] = fmt.Sprintf("%s/cell%d", data.Spec.Name, i)
+	cfgs := make([]tse.Config, len(keys))
+	for i, k := range keys {
+		cfgs[i] = k.cfg
+		if pcfg.Metrics != nil || pcfg.Tracer != nil {
+			pcfg.ConsumerNames = append(pcfg.ConsumerNames, fmt.Sprintf("%s/cell%d", data.Spec.Name, i))
 		}
 	}
 	results, err := analysis.SweepWith(pcfg, cfgs, stream.TraceSource(data.Trace))
 	if err != nil {
-		return nil, fmt.Errorf("experiments: sweeping %s: %w", data.Spec.Name, err)
+		err = fmt.Errorf("experiments: sweeping %s: %w", data.Spec.Name, err)
+		w.mu.Lock()
+		for _, k := range keys {
+			delete(w.cells, k)
+		}
+		w.mu.Unlock()
 	}
-	out := make([]analysis.CoverageResult, len(results))
-	for i, r := range results {
-		out[i] = r.Coverage
+	for i, e := range entries {
+		if err != nil {
+			e.err = err
+		} else {
+			e.res = results[i].Coverage
+		}
+		close(e.done)
 	}
-	return out, nil
 }
 
 // Runner is the signature of an experiment driver.

@@ -51,6 +51,7 @@ func Sensitivity(w *Workspace) (Table, error) {
 	names := w.WorkloadNames()
 	cols, err := stream.RunOrdered(len(subs), 0, func(i int) (column, error) {
 		sub := subs[i]
+		sub.Observe(w.metrics, w.tracer)
 		var col column
 		for _, name := range names {
 			data, err := sub.Data(name)
@@ -58,11 +59,10 @@ func Sensitivity(w *Workspace) (Table, error) {
 				return column{}, err
 			}
 			// Each (node count, workload) cell has its own trace — node
-			// count changes generation — so the sweep here is width-one:
-			// the same single-pass evaluator as Figures 7-10, one walk of
-			// this cell's trace.
+			// count changes generation — so the sweep here is width-one,
+			// keyed and memoized in the sub-workspace that owns the trace.
 			cfg := paperTSEConfig(sub.System(), data.Generator.Timing().Lookahead)
-			cells, err := sweepCells(w, data, []tse.Config{cfg})
+			cells, err := sweepCells(sub, data, []tse.Config{cfg})
 			if err != nil {
 				return column{}, err
 			}

@@ -72,11 +72,12 @@ func EvaluateTSESweepSource(src EventSource, meta TraceMeta, sweep string) ([]Sw
 // pipeline configuration — the observability seam. Cell consumers default to
 // their sweep labels in metrics and trace lanes.
 func evaluateTSESweepSourceWith(pcfg pipeline.Config, src EventSource, meta TraceMeta, sweep string) ([]SweepCell, error) {
-	_, opts, err := replayContext(meta)
-	if err != nil {
+	// No sweep cell uses the workload's lookahead, so the name is only
+	// validated: building an em3d generator builds its whole graph.
+	if _, err := specFor(meta); err != nil {
 		return nil, err
 	}
-	labels, cfgs, err := sweepConfigs(sweep, opts)
+	labels, cfgs, err := sweepConfigs(sweep, OptionsFor(meta))
 	if err != nil {
 		return nil, err
 	}

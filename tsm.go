@@ -220,11 +220,21 @@ func LoadTrace(path string) (*Trace, TraceMeta, error) {
 // describes. Generation is not re-run; the generator is only needed for its
 // timing profile (and per-workload lookahead).
 func GeneratorFor(meta TraceMeta) (Generator, error) {
-	spec, ok := workload.ByName(strings.ToLower(meta.Workload))
-	if !ok {
-		return nil, fmt.Errorf("tsm: trace metadata names unknown workload %q (known: %s)", meta.Workload, strings.Join(AllWorkloads(), ", "))
+	spec, err := specFor(meta)
+	if err != nil {
+		return nil, err
 	}
 	return spec.New(workload.Config{Nodes: meta.Nodes, Seed: meta.Seed, Scale: meta.Scale, Repeat: meta.Repeat}), nil
+}
+
+// specFor looks up the registry entry of the workload a trace file's
+// metadata names, without building its generator.
+func specFor(meta TraceMeta) (workload.Spec, error) {
+	spec, ok := workload.ByName(strings.ToLower(meta.Workload))
+	if !ok {
+		return workload.Spec{}, fmt.Errorf("tsm: trace metadata names unknown workload %q (known: %s)", meta.Workload, strings.Join(AllWorkloads(), ", "))
+	}
+	return spec, nil
 }
 
 // OptionsFor converts a trace file's metadata back into evaluation options.

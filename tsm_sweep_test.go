@@ -1,66 +1,12 @@
 package tsm
 
 import (
-	"fmt"
 	"testing"
 
 	"tsm/internal/analysis"
-	"tsm/internal/experiments"
 	"tsm/internal/pipeline"
 	"tsm/internal/stream"
 )
-
-// TestSweepConfigsMirrorFigureDrivers: the named sweeps must use the figure
-// drivers' own cell axes — shared via internal/experiments — not private
-// copies that could drift, and every cell must pin its lookahead, since no
-// workload's lookahead reaches a sweep.
-func TestSweepConfigsMirrorFigureDrivers(t *testing.T) {
-	opts := testOpts()
-	labels, cfgs, err := sweepConfigs("svb", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	points := experiments.Fig9SVBPoints()
-	if len(cfgs) != len(points) {
-		t.Fatalf("svb sweep has %d cells, want %d (the Figure 9 axis)", len(cfgs), len(points))
-	}
-	for i, p := range points {
-		if labels[i] != p.Label || cfgs[i].SVBEntries != p.Entries {
-			t.Errorf("svb cell %d = %q/%d entries, want %q/%d (Figure 9 axis)", i, labels[i], cfgs[i].SVBEntries, p.Label, p.Entries)
-		}
-		if cfgs[i].Lookahead != experiments.SweepBaseLookahead {
-			t.Errorf("svb cell %d lookahead = %d, want %d as fig9Configs pins it", i, cfgs[i].Lookahead, experiments.SweepBaseLookahead)
-		}
-		if cfgs[i].CMOBEntries != 0 {
-			t.Errorf("svb cell %d CMOBEntries = %d, want 0 (isolate the SVB effect)", i, cfgs[i].CMOBEntries)
-		}
-	}
-
-	labels, cfgs, err = sweepConfigs("lookahead", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lookaheads := experiments.Fig8Lookaheads()
-	if len(cfgs) != len(lookaheads) {
-		t.Fatalf("lookahead sweep has %d cells, want %d (the Figure 8 axis)", len(cfgs), len(lookaheads))
-	}
-	for i, la := range lookaheads {
-		if labels[i] != fmt.Sprintf("LA=%d", la) || cfgs[i].Lookahead != la {
-			t.Errorf("lookahead cell %d = %q/LA %d, want LA=%d (Figure 8 axis)", i, labels[i], cfgs[i].Lookahead, la)
-		}
-	}
-
-	_, cfgs, err = sweepConfigs("streams", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, cfg := range cfgs {
-		if cfg.ComparedStreams != i+1 || cfg.Lookahead != experiments.SweepBaseLookahead {
-			t.Errorf("streams cell %d = %d streams/LA %d, want %d streams/LA %d",
-				i, cfg.ComparedStreams, cfg.Lookahead, i+1, experiments.SweepBaseLookahead)
-		}
-	}
-}
 
 // TestSweepSingleDecodePass is the sweep facade's acceptance criterion: for
 // every named sweep, EvaluateTSESweepSource must decode the stream exactly
