@@ -27,8 +27,8 @@
 //
 // -progress prints periodic events/sec lines to stderr during generation
 // (paper-scale traces take minutes and otherwise run silent); -metrics
-// dumps the generation counters (accesses, events, wall time) as JSON;
-// -pprof serves net/http/pprof for the duration of the run.
+// dumps the generation counters (accesses, events, wall time) as JSON.
+// CPU profiles come from `go test -cpuprofile`, not from a flag here.
 package main
 
 import (
@@ -69,7 +69,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		summary    = fs.Bool("summary", true, "print a trace summary")
 		metricsOut = fs.String("metrics", "", "write generation counters (JSON) to this file after the run")
 		progress   = fs.Bool("progress", false, "print periodic events/sec lines to stderr during generation")
-		pprofAddr  = fs.String("pprof", "", "serve net/http/pprof on this address for the duration of the run")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -124,22 +123,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if path == "" {
 			continue
 		}
-		if err := checkWritable(path); err != nil {
+		if err := obs.CheckWritable(path); err != nil {
 			fmt.Fprintf(stderr, "tracegen: %v\n", err)
 			return 1
 		}
 	}
 	reg := obs.NewRegistry()
 	eventCount := reg.Counter("tracegen.events")
-	if *pprofAddr != "" {
-		bound, shutdown, err := obs.ServeDebug(*pprofAddr, reg)
-		if err != nil {
-			fmt.Fprintf(stderr, "tracegen: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stderr, "tracegen: pprof+metrics listening on %s\n", bound)
-		defer shutdown()
-	}
 	var meter *obs.Progress
 	if *progress {
 		meter = obs.StartProgress(obs.ProgressConfig{
@@ -205,16 +195,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "wrote %d events to %s\n", events, *out)
 	}
 	return 0
-}
-
-// checkWritable verifies an output path can be created (or opened for
-// writing) now. The file is left in place for the run to overwrite.
-func checkWritable(path string) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE, 0o644)
-	if err != nil {
-		return fmt.Errorf("output not writable: %w", err)
-	}
-	return f.Close()
 }
 
 // writeStreamed pipes the engine's event stream into a trace file, feeding

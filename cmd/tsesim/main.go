@@ -67,9 +67,9 @@
 //	                   version, chunk/event counts, workload metadata, replay
 //	                   settings, per-stage wall times and (with -metrics) the
 //	                   final metrics snapshot — as JSON
-//	-pprof addr        serve net/http/pprof on addr for the duration of the
-//	                   run, plus GET /metrics for a live JSON registry
-//	                   snapshot
+//
+// CPU profiles come from `go test -cpuprofile`, and the per-layer split of
+// wall time from the benchmark's `-trace 1` pass (bench/).
 //
 // The output of each experiment is a plain-text table whose rows mirror the
 // corresponding table or figure in the paper; the golden tables in
@@ -88,6 +88,7 @@ import (
 	"tsm"
 	"tsm/internal/experiments"
 	"tsm/internal/mem"
+	"tsm/internal/obs"
 	"tsm/internal/workload"
 )
 
@@ -123,7 +124,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seriesOut     = fs.String("series", "", "with -i: write per-consumer time-series of live cumulative state (JSON) to this file after the run")
 		manifestOut   = fs.String("manifest", "", "with -i: write a run manifest (trace provenance, stage wall times, final metrics; JSON) to this file after the run")
 		progress      = fs.Bool("progress", false, "print periodic throughput/ETA lines to stderr during the run")
-		pprofAddr     = fs.String("pprof", "", "serve net/http/pprof (plus /metrics) on this address for the duration of the run")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -149,12 +149,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	// Observability attachments. The metrics registry exists whenever any
-	// sink needs it (-metrics, or the /metrics endpoint of -pprof); the
-	// writability of the output paths is validated before the run, so a
-	// typo'd path fails in milliseconds, not after minutes of replay.
+	// Observability attachments. The writability of the output paths is
+	// validated before the run, so a typo'd path fails in milliseconds, not
+	// after minutes of replay.
 	var ins tsm.Instrumentation
-	if *metricsOut != "" || *pprofAddr != "" {
+	if *metricsOut != "" {
 		ins.Metrics = tsm.NewMetrics()
 	}
 	if *traceOut != "" {
@@ -184,21 +183,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if out == "" {
 			continue
 		}
-		if err := checkWritable(out); err != nil {
+		if err := obs.CheckWritable(out); err != nil {
 			fmt.Fprintf(stderr, "tsesim: %v\n", err)
 			return 1
 		}
-	}
-	if *pprofAddr != "" {
-		shutdown, err := servePprof(*pprofAddr, ins.Metrics)
-		if err != nil {
-			fmt.Fprintf(stderr, "tsesim: %v\n", err)
-			return 1
-		}
-		if !*quiet {
-			fmt.Fprintf(stderr, "tsesim: pprof+metrics listening on %s\n", *pprofAddr)
-		}
-		defer shutdown()
 	}
 	// Dump the observability artifacts on every exit path once the run has
 	// started — a failed replay still leaves the counters collected so far.

@@ -61,6 +61,9 @@ func main() {
 		fmt.Println(r)
 	}
 
-	curve := tsm.CorrelationOpportunity(&tr, opts)
+	curve, err := tsm.CorrelationOpportunity(&tr, opts)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("\ntemporally correlated consumptions within distance 1: %.1f%%\n", 100*curve[0])
 }

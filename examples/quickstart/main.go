@@ -35,7 +35,10 @@ func main() {
 	fmt.Println(report)
 
 	// How much of the opportunity is there to begin with? (Figure 6.)
-	curve := tsm.CorrelationOpportunity(trace, opts)
+	curve, err := tsm.CorrelationOpportunity(trace, opts)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("temporally correlated consumptions: %.1f%% at distance 1, %.1f%% within distance 8\n",
 		100*curve[0], 100*curve[7])
 }

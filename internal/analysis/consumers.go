@@ -14,7 +14,7 @@ import (
 // single-decode fan-out engine in internal/pipeline: each implements
 // Run(stream.Source) error (pipeline.Consumer, satisfied structurally) by
 // draining its private tee of the stream and storing the result for the
-// caller to collect once the pipeline run returns. The Sweep evaluator
+// caller to collect once the pipeline run returns. The SweepWith evaluator
 // (sweep.go) builds directly on TSEConsumer: one consumer per sweep cell,
 // all riding a single pipeline.Run.
 //

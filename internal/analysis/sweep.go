@@ -26,20 +26,14 @@ type SweepResult struct {
 	Full tse.Result
 }
 
-// Sweep evaluates every TSE configuration as a concurrent consumer of a
-// SINGLE pass over src: the fan-out engine in internal/pipeline decodes the
-// stream exactly once and broadcasts it (one chunk copy through the ring,
-// per-cell cursors), so the cost of adding a sweep cell is one more TSE
-// model, never another walk of the stream. Results are returned in config
-// order and are bit-identical to running EvaluateTSE per cell, a property
-// the differential tests pin. An empty config list returns no results
-// without reading src.
-func Sweep(cfgs []tse.Config, src stream.Source) ([]SweepResult, error) {
-	return SweepWith(pipeline.Config{}, cfgs, src)
-}
-
-// SweepWith is Sweep under an explicit pipeline configuration — the seam the
-// facade's instrumentation and the broadcast benchmarks use.
+// SweepWith evaluates every TSE configuration as a concurrent consumer of a
+// SINGLE pass over src under pcfg: the fan-out engine in internal/pipeline
+// decodes the stream exactly once and broadcasts it (one chunk copy through
+// the ring, per-cell cursors), so the cost of adding a sweep cell is one
+// more TSE model, never another walk of the stream. Results are returned in
+// config order and are bit-identical to running EvaluateTSE per cell, a
+// property the differential tests pin. An empty config list returns no
+// results without reading src. The zero pcfg attaches no instrumentation.
 func SweepWith(pcfg pipeline.Config, cfgs []tse.Config, src stream.Source) ([]SweepResult, error) {
 	cells := make([]*TSEConsumer, len(cfgs))
 	consumers := make([]pipeline.Consumer, len(cfgs))

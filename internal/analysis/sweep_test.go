@@ -6,6 +6,7 @@ import (
 
 	"tsm/internal/coherence"
 	"tsm/internal/mem"
+	"tsm/internal/pipeline"
 	"tsm/internal/stream"
 	"tsm/internal/trace"
 	"tsm/internal/tse"
@@ -52,7 +53,7 @@ func (c *countingSource) Next() (trace.Event, error) {
 }
 
 // TestSweepSinglePassMatchesPerCell is the sweep evaluator's contract in one
-// test: evaluating N configurations through Sweep must (a) walk the stream
+// test: evaluating N configurations through SweepWith must (a) walk the stream
 // exactly ONCE — N events + one EOF — and (b) produce per-cell results
 // bit-identical to one EvaluateTSE pass per cell.
 func TestSweepSinglePassMatchesPerCell(t *testing.T) {
@@ -60,7 +61,7 @@ func TestSweepSinglePassMatchesPerCell(t *testing.T) {
 	for _, cells := range []int{1, 4, 16} {
 		cfgs := sweepTestConfigs(base, cells)
 		src := &countingSource{src: stream.TraceSource(tr)}
-		got, err := Sweep(cfgs, src)
+		got, err := SweepWith(pipeline.Config{}, cfgs, src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +88,7 @@ func TestSweepSinglePassMatchesPerCell(t *testing.T) {
 func TestSweepEmpty(t *testing.T) {
 	tr, _ := sweepTestTrace(t)
 	src := &countingSource{src: stream.TraceSource(tr)}
-	got, err := Sweep(nil, src)
+	got, err := SweepWith(pipeline.Config{}, nil, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +105,7 @@ func TestSweepEmpty(t *testing.T) {
 func TestSweepPropagatesSourceError(t *testing.T) {
 	_, base := sweepTestTrace(t)
 	cfgs := sweepTestConfigs(base, 3)
-	if _, err := Sweep(cfgs, brokenSource{}); !errors.Is(err, errBroken) {
+	if _, err := SweepWith(pipeline.Config{}, cfgs, brokenSource{}); !errors.Is(err, errBroken) {
 		t.Fatalf("err = %v, want errBroken", err)
 	}
 }

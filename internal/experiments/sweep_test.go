@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"tsm/internal/analysis"
+	"tsm/internal/pipeline"
 	"tsm/internal/stream"
 	"tsm/internal/trace"
 	"tsm/internal/tse"
@@ -49,7 +50,7 @@ func TestFigureSweepsWalkTraceOncePerFigure(t *testing.T) {
 				t.Fatalf("%s: empty sweep", fig.id)
 			}
 			src := &countingSource{src: stream.TraceSource(data.Trace)}
-			results, err := analysis.Sweep(fig.cfgs, src)
+			results, err := analysis.SweepWith(pipeline.Config{}, fig.cfgs, src)
 			if err != nil {
 				t.Fatal(err)
 			}

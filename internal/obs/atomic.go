@@ -16,6 +16,17 @@ import (
 	"path/filepath"
 )
 
+// CheckWritable verifies an output path can be created (or opened for
+// writing) now, so a typo'd path fails before a run instead of after it. The
+// file is left in place for the run's WriteFileAtomic to replace.
+func CheckWritable(path string) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE, 0o644)
+	if err != nil {
+		return fmt.Errorf("output not writable: %w", err)
+	}
+	return f.Close()
+}
+
 // WriteFileAtomic writes the output of write to path atomically: the
 // content goes to a temp file in path's directory, which is renamed over
 // path only after write and Close succeed. On any failure the temp file is

@@ -105,3 +105,29 @@ func assertNoTempFiles(t *testing.T, dir string) {
 		}
 	}
 }
+
+// TestCheckWritable: a creatable path passes and is left in place with its
+// content intact; a path under a missing directory fails before any run.
+func TestCheckWritable(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "out.json")
+	if err := CheckWritable(path); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(path); err != nil {
+		t.Fatalf("checked path not left in place: %v", err)
+	}
+	if err := os.WriteFile(path, []byte("kept"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := CheckWritable(path); err != nil {
+		t.Fatal(err)
+	}
+	if data, _ := os.ReadFile(path); string(data) != "kept" {
+		t.Fatalf("CheckWritable changed the existing content to %q", data)
+	}
+	err := CheckWritable(filepath.Join(dir, "missing", "out.json"))
+	if err == nil || !strings.Contains(err.Error(), "output not writable") {
+		t.Fatalf("error = %v, want an unwritable-output error", err)
+	}
+}

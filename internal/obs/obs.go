@@ -2,7 +2,10 @@
 // a lock-cheap metrics core (atomic counters, gauges and log-bucketed
 // histograms collected in a Registry snapshotable to JSON), lightweight
 // stage tracing (span records exportable as a chrome://tracing-compatible
-// JSON trace, trace.go) and a periodic progress meter (progress.go).
+// JSON trace, trace.go), a periodic progress meter (progress.go) and the
+// CLIs' output-file helpers: a pre-run writability check and atomic JSON
+// writes (atomic.go). It serves nothing over the network; profiles come
+// from `go test -cpuprofile`.
 //
 // The engine now runs paper-scale sweeps through a multi-stage concurrent
 // pipeline — decode, ring broadcast, N consumers — and this package is how

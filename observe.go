@@ -9,7 +9,6 @@ package tsm
 
 import (
 	"io"
-	"time"
 
 	"tsm/internal/obs"
 )
@@ -36,9 +35,6 @@ type Tracer = obs.Tracer
 // WriteJSON/WriteFile. Safe for concurrent use.
 type SeriesSet = obs.SeriesSet
 
-// SeriesPoint is one epoch sample of a series.
-type SeriesPoint = obs.SeriesPoint
-
 // NewMetrics returns an empty metrics registry.
 func NewMetrics() *Metrics { return obs.NewRegistry() }
 
@@ -64,8 +60,6 @@ type Instrumentation struct {
 	// reports during the call (the CLIs pass os.Stderr, keeping stdout
 	// reports byte-identical to un-instrumented runs).
 	Progress io.Writer
-	// ProgressInterval overrides the reporting period (default 2s).
-	ProgressInterval time.Duration
 	// Series, when non-nil, collects per-consumer time-series of live
 	// cumulative state, sampled at chunk boundaries during the run.
 	Series *SeriesSet
@@ -87,7 +81,6 @@ func (ins Instrumentation) startProgress(label string, m *Metrics, fraction func
 		Label:    label,
 		Events:   m.Counter("pipeline.events_decoded"),
 		Fraction: fraction,
-		Interval: ins.ProgressInterval,
 	})
 }
 

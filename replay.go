@@ -40,20 +40,14 @@ func replayContext(meta TraceMeta) (Generator, Options, error) {
 	return gen, OptionsFor(meta), nil
 }
 
-// EvaluateTSESource evaluates the paper's TSE configuration over a single
-// pass of an event source: ONE decode of src is teed into the baseline timing
-// model and the TSE timing model, each running concurrently on its own
-// goroutine over the fan-out engine's default ring broadcast; the coverage
-// and discards come from the TSE timing model's own TSE system. The events
-// are never materialized, and the Report is bit-identical to EvaluateTSE over
-// the equivalent in-memory trace. meta names the workload the source was
-// generated from (as embedded in trace files).
-func EvaluateTSESource(src EventSource, meta TraceMeta) (Report, error) {
-	return evaluateTSESourceWith(pipeline.Config{}, src, meta)
-}
-
-// evaluateTSESourceWith is EvaluateTSESource under an explicit pipeline
-// configuration — the observability seam. Consumers default to the
+// evaluateTSESourceWith evaluates the paper's TSE configuration over a
+// single pass of an event source: ONE decode of src is teed into the
+// baseline timing model and the TSE timing model, each running concurrently
+// on its own goroutine over pcfg's ring broadcast; the coverage and discards
+// come from the TSE timing model's own TSE system. The events are never
+// materialized, and the Report is bit-identical to EvaluateTSE over the
+// equivalent in-memory trace. meta names the workload the source was
+// generated from (as embedded in trace files). Consumers default to the
 // timing-base/timing-tse labels in metrics, trace lanes and series.
 func evaluateTSESourceWith(pcfg pipeline.Config, src EventSource, meta TraceMeta) (Report, error) {
 	gen, opts, err := replayContext(meta)
@@ -74,18 +68,11 @@ func evaluateTSESourceWith(pcfg pipeline.Config, src EventSource, meta TraceMeta
 	return tseReport(withTSE.Result.TSE, base.Result, withTSE.Result), nil
 }
 
-// EvaluateAllSource runs the Figure 12 comparison — stride, both GHB
+// evaluateAllSourceWith runs the Figure 12 comparison — stride, both GHB
 // variants and TSE — over a single pass of an event source: ONE decode of
 // src is teed into all four models concurrently. The reports are identical
 // to ComparePrefetchers over the equivalent in-memory trace, in the same
-// order.
-func EvaluateAllSource(src EventSource, meta TraceMeta) ([]Report, error) {
-	return evaluateAllSourceWith(pipeline.Config{}, src, meta)
-}
-
-// evaluateAllSourceWith is EvaluateAllSource under an explicit pipeline
-// configuration — the observability seam. Consumers default to their model
-// names in metrics and trace lanes.
+// order. Consumers default to their model names in metrics and trace lanes.
 func evaluateAllSourceWith(pcfg pipeline.Config, src EventSource, meta TraceMeta) ([]Report, error) {
 	gen, opts, err := replayContext(meta)
 	if err != nil {

@@ -116,7 +116,7 @@ func (ins Instrumentation) sizeSeries(events uint64, rc ReplayConfig) {
 // EvaluateTSEFileWith evaluates the paper's TSE configuration on a saved
 // trace through the fused streamed pipeline: the file is decoded exactly
 // once and the single pass feeds both timing consumers (see
-// EvaluateTSESource), using the generation metadata embedded in the file.
+// evaluateTSESourceWith), using the generation metadata embedded in the file.
 // rc configures the decode side — inline (the zero value), parallel
 // per-chunk workers, mmap, or a bounded event range — and ins attaches
 // optional instrumentation (the zero value attaches none). The trace is
@@ -130,7 +130,7 @@ func EvaluateTSEFileWith(path string, rc ReplayConfig, ins Instrumentation) (Rep
 
 // EvaluateAllFileWith runs the Figure 12 comparison on a saved trace through
 // the fused streamed pipeline: the file is decoded exactly once and the
-// single pass feeds every model (see EvaluateAllSource), with the decode
+// single pass feeds every model (see evaluateAllSourceWith), with the decode
 // side and instrumentation configured as for EvaluateTSEFileWith. The
 // reports are identical to ComparePrefetchers over the loaded trace, in the
 // same order; consumers are labelled with their model names.
@@ -140,11 +140,15 @@ func EvaluateAllFileWith(path string, rc ReplayConfig, ins Instrumentation) ([]R
 	})
 }
 
-// EvaluateTSESweepFileWith runs a named TSE sweep (see TSESweeps) over a
-// saved trace with exactly one decode of the file: the whole sensitivity
-// study — every cell of the sweep — rides a single bounded-memory pass
-// through the ring fan-out engine, using the generation metadata embedded in
-// the file. That pass may itself be decoded by parallel per-chunk workers,
+// EvaluateTSESweepFileWith runs a named TSE sweep over a saved trace with
+// exactly one decode of the file. The sweeps are "streams" (the Figure 7
+// study — one to four compared streams, unconstrained hardware), "lookahead"
+// (Figure 8 — stream lookahead 1 to 24, two compared streams) and "svb"
+// (Figure 9 — SVB capacity from 512 bytes to unlimited, unlimited CMOB).
+// The whole sensitivity study — every cell of the sweep — rides a single
+// bounded-memory pass through the ring fan-out engine, using the generation
+// metadata embedded in the file. That pass may itself be decoded by parallel
+// per-chunk workers,
 // or bounded to an event range (rc); per-cell consumer throughput lands in
 // the attached metrics, one trace lane per cell labelled "LA=8" and so on.
 func EvaluateTSESweepFileWith(path, sweep string, rc ReplayConfig, ins Instrumentation) ([]SweepCell, error) {

@@ -35,13 +35,6 @@ type SweepCell struct {
 // String renders the cell in one line.
 func (c SweepCell) String() string { return fmt.Sprintf("%-10s %s", c.Label, c.Report) }
 
-// TSESweeps lists the named sweeps EvaluateTSESweepFileWith understands, in
-// presentation order: "streams" (the Figure 7 study — one to four compared
-// streams, unconstrained hardware), "lookahead" (Figure 8 — stream lookahead
-// 1 to 24, two compared streams) and "svb" (Figure 9 — SVB capacity from
-// 512 bytes to unlimited, unlimited CMOB).
-func TSESweeps() []string { return []string{"streams", "lookahead", "svb"} }
-
 // sweepConfigs expands a named sweep into its cell labels and TSE
 // configurations at the given node count. The cells are the experiment
 // drivers' own (experiments.SweepConfigs), so the trace-file sweeps cannot
@@ -52,7 +45,7 @@ func sweepConfigs(sweep string, opts Options) ([]string, []tse.Config, error) {
 	sys.Nodes = opts.Nodes
 	labels, cfgs, ok := experiments.SweepConfigs(strings.ToLower(strings.TrimSpace(sweep)), sys)
 	if !ok {
-		return nil, nil, fmt.Errorf("tsm: unknown sweep %q (known: %s)", sweep, strings.Join(TSESweeps(), ", "))
+		return nil, nil, fmt.Errorf("tsm: unknown sweep %q (known: streams, lookahead, svb)", sweep)
 	}
 	return labels, cfgs, nil
 }

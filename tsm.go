@@ -107,27 +107,6 @@ func (o Options) checked() (Options, error) {
 	return o.normalize(), nil
 }
 
-// Workloads returns the names of the default workload suite — the paper's
-// seven applications followed by the extended scenario matrix — in
-// presentation order. The cross-workload mixes are addressable by name in
-// every entry point but are not part of the default suite; AllWorkloads
-// includes them.
-func Workloads() []string { return workload.Names() }
-
-// AllWorkloads returns every registered workload name, including the
-// cross-workload mixes ("mix": memkv + cdn colocated; "mix-sci-com": em3d +
-// db2, a scientific texture phase-alternating with a commercial one).
-func AllWorkloads() []string { return workload.AllNames() }
-
-// Experiments returns the identifiers of every reproducible table and figure.
-func Experiments() []string {
-	var out []string
-	for _, e := range experiments.All() {
-		out = append(out, e.ID)
-	}
-	return out
-}
-
 // Trace is a globally ordered consumption/write event stream.
 type Trace = trace.Trace
 
@@ -154,7 +133,7 @@ type TraceMeta = stream.Meta
 func newGenerator(name string, opts Options) (Generator, error) {
 	spec, ok := workload.ByName(strings.ToLower(name))
 	if !ok {
-		return nil, fmt.Errorf("tsm: unknown workload %q (known: %s)", name, strings.Join(AllWorkloads(), ", "))
+		return nil, fmt.Errorf("tsm: unknown workload %q (known: %s)", name, strings.Join(workload.AllNames(), ", "))
 	}
 	return spec.New(workload.Config{Nodes: opts.Nodes, Seed: opts.Seed, Scale: opts.Scale, Repeat: opts.Repeat}), nil
 }
@@ -232,7 +211,7 @@ func GeneratorFor(meta TraceMeta) (Generator, error) {
 func specFor(meta TraceMeta) (workload.Spec, error) {
 	spec, ok := workload.ByName(strings.ToLower(meta.Workload))
 	if !ok {
-		return workload.Spec{}, fmt.Errorf("tsm: trace metadata names unknown workload %q (known: %s)", meta.Workload, strings.Join(AllWorkloads(), ", "))
+		return workload.Spec{}, fmt.Errorf("tsm: trace metadata names unknown workload %q (known: %s)", meta.Workload, strings.Join(workload.AllNames(), ", "))
 	}
 	return spec, nil
 }
@@ -325,9 +304,9 @@ func coverageReport(r analysis.CoverageResult) Report {
 // tseReport assembles the facade Report from a TSE coverage result and the
 // paired baseline/TSE timing passes. It is the single definition of this
 // arithmetic: the serial in-memory oracle (EvaluateTSE, coverage from its
-// own tse.System pass) and the streamed pipeline (EvaluateTSESource,
-// EvaluateTSEFileWith, coverage from the TSE timing run's system) both end
-// here, so their reports agree whenever the two systems do.
+// own tse.System pass) and the streamed pipeline (EvaluateTSEFileWith,
+// coverage from the TSE timing run's system) both end here, so their
+// reports agree whenever the two systems do.
 func tseReport(cov tse.Result, base, withTSE timing.Result) Report {
 	speedup := timing.Speedup(base, withTSE)
 	_, ci := timing.SpeedupConfidence(base, withTSE)
@@ -345,7 +324,7 @@ func tseReport(cov tse.Result, base, withTSE timing.Result) Report {
 // trace-driven coverage/discard model plus the timing model (baseline vs.
 // TSE) for the speedup. It is deliberately a plain serial loop — each model
 // walks the materialized trace in turn — because it is the oracle every
-// streamed path (EvaluateTSESource, EvaluateTSEFileWith) is tested against.
+// streamed path (EvaluateTSEFileWith) is tested against.
 func EvaluateTSE(tr *Trace, gen Generator, opts Options) (Report, error) {
 	opts, err := opts.checked()
 	if err != nil {
@@ -353,6 +332,9 @@ func EvaluateTSE(tr *Trace, gen Generator, opts Options) (Report, error) {
 	}
 	if tr == nil || gen == nil {
 		return Report{}, fmt.Errorf("tsm: EvaluateTSE requires a trace and a generator")
+	}
+	if err := checkNodes(tr, opts.Nodes); err != nil {
+		return Report{}, err
 	}
 	cfg := tseConfig(gen, opts)
 	_, cov := analysis.EvaluateTSE(cfg, tr)
@@ -373,8 +355,7 @@ func EvaluateTSE(tr *Trace, gen Generator, opts Options) (Report, error) {
 // ComparePrefetchers evaluates the stride stream buffer, both GHB variants
 // and TSE on the same trace — the Figure 12 comparison — and returns one
 // report per technique, in that order. Like EvaluateTSE it is a serial loop
-// over the materialized trace: the oracle for EvaluateAllSource and
-// EvaluateAllFileWith.
+// over the materialized trace: the oracle for EvaluateAllFileWith.
 func ComparePrefetchers(tr *Trace, gen Generator, opts Options) ([]Report, error) {
 	opts, err := opts.checked()
 	if err != nil {
@@ -382,6 +363,9 @@ func ComparePrefetchers(tr *Trace, gen Generator, opts Options) ([]Report, error
 	}
 	if tr == nil {
 		return nil, fmt.Errorf("tsm: ComparePrefetchers requires a trace")
+	}
+	if err := checkNodes(tr, opts.Nodes); err != nil {
+		return nil, err
 	}
 	specs := analysis.BaselineSpecs(opts.Nodes)
 	reports := make([]Report, 0, len(specs)+1)
@@ -395,14 +379,36 @@ func ComparePrefetchers(tr *Trace, gen Generator, opts Options) ([]Report, error
 // CorrelationOpportunity runs the Figure 6 opportunity analysis and returns
 // the cumulative fraction of consumptions within each temporal correlation
 // distance 1..16.
-func CorrelationOpportunity(tr *Trace, opts Options) []float64 {
-	opts = opts.normalize()
+func CorrelationOpportunity(tr *Trace, opts Options) ([]float64, error) {
+	opts, err := opts.checked()
+	if err != nil {
+		return nil, err
+	}
+	if tr == nil {
+		return nil, fmt.Errorf("tsm: CorrelationOpportunity requires a trace")
+	}
+	if err := checkNodes(tr, opts.Nodes); err != nil {
+		return nil, err
+	}
 	res := analysis.CorrelationDistance(tr, opts.Nodes)
 	out := make([]float64, analysis.MaxCorrelationDistance)
 	for d := 1; d <= analysis.MaxCorrelationDistance; d++ {
 		out[d-1] = res.CumulativeFraction(d)
 	}
-	return out
+	return out, nil
+}
+
+// checkNodes rejects a trace with an event from a node outside [0, nodes),
+// which the in-memory models would otherwise index out of range (or, in the
+// opportunity analysis, silently drop). SaveTrace's writer makes the same
+// check on the way to a file.
+func checkNodes(tr *Trace, nodes int) error {
+	for i, e := range tr.Events {
+		if e.Node < 0 || int(e.Node) >= nodes {
+			return fmt.Errorf("tsm: event %d from node %d outside [0,%d)", i, e.Node, nodes)
+		}
+	}
+	return nil
 }
 
 // experimentOptions converts facade options into a workspace's options.
@@ -422,8 +428,8 @@ func experimentOptions(opts Options) (experiments.Options, error) {
 	return experiments.Options{Nodes: opts.Nodes, Scale: opts.Scale, Seed: opts.Seed}, nil
 }
 
-// RunExperiment regenerates one of the paper's tables or figures (see
-// Experiments for the identifiers) and returns its rendered text. Options
+// RunExperiment regenerates one of the paper's tables or figures (`tsesim
+// -list` prints the identifiers) and returns its rendered text. Options
 // Repeat and Lookahead must be left at their defaults.
 func RunExperiment(id string, opts Options) (string, error) {
 	eopts, err := experimentOptions(opts)
@@ -432,7 +438,7 @@ func RunExperiment(id string, opts Options) (string, error) {
 	}
 	exp, ok := experiments.ByID(id)
 	if !ok {
-		return "", fmt.Errorf("tsm: unknown experiment %q (known: %s)", id, strings.Join(Experiments(), ", "))
+		return "", fmt.Errorf("tsm: unknown experiment %q (known: %s)", id, strings.Join(experiments.IDs(), ", "))
 	}
 	tbl, err := exp.Run(experiments.NewWorkspace(eopts))
 	if err != nil {
@@ -459,7 +465,7 @@ func RunExperiments(ids []string, opts Options) ([]string, error) {
 		for _, id := range ids {
 			exp, ok := experiments.ByID(id)
 			if !ok {
-				return nil, fmt.Errorf("tsm: unknown experiment %q (known: %s)", id, strings.Join(Experiments(), ", "))
+				return nil, fmt.Errorf("tsm: unknown experiment %q (known: %s)", id, strings.Join(experiments.IDs(), ", "))
 			}
 			exps = append(exps, exp)
 		}

@@ -143,7 +143,7 @@ func TestAllocationBounds(t *testing.T) {
 			cfgs[i].Lookahead = lookaheads[i%len(lookaheads)]
 		}
 		rows = append(rows, allocRow{fmt.Sprintf("Sweep/tse/ring/consumers=%d", c.consumers), c.allocs, c.bytes, func() error {
-			_, err := analysis.Sweep(cfgs, stream.TraceSource(tr))
+			_, err := analysis.SweepWith(pipeline.Config{}, cfgs, stream.TraceSource(tr))
 			return err
 		}})
 	}

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"tsm/internal/workload"
 )
 
 // The facade half of the golden-file regression harness: one pinned TSE
@@ -23,7 +25,7 @@ func TestGoldenReports(t *testing.T) {
 	dir := t.TempDir()
 	var b strings.Builder
 	fmt.Fprintf(&b, "# per-workload TSE reports, nodes=%d scale=%g seed=%d\n", opts.Nodes, opts.Scale, opts.Seed)
-	for _, name := range Workloads() {
+	for _, name := range workload.Names() {
 		tr, gen, err := GenerateTrace(name, opts)
 		if err != nil {
 			t.Fatal(err)

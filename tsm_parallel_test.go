@@ -11,7 +11,9 @@ import (
 	"strings"
 	"testing"
 
+	"tsm/internal/pipeline"
 	"tsm/internal/stream"
+	"tsm/internal/workload"
 )
 
 // TestParallelFileReplayParityAllWorkloads is the tentpole's acceptance
@@ -21,7 +23,7 @@ import (
 func TestParallelFileReplayParityAllWorkloads(t *testing.T) {
 	opts := Options{Nodes: 4, Scale: 0.03, Seed: 11}
 	dir := t.TempDir()
-	for _, name := range AllWorkloads() {
+	for _, name := range workload.AllNames() {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			tr, gen, err := GenerateTrace(name, opts)
@@ -117,7 +119,7 @@ func TestRangedFileReplay(t *testing.T) {
 		if hi == 0 {
 			hi = n
 		}
-		want, err := EvaluateTSESource(stream.NewSliceSource(loaded.Events[from:hi]), meta)
+		want, err := evaluateTSESourceWith(pipeline.Config{}, stream.NewSliceSource(loaded.Events[from:hi]), meta)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"tsm/internal/analysis"
+	"tsm/internal/pipeline"
 	"tsm/internal/stream"
+	"tsm/internal/workload"
 )
 
 // TestStreamedTraceFileBytesMatchMaterialized is the byte-level check of the
@@ -17,7 +19,7 @@ import (
 // GenerateTrace materializes (Emit → RunFrom → copy into a writer).
 func TestStreamedTraceFileBytesMatchMaterialized(t *testing.T) {
 	opts := Options{Nodes: 4, Scale: 0.03, Seed: 11}
-	for _, name := range AllWorkloads() {
+	for _, name := range workload.AllNames() {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			// Streamed: no access slice, no event slice.
@@ -172,7 +174,7 @@ func oracleFor(t *testing.T, path string) oracle {
 	if o.all, err = ComparePrefetchers(tr, gen, opts); err != nil {
 		t.Fatal(err)
 	}
-	for _, sweep := range TSESweeps() {
+	for _, sweep := range sweepNames {
 		labels, cfgs, err := sweepConfigs(sweep, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -208,7 +210,7 @@ func assertSame[T comparable](t *testing.T, what string, got, want []T) {
 func TestFileReplayParityAllWorkloads(t *testing.T) {
 	opts := Options{Nodes: 4, Scale: 0.03, Seed: 11}
 	dir := t.TempDir()
-	for _, name := range AllWorkloads() {
+	for _, name := range workload.AllNames() {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			tr, gen, err := GenerateTrace(name, opts)
@@ -233,7 +235,7 @@ func TestFileReplayParityAllWorkloads(t *testing.T) {
 				t.Fatal(err)
 			}
 			assertSame(t, "compare", all, want.all)
-			for _, sweep := range TSESweeps() {
+			for _, sweep := range sweepNames {
 				cells, err := replaySweep(path, sweep)
 				if err != nil {
 					t.Fatal(err)
@@ -311,7 +313,7 @@ func TestSingleDecodePass(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := &passCountingSource{src: stream.TraceSource(tr)}
-	got, err := EvaluateTSESource(src, meta)
+	got, err := evaluateTSESourceWith(pipeline.Config{}, src, meta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +321,7 @@ func TestSingleDecodePass(t *testing.T) {
 		t.Fatalf("single-pass report %+v != in-memory report %+v", got, want)
 	}
 	if src.nexts != wantNexts {
-		t.Fatalf("EvaluateTSESource read the source %d times, want %d (one decode pass)", src.nexts, wantNexts)
+		t.Fatalf("evaluateTSESourceWith read the source %d times, want %d (one decode pass)", src.nexts, wantNexts)
 	}
 
 	wantAll, err := ComparePrefetchers(tr, gen, opts)
@@ -327,19 +329,19 @@ func TestSingleDecodePass(t *testing.T) {
 		t.Fatal(err)
 	}
 	src = &passCountingSource{src: stream.TraceSource(tr)}
-	gotAll, err := EvaluateAllSource(src, meta)
+	gotAll, err := evaluateAllSourceWith(pipeline.Config{}, src, meta)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertSame(t, "single-pass compare", gotAll, wantAll)
 	if src.nexts != wantNexts {
-		t.Fatalf("EvaluateAllSource read the source %d times, want %d (one decode pass)", src.nexts, wantNexts)
+		t.Fatalf("evaluateAllSourceWith read the source %d times, want %d (one decode pass)", src.nexts, wantNexts)
 	}
 
-	if _, err := EvaluateTSESource(stream.TraceSource(tr), TraceMeta{Workload: "bogus"}); err == nil {
+	if _, err := evaluateTSESourceWith(pipeline.Config{}, stream.TraceSource(tr), TraceMeta{Workload: "bogus"}); err == nil {
 		t.Fatal("bogus metadata should error")
 	}
-	if _, err := EvaluateAllSource(stream.TraceSource(tr), TraceMeta{Workload: "bogus"}); err == nil {
+	if _, err := evaluateAllSourceWith(pipeline.Config{}, stream.TraceSource(tr), TraceMeta{Workload: "bogus"}); err == nil {
 		t.Fatal("bogus metadata should error")
 	}
 }

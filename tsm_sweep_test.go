@@ -6,7 +6,11 @@ import (
 	"tsm/internal/analysis"
 	"tsm/internal/pipeline"
 	"tsm/internal/stream"
+	"tsm/internal/workload"
 )
+
+// sweepNames are the named sweeps EvaluateTSESweepFileWith understands.
+var sweepNames = []string{"streams", "lookahead", "svb"}
 
 // TestSweepSingleDecodePass is the sweep facade's acceptance criterion: for
 // every named sweep, EvaluateTSESweepSource must decode the stream exactly
@@ -21,7 +25,7 @@ func TestSweepSingleDecodePass(t *testing.T) {
 	meta := TraceMeta{Workload: "db2", Nodes: opts.Nodes, Scale: opts.Scale, Seed: opts.Seed}
 	wantNexts := tr.Len() + 1
 
-	for _, sweep := range TSESweeps() {
+	for _, sweep := range sweepNames {
 		src := &passCountingSource{src: stream.TraceSource(tr)}
 		cells, err := EvaluateTSESweepSource(src, meta, sweep)
 		if err != nil {
@@ -67,7 +71,7 @@ func TestSweepSingleDecodePass(t *testing.T) {
 // passes.
 func TestSweepStrategyParityAllWorkloads(t *testing.T) {
 	opts := Options{Nodes: 4, Scale: 0.03, Seed: 11}
-	for _, name := range AllWorkloads() {
+	for _, name := range workload.AllNames() {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			tr, _, err := GenerateTrace(name, opts)
@@ -113,7 +117,7 @@ func TestEvaluateTSESweepFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	meta := TraceMeta{Workload: "memkv", Nodes: opts.Nodes, Scale: opts.Scale, Seed: opts.Seed}
-	for _, sweep := range TSESweeps() {
+	for _, sweep := range sweepNames {
 		want, err := EvaluateTSESweepSource(stream.TraceSource(tr), meta, sweep)
 		if err != nil {
 			t.Fatal(err)

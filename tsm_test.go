@@ -7,26 +7,33 @@ import (
 	"strings"
 	"testing"
 
+	"tsm/internal/experiments"
 	"tsm/internal/mem"
 	"tsm/internal/stream"
+	"tsm/internal/trace"
+	"tsm/internal/workload"
 )
 
 func testOpts() Options {
 	return Options{Nodes: 4, Scale: 0.05, Seed: 9}
 }
 
+// TestWorkloadsAndExperiments pins the registries behind the facade's
+// name lookups: the default suite, every registered workload (the suite
+// plus the two mixes, last) and every experiment id.
 func TestWorkloadsAndExperiments(t *testing.T) {
-	if len(Workloads()) != 10 {
-		t.Fatalf("Workloads() = %v", Workloads())
+	if len(workload.Names()) != 10 {
+		t.Fatalf("workload.Names() = %v", workload.Names())
 	}
-	if len(AllWorkloads()) != 12 {
-		t.Fatalf("AllWorkloads() = %v", AllWorkloads())
+	all := workload.AllNames()
+	if len(all) != 12 {
+		t.Fatalf("workload.AllNames() = %v", all)
 	}
-	if AllWorkloads()[10] != "mix" || AllWorkloads()[11] != "mix-sci-com" {
-		t.Fatalf("AllWorkloads() should end with the mixes: %v", AllWorkloads())
+	if all[10] != "mix" || all[11] != "mix-sci-com" {
+		t.Fatalf("workload.AllNames() should end with the mixes: %v", all)
 	}
-	if len(Experiments()) != 16 {
-		t.Fatalf("Experiments() = %v", Experiments())
+	if len(experiments.All()) != 16 || len(experiments.IDs()) != 16 {
+		t.Fatalf("experiments.IDs() = %v", experiments.IDs())
 	}
 }
 
@@ -232,7 +239,10 @@ func TestCorrelationOpportunity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	curve := CorrelationOpportunity(tr, testOpts())
+	curve, err := CorrelationOpportunity(tr, testOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(curve) != 16 {
 		t.Fatalf("curve has %d points, want 16", len(curve))
 	}
@@ -242,6 +252,68 @@ func TestCorrelationOpportunity(t *testing.T) {
 	for i := 1; i < len(curve); i++ {
 		if curve[i] < curve[i-1]-1e-9 {
 			t.Fatal("opportunity curve must be monotone")
+		}
+	}
+}
+
+// TestInMemoryModelsRejectOutOfRangeNodes: a hand-built trace with an event
+// from a node outside [0, Options.Nodes) is an error naming the event and
+// the node in every in-memory entry point — never a model's index panic,
+// and never an opportunity curve that silently drops the event. Options the
+// facade rejects elsewhere are rejected here too.
+func TestInMemoryModelsRejectOutOfRangeNodes(t *testing.T) {
+	opts := Options{Nodes: 4}
+	gen, err := GeneratorFor(TraceMeta{Workload: "db2", Nodes: 4, Scale: 0.05, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func(node mem.NodeID, kind trace.EventKind) *Trace {
+		tr := &Trace{}
+		tr.Append(trace.Event{Kind: trace.KindWrite, Node: 0, Block: 64})
+		tr.Append(trace.Event{Kind: kind, Node: node, Block: 64, Producer: 0})
+		tr.Append(trace.Event{Kind: trace.KindConsumption, Node: 1, Block: 64, Producer: 0})
+		return tr
+	}
+	entries := []struct {
+		name string
+		run  func(*Trace, Options) error
+	}{
+		{"EvaluateTSE", func(tr *Trace, o Options) error { _, err := EvaluateTSE(tr, gen, o); return err }},
+		{"ComparePrefetchers", func(tr *Trace, o Options) error { _, err := ComparePrefetchers(tr, gen, o); return err }},
+		{"CorrelationOpportunity", func(tr *Trace, o Options) error { _, err := CorrelationOpportunity(tr, o); return err }},
+	}
+	cases := []struct {
+		name string
+		tr   *Trace
+		opts Options
+		want string
+	}{
+		{"consumption from node 5 of 4", build(5, trace.KindConsumption), opts, "event 1 from node 5 outside [0,4)"},
+		{"consumption from node 4 of 4", build(4, trace.KindConsumption), opts, "event 1 from node 4 outside [0,4)"},
+		{"write from node 7 of 4", build(7, trace.KindWrite), opts, "event 1 from node 7 outside [0,4)"},
+		{"negative node", build(-1, trace.KindConsumption), opts, "event 1 from node -1 outside [0,4)"},
+		{"too many nodes", build(1, trace.KindConsumption), Options{Nodes: 100}, "Nodes"},
+		{"nil trace", nil, opts, "requires a trace"},
+	}
+	for _, e := range entries {
+		for _, c := range cases {
+			t.Run(e.name+"/"+c.name, func(t *testing.T) {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("panicked: %v", r)
+					}
+				}()
+				err := e.run(c.tr, c.opts)
+				if err == nil || !strings.Contains(err.Error(), c.want) {
+					t.Fatalf("error = %v, want one containing %q", err, c.want)
+				}
+			})
+		}
+	}
+	// The in-range trace still evaluates in every entry point.
+	for _, e := range entries {
+		if err := e.run(build(3, trace.KindConsumption), opts); err != nil {
+			t.Fatalf("%s rejected an in-range trace: %v", e.name, err)
 		}
 	}
 }
