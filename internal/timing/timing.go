@@ -12,7 +12,12 @@
 // the remaining in-flight time if it is still on its way (partial coverage).
 // Streamed-block arrival times follow Section 5.6: the latency to retrieve a
 // stream and initiate streaming is approximately the same as the latency to
-// fill the consumption miss that triggered the lookup.
+// fill the consumption miss that triggered the lookup. As in the hardware,
+// where that time belongs to the SVB entry waiting for the data, each
+// streamed block's arrival cycle is stamped into the SVB slot that holds it
+// (tse.Engine.Fetched, tse.SVB.Stamp) and handed back when a consumption
+// hits the slot (tse.Engine.HitStamp); a discarded block's time leaves with
+// its slot, so the model keeps no per-block state of its own.
 package timing
 
 import (
@@ -73,10 +78,10 @@ type Result struct {
 	// confidence intervals in the SMARTS style.
 	SegmentCycles []uint64
 	// TSE is the trace-driven result of the run's own TSE system (zero for
-	// the baseline). The timing model only reads back the system's fetches,
-	// so this equals a plain tse.System run over the same trace: the coverage,
-	// stream lengths and traffic of the paper configuration come from the
-	// same pass as its timing.
+	// the baseline). The timing model only stamps and reads back the SVB
+	// slots of the system's fetches, so this equals a plain tse.System run
+	// over the same trace: the coverage, stream lengths and traffic of the
+	// paper configuration come from the same pass as its timing.
 	TSE tse.Result
 }
 
@@ -136,7 +141,8 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// nodeState is the per-node simulation state.
+// nodeState is the per-node simulation state. The arrival times of the
+// blocks streamed to the node are not kept here but in its SVB's slots.
 type nodeState struct {
 	clock uint64
 	// burstMax and burstLen are the longest latency and the number of the
@@ -147,10 +153,7 @@ type nodeState struct {
 	burstBudget int
 	// mlpAcc carries the fractional part of the target burst size so that
 	// the average burst size matches a non-integer MLP.
-	mlpAcc float64
-	// arrivals maps streamed blocks to the cycle at which their data will
-	// have arrived in the SVB.
-	arrivals  map[tse.BlockID]uint64
+	mlpAcc    float64
 	breakdown Breakdown
 }
 
@@ -177,7 +180,7 @@ type simulator struct {
 	// consumption.
 	busyPerCons, otherPerCons uint64
 
-	nodes []*nodeState
+	nodes []nodeState
 	sys   *tse.System // nil for the baseline system
 	// epoch, when non-nil, receives every consumption's resolved latency in
 	// cycles (the sampling Consumer's per-epoch histogram). It is a pure
@@ -192,7 +195,7 @@ type simulator struct {
 }
 
 // newSimulator validates p and builds the per-node state (and, with TSE
-// enabled, the TSE system whose fetches set the arrival times).
+// enabled, the TSE system whose SVB slots hold the arrival times).
 func newSimulator(p Params) (*simulator, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -222,11 +225,9 @@ func newSimulator(p Params) (*simulator, error) {
 	s.busyPerCons = uint64(gap*busyShare + 0.5)
 	s.otherPerCons = uint64(gap*(1-busyShare) + 0.5)
 
-	s.nodes = make([]*nodeState, p.Nodes)
+	s.nodes = make([]nodeState, p.Nodes)
 	for i := range s.nodes {
-		n := &nodeState{arrivals: make(map[tse.BlockID]uint64)}
-		n.burstBudget = s.nextBurstSize(n)
-		s.nodes[i] = n
+		s.nodes[i].burstBudget = s.nextBurstSize(&s.nodes[i])
 	}
 	if p.TSE != nil {
 		cfg := *p.TSE
@@ -264,8 +265,8 @@ func (s *simulator) flushBurst(n *nodeState) {
 // totalBreakdown returns the cycles accumulated so far across all nodes.
 func (s *simulator) totalBreakdown() uint64 {
 	var t uint64
-	for _, n := range s.nodes {
-		t += n.breakdown.Total()
+	for i := range s.nodes {
+		t += s.nodes[i].breakdown.Total()
 	}
 	return t
 }
@@ -283,7 +284,7 @@ func (s *simulator) step(kind trace.EventKind, node mem.NodeID, block mem.BlockA
 		if int(node) < 0 || int(node) >= s.p.Nodes {
 			return
 		}
-		n := s.nodes[node]
+		n := &s.nodes[node]
 		s.res.Consumptions++
 
 		// Non-coherent work preceding the consumption.
@@ -292,52 +293,31 @@ func (s *simulator) step(kind trace.EventKind, node mem.NodeID, block mem.BlockA
 		n.breakdown.OtherStallCycles += s.otherPerCons
 
 		// Determine the consumption's latency.
-		lCoh := s.lCoh
-		latency := lCoh
+		latency := s.lCoh
 		if s.sys != nil {
-			id, covered := s.sys.Consume(node, block)
-			if covered {
-				arrival, ok := n.arrivals[id]
-				delete(n.arrivals, id)
-				if !ok || arrival <= n.clock {
+			// The blocks this call streams arrive, for a newly located
+			// stream, after the lookup and forwarding, then by pipelined
+			// data delivery; in steady state (a covered consumption
+			// advancing its stream), after one retrieval round trip.
+			at, spacing := n.clock+s.streamStart, uint64(streamSpacing)
+			eng := s.sys.Engine(node)
+			if s.sys.Consume(node, block) {
+				at, spacing = n.clock+s.lCoh, 0
+				// An unstamped slot reads 0: the block has arrived.
+				if arrival := eng.HitStamp(); arrival <= n.clock {
 					latency = s.lSVB
 					s.res.FullCovered++
 				} else {
-					remaining := arrival - n.clock
-					if remaining > lCoh {
-						remaining = lCoh
-					}
-					latency = remaining + s.lSVB
-					if latency > lCoh {
-						latency = lCoh
-					}
+					remaining := min(arrival-n.clock, s.lCoh)
+					latency = min(remaining+s.lSVB, s.lCoh)
 					s.res.PartialCovered++
-					s.partialHiddenSum += 1 - float64(remaining)/float64(lCoh)
+					s.partialHiddenSum += 1 - float64(remaining)/float64(s.lCoh)
 				}
 			}
-			// Assign arrival times to blocks streamed during this call.
-			eng := s.sys.Engine(node)
-			for k, b := range eng.Fetched() {
-				if covered {
-					// Steady-state advance: one retrieval round trip.
-					n.arrivals[b] = n.clock + lCoh
-				} else {
-					// Newly located stream: lookup + forwarding, then
-					// pipelined data delivery.
-					n.arrivals[b] = n.clock + s.streamStart + uint64(k)*streamSpacing
-				}
-			}
-			// An arrival time is read only while its block sits in the SVB,
-			// and every insertion sets a fresh one, so the times of blocks
-			// the SVB discarded unconsumed are dead. Drop them once they
-			// outnumber the live ones: the map stays the SVB's size instead
-			// of growing to every block ever streamed to the node.
-			if svb := eng.SVB(); len(n.arrivals) > 2*svb.Len()+64 {
-				for b := range n.arrivals {
-					if !svb.Contains(uint64(b)) {
-						delete(n.arrivals, b)
-					}
-				}
+			// Stamp their slots in stream order, so a slot this call
+			// evicted and refilled keeps its last block's time.
+			for k, slot := range eng.Fetched() {
+				eng.SVB().Stamp(slot, at+uint64(k)*spacing)
 			}
 		}
 
@@ -364,8 +344,8 @@ func (s *simulator) step(kind trace.EventKind, node mem.NodeID, block mem.BlockA
 
 // finish flushes every node's open burst and returns the result.
 func (s *simulator) finish() Result {
-	for _, n := range s.nodes {
-		s.flushBurst(n)
+	for i := range s.nodes {
+		s.flushBurst(&s.nodes[i])
 	}
 	res := s.res
 	if s.sys != nil {

@@ -291,8 +291,8 @@ func TestConsumerMatchesSimulate(t *testing.T) {
 	}
 }
 
-// TestTSEResultMatchesEvaluateTSE: the TSE run's own system, which the
-// timing model only reads back for fetch arrival times, yields exactly the
+// TestTSEResultMatchesEvaluateTSE: the TSE run's own system, whose SVB
+// slots the timing model only stamps and reads back, yields exactly the
 // trace-driven result of a plain TSE pass (analysis.EvaluateTSE) under the
 // paper configuration — coverage, discards, stream-length histogram, traffic
 // and CMOB footprint — for every registered workload at 4 and 16 nodes. This
@@ -364,3 +364,42 @@ func TestConsumerPropagatesError(t *testing.T) {
 
 // errSourceBroken is the sentinel error used by failingSource.
 var errSourceBroken = errors.New("timing test: source failed")
+
+// TestTimingDoesNotAllocate pins the per-event path of a warmed TSE timing
+// simulator at zero heap allocations, with the paper's SVB and with an
+// unlimited one, each over a CMOB of 2,048 entries that the repeated trace
+// wraps. Warming runs the trace until every block has an id and the SVB
+// slots, position tables and stream queues have stopped growing. The
+// segment list still grows by one entry per 2,000 consumptions, and a
+// stream length never seen before adds a histogram bucket now and then:
+// together fewer than one allocation per run.
+func TestTimingDoesNotAllocate(t *testing.T) {
+	spec, _ := workload.ByName("db2")
+	gen := spec.New(workload.Config{Nodes: 4, Seed: 11, Scale: 0.05, Geometry: mem.DefaultGeometry()})
+	tr, err := coherence.New(coherence.Config{Nodes: 4, Geometry: mem.DefaultGeometry()}).RunFrom(gen.Emit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, svb := range []int{32, 0} {
+		p := tseParams(4, gen.Timing())
+		p.SegmentConsumptions = 0
+		p.TSE.CMOBEntries, p.TSE.SVBEntries = 2048, svb
+		s, err := newSimulator(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func() {
+			for i := range tr.Events {
+				e := &tr.Events[i]
+				s.step(e.Kind, e.Node, e.Block)
+			}
+		}
+		for i := 0; i < 60; i++ {
+			run()
+		}
+		if allocs := testing.AllocsPerRun(5, run); allocs != 0 {
+			t.Fatalf("svb=%d: %v allocations per %d events, want 0", svb, allocs, len(tr.Events))
+		}
+		t.Logf("svb=%d: %d consumptions, %d full and %d partial hits", svb, s.res.Consumptions, s.res.FullCovered, s.res.PartialCovered)
+	}
+}

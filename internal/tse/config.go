@@ -34,9 +34,13 @@
 //
 // Nothing in the package calls back into its users. Finish derives the
 // traffic of each Figure 11 category from counters the engines and SVBs
-// already keep (a message count times a message size), and a caller that
-// needs the blocks a consumption streamed, like the timing model, reads
-// them back with Engine.Fetched after System.Consume.
+// already keep (a message count times a message size). A caller that
+// keeps a value per streamed block, like the timing model's arrival cycle,
+// stores it in the block's SVB slot: after System.Consume it reads the
+// slots the consumption streamed into with Engine.Fetched and stamps them
+// (SVB.Stamp), and a later hit hands the stamp back (Engine.HitStamp).
+// The stamps sit in a column beside the SVB's entries that the first Stamp
+// creates, so an SVB that is never stamped keeps its entries as they were.
 package tse
 
 import (

@@ -48,9 +48,9 @@ type Engine struct {
 	// streamLengths records the number of SVB hits each retired stream
 	// produced (Figure 13).
 	streamLengths *Histogram
-	// fetched is the blocks streamed into the SVB by the current
+	// fetched is the SVB slots of the blocks streamed by the current
 	// consumption, in stream order (see Fetched).
-	fetched []BlockID
+	fetched []int
 }
 
 // NewEngine builds a stream engine for one node. read supplies remote CMOB
@@ -76,9 +76,17 @@ func (e *Engine) Stats() EngineStats { return e.stats }
 // StreamLengths returns the histogram of hits per retired stream.
 func (e *Engine) StreamLengths() *Histogram { return e.streamLengths }
 
-// Fetched returns the blocks the last Consumption streamed into the SVB, in
-// stream order. The slice is reused by the next Consumption.
-func (e *Engine) Fetched() []BlockID { return e.fetched }
+// Fetched returns the SVB slots of the blocks the last Consumption streamed,
+// in stream order, for the owner to Stamp. A slot appears again when a later
+// block of the same Consumption evicted an earlier one in place; the last
+// stamp then belongs to the block the slot holds. The slice is reused by
+// the next Consumption.
+func (e *Engine) Fetched() []int { return e.fetched }
+
+// HitStamp returns the stamp of the SVB entry the last covered Consumption
+// hit: 0 if no owner stamped it. A Write that invalidates a block the SVB
+// holds takes an entry too, so read it before the next Write.
+func (e *Engine) HitStamp() uint64 { return e.svb.taken }
 
 // Consumption processes a coherent read miss by this node. ptrs are the
 // CMOB pointers the directory returned for the block (newest first).
@@ -275,11 +283,10 @@ func (e *Engine) fill(q *streamQueue) {
 		q.popAgreed(agreed)
 		// Do not re-stream a block the SVB already holds.
 		if !e.svb.Contains(uint64(agreed)) {
-			e.svb.Insert(uint64(agreed), q.id)
+			e.fetched = append(e.fetched, e.svb.Insert(uint64(agreed), q.id))
 			q.outstanding++
 			q.fetched++
 			e.stats.BlocksFetched++
-			e.fetched = append(e.fetched, agreed)
 		}
 	}
 }

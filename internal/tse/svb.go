@@ -38,6 +38,14 @@ type svbEntry struct {
 // the victim are linear scans. An unlimited SVB also keeps a position table
 // indexed by key, so its keys must be dense ids: the table is as long as
 // the largest key held.
+//
+// An owner may also attach a stamp to the slot Insert returned (the timing
+// model's arrival cycle). A new entry's stamp is 0, the stamp moves with
+// its entry when a removal refills the freed slot, and the removal that
+// takes the entry keeps it until the next removal (Engine.HitStamp). The
+// stamps live in a column beside the slots that the first Stamp creates,
+// so an owner that never stamps (a sweep cell, a prefetcher) stores none
+// and pays a nil check per insert and per removal.
 type SVB struct {
 	capacity int        // 0 = unlimited
 	slots    []svbEntry // the held entries, in no order
@@ -50,6 +58,10 @@ type SVB struct {
 	// holders and a probe of a block this SVB does not hold reads one bit.
 	holders *[]uint64
 	bit     uint64
+	// stamps is nil until the first Stamp, then holds one stamp per slot.
+	// It comes after the fields that every SVB's probes and inserts read.
+	stamps []uint64
+	taken  uint64 // with stamps: the stamp of the entry the last removal took
 }
 
 // NewSVB returns an SVB with the given capacity in blocks (0 = unlimited).
@@ -100,7 +112,8 @@ func (s *SVB) Contains(key uint64) bool {
 	return s.find(key) >= 0
 }
 
-// take removes key, if held, and returns its entry.
+// take removes key, if held, and returns its entry; with stamps, it keeps
+// the entry's stamp in taken.
 func (s *SVB) take(key uint64) (svbEntry, bool) {
 	i := s.find(key)
 	if i < 0 {
@@ -110,6 +123,10 @@ func (s *SVB) take(key uint64) (svbEntry, bool) {
 	last := len(s.slots) - 1
 	s.slots[i] = s.slots[last]
 	s.slots = s.slots[:last]
+	if s.stamps != nil {
+		s.taken, s.stamps[i] = s.stamps[i], s.stamps[last]
+		s.stamps = s.stamps[:last]
+	}
 	if s.capacity == 0 {
 		if i < last {
 			s.pos[s.slots[i].key] = int32(i + 1)
@@ -128,15 +145,18 @@ func (s *SVB) release(key uint64) {
 }
 
 // Insert places a streamed block into the SVB, associated with the stream
-// queue that streamed it. If the block is already present the entry is
-// refreshed. If the SVB is full the least recently used entry is discarded.
-func (s *SVB) Insert(key uint64, queue int) {
+// queue that streamed it, and returns the slot that now holds it. A new
+// entry's stamp is 0. If the block is already present the entry is
+// refreshed and keeps its stamp. If the SVB is full the least recently used
+// entry is discarded and the block takes its slot.
+func (s *SVB) Insert(key uint64, queue int) int {
 	s.clock++
 	e := svbEntry{key: key, queue: queue, lru: s.clock}
 	if i := s.find(key); i >= 0 {
 		s.slots[i] = e
-		return
+		return i
 	}
+	v := len(s.slots)
 	switch {
 	case s.capacity == 0:
 		if key >= uint64(len(s.pos)) {
@@ -147,7 +167,7 @@ func (s *SVB) Insert(key uint64, queue int) {
 	case len(s.slots) < s.capacity:
 		s.slots = append(s.slots, e)
 	default:
-		v := 0
+		v = 0
 		for i := 1; i < len(s.slots); i++ {
 			if s.slots[i].lru < s.slots[v].lru {
 				v = i
@@ -159,11 +179,32 @@ func (s *SVB) Insert(key uint64, queue int) {
 		s.stats.Discards++
 		s.stats.Evicted++
 	}
+	switch {
+	case v < len(s.stamps):
+		s.stamps[v] = 0
+	case s.stamps != nil:
+		s.stamps = append(s.stamps, 0)
+	}
 	if s.holders != nil {
 		(*s.holders)[key] |= s.bit
 	}
 	s.stats.Inserted++
+	return v
 }
+
+// Stamp attaches t to the entry in slot i. The slot must come from an
+// Insert with no Hit, Invalidate or Flush since, because a removal moves
+// the last entry into the freed slot.
+func (s *SVB) Stamp(i int, t uint64) {
+	if s.stamps == nil {
+		s.stamps = make([]uint64, len(s.slots), cap(s.slots))
+	}
+	s.stamps[i] = t
+}
+
+// Key returns the key of the entry in slot i, such as the block a slot of
+// Engine.Fetched holds.
+func (s *SVB) Key(i int) uint64 { return s.slots[i].key }
 
 // Hit probes the SVB for a block on a processor access. On a hit the entry
 // is removed (the block moves to the L1 data cache) and the id of the stream
@@ -203,4 +244,5 @@ func (s *SVB) Flush() {
 	s.stats.Discards += n
 	s.stats.Unused += n
 	s.slots = s.slots[:0]
+	s.stamps = s.stamps[:0]
 }

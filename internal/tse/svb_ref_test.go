@@ -9,19 +9,26 @@ import (
 )
 
 // refSVB is the test's reference streamed value buffer: a scanned slice in
-// insertion order, with the victim found by the minimum LRU stamp.
+// insertion order, with the victim found by the minimum LRU stamp. Each
+// entry keeps the owner's stamp of its latest insert, 0 if unstamped.
 type refSVB struct {
 	capacity int
-	held     []svbEntry
+	held     []refEntry
 	clock    uint64
 	stats    SVBStats
 }
 
-func (r *refSVB) index(b uint64) int {
-	return slices.IndexFunc(r.held, func(e svbEntry) bool { return e.key == b })
+// refEntry is a reference entry with its stamp.
+type refEntry struct {
+	svbEntry
+	stamp uint64
 }
 
-func (r *refSVB) remove(i int) svbEntry {
+func (r *refSVB) index(b uint64) int {
+	return slices.IndexFunc(r.held, func(e refEntry) bool { return e.key == b })
+}
+
+func (r *refSVB) remove(i int) refEntry {
 	e := r.held[i]
 	r.held = slices.Delete(r.held, i, i+1)
 	return e
@@ -33,28 +40,32 @@ func (r *refSVB) discard(reason *uint64) {
 	*reason++
 }
 
-func (r *refSVB) insert(b uint64, queue int) {
+func (r *refSVB) insert(b uint64, queue int, stamp uint64) {
 	r.clock++
 	if i := r.index(b); i >= 0 {
 		r.held[i].queue, r.held[i].lru = queue, r.clock
+		if stamp != 0 {
+			r.held[i].stamp = stamp
+		}
 		return
 	}
 	if r.capacity > 0 && len(r.held) >= r.capacity {
-		oldest := slices.MinFunc(r.held, func(a, b svbEntry) int { return cmp.Compare(a.lru, b.lru) })
+		oldest := slices.MinFunc(r.held, func(a, b refEntry) int { return cmp.Compare(a.lru, b.lru) })
 		r.remove(r.index(oldest.key))
 		r.discard(&r.stats.Evicted)
 	}
-	r.held = append(r.held, svbEntry{key: b, queue: queue, lru: r.clock})
+	r.held = append(r.held, refEntry{svbEntry{key: b, queue: queue, lru: r.clock}, stamp})
 	r.stats.Inserted++
 }
 
-func (r *refSVB) hit(b uint64) (int, bool) {
+func (r *refSVB) hit(b uint64) (int, uint64, bool) {
 	i := r.index(b)
 	if i < 0 {
-		return -1, false
+		return -1, 0, false
 	}
 	r.stats.Hits++
-	return r.remove(i).queue, true
+	e := r.remove(i)
+	return e.queue, e.stamp, true
 }
 
 func (r *refSVB) invalidate(b uint64) bool {
@@ -82,14 +93,18 @@ const svbOpKinds = 5
 const svbKeys = 40 * 3
 
 // checkSVB decodes ops two bytes at a time — an operation and a key out of
-// 40 — and applies each to two SVBs of the given capacity and to refSVB:
+// 40 — and applies each to two SVBs of the given capacity and to refSVB.
+// An insert is stamped through the slot Insert returned, which must hold
+// the key, on every other value of the operation byte, and left unstamped
+// otherwise. The SVBs are
 // one SVB standalone, as the prefetchers use it, and one with a bit in a
 // holder-mask slice, as a System's engines use it. After every operation it
-// compares each SVB's results, per-reason Stats and Len with the reference,
-// and each SVB's Contains of every key, the holder mask of every key and,
-// for an unlimited SVB, the position table against the reference's held
-// set; so an eviction's victim is checked when it happens. It returns the
-// first difference.
+// compares each SVB's results (a hit's stamp included), per-reason Stats
+// and Len with the reference, and each SVB's Contains of every key, the
+// stamp of every held key, the holder mask of every key and, for an
+// unlimited SVB, the position table against the reference's held set; so
+// an eviction's victim is checked when it happens. It returns the first
+// difference.
 func checkSVB(capacity int, ops []byte) error {
 	const bit = 1 << 5
 	holders := make([]uint64, svbKeys)
@@ -102,17 +117,27 @@ func checkSVB(capacity int, ops []byte) error {
 		var op string
 		switch ops[i] % svbOpKinds {
 		case 0:
-			op = fmt.Sprintf("Insert(%#x, %d)", b, i)
-			for _, s := range svbs {
-				s.Insert(b, i)
+			var stamp uint64
+			if ops[i]/svbOpKinds%2 == 1 {
+				stamp = uint64(i + 1)
 			}
-			ref.insert(b, i)
+			op = fmt.Sprintf("Insert(%#x, %d) stamped %d", b, i, stamp)
+			for j, s := range svbs {
+				slot := s.Insert(b, i)
+				if k := s.Key(slot); k != b {
+					return fmt.Errorf("svb %d op %d %s: slot %d holds %#x", j, i/2, op, slot, k)
+				}
+				if stamp != 0 {
+					s.Stamp(slot, stamp)
+				}
+			}
+			ref.insert(b, i, stamp)
 		case 1:
 			op = fmt.Sprintf("Hit(%#x)", b)
-			wq, wok := ref.hit(b)
+			wq, ws, wok := ref.hit(b)
 			for j, s := range svbs {
-				if q, ok := s.Hit(b); q != wq || ok != wok {
-					return fmt.Errorf("svb %d op %d %s = %d,%v, want %d,%v", j, i/2, op, q, ok, wq, wok)
+				if q, ok := s.Hit(b); q != wq || ok != wok || ok && s.taken != ws {
+					return fmt.Errorf("svb %d op %d %s = %d,%v stamp %d, want %d,%v stamp %d", j, i/2, op, q, ok, s.taken, wq, wok, ws)
 				}
 			}
 		case 2:
@@ -151,6 +176,14 @@ func checkSVB(capacity int, ops []byte) error {
 					return fmt.Errorf("svb %d op %d %s: Contains(%#x) = %v, want %v", j, i/2, op, k, !held, held)
 				}
 			}
+			for _, e := range ref.held {
+				if slot := s.find(e.key); slot < 0 || stampAt(s, slot) != e.stamp {
+					return fmt.Errorf("svb %d op %d %s: %#x in slot %d, want stamp %d", j, i/2, op, e.key, slot, e.stamp)
+				}
+			}
+			if s.stamps != nil && len(s.stamps) != len(s.slots) {
+				return fmt.Errorf("svb %d op %d %s: %d stamps for %d slots", j, i/2, op, len(s.stamps), len(s.slots))
+			}
 			if err := checkPositions(s); err != nil {
 				return fmt.Errorf("svb %d op %d %s: %v", j, i/2, op, err)
 			}
@@ -160,6 +193,14 @@ func checkSVB(capacity int, ops []byte) error {
 		}
 	}
 	return nil
+}
+
+// stampAt returns the stamp of slot i, 0 while the SVB keeps no stamps.
+func stampAt(s *SVB, i int) uint64 {
+	if s.stamps == nil {
+		return 0
+	}
+	return s.stamps[i]
 }
 
 // checkPositions reports whether an unlimited SVB's position table names

@@ -129,18 +129,17 @@ func NewSystem(cfg Config) *System {
 // Config returns the system configuration.
 func (s *System) Config() Config { return s.cfg }
 
-// Engine returns the stream engine of one node: its Fetched and SVB, read
-// after Consume, and white-box tests.
+// Engine returns the stream engine of one node: its Fetched, HitStamp and
+// SVB, read after Consume, and white-box tests.
 func (s *System) Engine(node mem.NodeID) *Engine { return s.engines[node] }
 
 // CMOB returns the CMOB of one node (for white-box tests).
 func (s *System) CMOB(node mem.NodeID) *CMOB { return &s.cmobs[node] }
 
-// Consume processes a consumption by node in global order. It returns the
-// block's id, the name under which the node's engine reports the blocks it
-// streams (Engine.Fetched), and whether TSE eliminated the consumption (the
-// block was already in the node's SVB).
-func (s *System) Consume(node mem.NodeID, block mem.BlockAddr) (BlockID, bool) {
+// Consume processes a consumption by node in global order. It reports
+// whether TSE eliminated the consumption (the block was already in the
+// node's SVB).
+func (s *System) Consume(node mem.NodeID, block mem.BlockAddr) bool {
 	if int(node) < 0 || int(node) >= s.cfg.Nodes {
 		panic(fmt.Sprintf("tse: consumption from node %d outside [0,%d)", node, s.cfg.Nodes))
 	}
@@ -163,7 +162,7 @@ func (s *System) Consume(node mem.NodeID, block mem.BlockAddr) (BlockID, bool) {
 	if sb := s.cmobs[node].StorageBytes(); sb > s.peak {
 		s.peak = sb
 	}
-	return id, covered
+	return covered
 }
 
 // WriteBlock processes a write to block by any node: it invalidates the

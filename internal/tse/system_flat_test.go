@@ -1,7 +1,6 @@
 package tse
 
 import (
-	"cmp"
 	"fmt"
 	"maps"
 	"math/rand"
@@ -86,13 +85,6 @@ func flatStateConfigs(nodes int) map[string]Config {
 	return map[string]Config{"bounded": bounded, "unlimited": unlimited}
 }
 
-// consume feeds one consumption event to s and reports whether TSE
-// eliminated it.
-func consume(s *System, e trace.Event) bool {
-	_, covered := s.Consume(e.Node, e.Block)
-	return covered
-}
-
 // writeAll is the twin's write: Engine.Write on every node, for a block
 // the System has named (a block never consumed is held nowhere).
 func writeAll(s *System, block mem.BlockAddr) {
@@ -118,7 +110,7 @@ func TestSystemHolderMaskAndWriteAllTwin(t *testing.T) {
 					if e.Kind == trace.KindWrite {
 						s.WriteBlock(e.Block)
 						writeAll(twin, e.Block)
-					} else if got, want := consume(s, e), consume(twin, e); got != want {
+					} else if got, want := s.Consume(e.Node, e.Block), twin.Consume(e.Node, e.Block); got != want {
 						t.Fatalf("event %d: Consumption = %v, twin %v", i, got, want)
 					}
 					checkHolders(t, s, i)
@@ -157,7 +149,7 @@ func FuzzSystemTwin(f *testing.F) {
 					continue
 				}
 				e.Kind = trace.KindConsumption
-				if got, want := consume(s, e), consume(twin, e); got != want {
+				if got, want := s.Consume(e.Node, e.Block), twin.Consume(e.Node, e.Block); got != want {
 					t.Fatalf("%s: event %d: Consumption = %v, twin %v", name, i/3, got, want)
 				}
 			}
@@ -169,48 +161,77 @@ func FuzzSystemTwin(f *testing.F) {
 }
 
 // TestEngineFetchedIsSVBGain checks, after every consumption, that the
-// consuming node's Engine.Fetched holds exactly the blocks its SVB gained,
-// in stream order, and that its length is the engine's BlocksFetched delta.
-// The SVB stamps each insert with a rising clock, so a gained entry is one
-// whose stamp is new, even for a block that was hit and streamed again.
+// consuming node's Engine.Fetched names the SVB slots of the blocks it
+// streamed, in stream order: the SVB stamps each insert with a rising
+// clock, so the k-th insert of the consumption has the consumption's first
+// stamp plus k, and a slot named again (a later block evicted an earlier
+// one in place) holds the block of its last naming. The slots named are
+// exactly those whose entry is new, and there are as many names as the
+// engine's BlocksFetched delta. Every named slot is then stamped, and a
+// covered consumption's HitStamp must be the stamp its block's slot held.
+// The "small" configuration's SVB is shorter than the lookahead, so a
+// consumption can evict its own blocks.
 func TestEngineFetchedIsSVBGain(t *testing.T) {
-	for name, cfg := range flatStateConfigs(4) {
+	configs := flatStateConfigs(4)
+	small := configs["bounded"]
+	small.SVBEntries = 2
+	configs["small"] = small
+	for name, cfg := range configs {
 		s := NewSystem(cfg)
-		streamed := 0
+		streamed, renamed, hits := 0, 0, 0
 		for i, e := range streamingEvents(cfg.Nodes, 6000, 7) {
 			if e.Kind == trace.KindWrite {
 				s.WriteBlock(e.Block)
 				continue
 			}
 			eng := s.Engine(e.Node)
-			before := make(map[uint64]uint64)
-			for _, se := range eng.svb.slots {
-				before[se.key] = se.lru
-			}
-			fetchedBefore := eng.Stats().BlocksFetched
-			s.Consume(e.Node, e.Block)
-			var gained []svbEntry
-			for _, se := range eng.svb.slots {
-				if before[se.key] != se.lru {
-					gained = append(gained, se)
+			clock, fetchedBefore := eng.svb.clock, eng.Stats().BlocksFetched
+			var held uint64
+			if id, ok := s.ptrs.index[e.Block]; ok {
+				if slot := eng.svb.find(uint64(id)); slot >= 0 {
+					held = stampAt(eng.svb, slot)
 				}
 			}
-			slices.SortFunc(gained, func(a, b svbEntry) int { return cmp.Compare(a.lru, b.lru) })
-			want := make([]BlockID, len(gained))
-			for k, se := range gained {
-				want[k] = BlockID(se.key)
+			if covered := s.Consume(e.Node, e.Block); covered {
+				if got := eng.HitStamp(); got != held {
+					t.Fatalf("%s: event %d node %d: HitStamp %d, slot held %d", name, i, e.Node, got, held)
+				}
+				hits++
 			}
 			got := eng.Fetched()
-			if !slices.Equal(got, want) {
-				t.Fatalf("%s: event %d node %d: Fetched %v, SVB gained %v", name, i, e.Node, got, want)
+			last := make(map[int]int)
+			for k, slot := range got {
+				if slot < 0 || slot >= eng.svb.Len() {
+					t.Fatalf("%s: event %d node %d: slot %d of %d", name, i, e.Node, slot, eng.svb.Len())
+				}
+				last[slot] = k
+			}
+			for k, slot := range got {
+				if lru, want := eng.svb.slots[slot].lru, clock+1+uint64(last[slot]); lru != want {
+					t.Fatalf("%s: event %d node %d: Fetched[%d] = slot %d with stamp %d, want %d", name, i, e.Node, k, slot, lru, want)
+				}
+				eng.svb.Stamp(slot, uint64(i)<<8|uint64(k+1))
+			}
+			gained := 0
+			for _, se := range eng.svb.slots {
+				if se.lru > clock {
+					gained++
+				}
+			}
+			if gained != len(last) {
+				t.Fatalf("%s: event %d node %d: SVB gained %d entries, Fetched names %d slots", name, i, e.Node, gained, len(last))
 			}
 			if delta := eng.Stats().BlocksFetched - fetchedBefore; uint64(len(got)) != delta {
 				t.Fatalf("%s: event %d node %d: %d fetched, BlocksFetched rose by %d", name, i, e.Node, len(got), delta)
 			}
 			streamed += len(got)
+			renamed += len(got) - len(last)
 		}
-		if streamed == 0 {
-			t.Fatalf("%s: events streamed nothing", name)
+		if streamed == 0 || hits == 0 {
+			t.Fatalf("%s: events streamed %d blocks and hit %d", name, streamed, hits)
+		}
+		if name == "small" && renamed == 0 {
+			t.Fatalf("%s: no consumption evicted a block it streamed", name)
 		}
 	}
 }
@@ -231,7 +252,8 @@ func TestBlockIDsDenseInFirstSeenOrder(t *testing.T) {
 			wantID = BlockID(len(want))
 			want[e.Block] = wantID
 		}
-		if id, _ := s.Consume(e.Node, e.Block); id != wantID {
+		s.Consume(e.Node, e.Block)
+		if id := s.ptrs.index[e.Block]; id != wantID {
 			t.Fatalf("event %d: block %#x got id %d, want %d", i, e.Block, id, wantID)
 		}
 	}

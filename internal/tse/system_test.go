@@ -96,14 +96,14 @@ func TestSystemWriteInvalidatesEverywhere(t *testing.T) {
 	for _, blk := range []mem.BlockAddr{a, b, c} {
 		s.Consume(1, blk)
 	}
-	if _, covered := s.Consume(2, a); covered {
+	if covered := s.Consume(2, a); covered {
 		t.Fatal("head miss cannot be covered")
 	}
 	s.WriteBlock(b)
-	if _, covered := s.Consume(2, b); covered {
+	if covered := s.Consume(2, b); covered {
 		t.Fatal("invalidated streamed block must not be covered")
 	}
-	if _, covered := s.Consume(2, c); !covered {
+	if covered := s.Consume(2, c); !covered {
 		t.Fatal("unaffected streamed block should still be covered")
 	}
 }
