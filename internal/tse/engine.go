@@ -51,6 +51,9 @@ type Engine struct {
 	// fetched is the SVB slots of the blocks streamed by the current
 	// consumption, in stream order (see Fetched).
 	fetched []int
+	// inFIFO counts, per BlockID, the entries of the active queues' FIFOs
+	// that name the block.
+	inFIFO fifoCounts
 }
 
 // NewEngine builds a stream engine for one node. read supplies remote CMOB
@@ -109,16 +112,24 @@ func (e *Engine) Consumption(b BlockID, ptrs []CMOBPointer) bool {
 		return true
 	}
 
-	// The miss did not hit the SVB. First check whether it matches a
-	// stalled stream: that identifies which of the diverging histories the
-	// processor is actually following (Section 3.3).
+	// The miss did not hit the SVB. A lookahead window is a prefix of its
+	// FIFO, so a block that no FIFO holds matches no stream: allocate
+	// without scanning.
+	if !e.inFIFO.holds(b) {
+		e.allocate(ptrs)
+		return false
+	}
+
+	// First check whether it matches a stalled stream: that identifies
+	// which of the diverging histories the processor is actually following
+	// (Section 3.3).
 	for _, q := range e.queues {
 		if !q.active || !q.stalled {
 			continue
 		}
 		if idx, pos := q.matchStalledHead(b, e.cfg.Lookahead); idx >= 0 {
-			q.selectFIFO(idx)
-			q.fifos[0].dropThrough(pos)
+			q.selectFIFO(idx, e.inFIFO)
+			q.fifos[0].dropThrough(pos, e.inFIFO)
 			q.stalled = false
 			q.lru = e.clock
 			e.stats.StreamsResolved++
@@ -138,7 +149,7 @@ func (e *Engine) Consumption(b BlockID, ptrs []CMOBPointer) bool {
 			continue
 		}
 		if idx, pos := q.matchStalledHead(b, e.cfg.Lookahead); idx >= 0 {
-			q.fifos[idx].dropThrough(pos)
+			q.fifos[idx].dropThrough(pos, e.inFIFO)
 			// Drop the skipped prefix from the other FIFOs too so heads
 			// stay comparable.
 			for j := range q.fifos {
@@ -146,7 +157,7 @@ func (e *Engine) Consumption(b BlockID, ptrs []CMOBPointer) bool {
 					continue
 				}
 				if p := q.fifos[j].contains(b); p >= 0 {
-					q.fifos[j].dropThrough(p)
+					q.fifos[j].dropThrough(p, e.inFIFO)
 				}
 			}
 			q.lru = e.clock
@@ -211,6 +222,9 @@ func (e *Engine) allocate(ptrs []CMOBPointer) {
 	q := e.acquireQueue()
 	q.slots, e.spare = e.spare, q.slots
 	q.fifos = q.slots[:n]
+	for i := range q.fifos {
+		e.inFIFO.add(q.fifos[i].addrs)
+	}
 	q.stalled = false
 	q.outstanding = 0
 	q.hits = 0
@@ -256,6 +270,9 @@ func (e *Engine) retire(q *streamQueue) {
 	if q.fetched > 0 || q.hits > 0 {
 		e.streamLengths.Add(int(q.hits))
 	}
+	for i := range q.fifos {
+		e.inFIFO.remove(q.fifos[i].addrs)
+	}
 	q.active = false
 	q.fifos = q.fifos[:0]
 }
@@ -280,7 +297,7 @@ func (e *Engine) fill(q *streamQueue) {
 			}
 			return
 		}
-		q.popAgreed(agreed)
+		q.popAgreed(agreed, e.inFIFO)
 		// Do not re-stream a block the SVB already holds.
 		if !e.svb.Contains(uint64(agreed)) {
 			e.fetched = append(e.fetched, e.svb.Insert(uint64(agreed), q.id))
@@ -311,6 +328,7 @@ func (e *Engine) refill(q *streamQueue) {
 			f.source.exhausted = true
 			continue
 		}
+		e.inFIFO.add(f.addrs[have:])
 		e.stats.StreamRequests++
 		e.stats.AddressesReceived += uint64(got)
 	}

@@ -48,10 +48,10 @@ func (f *streamFIFO) head() (BlockID, bool) {
 	return f.addrs[0], true
 }
 
-func (f *streamFIFO) pop() {
-	if len(f.addrs) > 0 {
-		f.addrs = f.addrs[1:]
-	}
+// pop removes the head, which the caller has checked is there.
+func (f *streamFIFO) pop(counts fifoCounts) {
+	counts[f.addrs[0]]--
+	f.addrs = f.addrs[1:]
 }
 
 // contains reports whether the FIFO holds the block anywhere (used to let
@@ -66,14 +66,43 @@ func (f *streamFIFO) contains(b BlockID) int {
 	return -1
 }
 
-// dropThrough removes entries up to and including index i.
-func (f *streamFIFO) dropThrough(i int) {
-	if i+1 >= len(f.addrs) {
-		f.addrs = f.addrs[:0]
-		return
-	}
+// dropThrough removes entries up to and including index i, an index of an
+// entry.
+func (f *streamFIFO) dropThrough(i int, counts fifoCounts) {
+	counts.remove(f.addrs[:i+1])
 	f.addrs = f.addrs[i+1:]
 }
+
+// fifoCounts holds, per BlockID, how many entries of an engine's active
+// stream queues' FIFOs name the block. Every address a CMOB read appends to
+// such a FIFO adds one and every entry that leaves it subtracts one, so a
+// zero count proves that no FIFO, and hence no lookahead window, holds the
+// block. A count never exceeds the entries one engine's FIFOs can hold,
+// StreamQueues × ComparedStreams × the FIFO capacity, which Config.Validate
+// keeps within a uint16.
+type fifoCounts []uint16
+
+// add counts addrs, growing the counts to cover a new id.
+func (c *fifoCounts) add(addrs []BlockID) {
+	counts := *c
+	for _, b := range addrs {
+		if int(b) >= len(counts) {
+			counts = append(counts, make(fifoCounts, int(b)+1-len(counts))...)
+		}
+		counts[b]++
+	}
+	*c = counts
+}
+
+// remove uncounts addrs, which add counted.
+func (c fifoCounts) remove(addrs []BlockID) {
+	for _, b := range addrs {
+		c[b]--
+	}
+}
+
+// holds reports whether some FIFO entry names b.
+func (c fifoCounts) holds(b BlockID) bool { return int(b) < len(c) && c[b] != 0 }
 
 // streamQueue groups the FIFOs fetched for one stream head and tracks the
 // comparison/stall state of Section 3.3.
@@ -133,10 +162,10 @@ func (q *streamQueue) headsAgree() (BlockID, bool, bool) {
 }
 
 // popAgreed removes the agreed head from every FIFO whose head matches it.
-func (q *streamQueue) popAgreed(b BlockID) {
+func (q *streamQueue) popAgreed(b BlockID, counts fifoCounts) {
 	for i := range q.fifos {
 		if h, ok := q.fifos[i].head(); ok && h == b {
-			q.fifos[i].pop()
+			q.fifos[i].pop(counts)
 		}
 	}
 }
@@ -144,7 +173,12 @@ func (q *streamQueue) popAgreed(b BlockID) {
 // selectFIFO keeps only the FIFO at index keep, discarding the others'
 // contents (the reselection step after a stall, Section 3.3). It swaps the
 // kept FIFO into the first slot, so every slot keeps a buffer of its own.
-func (q *streamQueue) selectFIFO(keep int) {
+func (q *streamQueue) selectFIFO(keep int, counts fifoCounts) {
+	for i := range q.fifos {
+		if i != keep {
+			counts.remove(q.fifos[i].addrs)
+		}
+	}
 	q.fifos[0], q.fifos[keep] = q.fifos[keep], q.fifos[0]
 	q.fifos = q.fifos[:1]
 }

@@ -75,14 +75,53 @@ func checkHolders(t *testing.T, s *System, event int) {
 	}
 }
 
+// checkFIFOCounts reports whether every engine's FIFO counts equal a
+// recount of the FIFO entries in its active queues (after Finish none is
+// active, so every count must be zero), and whether no count slice is
+// longer than the System's id count. recount is scratch space the caller
+// keeps across calls.
+func checkFIFOCounts(t *testing.T, s *System, event int, recount *[]uint16) {
+	t.Helper()
+	ids := len(s.holders)
+	for n, eng := range s.engines {
+		if len(eng.inFIFO) > ids {
+			t.Fatalf("event %d: node %d keeps %d FIFO counts for %d ids", event, n, len(eng.inFIFO), ids)
+		}
+		want := append((*recount)[:0], make([]uint16, ids)...)
+		for _, q := range eng.queues {
+			if !q.active {
+				continue
+			}
+			for _, f := range q.fifos {
+				for _, b := range f.addrs {
+					want[b]++
+				}
+			}
+		}
+		for id, w := range want {
+			var got uint16
+			if id < len(eng.inFIFO) {
+				got = eng.inFIFO[id]
+			}
+			if got != w {
+				t.Fatalf("event %d: node %d counts id %d in %d FIFO entries, recount %d", event, n, id, got, w)
+			}
+		}
+		*recount = want
+	}
+}
+
 // flatStateConfigs are a bounded configuration, small enough that SVBs
-// evict and CMOBs wrap, and an unlimited one.
+// evict and CMOBs wrap, an unlimited one, and the bounded one with three
+// compared streams, so a resolved stall can discard two FIFOs.
 func flatStateConfigs(nodes int) map[string]Config {
 	bounded := DefaultConfig()
 	bounded.Nodes, bounded.SVBEntries, bounded.CMOBEntries, bounded.StreamQueues, bounded.Lookahead = nodes, 8, 64, 4, 4
 	unlimited := bounded
 	unlimited.SVBEntries, unlimited.CMOBEntries = 0, 0
-	return map[string]Config{"bounded": bounded, "unlimited": unlimited}
+	compared3 := bounded
+	compared3.ComparedStreams = 3
+	return map[string]Config{"bounded": bounded, "unlimited": unlimited, "compared3": compared3}
 }
 
 // writeAll is the twin's write: Engine.Write on every node, for a block
@@ -132,12 +171,15 @@ func TestSystemHolderMaskAndWriteAllTwin(t *testing.T) {
 
 // FuzzSystemTwin feeds fuzzed events, three bytes each (kind, node < 8,
 // block < 64), to a System and to a twin whose writes call Engine.Write on
-// every node, in a bounded and an unlimited configuration, and checks that
-// both report the same coverage per event and finish deep-equal.
+// every node, in each flatStateConfigs configuration, and checks that both
+// report the same coverage per event and finish deep-equal, and that the
+// System's FIFO counts equal a recount of its FIFO entries after every
+// event and are all zero after Finish.
 func FuzzSystemTwin(f *testing.F) {
 	f.Add([]byte{1, 0, 1, 1, 0, 2, 1, 1, 1, 1, 1, 2, 0, 0, 1, 1, 2, 1})
 	f.Add([]byte{1, 3, 7, 1, 3, 8, 1, 3, 9, 1, 5, 7, 0, 2, 8, 1, 5, 8, 1, 5, 9})
 	f.Fuzz(func(t *testing.T, data []byte) {
+		var recount []uint16
 		for name, cfg := range flatStateConfigs(8) {
 			s, twin := NewSystem(cfg), NewSystem(cfg)
 			for i := 0; i+2 < len(data); i += 3 {
@@ -146,16 +188,18 @@ func FuzzSystemTwin(f *testing.F) {
 					e.Kind = trace.KindWrite
 					s.WriteBlock(e.Block)
 					writeAll(twin, e.Block)
-					continue
+				} else {
+					e.Kind = trace.KindConsumption
+					if got, want := s.Consume(e.Node, e.Block), twin.Consume(e.Node, e.Block); got != want {
+						t.Fatalf("%s: event %d: Consumption = %v, twin %v", name, i/3, got, want)
+					}
 				}
-				e.Kind = trace.KindConsumption
-				if got, want := s.Consume(e.Node, e.Block), twin.Consume(e.Node, e.Block); got != want {
-					t.Fatalf("%s: event %d: Consumption = %v, twin %v", name, i/3, got, want)
-				}
+				checkFIFOCounts(t, s, i/3, &recount)
 			}
 			if got, want := s.Finish(), twin.Finish(); !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s: Finish = %+v, twin %+v", name, got, want)
 			}
+			checkFIFOCounts(t, s, len(data)/3, &recount)
 		}
 	})
 }
@@ -306,7 +350,8 @@ func TestSystemInvariantUnderBlockRemap(t *testing.T) {
 // when every existing one is busy: it runs until every block has an id and
 // the SVB slots, position tables and queues have stopped growing. A stream
 // length never seen before still adds a bucket to an engine's histogram
-// now and then, fewer than one allocation per run.
+// now and then, fewer than one allocation per run. No engine's FIFO counts
+// may be longer than the System's id count.
 func TestSystemDoesNotAllocate(t *testing.T) {
 	bounded := DefaultConfig()
 	bounded.CMOBEntries = 2048
@@ -329,6 +374,11 @@ func TestSystemDoesNotAllocate(t *testing.T) {
 		}
 		if allocs := testing.AllocsPerRun(5, run); allocs != 0 {
 			t.Fatalf("%s: %v allocations per %d events, want 0", name, allocs, len(events))
+		}
+		for n, eng := range s.engines {
+			if len(eng.inFIFO) > len(s.holders) {
+				t.Fatalf("%s: node %d keeps %d FIFO counts for %d ids", name, n, len(eng.inFIFO), len(s.holders))
+			}
 		}
 		ls := s.Probe()
 		t.Logf("%s: coverage %.1f%%, %d streams allocated in total", name, 100*ls.Coverage(), ls.StreamsAllocated)

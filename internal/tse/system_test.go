@@ -1,6 +1,7 @@
 package tse
 
 import (
+	"math"
 	"testing"
 
 	"tsm/internal/coherence"
@@ -233,10 +234,23 @@ func TestConfigValidateAndHelpers(t *testing.T) {
 		{Nodes: 4, Geometry: mem.DefaultGeometry(), StreamQueues: 1, ComparedStreams: 1, Lookahead: 0},
 		{Nodes: 4, Geometry: mem.DefaultGeometry(), StreamQueues: 1, ComparedStreams: 1, Lookahead: 1, CMOBEntries: -1},
 		{Nodes: 100, Geometry: mem.DefaultGeometry(), StreamQueues: 1, ComparedStreams: 1, Lookahead: 1},
+		// More FIFO entries per node than a uint16 FIFO count holds.
+		{Nodes: 4, Geometry: mem.DefaultGeometry(), StreamQueues: 1, ComparedStreams: 1, Lookahead: 1, FIFOCapacity: math.MaxUint16 + 1},
+		{Nodes: 4, Geometry: mem.DefaultGeometry(), StreamQueues: 64, ComparedStreams: 4, Lookahead: 128},
+		{Nodes: 4, Geometry: mem.DefaultGeometry(), StreamQueues: 1, ComparedStreams: 1, Lookahead: math.MaxInt},
+		{Nodes: 4, Geometry: mem.DefaultGeometry(), StreamQueues: math.MaxInt, ComparedStreams: math.MaxInt, Lookahead: 1},
 	}
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {
 			t.Errorf("Validate(%+v) should fail", c)
+		}
+	}
+	for _, c := range []Config{
+		{Nodes: 4, Geometry: mem.DefaultGeometry(), StreamQueues: 1, ComparedStreams: 1, Lookahead: 1, FIFOCapacity: math.MaxUint16},
+		{Nodes: 4, Geometry: mem.DefaultGeometry(), StreamQueues: 64, ComparedStreams: 4, Lookahead: 127},
+	} {
+		if err := c.Validate(); err != nil {
+			t.Errorf("Validate(%+v) = %v, want nil at the FIFO entry bound", c, err)
 		}
 	}
 	cfg := DefaultConfig()

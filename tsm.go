@@ -49,7 +49,8 @@ type Options struct {
 	// Seed makes generation deterministic (default 1).
 	Seed int64
 	// Lookahead overrides the per-workload stream lookahead (0 = use the
-	// workload's Table 3 value).
+	// workload's Table 3 value). It must leave the paper's stream FIFOs
+	// within tse.Config.Validate's entry bound: at most 2,047.
 	Lookahead int
 }
 
@@ -94,6 +95,11 @@ func (o Options) Validate() error {
 	}
 	if o.Lookahead < 0 {
 		return fmt.Errorf("tsm: Options.Lookahead is negative (%d); use 0 for the workload's Table 3 value", o.Lookahead)
+	}
+	if o.Lookahead > 0 {
+		if err := tseConfig(nil, o.normalize()).Validate(); err != nil {
+			return fmt.Errorf("tsm: Options.Lookahead %d: %w", o.Lookahead, err)
+		}
 	}
 	return nil
 }

@@ -59,6 +59,7 @@ func TestOptionsValidate(t *testing.T) {
 		{"NaN scale", Options{Scale: math.NaN()}, "Scale"},
 		{"infinite scale", Options{Scale: math.Inf(1)}, "Scale"},
 		{"negative lookahead", Options{Lookahead: -8}, "Lookahead"},
+		{"lookahead past the FIFO entry bound", Options{Lookahead: 1 << 12}, "Lookahead"},
 	}
 	for _, c := range cases {
 		err := c.opts.Validate()
