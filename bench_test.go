@@ -15,34 +15,35 @@ import (
 	"tsm/internal/experiments"
 	"tsm/internal/stream"
 	"tsm/internal/timing"
+	"tsm/internal/tse"
 )
 
 var benchScale = flag.Float64("benchscale", 0.1, "workload scale factor for benchmarks")
 
 // benchData generates the db2 trace (16 nodes, seed 1) at the benchmark
 // scale.
-func benchData(b *testing.B) (*experiments.WorkloadData, *experiments.Workspace) {
+func benchData(b *testing.B) *experiments.WorkloadData {
 	b.Helper()
 	w := experiments.NewWorkspace(experiments.Options{Nodes: 16, Scale: *benchScale, Seed: 1})
 	d, err := w.Data("db2")
 	if err != nil {
 		b.Fatal(err)
 	}
-	return d, w
+	return d
 }
 
 // BenchmarkTimingModel measures the DSM timing model on one trace, baseline
 // and with TSE. It is kept because it isolates the TSE state machine, which
 // bounds replay, from decode and the ring.
 func BenchmarkTimingModel(b *testing.B) {
-	d, w := benchData(b)
+	d := benchData(b)
 	prof := d.Generator.Timing()
-	cfg := w.System().DefaultTSE()
+	cfg := tse.DefaultConfig()
 	cfg.Lookahead = prof.Lookahead
 	b.Run("base", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := timing.Simulate(d.Trace, timing.Params{
-				System: w.System(), Profile: prof, Nodes: 16,
+				Profile: prof, Nodes: 16,
 			}); err != nil {
 				b.Fatal(err)
 			}
@@ -51,7 +52,7 @@ func BenchmarkTimingModel(b *testing.B) {
 	b.Run("tse", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := timing.Simulate(d.Trace, timing.Params{
-				System: w.System(), Profile: prof, Nodes: 16, TSE: &cfg,
+				Profile: prof, Nodes: 16, TSE: &cfg,
 			}); err != nil {
 				b.Fatal(err)
 			}
@@ -63,7 +64,7 @@ func BenchmarkTimingModel(b *testing.B) {
 // trace format. It is kept because every bench/ workload mixes the codec
 // with generation or consumers.
 func BenchmarkCodec(b *testing.B) {
-	d, _ := benchData(b)
+	d := benchData(b)
 	meta := stream.Meta{Workload: "db2", Nodes: 16, Scale: *benchScale, Seed: 1}
 	encode := func(b *testing.B) *bytes.Buffer {
 		var buf bytes.Buffer

@@ -113,9 +113,7 @@ func TestEvaluateModelStride(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		tr.Append(trace.Event{Kind: trace.KindConsumption, Node: 0, Block: mem.BlockAddr(i * 64)})
 	}
-	cfg := prefetch.DefaultStrideConfig()
-	cfg.Nodes = 1
-	res := EvaluateModel(prefetch.NewStride(cfg), tr)
+	res := EvaluateModel(prefetch.NewStride(1), tr)
 	if res.Name != "Stride" {
 		t.Fatalf("Name = %q", res.Name)
 	}
@@ -151,13 +149,8 @@ func TestEvaluateTSEOutperformsLocalPrefetchersOnMigratoryStreams(t *testing.T) 
 	tseCfg.Nodes = 4
 	tseRes, full := EvaluateTSE(tseCfg, tr)
 
-	strideCfg := prefetch.DefaultStrideConfig()
-	strideCfg.Nodes = 4
-	strideRes := EvaluateModel(prefetch.NewStride(strideCfg), tr)
-
-	ghbCfg := prefetch.DefaultGHBConfig(prefetch.GAC)
-	ghbCfg.Nodes = 4
-	ghbRes := EvaluateModel(prefetch.NewGHB(ghbCfg), tr)
+	strideRes := EvaluateModel(prefetch.NewStride(4), tr)
+	ghbRes := EvaluateModel(prefetch.NewGHB(prefetch.GAC, 4), tr)
 
 	if tseRes.Coverage() < 0.6 {
 		t.Fatalf("TSE coverage = %v, want high on recurring migratory streams", tseRes.Coverage())

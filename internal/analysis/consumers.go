@@ -36,16 +36,10 @@ type ModelSpec struct {
 // BaselineSpecs returns the Figure 12 baseline prefetchers (stride and both
 // GHB variants) for the given node count, in presentation order.
 func BaselineSpecs(nodes int) []ModelSpec {
-	strideCfg := prefetch.DefaultStrideConfig()
-	strideCfg.Nodes = nodes
-	gdc := prefetch.DefaultGHBConfig(prefetch.GDC)
-	gdc.Nodes = nodes
-	gac := prefetch.DefaultGHBConfig(prefetch.GAC)
-	gac.Nodes = nodes
 	return []ModelSpec{
-		{Name: prefetch.NewStride(strideCfg).Name(), New: func() prefetch.Model { return prefetch.NewStride(strideCfg) }},
-		{Name: prefetch.NewGHB(gdc).Name(), New: func() prefetch.Model { return prefetch.NewGHB(gdc) }},
-		{Name: prefetch.NewGHB(gac).Name(), New: func() prefetch.Model { return prefetch.NewGHB(gac) }},
+		{Name: prefetch.NewStride(nodes).Name(), New: func() prefetch.Model { return prefetch.NewStride(nodes) }},
+		{Name: prefetch.NewGHB(prefetch.GDC, nodes).Name(), New: func() prefetch.Model { return prefetch.NewGHB(prefetch.GDC, nodes) }},
+		{Name: prefetch.NewGHB(prefetch.GAC, nodes).Name(), New: func() prefetch.Model { return prefetch.NewGHB(prefetch.GAC, nodes) }},
 	}
 }
 

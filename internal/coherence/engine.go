@@ -131,20 +131,11 @@ type Result struct {
 	Invalidated SharerSet
 }
 
-// Access processes one access, updates the directory (which is the caches'
-// state), appends the corresponding events to tr (if non-nil), and returns
-// the classification.
-func (e *Engine) Access(a mem.Access, tr *trace.Trace) Result {
-	if tr == nil {
-		return e.AccessEmit(a, nil)
-	}
-	return e.AccessEmit(a, tr.Append)
-}
-
-// AccessEmit is Access with a streaming event consumer: instead of appending
-// to an in-memory trace, the classified events (with zero Seq — sequence
-// numbers are the caller's to assign, see RunSource) are handed to emit as
-// they are produced. A nil emit classifies without recording.
+// AccessEmit processes one access, updates the directory (which is the
+// caches' state), hands the classified events to emit as they are produced
+// (with zero Seq — sequence numbers are the caller's to assign, see
+// RunSource), and returns the classification. A nil emit classifies without
+// recording.
 func (e *Engine) AccessEmit(a mem.Access, emit func(trace.Event)) Result {
 	if int(a.Node) < 0 || int(a.Node) >= e.cfg.Nodes {
 		panic(fmt.Sprintf("coherence: access from node %d outside [0,%d)", a.Node, e.cfg.Nodes))

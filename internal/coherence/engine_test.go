@@ -35,21 +35,21 @@ func TestProducerConsumerClassification(t *testing.T) {
 	var tr trace.Trace
 
 	// Node 0 writes block 0x1000; node 1 then reads it.
-	r := e.Access(mem.Access{Node: 0, Addr: 0x1000, Type: mem.Write}, &tr)
+	r := e.AccessEmit(mem.Access{Node: 0, Addr: 0x1000, Type: mem.Write}, tr.Append)
 	if r.Class != WriteMiss {
 		t.Fatalf("first write class = %v, want WriteMiss", r.Class)
 	}
-	r = e.Access(mem.Access{Node: 1, Addr: 0x1000, Type: mem.Read}, &tr)
+	r = e.AccessEmit(mem.Access{Node: 1, Addr: 0x1000, Type: mem.Read}, tr.Append)
 	if r.Class != Consumption || r.Producer != 0 {
 		t.Fatalf("consumer read = %+v, want Consumption from node 0", r)
 	}
 	// Node 1 reads again: hit.
-	r = e.Access(mem.Access{Node: 1, Addr: 0x1008, Type: mem.Read}, &tr)
+	r = e.AccessEmit(mem.Access{Node: 1, Addr: 0x1008, Type: mem.Read}, tr.Append)
 	if r.Class != Hit {
 		t.Fatalf("re-read class = %v, want Hit", r.Class)
 	}
 	// Node 0 reads its own data back: hit (it still owns a copy).
-	r = e.Access(mem.Access{Node: 0, Addr: 0x1000, Type: mem.Read}, &tr)
+	r = e.AccessEmit(mem.Access{Node: 0, Addr: 0x1000, Type: mem.Read}, tr.Append)
 	if r.Class != Hit {
 		t.Fatalf("producer read class = %v, want Hit", r.Class)
 	}
@@ -67,7 +67,7 @@ func TestProducerConsumerClassification(t *testing.T) {
 func TestColdReadIsPrivateMiss(t *testing.T) {
 	e := smallEngine()
 	var tr trace.Trace
-	r := e.Access(mem.Access{Node: 2, Addr: 0x9000, Type: mem.Read}, &tr)
+	r := e.AccessEmit(mem.Access{Node: 2, Addr: 0x9000, Type: mem.Read}, tr.Append)
 	if r.Class != PrivateMiss {
 		t.Fatalf("cold read = %v, want PrivateMiss", r.Class)
 	}
@@ -78,16 +78,16 @@ func TestColdReadIsPrivateMiss(t *testing.T) {
 
 func TestWriteInvalidatesReaders(t *testing.T) {
 	e := smallEngine()
-	e.Access(mem.Access{Node: 0, Addr: 0x2000, Type: mem.Write}, nil)
-	e.Access(mem.Access{Node: 1, Addr: 0x2000, Type: mem.Read}, nil)
-	e.Access(mem.Access{Node: 2, Addr: 0x2000, Type: mem.Read}, nil)
-	r := e.Access(mem.Access{Node: 3, Addr: 0x2000, Type: mem.Write}, nil)
+	e.AccessEmit(mem.Access{Node: 0, Addr: 0x2000, Type: mem.Write}, nil)
+	e.AccessEmit(mem.Access{Node: 1, Addr: 0x2000, Type: mem.Read}, nil)
+	e.AccessEmit(mem.Access{Node: 2, Addr: 0x2000, Type: mem.Read}, nil)
+	r := e.AccessEmit(mem.Access{Node: 3, Addr: 0x2000, Type: mem.Write}, nil)
 	if r.Class != WriteMiss || r.Invalidated.Count() != 3 {
 		t.Fatalf("write over shared = %+v, want 3 invalidations", r)
 	}
 	// Node 1's next read must again be a consumption (its copy is gone and
 	// node 3 produced a new value).
-	r = e.Access(mem.Access{Node: 1, Addr: 0x2000, Type: mem.Read}, nil)
+	r = e.AccessEmit(mem.Access{Node: 1, Addr: 0x2000, Type: mem.Read}, nil)
 	if r.Class != Consumption || r.Producer != 3 {
 		t.Fatalf("read after invalidation = %+v, want Consumption from node 3", r)
 	}
@@ -95,8 +95,8 @@ func TestWriteInvalidatesReaders(t *testing.T) {
 
 func TestWriterWriteHit(t *testing.T) {
 	e := smallEngine()
-	e.Access(mem.Access{Node: 0, Addr: 0x3000, Type: mem.Write}, nil)
-	r := e.Access(mem.Access{Node: 0, Addr: 0x3010, Type: mem.Write}, nil)
+	e.AccessEmit(mem.Access{Node: 0, Addr: 0x3000, Type: mem.Write}, nil)
+	r := e.AccessEmit(mem.Access{Node: 0, Addr: 0x3010, Type: mem.Write}, nil)
 	if r.Class != WriteHit {
 		t.Fatalf("owner rewrite = %v, want WriteHit", r.Class)
 	}
@@ -105,8 +105,8 @@ func TestWriterWriteHit(t *testing.T) {
 func TestSpinExcluded(t *testing.T) {
 	e := smallEngine()
 	var tr trace.Trace
-	e.Access(mem.Access{Node: 0, Addr: 0x4000, Type: mem.Write}, &tr)
-	r := e.Access(mem.Access{Node: 1, Addr: 0x4000, Type: mem.Read, Spin: true}, &tr)
+	e.AccessEmit(mem.Access{Node: 0, Addr: 0x4000, Type: mem.Write}, tr.Append)
+	r := e.AccessEmit(mem.Access{Node: 1, Addr: 0x4000, Type: mem.Read, Spin: true}, tr.Append)
 	if r.Class != SpinMiss {
 		t.Fatalf("spin read = %v, want SpinMiss", r.Class)
 	}
@@ -120,9 +120,9 @@ func TestSpinExcluded(t *testing.T) {
 
 func TestAtomicRMWBehavesAsWrite(t *testing.T) {
 	e := smallEngine()
-	e.Access(mem.Access{Node: 0, Addr: 0x5000, Type: mem.Write}, nil)
-	e.Access(mem.Access{Node: 1, Addr: 0x5000, Type: mem.Read}, nil)
-	r := e.Access(mem.Access{Node: 2, Addr: 0x5000, Type: mem.AtomicRMW}, nil)
+	e.AccessEmit(mem.Access{Node: 0, Addr: 0x5000, Type: mem.Write}, nil)
+	e.AccessEmit(mem.Access{Node: 1, Addr: 0x5000, Type: mem.Read}, nil)
+	r := e.AccessEmit(mem.Access{Node: 2, Addr: 0x5000, Type: mem.AtomicRMW}, nil)
 	if r.Class != WriteMiss {
 		t.Fatalf("rmw = %v, want WriteMiss", r.Class)
 	}
@@ -137,11 +137,11 @@ func TestAtomicRMWBehavesAsWrite(t *testing.T) {
 func TestSelfRereadsAreNotConsumptions(t *testing.T) {
 	e := smallEngine()
 	for i := 0; i < 256; i++ {
-		e.Access(mem.Access{Node: 0, Addr: mem.Addr(i * 64), Type: mem.Write}, nil)
+		e.AccessEmit(mem.Access{Node: 0, Addr: mem.Addr(i * 64), Type: mem.Write}, nil)
 	}
 	var tr trace.Trace
 	for i := 0; i < 256; i++ {
-		if r := e.Access(mem.Access{Node: 0, Addr: mem.Addr(i * 64), Type: mem.Read}, &tr); r.Class != Hit {
+		if r := e.AccessEmit(mem.Access{Node: 0, Addr: mem.Addr(i * 64), Type: mem.Read}, tr.Append); r.Class != Hit {
 			t.Fatalf("self re-read %d = %v, want Hit", i, r.Class)
 		}
 	}
@@ -194,7 +194,7 @@ func TestAccessOutOfRangePanics(t *testing.T) {
 			t.Fatal("out-of-range node should panic")
 		}
 	}()
-	e.Access(mem.Access{Node: 99, Addr: 0, Type: mem.Read}, nil)
+	e.AccessEmit(mem.Access{Node: 99, Addr: 0, Type: mem.Read}, nil)
 }
 
 func TestClassificationString(t *testing.T) {

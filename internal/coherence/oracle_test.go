@@ -141,7 +141,7 @@ func TestEngineMatchesReference(t *testing.T) {
 				default:
 					a.Type = mem.AtomicRMW
 				}
-				got := eng.Access(a, nil)
+				got := eng.AccessEmit(a, nil)
 				want, inv := ref.access(a)
 				var wantInv SharerSet
 				for _, n := range inv {

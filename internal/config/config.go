@@ -10,7 +10,6 @@ import (
 	"fmt"
 
 	"tsm/internal/mem"
-	"tsm/internal/tse"
 	"tsm/internal/workload"
 )
 
@@ -239,13 +238,4 @@ func Table2() [][2]string {
 		out = append(out, [2]string{s.Name, s.Parameters})
 	}
 	return out
-}
-
-// DefaultTSE returns the paper's chosen TSE configuration matched to this
-// system configuration.
-func (c SystemConfig) DefaultTSE() tse.Config {
-	cfg := tse.DefaultConfig()
-	cfg.Nodes = c.Nodes
-	cfg.Geometry = c.Geometry
-	return cfg
 }

@@ -74,17 +74,6 @@ func TestTables(t *testing.T) {
 	}
 }
 
-func TestDefaultTSEMatchesSystem(t *testing.T) {
-	c := DefaultSystem()
-	tcfg := c.DefaultTSE()
-	if tcfg.Nodes != c.Nodes {
-		t.Fatal("TSE config should inherit the node count")
-	}
-	if err := tcfg.Validate(); err != nil {
-		t.Fatalf("derived TSE config invalid: %v", err)
-	}
-}
-
 func TestCacheValidate(t *testing.T) {
 	good := []Cache{
 		{Name: "test", SizeBytes: 1024, Ways: 2, BlockSize: 64}, // 8 sets

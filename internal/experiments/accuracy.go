@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"tsm/internal/config"
 	"tsm/internal/tse"
 )
 
@@ -23,24 +22,24 @@ import (
 const sweepBaseLookahead = 8
 
 // SweepConfigs returns the cell labels and TSE configurations of a named
-// sensitivity sweep on system sys: "streams" (Figure 7), "lookahead"
+// sensitivity sweep at the given node count: "streams" (Figure 7), "lookahead"
 // (Figure 8) or "svb" (Figure 9). It reports false for any other name. The
 // configurations are the figure drivers' own, so the facade's trace-file
 // sweeps cannot drift from the figures they reproduce.
-func SweepConfigs(sweep string, sys config.SystemConfig) (labels []string, cfgs []tse.Config, ok bool) {
+func SweepConfigs(sweep string, nodes int) (labels []string, cfgs []tse.Config, ok bool) {
 	switch sweep {
 	case "streams":
-		cfgs = fig7Configs(sys)
+		cfgs = fig7Configs(nodes)
 		for i := range cfgs {
 			labels = append(labels, fmt.Sprintf("streams=%d", i+1))
 		}
 	case "lookahead":
-		cfgs = fig8Configs(sys)
+		cfgs = fig8Configs(nodes)
 		for _, l := range Fig8Lookaheads() {
 			labels = append(labels, fmt.Sprintf("LA=%d", l))
 		}
 	case "svb":
-		cfgs = fig9Configs(sys)
+		cfgs = fig9Configs(nodes)
 		for _, p := range fig9SVBPoints() {
 			labels = append(labels, p.Label)
 		}
@@ -52,10 +51,10 @@ func SweepConfigs(sweep string, sys config.SystemConfig) (labels []string, cfgs 
 
 // fig7Configs is Figure 7's sweep: one to four compared streams, lookahead
 // eight, no TSE hardware restrictions.
-func fig7Configs(sys config.SystemConfig) []tse.Config {
+func fig7Configs(nodes int) []tse.Config {
 	cfgs := make([]tse.Config, 0, 4)
 	for streams := 1; streams <= 4; streams++ {
-		cfgs = append(cfgs, unconstrainedTSEConfig(sys, streams, sweepBaseLookahead))
+		cfgs = append(cfgs, unconstrainedTSEConfig(nodes, streams, sweepBaseLookahead))
 	}
 	return cfgs
 }
@@ -71,7 +70,7 @@ func Fig7(w *Workspace) (Table, error) {
 		Notes: "Paper: with a single stream commercial workloads discard up to ~240% of consumptions; " +
 			"comparing two streams drops discards drastically with minimal coverage loss.",
 	}
-	cfgs := fig7Configs(w.System())
+	cfgs := fig7Configs(w.opts.Nodes)
 	for _, name := range w.WorkloadNames() {
 		data, err := w.Data(name)
 		if err != nil {
@@ -95,11 +94,11 @@ func Fig8Lookaheads() []int { return []int{1, 2, 4, 8, 16, 24} }
 
 // fig8Configs is Figure 8's sweep: two compared streams, unconstrained
 // hardware, one cell per lookahead.
-func fig8Configs(sys config.SystemConfig) []tse.Config {
+func fig8Configs(nodes int) []tse.Config {
 	lookaheads := Fig8Lookaheads()
 	cfgs := make([]tse.Config, 0, len(lookaheads))
 	for _, l := range lookaheads {
-		cfgs = append(cfgs, unconstrainedTSEConfig(sys, 2, l))
+		cfgs = append(cfgs, unconstrainedTSEConfig(nodes, 2, l))
 	}
 	return cfgs
 }
@@ -117,7 +116,7 @@ func Fig8(w *Workspace) (Table, error) {
 	for _, l := range Fig8Lookaheads() {
 		t.Columns = append(t.Columns, fmt.Sprintf("LA=%d", l))
 	}
-	cfgs := fig8Configs(w.System())
+	cfgs := fig8Configs(w.opts.Nodes)
 	for _, name := range w.WorkloadNames() {
 		data, err := w.Data(name)
 		if err != nil {
@@ -156,11 +155,11 @@ func fig9SVBPoints() []svbPoint {
 
 // fig9Configs is Figure 9's sweep: the paper configuration with an unlimited
 // CMOB (isolating the SVB effect), one cell per SVB capacity.
-func fig9Configs(sys config.SystemConfig) []tse.Config {
+func fig9Configs(nodes int) []tse.Config {
 	points := fig9SVBPoints()
 	cfgs := make([]tse.Config, 0, len(points))
 	for _, p := range points {
-		cfg := paperTSEConfig(sys, sweepBaseLookahead)
+		cfg := paperTSEConfig(nodes, sweepBaseLookahead)
 		cfg.CMOBEntries = 0 // isolate the SVB effect
 		cfg.SVBEntries = p.Entries
 		cfgs = append(cfgs, cfg)
@@ -179,7 +178,7 @@ func Fig9(w *Workspace) (Table, error) {
 			"512 bytes per active stream of lookahead.",
 	}
 	points := fig9SVBPoints()
-	cfgs := fig9Configs(w.System())
+	cfgs := fig9Configs(w.opts.Nodes)
 	for _, name := range w.WorkloadNames() {
 		data, err := w.Data(name)
 		if err != nil {
@@ -202,13 +201,13 @@ var fig10Capacities = []int{192, 768, 3 << 10, 12 << 10, 48 << 10, 192 << 10, 76
 // fig10Configs is Figure 10's sweep for one workload: the unlimited-CMOB
 // peak first, then one cell per capacity (the lookahead is per-workload, so
 // unlike Figures 7-9 the config list depends on the workload).
-func fig10Configs(sys config.SystemConfig, lookahead int) []tse.Config {
+func fig10Configs(nodes, lookahead int) []tse.Config {
 	cfgs := make([]tse.Config, 0, len(fig10Capacities)+1)
-	peak := paperTSEConfig(sys, lookahead)
+	peak := paperTSEConfig(nodes, lookahead)
 	peak.CMOBEntries = 0
 	cfgs = append(cfgs, peak)
 	for _, capBytes := range fig10Capacities {
-		cfg := paperTSEConfig(sys, lookahead)
+		cfg := paperTSEConfig(nodes, lookahead)
 		cfg.CMOBEntries = capBytes / tse.CMOBEntryBytes
 		cfgs = append(cfgs, cfg)
 	}
@@ -234,7 +233,7 @@ func Fig10(w *Workspace) (Table, error) {
 		if err != nil {
 			return Table{}, err
 		}
-		cells, err := sweepCells(w, data, fig10Configs(w.System(), data.Generator.Timing().Lookahead))
+		cells, err := sweepCells(w, data, fig10Configs(w.opts.Nodes, data.Generator.Timing().Lookahead))
 		if err != nil {
 			return Table{}, err
 		}

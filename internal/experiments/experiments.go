@@ -281,11 +281,11 @@ func (w *Workspace) paper(name string) (*WorkloadData, *paperPair, error) {
 	}
 	e := w.entry(strings.ToLower(name))
 	e.pairOnce.Do(func() {
-		params := timing.Params{System: w.system, Profile: data.Generator.Timing(), Nodes: w.opts.Nodes}
+		params := timing.Params{Profile: data.Generator.Timing(), Nodes: w.opts.Nodes}
 		if e.pair.base, e.pairErr = timing.Simulate(data.Trace, params); e.pairErr != nil {
 			return
 		}
-		cfg := paperTSEConfig(w.System(), params.Profile.Lookahead)
+		cfg := paperTSEConfig(w.opts.Nodes, params.Profile.Lookahead)
 		params.TSE = &cfg
 		e.pair.withTSE, e.pairErr = timing.Simulate(data.Trace, params)
 	})
@@ -299,12 +299,7 @@ func (w *Workspace) generate(name string) (*WorkloadData, error) {
 		known := strings.Join(workload.AllNames(), ", ")
 		return nil, fmt.Errorf("experiments: unknown workload %q (known: %s)", name, known)
 	}
-	gen := spec.New(workload.Config{
-		Nodes:    w.opts.Nodes,
-		Seed:     w.opts.Seed,
-		Scale:    w.opts.Scale,
-		Geometry: w.system.Geometry,
-	})
+	gen := spec.New(workload.Config{Nodes: w.opts.Nodes, Seed: w.opts.Seed, Scale: w.opts.Scale})
 	// Classify the accesses with the functional coherence engine, whose
 	// private caches are infinite: the paper's framing is that
 	// coherence misses are what remain as caches grow, and it keeps the

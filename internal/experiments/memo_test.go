@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"tsm/internal/analysis"
-	"tsm/internal/config"
 	"tsm/internal/tse"
 )
 
@@ -15,8 +14,8 @@ import (
 // literal values, so a change to a figure's axis shows up here rather than
 // being checked against the axis it was built from.
 func TestSweepConfigsLiteralAxes(t *testing.T) {
-	sys := config.DefaultSystem()
-	labels, cfgs, ok := SweepConfigs("svb", sys)
+	const nodes = 16
+	labels, cfgs, ok := SweepConfigs("svb", nodes)
 	if !ok {
 		t.Fatal("svb sweep missing")
 	}
@@ -35,7 +34,7 @@ func TestSweepConfigsLiteralAxes(t *testing.T) {
 		}
 	}
 
-	labels, cfgs, ok = SweepConfigs("lookahead", sys)
+	labels, cfgs, ok = SweepConfigs("lookahead", nodes)
 	if !ok {
 		t.Fatal("lookahead sweep missing")
 	}
@@ -49,7 +48,7 @@ func TestSweepConfigsLiteralAxes(t *testing.T) {
 		}
 	}
 
-	labels, cfgs, ok = SweepConfigs("streams", sys)
+	labels, cfgs, ok = SweepConfigs("streams", nodes)
 	if !ok {
 		t.Fatal("streams sweep missing")
 	}
@@ -63,7 +62,7 @@ func TestSweepConfigsLiteralAxes(t *testing.T) {
 		}
 	}
 
-	if _, _, ok := SweepConfigs("nope", sys); ok {
+	if _, _, ok := SweepConfigs("nope", nodes); ok {
 		t.Error("unknown sweep name accepted")
 	}
 }
@@ -80,7 +79,7 @@ func TestCanonicalCMOBBoundary(t *testing.T) {
 	if most < 2 {
 		t.Fatalf("busiest node consumes %d blocks, too few to test", most)
 	}
-	cfg := paperTSEConfig(w.System(), 8)
+	cfg := paperTSEConfig(w.Options().Nodes, 8)
 	for _, tc := range []struct{ entries, want int }{
 		{0, 0}, {most + 1, 0}, {most, 0}, {most - 1, most - 1}, {1, 1},
 	} {
@@ -94,10 +93,10 @@ func TestCanonicalCMOBBoundary(t *testing.T) {
 // figureSweeps returns every sweep figure's config list for one workload.
 func figureSweeps(w *Workspace, data *WorkloadData) [][]tse.Config {
 	return [][]tse.Config{
-		fig7Configs(w.System()),
-		fig8Configs(w.System()),
-		fig9Configs(w.System()),
-		fig10Configs(w.System(), data.Generator.Timing().Lookahead),
+		fig7Configs(w.Options().Nodes),
+		fig8Configs(w.Options().Nodes),
+		fig9Configs(w.Options().Nodes),
+		fig10Configs(w.Options().Nodes, data.Generator.Timing().Lookahead),
 	}
 }
 
@@ -159,7 +158,7 @@ func TestSweepCellsSecondCallAddsNoEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfgs := fig8Configs(w.System())
+	cfgs := fig8Configs(w.Options().Nodes)
 	first, err := sweepCells(w, data, cfgs)
 	if err != nil {
 		t.Fatal(err)
@@ -192,7 +191,7 @@ func TestSweepCellsConcurrentOverlap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sweeps := [][]tse.Config{fig7Configs(w.System()), fig8Configs(w.System())}
+	sweeps := [][]tse.Config{fig7Configs(w.Options().Nodes), fig8Configs(w.Options().Nodes)}
 	want := make([][]analysis.CoverageResult, len(sweeps))
 	for s, cfgs := range sweeps {
 		for _, cfg := range cfgs {
@@ -236,7 +235,7 @@ func TestSweepCellsErrorReachesEveryWaiter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	valid := fig8Configs(w.System())[0]
+	valid := fig8Configs(w.Options().Nodes)[0]
 	invalid := valid
 	invalid.Lookahead = 0
 	cfgs := []tse.Config{valid, invalid}

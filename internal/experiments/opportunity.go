@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"tsm/internal/analysis"
-	"tsm/internal/config"
 	"tsm/internal/tse"
 )
 
@@ -72,8 +71,9 @@ func Fig13(w *Workspace) (Table, error) {
 // paperTSEConfig returns the paper's chosen TSE configuration (two compared
 // streams, 32-entry SVB, 1.5 MB CMOB) with the per-workload lookahead of
 // Table 3.
-func paperTSEConfig(sys config.SystemConfig, lookahead int) tse.Config {
-	cfg := sys.DefaultTSE()
+func paperTSEConfig(nodes, lookahead int) tse.Config {
+	cfg := tse.DefaultConfig()
+	cfg.Nodes = nodes
 	if lookahead > 0 {
 		cfg.Lookahead = lookahead
 	}
@@ -83,12 +83,11 @@ func paperTSEConfig(sys config.SystemConfig, lookahead int) tse.Config {
 // unconstrainedTSEConfig returns the configuration used for the opportunity
 // and accuracy studies of Section 5.2 (unlimited SVB storage, unlimited
 // stream queues, near-infinite CMOB capacity).
-func unconstrainedTSEConfig(sys config.SystemConfig, comparedStreams, lookahead int) tse.Config {
-	cfg := sys.DefaultTSE()
+func unconstrainedTSEConfig(nodes, comparedStreams, lookahead int) tse.Config {
+	cfg := paperTSEConfig(nodes, lookahead)
 	cfg.CMOBEntries = 0
 	cfg.SVBEntries = 0
 	cfg.StreamQueues = 64
 	cfg.ComparedStreams = comparedStreams
-	cfg.Lookahead = lookahead
 	return cfg
 }

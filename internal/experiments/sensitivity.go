@@ -61,7 +61,7 @@ func Sensitivity(w *Workspace) (Table, error) {
 			// Each (node count, workload) cell has its own trace — node
 			// count changes generation — so the sweep here is width-one,
 			// keyed and memoized in the sub-workspace that owns the trace.
-			cfg := paperTSEConfig(sub.System(), data.Generator.Timing().Lookahead)
+			cfg := paperTSEConfig(sub.Options().Nodes, data.Generator.Timing().Lookahead)
 			cells, err := sweepCells(sub, data, []tse.Config{cfg})
 			if err != nil {
 				return column{}, err

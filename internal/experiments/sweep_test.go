@@ -39,11 +39,11 @@ func TestFigureSweepsWalkTraceOncePerFigure(t *testing.T) {
 			id   string
 			cfgs []tse.Config
 		}{
-			{"fig7", fig7Configs(w.System())},
-			{"fig8", fig8Configs(w.System())},
-			{"fig9", fig9Configs(w.System())},
-			{"fig10", fig10Configs(w.System(), data.Generator.Timing().Lookahead)},
-			{"sensitivity-cell", []tse.Config{paperTSEConfig(w.System(), data.Generator.Timing().Lookahead)}},
+			{"fig7", fig7Configs(w.Options().Nodes)},
+			{"fig8", fig8Configs(w.Options().Nodes)},
+			{"fig9", fig9Configs(w.Options().Nodes)},
+			{"fig10", fig10Configs(w.Options().Nodes, data.Generator.Timing().Lookahead)},
+			{"sensitivity-cell", []tse.Config{paperTSEConfig(w.Options().Nodes, data.Generator.Timing().Lookahead)}},
 		}
 		for _, fig := range figures {
 			if len(fig.cfgs) < 1 {
@@ -77,7 +77,7 @@ func TestSweepCellsMatchesPerCell(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfgs := fig7Configs(w.System())
+	cfgs := fig7Configs(w.Options().Nodes)
 	cells, err := sweepCells(w, data, cfgs)
 	if err != nil {
 		t.Fatal(err)

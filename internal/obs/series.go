@@ -57,11 +57,8 @@ type Series struct {
 	any      bool          // at least one point recorded
 }
 
-func newSeries(interval uint64, capacity int) *Series {
-	if capacity <= 0 {
-		capacity = DefaultSeriesCapacity
-	}
-	return &Series{interval: interval, points: make([]SeriesPoint, capacity)}
+func newSeries(interval uint64) *Series {
+	return &Series{interval: interval, points: make([]SeriesPoint, DefaultSeriesCapacity)}
 }
 
 // Ready reports whether a sample at seq is due: the first sample of the
@@ -164,7 +161,6 @@ type SeriesSnapshot struct {
 type SeriesSet struct {
 	mu       sync.Mutex
 	interval uint64
-	capacity int
 	series   map[string]*Series
 }
 
@@ -172,7 +168,7 @@ type SeriesSet struct {
 // a zero interval (sample at every pump) — callers that know the total event
 // count set a real epoch interval via SetInterval/EnsureInterval.
 func NewSeriesSet() *SeriesSet {
-	return &SeriesSet{capacity: DefaultSeriesCapacity, series: make(map[string]*Series)}
+	return &SeriesSet{series: make(map[string]*Series)}
 }
 
 // SetInterval sets the epoch interval, in events, for every current and
@@ -216,20 +212,6 @@ func (ss *SeriesSet) Interval() uint64 {
 	return ss.interval
 }
 
-// SetCapacity sets the ring capacity of Series created after the call (<= 0
-// restores the default). Nil-safe.
-func (ss *SeriesSet) SetCapacity(n int) {
-	if ss == nil {
-		return
-	}
-	if n <= 0 {
-		n = DefaultSeriesCapacity
-	}
-	ss.mu.Lock()
-	ss.capacity = n
-	ss.mu.Unlock()
-}
-
 // Series returns the series registered under name, creating it on first use.
 // On the nil SeriesSet it returns the nil (no-op) Series.
 func (ss *SeriesSet) Series(name string) *Series {
@@ -240,7 +222,7 @@ func (ss *SeriesSet) Series(name string) *Series {
 	defer ss.mu.Unlock()
 	s, ok := ss.series[name]
 	if !ok {
-		s = newSeries(ss.interval, ss.capacity)
+		s = newSeries(ss.interval)
 		ss.series[name] = s
 	}
 	return s

@@ -51,20 +51,21 @@ func TestSeriesReady(t *testing.T) {
 // TestSeriesRingEviction: overflowing the ring keeps the newest points and
 // counts the evictions.
 func TestSeriesRingEviction(t *testing.T) {
-	s := newSeries(0, 4)
-	for i := 1; i <= 10; i++ {
+	s := newSeries(0)
+	const n = DefaultSeriesCapacity + 6
+	for i := 1; i <= n; i++ {
 		s.Record(uint64(i), map[string]float64{"i": float64(i)})
 	}
-	if got := s.Len(); got != 4 {
-		t.Fatalf("Len = %d, want 4", got)
+	if got := s.Len(); got != DefaultSeriesCapacity {
+		t.Fatalf("Len = %d, want %d", got, DefaultSeriesCapacity)
 	}
 	if got := s.Evicted(); got != 6 {
 		t.Fatalf("Evicted = %d, want 6", got)
 	}
 	pts := s.Points()
-	for i, want := range []uint64{7, 8, 9, 10} {
-		if pts[i].Seq != want {
-			t.Fatalf("point %d seq = %d, want %d (points %+v)", i, pts[i].Seq, want, pts)
+	for i, p := range pts {
+		if want := uint64(i + 7); p.Seq != want {
+			t.Fatalf("point %d seq = %d, want %d", i, p.Seq, want)
 		}
 	}
 }
@@ -159,7 +160,6 @@ func TestNilSeriesIsNoop(t *testing.T) {
 	var ss *SeriesSet
 	ss.SetInterval(10)
 	ss.EnsureInterval(10)
-	ss.SetCapacity(5)
 	if ss.Interval() != 0 {
 		t.Fatal("nil set has an interval")
 	}

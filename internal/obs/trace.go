@@ -49,27 +49,13 @@ type Tracer struct {
 	epoch   time.Time
 	spans   []Span
 	lanes   map[int]string
-	limit   int
 	dropped uint64
 }
 
-// NewTracer returns an empty Tracer with the default span limit. Its epoch
-// (the zero point of every span's Start) is the call time.
+// NewTracer returns an empty Tracer that retains up to DefaultSpanLimit
+// spans. Its epoch (the zero point of every span's Start) is the call time.
 func NewTracer() *Tracer {
-	return &Tracer{epoch: time.Now(), lanes: map[int]string{}, limit: DefaultSpanLimit}
-}
-
-// SetSpanLimit replaces the retained-span bound (0 restores the default).
-func (t *Tracer) SetSpanLimit(n int) {
-	if t == nil {
-		return
-	}
-	if n <= 0 {
-		n = DefaultSpanLimit
-	}
-	t.mu.Lock()
-	t.limit = n
-	t.mu.Unlock()
+	return &Tracer{epoch: time.Now(), lanes: map[int]string{}}
 }
 
 // NameLane labels a lane (chrome thread track) in the exported trace, e.g.
@@ -134,7 +120,7 @@ func (s *SpanHandle) End() {
 	s.span.Dur = time.Since(s.start)
 	t := s.t
 	t.mu.Lock()
-	if len(t.spans) < t.limit {
+	if len(t.spans) < DefaultSpanLimit {
 		t.spans = append(t.spans, s.span)
 	} else {
 		t.dropped++
@@ -149,7 +135,7 @@ func (t *Tracer) Record(sp Span) {
 		return
 	}
 	t.mu.Lock()
-	if len(t.spans) < t.limit {
+	if len(t.spans) < DefaultSpanLimit {
 		t.spans = append(t.spans, sp)
 	} else {
 		t.dropped++

@@ -83,12 +83,14 @@ func TestTracerSpans(t *testing.T) {
 // surfaced in the exported trace instead of growing without bound.
 func TestTracerSpanLimit(t *testing.T) {
 	tr := NewTracer()
-	tr.SetSpanLimit(3)
-	for i := 0; i < 10; i++ {
+	for i := 0; i < DefaultSpanLimit; i++ {
+		tr.Record(Span{Name: "s", Cat: "t"})
+	}
+	for i := 0; i < 7; i++ {
 		tr.Begin("s", "t", 0).End()
 	}
-	if got := len(tr.Spans()); got != 3 {
-		t.Fatalf("retained %d spans, want 3", got)
+	if got := len(tr.Spans()); got != DefaultSpanLimit {
+		t.Fatalf("retained %d spans, want %d", got, DefaultSpanLimit)
 	}
 	if got := tr.Dropped(); got != 7 {
 		t.Fatalf("dropped = %d, want 7", got)
@@ -126,7 +128,6 @@ func TestTracerConcurrent(t *testing.T) {
 func TestNilTracerIsNoop(t *testing.T) {
 	var tr *Tracer
 	tr.NameLane(0, "x")
-	tr.SetSpanLimit(10)
 	sp := tr.Begin("a", "b", 0)
 	sp.Arg("k", "v")
 	if sp.Elapsed() != 0 {

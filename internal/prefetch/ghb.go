@@ -29,38 +29,6 @@ func (m GHBIndexMethod) String() string {
 	return "G/AC"
 }
 
-// GHBConfig parameterises the Global History Buffer prefetcher.
-type GHBConfig struct {
-	// Nodes is the number of nodes.
-	Nodes int
-	// Geometry supplies the block size.
-	Geometry mem.Geometry
-	// Method selects address or distance correlation.
-	Method GHBIndexMethod
-	// HistoryEntries is the size of the on-chip circular history buffer
-	// (512 in the paper's comparison — far smaller than a CMOB, which is
-	// exactly why GHB coverage falls short).
-	HistoryEntries int
-	// Degree is the number of blocks fetched per prefetch operation.
-	Degree int
-	// BufferEntries is the per-node prefetch buffer capacity; zero or
-	// less selects BufferEntries. The buffer is always bounded: it is
-	// keyed by raw block addresses, which an unlimited SVB cannot index.
-	BufferEntries int
-}
-
-// DefaultGHBConfig returns the Figure 12 configuration for 16 nodes.
-func DefaultGHBConfig(method GHBIndexMethod) GHBConfig {
-	return GHBConfig{
-		Nodes:          16,
-		Geometry:       mem.DefaultGeometry(),
-		Method:         method,
-		HistoryEntries: 512,
-		Degree:         PrefetchDegree,
-		BufferEntries:  BufferEntries,
-	}
-}
-
 // ghbEntry is one history buffer entry. Link points at the absolute position
 // of the previous entry with the same index key (or ^0 if none).
 type ghbEntry struct {
@@ -82,29 +50,18 @@ type ghbNode struct {
 
 // GHB is the Global History Buffer baseline prefetcher.
 type GHB struct {
-	cfg   GHBConfig
-	nodes []*ghbNode
+	method GHBIndexMethod
+	nodes  []*ghbNode
 }
 
-// NewGHB builds a GHB model.
-func NewGHB(cfg GHBConfig) *GHB {
-	if cfg.Nodes <= 0 {
-		cfg.Nodes = 1
-	}
-	if cfg.HistoryEntries <= 0 {
-		cfg.HistoryEntries = 512
-	}
-	if cfg.Degree <= 0 {
-		cfg.Degree = PrefetchDegree
-	}
-	if cfg.BufferEntries <= 0 {
-		cfg.BufferEntries = BufferEntries
-	}
-	g := &GHB{cfg: cfg}
-	for i := 0; i < cfg.Nodes; i++ {
+// NewGHB builds a GHB model with the given index method for the given node
+// count.
+func NewGHB(method GHBIndexMethod, nodes int) *GHB {
+	g := &GHB{method: method}
+	for i := 0; i < nodes; i++ {
 		g.nodes = append(g.nodes, &ghbNode{
-			perNode: newPerNode(cfg.BufferEntries),
-			entries: make([]ghbEntry, cfg.HistoryEntries),
+			perNode: newPerNode(),
+			entries: make([]ghbEntry, HistoryEntries),
 			index:   make(map[int64]uint64),
 		})
 	}
@@ -112,7 +69,7 @@ func NewGHB(cfg GHBConfig) *GHB {
 }
 
 // Name implements Model.
-func (g *GHB) Name() string { return "GHB " + g.cfg.Method.String() }
+func (g *GHB) Name() string { return "GHB " + g.method.String() }
 
 // Consumption implements Model.
 func (g *GHB) Consumption(e trace.Event) bool {
@@ -128,7 +85,7 @@ func (g *GHB) Consumption(e trace.Event) bool {
 		link = prev
 	}
 	pos := n.next
-	n.entries[pos%uint64(g.cfg.HistoryEntries)] = ghbEntry{block: e.Block, link: link}
+	n.entries[pos%HistoryEntries] = ghbEntry{block: e.Block, link: link}
 	n.next++
 	n.index[key] = pos
 
@@ -145,7 +102,7 @@ func (g *GHB) Consumption(e trace.Event) bool {
 
 // key computes the index-table key for the current miss.
 func (g *GHB) key(n *ghbNode, b mem.BlockAddr) int64 {
-	if g.cfg.Method == GDC {
+	if g.method == GDC {
 		if !n.haveLast {
 			return int64(^uint64(0) >> 1) // sentinel delta for the first miss
 		}
@@ -160,21 +117,21 @@ func (g *GHB) resident(n *ghbNode, pos uint64) bool {
 	if pos >= n.next {
 		return false
 	}
-	return n.next-pos <= uint64(g.cfg.HistoryEntries)
+	return n.next-pos <= HistoryEntries
 }
 
 // at returns the entry at an absolute position.
 func (g *GHB) at(n *ghbNode, pos uint64) ghbEntry {
-	return n.entries[pos%uint64(g.cfg.HistoryEntries)]
+	return n.entries[pos%HistoryEntries]
 }
 
 // prefetchFrom walks forward in the history from the previous occurrence of
 // the key and issues up to Degree prefetches.
 func (g *GHB) prefetchFrom(n *ghbNode, prev uint64, current mem.BlockAddr) {
-	switch g.cfg.Method {
+	switch g.method {
 	case GAC:
 		// Prefetch the addresses that followed the previous occurrence.
-		for i := uint64(1); i <= uint64(g.cfg.Degree); i++ {
+		for i := uint64(1); i <= PrefetchDegree; i++ {
 			pos := prev + i
 			if !g.resident(n, pos) || pos >= n.next {
 				break
@@ -185,7 +142,7 @@ func (g *GHB) prefetchFrom(n *ghbNode, prev uint64, current mem.BlockAddr) {
 		// Replay the deltas that followed the previous occurrence, applied
 		// cumulatively from the current address.
 		addr := int64(current)
-		for i := uint64(1); i <= uint64(g.cfg.Degree); i++ {
+		for i := uint64(1); i <= PrefetchDegree; i++ {
 			pos := prev + i
 			if !g.resident(n, pos) || pos >= n.next {
 				break

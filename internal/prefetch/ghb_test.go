@@ -4,12 +4,6 @@ import (
 	"testing"
 )
 
-func ghbCfg(method GHBIndexMethod, nodes int) GHBConfig {
-	cfg := DefaultGHBConfig(method)
-	cfg.Nodes = nodes
-	return cfg
-}
-
 // repeatSequence replays an irregular but repetitive consumption sequence at
 // one node; address correlation should capture it on the second pass.
 func repeatSequence(t *testing.T, g *GHB, seq []int, passes int) (covered, total int) {
@@ -26,7 +20,7 @@ func repeatSequence(t *testing.T, g *GHB, seq []int, passes int) (covered, total
 }
 
 func TestGHBAddressCorrelationCoversRepeats(t *testing.T) {
-	g := NewGHB(ghbCfg(GAC, 1))
+	g := NewGHB(GAC, 1)
 	seq := []int{5, 90, 17, 300, 41, 1000, 8, 77, 512, 3, 220, 19, 55, 602, 31, 7}
 	covered, _ := repeatSequence(t, g, seq, 3)
 	// First pass cannot be covered; later passes mostly should be.
@@ -36,14 +30,12 @@ func TestGHBAddressCorrelationCoversRepeats(t *testing.T) {
 }
 
 func TestGHBAddressCorrelationHistoryLimit(t *testing.T) {
-	cfg := ghbCfg(GAC, 1)
-	cfg.HistoryEntries = 32
-	g := NewGHB(cfg)
+	g := NewGHB(GAC, 1)
 	// A repeating sequence longer than the history buffer: by the time an
 	// address recurs its previous occurrence has been overwritten, so
 	// coverage stays near zero. This is the mechanism that makes GHB fall
 	// short of TSE in Figure 12.
-	seq := make([]int, 200)
+	seq := make([]int, HistoryEntries+HistoryEntries/4)
 	for i := range seq {
 		seq[i] = (i * 37) % 1000
 	}
@@ -54,7 +46,7 @@ func TestGHBAddressCorrelationHistoryLimit(t *testing.T) {
 }
 
 func TestGHBDistanceCorrelationCoversStridedPattern(t *testing.T) {
-	g := NewGHB(ghbCfg(GDC, 1))
+	g := NewGHB(GDC, 1)
 	covered := 0
 	total := 0
 	// A repeating delta pattern (+1,+1,+5) — distance correlation should
@@ -74,7 +66,7 @@ func TestGHBDistanceCorrelationCoversStridedPattern(t *testing.T) {
 }
 
 func TestGHBWriteInvalidates(t *testing.T) {
-	g := NewGHB(ghbCfg(GAC, 1))
+	g := NewGHB(GAC, 1)
 	seq := []int{1, 2, 3, 4, 5, 6, 7, 8}
 	repeatSequence(t, g, seq, 1)
 	// Start the second pass: consuming 1 prefetches 2..8.
@@ -86,7 +78,7 @@ func TestGHBWriteInvalidates(t *testing.T) {
 }
 
 func TestGHBPerNodeIsolation(t *testing.T) {
-	g := NewGHB(ghbCfg(GAC, 2))
+	g := NewGHB(GAC, 2)
 	seq := []int{9, 8, 7, 6, 5}
 	repeatSequence(t, g, seq, 2)
 	// Node 1 consuming the same sequence gets no benefit from node 0's
@@ -103,7 +95,7 @@ func TestGHBPerNodeIsolation(t *testing.T) {
 }
 
 func TestGHBFinishAccounting(t *testing.T) {
-	g := NewGHB(ghbCfg(GAC, 1))
+	g := NewGHB(GAC, 1)
 	seq := []int{1, 2, 3, 4, 5}
 	repeatSequence(t, g, seq, 2)
 	fetched, discards := g.Finish()
@@ -116,23 +108,23 @@ func TestGHBFinishAccounting(t *testing.T) {
 }
 
 func TestGHBNamesAndDefaults(t *testing.T) {
-	if NewGHB(ghbCfg(GAC, 1)).Name() != "GHB G/AC" {
+	if NewGHB(GAC, 1).Name() != "GHB G/AC" {
 		t.Fatal("unexpected G/AC name")
 	}
-	if NewGHB(ghbCfg(GDC, 1)).Name() != "GHB G/DC" {
+	if NewGHB(GDC, 1).Name() != "GHB G/DC" {
 		t.Fatal("unexpected G/DC name")
 	}
 	if GAC.String() != "G/AC" || GDC.String() != "G/DC" {
 		t.Fatal("unexpected method strings")
 	}
-	g := NewGHB(GHBConfig{})
+	g := NewGHB(GAC, 1)
 	if got := g.nodes[0].buffer.Capacity(); got != BufferEntries {
-		t.Fatalf("zero-config buffer capacity = %d, want %d", got, BufferEntries)
+		t.Fatalf("buffer capacity = %d, want %d", got, BufferEntries)
 	}
 	g.Consumption(cons(0, 1))
 	g.Consumption(cons(3, 2)) // out-of-range node folds to node 0
 	if _, d := g.Finish(); d > 0 {
 		// nothing fetched yet, so no discards expected
-		t.Fatal("unexpected discards from default config")
+		t.Fatal("unexpected discards")
 	}
 }

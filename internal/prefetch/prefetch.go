@@ -10,6 +10,10 @@
 //     (G/DC) index methods, a 512-entry history buffer and eight blocks
 //     fetched per prefetch operation.
 //
+// Those parameters are the constants PrefetchDegree, BufferEntries and
+// HistoryEntries; the constructors take only the node count and, for the
+// GHB, the index method.
+//
 // As in the paper's comparison, the prefetchers train and predict only on
 // consumptions, and prefetched blocks are stored in a small buffer identical
 // to TSE's SVB rather than in the cache hierarchy. All baselines keep their
@@ -48,6 +52,11 @@ const BufferEntries = 32
 // the baseline prefetchers (eight in the paper's comparison).
 const PrefetchDegree = 8
 
+// HistoryEntries is the size of the GHB's on-chip circular history buffer
+// (512 in the paper's comparison — far smaller than a CMOB, which is
+// exactly why GHB coverage falls short).
+const HistoryEntries = 512
+
 // perNode bundles the prefetch buffer and fetch accounting shared by every
 // baseline prefetcher.
 type perNode struct {
@@ -55,8 +64,11 @@ type perNode struct {
 	fetched uint64
 }
 
-func newPerNode(bufferEntries int) *perNode {
-	return &perNode{buffer: tse.NewSVB(bufferEntries)}
+// newPerNode returns a node with an empty BufferEntries-entry buffer. The
+// buffer is always bounded: it is keyed by raw block addresses, which an
+// unlimited SVB cannot index.
+func newPerNode() *perNode {
+	return &perNode{buffer: tse.NewSVB(BufferEntries)}
 }
 
 // lookup probes the buffer and removes the block on a hit.

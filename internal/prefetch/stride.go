@@ -5,31 +5,6 @@ import (
 	"tsm/internal/trace"
 )
 
-// StrideConfig parameterises the stride stream-buffer prefetcher.
-type StrideConfig struct {
-	// Nodes is the number of nodes.
-	Nodes int
-	// Geometry supplies the block size.
-	Geometry mem.Geometry
-	// Degree is the number of blocks prefetched ahead once a stride is
-	// confirmed (eight in the paper's comparison).
-	Degree int
-	// BufferEntries is the per-node prefetch buffer capacity; zero or
-	// less selects BufferEntries. The buffer is always bounded: it is
-	// keyed by raw block addresses, which an unlimited SVB cannot index.
-	BufferEntries int
-}
-
-// DefaultStrideConfig returns the Figure 12 configuration for 16 nodes.
-func DefaultStrideConfig() StrideConfig {
-	return StrideConfig{
-		Nodes:         16,
-		Geometry:      mem.DefaultGeometry(),
-		Degree:        PrefetchDegree,
-		BufferEntries: BufferEntries,
-	}
-}
-
 // strideNode is the per-node adaptive stride detector.
 type strideNode struct {
 	*perNode
@@ -41,24 +16,14 @@ type strideNode struct {
 
 // Stride is the stride-based stream-buffer baseline.
 type Stride struct {
-	cfg   StrideConfig
 	nodes []*strideNode
 }
 
-// NewStride builds the stride prefetcher model.
-func NewStride(cfg StrideConfig) *Stride {
-	if cfg.Nodes <= 0 {
-		cfg.Nodes = 1
-	}
-	if cfg.Degree <= 0 {
-		cfg.Degree = PrefetchDegree
-	}
-	if cfg.BufferEntries <= 0 {
-		cfg.BufferEntries = BufferEntries
-	}
-	s := &Stride{cfg: cfg}
-	for i := 0; i < cfg.Nodes; i++ {
-		s.nodes = append(s.nodes, &strideNode{perNode: newPerNode(cfg.BufferEntries)})
+// NewStride builds the stride prefetcher model for the given node count.
+func NewStride(nodes int) *Stride {
+	s := &Stride{}
+	for i := 0; i < nodes; i++ {
+		s.nodes = append(s.nodes, &strideNode{perNode: newPerNode()})
 	}
 	return s
 }
@@ -77,7 +42,7 @@ func (s *Stride) Consumption(e trace.Event) bool {
 		stride := int64(e.Block) - int64(n.lastBlock)
 		if stride != 0 && stride == n.lastStride {
 			n.confirmed = true
-			for i := 1; i <= s.cfg.Degree; i++ {
+			for i := 1; i <= PrefetchDegree; i++ {
 				next := int64(e.Block) + stride*int64(i)
 				if next < 0 {
 					break

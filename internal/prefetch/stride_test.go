@@ -15,14 +15,8 @@ func write(node int, block int) trace.Event {
 	return trace.Event{Kind: trace.KindWrite, Node: mem.NodeID(node), Block: mem.BlockAddr(block * 64)}
 }
 
-func strideCfg(nodes int) StrideConfig {
-	cfg := DefaultStrideConfig()
-	cfg.Nodes = nodes
-	return cfg
-}
-
 func TestStrideCoversStridedStream(t *testing.T) {
-	s := NewStride(strideCfg(1))
+	s := NewStride(1)
 	covered := 0
 	// Unit-stride consumption stream: after the stride is confirmed on the
 	// third access, subsequent consumptions should hit.
@@ -44,7 +38,7 @@ func TestStrideCoversStridedStream(t *testing.T) {
 }
 
 func TestStrideLargeStride(t *testing.T) {
-	s := NewStride(strideCfg(1))
+	s := NewStride(1)
 	covered := 0
 	for i := 0; i < 64; i++ {
 		if s.Consumption(cons(0, i*7)) { // stride of 7 blocks
@@ -57,7 +51,7 @@ func TestStrideLargeStride(t *testing.T) {
 }
 
 func TestStrideRarelyFiresOnIrregular(t *testing.T) {
-	s := NewStride(strideCfg(1))
+	s := NewStride(1)
 	// A pointer-chasing-like irregular sequence (no repeated stride).
 	seq := []int{5, 90, 17, 300, 41, 1000, 8, 77, 512, 3, 220, 19}
 	covered := 0
@@ -76,7 +70,7 @@ func TestStrideRarelyFiresOnIrregular(t *testing.T) {
 }
 
 func TestStrideWriteInvalidates(t *testing.T) {
-	s := NewStride(strideCfg(1))
+	s := NewStride(1)
 	for i := 0; i < 10; i++ {
 		s.Consumption(cons(0, i))
 	}
@@ -88,7 +82,7 @@ func TestStrideWriteInvalidates(t *testing.T) {
 }
 
 func TestStridePerNodeIsolation(t *testing.T) {
-	s := NewStride(strideCfg(2))
+	s := NewStride(2)
 	// Node 0 trains a unit stride; node 1 must not benefit.
 	for i := 0; i < 16; i++ {
 		s.Consumption(cons(0, i))
@@ -99,7 +93,7 @@ func TestStridePerNodeIsolation(t *testing.T) {
 }
 
 func TestStrideOutOfRangeNodeDoesNotPanic(t *testing.T) {
-	s := NewStride(strideCfg(1))
+	s := NewStride(1)
 	// Events from unexpected node ids are folded onto node 0 rather than
 	// panicking; the comparison harness guards ranges upstream.
 	s.Consumption(cons(5, 1))
@@ -107,28 +101,17 @@ func TestStrideOutOfRangeNodeDoesNotPanic(t *testing.T) {
 }
 
 func TestStrideName(t *testing.T) {
-	if NewStride(strideCfg(1)).Name() != "Stride" {
+	if NewStride(1).Name() != "Stride" {
 		t.Fatal("unexpected name")
 	}
 }
 
 func TestStrideDefaults(t *testing.T) {
-	s := NewStride(StrideConfig{})
-	// Zero-value config should be usable (single node, default degree).
-	for i := 0; i < 20; i++ {
-		s.Consumption(cons(0, i))
-	}
-	f, _ := s.Finish()
-	if f == 0 {
-		t.Fatal("default-config stride prefetcher should fetch on a unit stride")
-	}
-	// The buffer is the default 32-entry one, never an unlimited SVB.
+	s := NewStride(2)
+	// The buffer is the 32-entry one, never an unlimited SVB.
 	for _, n := range s.nodes {
 		if got := n.buffer.Capacity(); got != BufferEntries {
-			t.Fatalf("zero-config buffer capacity = %d, want %d", got, BufferEntries)
+			t.Fatalf("buffer capacity = %d, want %d", got, BufferEntries)
 		}
-	}
-	if got := NewStride(StrideConfig{BufferEntries: -1}).nodes[0].buffer.Capacity(); got != BufferEntries {
-		t.Fatalf("negative BufferEntries gave capacity %d, want %d", got, BufferEntries)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"tsm/internal/coherence"
-	"tsm/internal/config"
 	"tsm/internal/mem"
 	"tsm/internal/trace"
 	"tsm/internal/tse"
@@ -124,7 +123,7 @@ func (r *refSim) step(kind trace.EventKind, node mem.NodeID, block mem.BlockAddr
 			s.flushBurst(n)
 		}
 		s.segCount++
-		if s.segCount >= s.segSize {
+		if s.segCount >= segmentConsumptions {
 			cur := s.totalBreakdown()
 			s.res.SegmentCycles = append(s.res.SegmentCycles, cur-s.prevTotal)
 			s.prevTotal = cur
@@ -177,7 +176,7 @@ func TestArrivalsMatchMapReference(t *testing.T) {
 	for _, nodes := range []int{4, 16} {
 		for _, name := range workload.AllNames() {
 			spec, _ := workload.ByName(name)
-			gen := spec.New(workload.Config{Nodes: nodes, Seed: 5, Scale: 0.05, Geometry: mem.DefaultGeometry()})
+			gen := spec.New(workload.Config{Nodes: nodes, Seed: 5, Scale: 0.05})
 			tr, err := coherence.New(coherence.Config{Nodes: nodes, Geometry: mem.DefaultGeometry()}).RunFrom(gen.Emit)
 			if err != nil {
 				t.Fatal(err)
@@ -185,7 +184,7 @@ func TestArrivalsMatchMapReference(t *testing.T) {
 			for _, svb := range []int{32, 4, 0} {
 				t.Run(fmt.Sprintf("%s/nodes=%d/svb=%d", name, nodes, svb), func(t *testing.T) {
 					p := baseParams(nodes, gen.Timing())
-					cfg := config.DefaultSystem().DefaultTSE()
+					cfg := tse.DefaultConfig()
 					cfg.Nodes, cfg.Lookahead, cfg.SVBEntries = nodes, gen.Timing().Lookahead, svb
 					p.TSE = &cfg
 					r, err := checkArrivals(tr, p)
@@ -228,7 +227,6 @@ func FuzzTimingArrivals(f *testing.F) {
 		p.TSE.SVBEntries = []int{0, 1, 2, 4, 32}[data[1]%5]
 		p.TSE.StreamQueues = int(data[3]%4) + 1
 		p.TSE.ComparedStreams = int(data[3]/4%2) + 1
-		p.SegmentConsumptions = 7
 		tr := &trace.Trace{}
 		for range 3 {
 			for i := 4; i+1 < len(data); i += 2 {

@@ -105,10 +105,10 @@ func (r Result) PartialCoverage() float64 {
 	return float64(r.PartialCovered) / float64(r.Consumptions)
 }
 
-// Params configures one timing simulation.
+// Params configures one timing simulation. The latencies are Table 1's
+// (config.DefaultSystem), and every 2,000 consumptions form one measurement
+// segment.
 type Params struct {
-	// System supplies latencies (Table 1).
-	System config.SystemConfig
 	// Profile supplies the workload's baseline breakdown, MLP and
 	// lookahead (Figure 14 / Table 3).
 	Profile workload.TimingProfile
@@ -117,16 +117,14 @@ type Params struct {
 	// TSE, when non-nil, enables the temporal streaming engine with the
 	// given configuration; nil simulates the baseline system.
 	TSE *tse.Config
-	// SegmentConsumptions sets how many consumptions form one measurement
-	// segment for confidence intervals (0 selects a default of 2000).
-	SegmentConsumptions int
 }
+
+// segmentConsumptions is how many consumptions form one measurement segment
+// for confidence intervals.
+const segmentConsumptions = 2000
 
 // Validate reports whether the parameters are usable.
 func (p Params) Validate() error {
-	if err := p.System.Validate(); err != nil {
-		return err
-	}
 	if err := p.Profile.Validate(); err != nil {
 		return err
 	}
@@ -166,8 +164,7 @@ const streamSpacing = 30
 // Consumer.Run's loop over column chunks, so both paths run the same
 // arithmetic in the same order.
 type simulator struct {
-	p       Params
-	segSize int
+	p Params
 
 	lCoh, lSVB uint64
 	// streamStart is the stream retrieval latency: the stream
@@ -200,12 +197,10 @@ func newSimulator(p Params) (*simulator, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	s := &simulator{p: p, segSize: p.SegmentConsumptions}
-	if s.segSize <= 0 {
-		s.segSize = 2000
-	}
-	s.lCoh = p.System.ThreeHopLatencyCycles()
-	s.lSVB = p.System.SVBHitLatencyCycles()
+	s := &simulator{p: p}
+	sys := config.DefaultSystem()
+	s.lCoh = sys.ThreeHopLatencyCycles()
+	s.lSVB = sys.SVBHitLatencyCycles()
 	s.streamStart = 2 * s.lCoh
 
 	// Per-consumption non-coherent work, derived so that the baseline
@@ -333,7 +328,7 @@ func (s *simulator) step(kind trace.EventKind, node mem.NodeID, block mem.BlockA
 
 		// Segment accounting for confidence intervals.
 		s.segCount++
-		if s.segCount >= s.segSize {
+		if s.segCount >= segmentConsumptions {
 			cur := s.totalBreakdown()
 			s.res.SegmentCycles = append(s.res.SegmentCycles, cur-s.prevTotal)
 			s.prevTotal = cur

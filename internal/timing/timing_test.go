@@ -8,7 +8,6 @@ import (
 
 	"tsm/internal/analysis"
 	"tsm/internal/coherence"
-	"tsm/internal/config"
 	"tsm/internal/mem"
 	"tsm/internal/pipeline"
 	"tsm/internal/stream"
@@ -47,9 +46,7 @@ func commercialProfile() workload.TimingProfile {
 }
 
 func baseParams(nodes int, prof workload.TimingProfile) Params {
-	sysCfg := config.DefaultSystem()
-	sysCfg.Nodes = nodes
-	return Params{System: sysCfg, Profile: prof, Nodes: nodes, SegmentConsumptions: 100}
+	return Params{Profile: prof, Nodes: nodes}
 }
 
 func tseParams(nodes int, prof workload.TimingProfile) Params {
@@ -197,10 +194,10 @@ func TestMeasuredMLPTracksProfile(t *testing.T) {
 func TestEndToEndWithWorkloadTrace(t *testing.T) {
 	// Full pipeline on a small DB2-like workload: generate accesses,
 	// classify with the coherence engine, then compare base and TSE timing.
-	wcfg := workload.Config{Nodes: 4, Seed: 3, Scale: 0.05, Geometry: mem.DefaultGeometry()}
+	wcfg := workload.Config{Nodes: 4, Seed: 3, Scale: 0.05}
 	spec, _ := workload.ByName("db2")
 	gen := spec.New(wcfg)
-	eng := coherence.New(coherence.Config{Nodes: 4, Geometry: wcfg.Geometry})
+	eng := coherence.New(coherence.Config{Nodes: 4, Geometry: mem.DefaultGeometry()})
 	tr, err := eng.RunFrom(gen.Emit)
 	if err != nil {
 		t.Fatal(err)
@@ -302,7 +299,7 @@ func TestTSEResultMatchesEvaluateTSE(t *testing.T) {
 		for _, name := range workload.AllNames() {
 			t.Run(fmt.Sprintf("%s/nodes=%d", name, nodes), func(t *testing.T) {
 				spec, _ := workload.ByName(name)
-				gen := spec.New(workload.Config{Nodes: nodes, Seed: 5, Scale: 0.05, Geometry: mem.DefaultGeometry()})
+				gen := spec.New(workload.Config{Nodes: nodes, Seed: 5, Scale: 0.05})
 				eng := coherence.New(coherence.Config{Nodes: nodes, Geometry: mem.DefaultGeometry()})
 				tr, err := eng.RunFrom(gen.Emit)
 				if err != nil {
@@ -316,7 +313,7 @@ func TestTSEResultMatchesEvaluateTSE(t *testing.T) {
 				if !reflect.DeepEqual(base.TSE, tse.Result{}) {
 					t.Fatalf("baseline run reports a TSE result: %+v", base.TSE)
 				}
-				cfg := config.DefaultSystem().DefaultTSE()
+				cfg := tse.DefaultConfig()
 				cfg.Nodes = nodes
 				cfg.Lookahead = gen.Timing().Lookahead
 				p.TSE = &cfg
@@ -375,14 +372,13 @@ var errSourceBroken = errors.New("timing test: source failed")
 // together fewer than one allocation per run.
 func TestTimingDoesNotAllocate(t *testing.T) {
 	spec, _ := workload.ByName("db2")
-	gen := spec.New(workload.Config{Nodes: 4, Seed: 11, Scale: 0.05, Geometry: mem.DefaultGeometry()})
+	gen := spec.New(workload.Config{Nodes: 4, Seed: 11, Scale: 0.05})
 	tr, err := coherence.New(coherence.Config{Nodes: 4, Geometry: mem.DefaultGeometry()}).RunFrom(gen.Emit)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, svb := range []int{32, 0} {
 		p := tseParams(4, gen.Timing())
-		p.SegmentConsumptions = 0
 		p.TSE.CMOBEntries, p.TSE.SVBEntries = 2048, svb
 		s, err := newSimulator(p)
 		if err != nil {

@@ -45,8 +45,9 @@
 // 116,816 misses match a window, and 82.8% find count 0. A count is a
 // uint16: it never exceeds the entries one engine's FIFOs hold, and
 // Validate rejects a configuration whose StreamQueues × ComparedStreams ×
-// FIFO capacity exceeds 65,535. The counts grow when a FIFO first holds a
-// new id, so a warm System still allocates nothing.
+// 2·Lookahead (a FIFO holds twice the lookahead) exceeds 65,535. The
+// counts grow when a FIFO first holds a new id, so a warm System still
+// allocates nothing.
 //
 // Nothing in the package calls back into its users. Finish derives the
 // traffic of each Figure 11 category from counters the engines and SVBs
@@ -80,8 +81,6 @@ const CMOBPointerBytes = 8
 type Config struct {
 	// Nodes is the number of DSM nodes.
 	Nodes int
-	// Geometry supplies the block size.
-	Geometry mem.Geometry
 	// CMOBEntries is the per-node CMOB capacity in entries. Zero means
 	// effectively unlimited (used for the opportunity studies).
 	CMOBEntries int
@@ -96,11 +95,10 @@ type Config struct {
 	// the number of CMOB pointers kept per directory entry.
 	ComparedStreams int
 	// Lookahead is the number of streamed blocks kept outstanding in the
-	// SVB per active stream (Section 5.6 chooses it per workload).
+	// SVB per active stream (Section 5.6 chooses it per workload). Each
+	// FIFO buffers 2×Lookahead addresses and requests a refill when half
+	// empty (Section 3.3).
 	Lookahead int
-	// FIFOCapacity is the number of addresses buffered per FIFO before
-	// a refill is requested. Zero selects 2×Lookahead.
-	FIFOCapacity int
 }
 
 // DefaultConfig returns the paper's chosen TSE configuration for a 16-node
@@ -108,7 +106,6 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		Nodes:           16,
-		Geometry:        mem.DefaultGeometry(),
 		CMOBEntries:     (1536 * 1024) / CMOBEntryBytes, // 1.5 MB per node
 		SVBEntries:      32,                             // 2 KB of 64-byte blocks
 		StreamQueues:    8,
@@ -122,9 +119,6 @@ func (c Config) Validate() error {
 	if c.Nodes <= 0 || c.Nodes > mem.MaxNodes {
 		return fmt.Errorf("tse: node count %d out of range [1,%d]", c.Nodes, mem.MaxNodes)
 	}
-	if err := c.Geometry.Validate(); err != nil {
-		return err
-	}
 	if c.CMOBEntries < 0 || c.SVBEntries < 0 {
 		return fmt.Errorf("tse: negative capacity")
 	}
@@ -137,15 +131,9 @@ func (c Config) Validate() error {
 	if c.Lookahead <= 0 {
 		return fmt.Errorf("tse: lookahead must be positive")
 	}
-	if c.FIFOCapacity < 0 {
-		return fmt.Errorf("tse: negative FIFO capacity")
-	}
 	// An engine's per-block FIFO counts are uint16s, and a count is at most
 	// the FIFO entries the engine's queues hold.
-	capacity := uint64(c.FIFOCapacity)
-	if capacity == 0 {
-		capacity = 2 * uint64(c.Lookahead)
-	}
+	capacity := 2 * uint64(c.Lookahead)
 	limit := uint64(math.MaxUint16)
 	for _, f := range []uint64{uint64(c.StreamQueues), uint64(c.ComparedStreams), capacity} {
 		if f > limit {
@@ -157,10 +145,5 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// fifoCapacity returns the effective per-FIFO address capacity.
-func (c Config) fifoCapacity() int {
-	if c.FIFOCapacity > 0 {
-		return c.FIFOCapacity
-	}
-	return 2 * c.Lookahead
-}
+// fifoCapacity returns the per-FIFO address capacity.
+func (c Config) fifoCapacity() int { return 2 * c.Lookahead }

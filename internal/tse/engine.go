@@ -237,23 +237,23 @@ func (e *Engine) allocate(ptrs []CMOBPointer) {
 
 // acquireQueue returns a free stream queue, retiring the least recently used
 // one if all are busy (avoiding unbounded growth while still letting useful
-// streams persist — the stream-thrashing concern of Section 5.3).
+// streams persist — the stream-thrashing concern of Section 5.3). One pass
+// picks the first inactive queue in slot order; until it finds one, it keeps
+// the first queue with the smallest lru as the victim.
 func (e *Engine) acquireQueue() *streamQueue {
+	var victim *streamQueue
 	for _, q := range e.queues {
 		if !q.active {
 			return q
+		}
+		if victim == nil || q.lru < victim.lru {
+			victim = q
 		}
 	}
 	if len(e.queues) < e.cfg.StreamQueues {
 		q := &streamQueue{id: len(e.queues), slots: make([]streamFIFO, e.cfg.ComparedStreams)}
 		e.queues = append(e.queues, q)
 		return q
-	}
-	victim := e.queues[0]
-	for _, q := range e.queues[1:] {
-		if q.lru < victim.lru {
-			victim = q
-		}
 	}
 	e.retire(victim)
 	// Re-use the slot under the slot's next id so stale SVB entries do

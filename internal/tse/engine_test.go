@@ -10,7 +10,6 @@ import (
 func testConfig() Config {
 	return Config{
 		Nodes:           2,
-		Geometry:        mem.DefaultGeometry(),
 		CMOBEntries:     0,
 		SVBEntries:      0,
 		StreamQueues:    4,

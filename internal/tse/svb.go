@@ -145,17 +145,13 @@ func (s *SVB) release(key uint64) {
 }
 
 // Insert places a streamed block into the SVB, associated with the stream
-// queue that streamed it, and returns the slot that now holds it. A new
-// entry's stamp is 0. If the block is already present the entry is
-// refreshed and keeps its stamp. If the SVB is full the least recently used
-// entry is discarded and the block takes its slot.
+// queue that streamed it, and returns the slot that now holds it. The SVB
+// must not hold the block already: every owner probes Contains first and
+// streams only absent blocks. A new entry's stamp is 0. If the SVB is full
+// the least recently used entry is discarded and the block takes its slot.
 func (s *SVB) Insert(key uint64, queue int) int {
 	s.clock++
 	e := svbEntry{key: key, queue: queue, lru: s.clock}
-	if i := s.find(key); i >= 0 {
-		s.slots[i] = e
-		return i
-	}
 	v := len(s.slots)
 	switch {
 	case s.capacity == 0:

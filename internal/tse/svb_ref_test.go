@@ -10,7 +10,7 @@ import (
 
 // refSVB is the test's reference streamed value buffer: a scanned slice in
 // insertion order, with the victim found by the minimum LRU stamp. Each
-// entry keeps the owner's stamp of its latest insert, 0 if unstamped.
+// entry keeps the owner's stamp of its insert, 0 if unstamped.
 type refSVB struct {
 	capacity int
 	held     []refEntry
@@ -42,13 +42,6 @@ func (r *refSVB) discard(reason *uint64) {
 
 func (r *refSVB) insert(b uint64, queue int, stamp uint64) {
 	r.clock++
-	if i := r.index(b); i >= 0 {
-		r.held[i].queue, r.held[i].lru = queue, r.clock
-		if stamp != 0 {
-			r.held[i].stamp = stamp
-		}
-		return
-	}
 	if r.capacity > 0 && len(r.held) >= r.capacity {
 		oldest := slices.MinFunc(r.held, func(a, b refEntry) int { return cmp.Compare(a.lru, b.lru) })
 		r.remove(r.index(oldest.key))
@@ -94,9 +87,10 @@ const svbKeys = 40 * 3
 
 // checkSVB decodes ops two bytes at a time — an operation and a key out of
 // 40 — and applies each to two SVBs of the given capacity and to refSVB.
-// An insert is stamped through the slot Insert returned, which must hold
-// the key, on every other value of the operation byte, and left unstamped
-// otherwise. The SVBs are
+// An insert of a key the reference holds is skipped, as every owner probes
+// Contains first and inserts only absent blocks. An insert is stamped
+// through the slot Insert returned, which must hold the key, on every other
+// value of the operation byte, and left unstamped otherwise. The SVBs are
 // one SVB standalone, as the prefetchers use it, and one with a bit in a
 // holder-mask slice, as a System's engines use it. After every operation it
 // compares each SVB's results (a hit's stamp included), per-reason Stats
@@ -117,6 +111,10 @@ func checkSVB(capacity int, ops []byte) error {
 		var op string
 		switch ops[i] % svbOpKinds {
 		case 0:
+			if ref.index(b) >= 0 {
+				op = fmt.Sprintf("Insert(%#x) skipped: held", b)
+				break
+			}
 			var stamp uint64
 			if ops[i]/svbOpKinds%2 == 1 {
 				stamp = uint64(i + 1)

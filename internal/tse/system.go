@@ -224,7 +224,7 @@ func (s *System) Finish() Result {
 		PointerUpdateBytes: res.Consumptions * CMOBPointerBytes,
 		StreamRequestBytes: requests * requestMessageBytes,
 		StreamAddressBytes: addresses * CMOBEntryBytes,
-		DiscardedDataBytes: res.Discards * uint64(s.cfg.Geometry.BlockSize+dataHeaderBytes+requestMessageBytes),
+		DiscardedDataBytes: res.Discards * uint64(mem.DefaultBlockSize+dataHeaderBytes+requestMessageBytes),
 	}
 	res.CMOBPeakBytes = s.peak
 	return res

@@ -140,7 +140,7 @@ func TestSystemTrafficAccounting(t *testing.T) {
 	// Base traffic per consumption is request + block + header bytes. For
 	// perfectly correlated streams the overhead should be a modest fraction
 	// of it (the paper reports 16%-57%).
-	base := res.Consumptions * uint64(requestMessageBytes+cfg.Geometry.BlockSize+dataHeaderBytes)
+	base := res.Consumptions * uint64(requestMessageBytes+mem.DefaultBlockSize+dataHeaderBytes)
 	if ratio := float64(tr.OverheadBytes()) / float64(base); ratio <= 0 || ratio > 1.0 {
 		t.Fatalf("overhead ratio = %v, want in (0, 1] for perfect streams", ratio)
 	}
@@ -156,7 +156,7 @@ func TestSystemTrafficAccounting(t *testing.T) {
 		{"db2", Traffic{PointerUpdateBytes: 99616, StreamRequestBytes: 25784, StreamAddressBytes: 216828, DiscardedDataBytes: 337040}},
 	} {
 		spec, _ := workload.ByName(tc.workload)
-		gen := spec.New(workload.Config{Nodes: 4, Seed: 1, Scale: 0.05, Geometry: mem.DefaultGeometry()})
+		gen := spec.New(workload.Config{Nodes: 4, Seed: 1, Scale: 0.05})
 		tr, err := coherence.New(coherence.Config{Nodes: 4, Geometry: mem.DefaultGeometry()}).RunFrom(gen.Emit)
 		if err != nil {
 			t.Fatal(err)
@@ -229,16 +229,17 @@ func TestConfigValidateAndHelpers(t *testing.T) {
 	}
 	bad := []Config{
 		{},
-		{Nodes: 4, Geometry: mem.DefaultGeometry(), StreamQueues: 0, ComparedStreams: 1, Lookahead: 1},
-		{Nodes: 4, Geometry: mem.DefaultGeometry(), StreamQueues: 1, ComparedStreams: 0, Lookahead: 1},
-		{Nodes: 4, Geometry: mem.DefaultGeometry(), StreamQueues: 1, ComparedStreams: 1, Lookahead: 0},
-		{Nodes: 4, Geometry: mem.DefaultGeometry(), StreamQueues: 1, ComparedStreams: 1, Lookahead: 1, CMOBEntries: -1},
-		{Nodes: 100, Geometry: mem.DefaultGeometry(), StreamQueues: 1, ComparedStreams: 1, Lookahead: 1},
-		// More FIFO entries per node than a uint16 FIFO count holds.
-		{Nodes: 4, Geometry: mem.DefaultGeometry(), StreamQueues: 1, ComparedStreams: 1, Lookahead: 1, FIFOCapacity: math.MaxUint16 + 1},
-		{Nodes: 4, Geometry: mem.DefaultGeometry(), StreamQueues: 64, ComparedStreams: 4, Lookahead: 128},
-		{Nodes: 4, Geometry: mem.DefaultGeometry(), StreamQueues: 1, ComparedStreams: 1, Lookahead: math.MaxInt},
-		{Nodes: 4, Geometry: mem.DefaultGeometry(), StreamQueues: math.MaxInt, ComparedStreams: math.MaxInt, Lookahead: 1},
+		{Nodes: 4, StreamQueues: 0, ComparedStreams: 1, Lookahead: 1},
+		{Nodes: 4, StreamQueues: 1, ComparedStreams: 0, Lookahead: 1},
+		{Nodes: 4, StreamQueues: 1, ComparedStreams: 1, Lookahead: 0},
+		{Nodes: 4, StreamQueues: 1, ComparedStreams: 1, Lookahead: 1, CMOBEntries: -1},
+		{Nodes: 100, StreamQueues: 1, ComparedStreams: 1, Lookahead: 1},
+		// More FIFO entries per node than a uint16 FIFO count holds: one
+		// FIFO of 2 × 32,768 entries.
+		{Nodes: 4, StreamQueues: 1, ComparedStreams: 1, Lookahead: 32768},
+		{Nodes: 4, StreamQueues: 64, ComparedStreams: 4, Lookahead: 128},
+		{Nodes: 4, StreamQueues: 1, ComparedStreams: 1, Lookahead: math.MaxInt},
+		{Nodes: 4, StreamQueues: math.MaxInt, ComparedStreams: math.MaxInt, Lookahead: 1},
 	}
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -246,20 +247,15 @@ func TestConfigValidateAndHelpers(t *testing.T) {
 		}
 	}
 	for _, c := range []Config{
-		{Nodes: 4, Geometry: mem.DefaultGeometry(), StreamQueues: 1, ComparedStreams: 1, Lookahead: 1, FIFOCapacity: math.MaxUint16},
-		{Nodes: 4, Geometry: mem.DefaultGeometry(), StreamQueues: 64, ComparedStreams: 4, Lookahead: 127},
+		{Nodes: 4, StreamQueues: 1, ComparedStreams: 1, Lookahead: 32767},
+		{Nodes: 4, StreamQueues: 64, ComparedStreams: 4, Lookahead: 127},
 	} {
 		if err := c.Validate(); err != nil {
 			t.Errorf("Validate(%+v) = %v, want nil at the FIFO entry bound", c, err)
 		}
 	}
-	cfg := DefaultConfig()
-	if cfg.fifoCapacity() != 16 {
-		t.Fatalf("fifoCapacity = %d, want 2*lookahead", cfg.fifoCapacity())
-	}
-	cfg.FIFOCapacity = 5
-	if cfg.fifoCapacity() != 5 {
-		t.Fatal("explicit FIFO capacity should be used")
+	if c := DefaultConfig().fifoCapacity(); c != 16 {
+		t.Fatalf("fifoCapacity = %d, want 2*lookahead", c)
 	}
 }
 

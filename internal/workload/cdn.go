@@ -90,7 +90,7 @@ func (c *CDN) Emit(yield func(mem.Access) error) error {
 	add := func(node, region, index int, typ mem.AccessType) {
 		em.emit(mem.Access{
 			Node:   mem.NodeID(node),
-			Addr:   blockAddr(c.cfg.Geometry, region, index),
+			Addr:   blockAddr(region, index),
 			Type:   typ,
 			Shared: true,
 		})
@@ -116,7 +116,7 @@ func (c *CDN) Emit(yield func(mem.Access) error) error {
 				b = 0
 			}
 			a := mem.Access{
-				Node: mem.NodeID(p), Addr: blockAddr(c.cfg.Geometry, regionCDNObjects, c.base[obj]+b),
+				Node: mem.NodeID(p), Addr: blockAddr(regionCDNObjects, c.base[obj]+b),
 				Type: mem.Write, Shared: true,
 			}
 			b++

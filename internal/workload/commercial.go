@@ -231,7 +231,7 @@ func (c *commercial) Emit(yield func(mem.Access) error) error {
 	appendAccess := func(node int, region, index int, typ mem.AccessType, spin bool) {
 		em.emit(mem.Access{
 			Node:   mem.NodeID(node),
-			Addr:   blockAddr(c.cfg.Geometry, region, index),
+			Addr:   blockAddr(region, index),
 			Type:   typ,
 			Shared: true,
 			Spin:   spin,

@@ -40,10 +40,10 @@ func band(p, per, n int) (lo, hi int) {
 
 // indexCursor walks n region indices chosen by index(0..n-1), emitting one
 // access per step — the shared shape behind the list-walk phases.
-func indexCursor(g mem.Geometry, node mem.NodeID, region, n int, index func(int) int, typ mem.AccessType) cursor {
+func indexCursor(node mem.NodeID, region, n int, index func(int) int, typ mem.AccessType) cursor {
 	i := 0
 	return cursor{n: n, next: func() mem.Access {
-		a := mem.Access{Node: node, Addr: blockAddr(g, region, index(i)), Type: typ, Shared: true}
+		a := mem.Access{Node: node, Addr: blockAddr(region, index(i)), Type: typ, Shared: true}
 		i++
 		return a
 	}}
@@ -51,11 +51,11 @@ func indexCursor(g mem.Geometry, node mem.NodeID, region, n int, index func(int)
 
 // rangeCursor walks the contiguous index range [lo, hi) of a region (empty
 // when lo >= hi) — the shared shape behind the owner-update phases.
-func rangeCursor(g mem.Geometry, node mem.NodeID, region, lo, hi int, typ mem.AccessType) cursor {
+func rangeCursor(node mem.NodeID, region, lo, hi int, typ mem.AccessType) cursor {
 	if lo > hi {
 		lo = hi
 	}
-	return indexCursor(g, node, region, hi-lo, func(i int) int { return lo + i }, typ)
+	return indexCursor(node, region, hi-lo, func(i int) int { return lo + i }, typ)
 }
 
 // interleaveEmit merges per-node cursors into a single global order by taking

@@ -123,7 +123,7 @@ func (g *PageRank) Emit(yield func(mem.Access) error) error {
 		// Scatter phase: owners update their vertices.
 		for p := 0; p < g.cfg.Nodes; p++ {
 			lo, hi := band(p, per, g.vertices)
-			writes[p] = rangeCursor(g.cfg.Geometry, mem.NodeID(p), regionGraphRank, lo, hi, mem.Write)
+			writes[p] = rangeCursor(mem.NodeID(p), regionGraphRank, lo, hi, mem.Write)
 		}
 		if err := interleaveEmit(writes, 64, rng, yield); err != nil {
 			return err
@@ -132,7 +132,7 @@ func (g *PageRank) Emit(yield func(mem.Access) error) error {
 		// Gather phase: fixed-order rank reads along the in-edges.
 		for p := 0; p < g.cfg.Nodes; p++ {
 			list := g.gather[p]
-			reads[p] = indexCursor(g.cfg.Geometry, mem.NodeID(p), regionGraphRank, len(list),
+			reads[p] = indexCursor(mem.NodeID(p), regionGraphRank, len(list),
 				func(i int) int { return list[i] }, mem.Read)
 		}
 		if err := interleaveEmit(reads, 64, rng, yield); err != nil {

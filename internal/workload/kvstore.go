@@ -100,7 +100,7 @@ func (k *KVStore) Emit(yield func(mem.Access) error) error {
 	add := func(node, region, index int, typ mem.AccessType, spin bool) {
 		em.emit(mem.Access{
 			Node:   mem.NodeID(node),
-			Addr:   blockAddr(k.cfg.Geometry, region, index),
+			Addr:   blockAddr(region, index),
 			Type:   typ,
 			Shared: true,
 			Spin:   spin,

@@ -120,7 +120,7 @@ func (g *EM3D) Emit(yield func(mem.Access) error) error {
 		// Phase 1: every processor updates its own graph nodes.
 		for p := 0; p < g.cfg.Nodes; p++ {
 			lo, hi := band(p, per, g.graphNodes)
-			writes[p] = rangeCursor(g.cfg.Geometry, mem.NodeID(p), regionEM3DValues, lo, hi, mem.Write)
+			writes[p] = rangeCursor(mem.NodeID(p), regionEM3DValues, lo, hi, mem.Write)
 		}
 		if err := interleaveEmit(writes, 64, rng, yield); err != nil {
 			return err
@@ -140,7 +140,7 @@ func (g *EM3D) Emit(yield func(mem.Access) error) error {
 				nb := g.neighbors[n][d]
 				d++
 				return mem.Access{
-					Node: mem.NodeID(p), Addr: blockAddr(g.cfg.Geometry, regionEM3DValues, nb),
+					Node: mem.NodeID(p), Addr: blockAddr(regionEM3DValues, nb),
 					Type: mem.Read, Shared: true,
 				}
 			}}
@@ -278,7 +278,7 @@ func (m *Moldyn) Emit(yield func(mem.Access) error) error {
 		// Phase 1: position updates (writes by owners).
 		for p := 0; p < m.cfg.Nodes; p++ {
 			lo, hi := band(p, per, m.molecules)
-			writes[p] = rangeCursor(m.cfg.Geometry, mem.NodeID(p), regionMoldynPos, lo, hi, mem.Write)
+			writes[p] = rangeCursor(mem.NodeID(p), regionMoldynPos, lo, hi, mem.Write)
 		}
 		if err := interleaveEmit(writes, 64, rng, yield); err != nil {
 			return err
@@ -287,7 +287,7 @@ func (m *Moldyn) Emit(yield func(mem.Access) error) error {
 		// Phase 2: force computation reads partner positions in list order.
 		for p := 0; p < m.cfg.Nodes; p++ {
 			list := pairs[p]
-			reads[p] = indexCursor(m.cfg.Geometry, mem.NodeID(p), regionMoldynPos, len(list),
+			reads[p] = indexCursor(mem.NodeID(p), regionMoldynPos, len(list),
 				func(i int) int { return list[i].partner }, mem.Read)
 		}
 		if err := interleaveEmit(reads, 64, rng, yield); err != nil {
@@ -342,10 +342,10 @@ func (o *Ocean) Emit(yield func(mem.Access) error) error {
 	// why its coherent read misses do not form a simple strided sequence
 	// even though the data is array based.
 	cellA := func(r, c int) mem.Addr {
-		return blockAddr(o.cfg.Geometry, regionOceanGrid, r*o.cols+c)
+		return blockAddr(regionOceanGrid, r*o.cols+c)
 	}
 	cellB := func(r, c int) mem.Addr {
-		return blockAddr(o.cfg.Geometry, regionOceanGrid2, r*o.cols+c)
+		return blockAddr(regionOceanGrid2, r*o.cols+c)
 	}
 	// rowCursor walks nrows rows (row(0)..row(nrows-1)) cell by cell,
 	// emitting the grid-A and grid-B access of each cell back to back.

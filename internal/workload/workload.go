@@ -56,8 +56,6 @@ type Config struct {
 	// paper-scale runs affordable now that generation streams in constant
 	// memory. Zero or negative means 1.
 	Repeat float64
-	// Geometry supplies the block size.
-	Geometry mem.Geometry
 }
 
 // normalize fills in zero fields with defaults.
@@ -70,9 +68,6 @@ func (c Config) normalize() Config {
 	}
 	if c.Repeat <= 0 {
 		c.Repeat = 1.0
-	}
-	if c.Geometry.BlockSize == 0 {
-		c.Geometry = mem.DefaultGeometry()
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -256,11 +251,12 @@ func ByName(name string) (Spec, bool) {
 	return Spec{}, false
 }
 
-// blockAddr builds a block-aligned address within a named region. Regions
-// keep the different data structures of a workload from aliasing.
-func blockAddr(g mem.Geometry, region int, index int) mem.Addr {
+// blockAddr builds a block-aligned address (64-byte blocks) within a named
+// region. Regions keep the different data structures of a workload from
+// aliasing.
+func blockAddr(region int, index int) mem.Addr {
 	const regionBits = 32
-	return mem.Addr(uint64(region)<<regionBits | uint64(index)*uint64(g.BlockSize))
+	return mem.Addr(uint64(region)<<regionBits | uint64(index)*mem.DefaultBlockSize)
 }
 
 // sortedKeys returns the keys of a map in sorted order (deterministic

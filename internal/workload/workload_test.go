@@ -11,7 +11,7 @@ import (
 
 // testConfig is a small, fast configuration for unit tests.
 func testConfig() Config {
-	return Config{Nodes: 4, Seed: 7, Scale: 0.05, Geometry: mem.DefaultGeometry()}
+	return Config{Nodes: 4, Seed: 7, Scale: 0.05}
 }
 
 // generate collects a generator's whole emission into a slice.
@@ -29,7 +29,7 @@ func generate(g Generator) []mem.Access {
 // classify runs a generator through an infinite-cache coherence engine.
 func classify(t *testing.T, g Generator, cfg Config) *trace.Trace {
 	t.Helper()
-	eng := coherence.New(coherence.Config{Nodes: cfg.Nodes, Geometry: cfg.Geometry})
+	eng := coherence.New(coherence.Config{Nodes: cfg.Nodes, Geometry: mem.DefaultGeometry()})
 	tr, err := eng.RunFrom(g.Emit)
 	if err != nil {
 		t.Fatal(err)
@@ -260,7 +260,7 @@ func TestPageRankDegeneratePartitions(t *testing.T) {
 	// back to intra-partition edges instead of panicking on an empty range.
 	// Nodes=100, Scale=0.267 → 6408 vertices, per=ceil(6408/100)=65, so
 	// partition 99 spans [6435, 6408): empty.
-	cfg := Config{Nodes: 100, Seed: 3, Scale: 0.267, Geometry: mem.DefaultGeometry()}
+	cfg := Config{Nodes: 100, Seed: 3, Scale: 0.267}
 	g := NewPageRank(cfg)
 	if got := len(generate(g)); got == 0 {
 		t.Fatalf("degenerate partitioning generated %d accesses", got)
@@ -269,7 +269,7 @@ func TestPageRankDegeneratePartitions(t *testing.T) {
 
 func TestConfigNormalize(t *testing.T) {
 	c := Config{}.normalize()
-	if c.Nodes != 16 || c.Scale != 1.0 || c.Geometry.BlockSize != 64 || c.Seed == 0 {
+	if c.Nodes != 16 || c.Scale != 1.0 || c.Seed == 0 {
 		t.Fatalf("normalize() = %+v", c)
 	}
 	if scaled(100, 0.5, 10) != 50 || scaled(100, 0.001, 10) != 10 {
@@ -309,8 +309,8 @@ func TestInterleaveCoversAllAccesses(t *testing.T) {
 
 func TestBlockAddrRegionsDoNotCollide(t *testing.T) {
 	g := mem.DefaultGeometry()
-	a := blockAddr(g, regionOLTPRecords, 12345)
-	b := blockAddr(g, regionOLTPHeap, 12345)
+	a := blockAddr(regionOLTPRecords, 12345)
+	b := blockAddr(regionOLTPHeap, 12345)
 	if a == b {
 		t.Fatal("different regions must not produce the same address")
 	}

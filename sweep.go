@@ -15,7 +15,6 @@ import (
 	"strings"
 
 	"tsm/internal/analysis"
-	"tsm/internal/config"
 	"tsm/internal/experiments"
 	"tsm/internal/pipeline"
 	"tsm/internal/tse"
@@ -40,10 +39,8 @@ func (c SweepCell) String() string { return fmt.Sprintf("%-10s %s", c.Label, c.R
 // drivers' own (experiments.SweepConfigs), so the trace-file sweeps cannot
 // drift from the figures they reproduce; every cell sets its own lookahead,
 // so the workload's does not matter.
-func sweepConfigs(sweep string, opts Options) ([]string, []tse.Config, error) {
-	sys := config.DefaultSystem()
-	sys.Nodes = opts.Nodes
-	labels, cfgs, ok := experiments.SweepConfigs(strings.ToLower(strings.TrimSpace(sweep)), sys)
+func sweepConfigs(sweep string, nodes int) ([]string, []tse.Config, error) {
+	labels, cfgs, ok := experiments.SweepConfigs(strings.ToLower(strings.TrimSpace(sweep)), nodes)
 	if !ok {
 		return nil, nil, fmt.Errorf("tsm: unknown sweep %q (known: streams, lookahead, svb)", sweep)
 	}
@@ -70,7 +67,7 @@ func evaluateTSESweepSourceWith(pcfg pipeline.Config, src EventSource, meta Trac
 	if _, err := specFor(meta); err != nil {
 		return nil, err
 	}
-	labels, cfgs, err := sweepConfigs(sweep, OptionsFor(meta))
+	labels, cfgs, err := sweepConfigs(sweep, OptionsFor(meta).Nodes)
 	if err != nil {
 		return nil, err
 	}

@@ -49,8 +49,10 @@ type Options struct {
 	// Seed makes generation deterministic (default 1).
 	Seed int64
 	// Lookahead overrides the per-workload stream lookahead (0 = use the
-	// workload's Table 3 value). It must leave the paper's stream FIFOs
-	// within tse.Config.Validate's entry bound: at most 2,047.
+	// workload's Table 3 value). The paper's 8 stream queues × 2 compared
+	// streams each hold a FIFO of 2 × Lookahead entries, and
+	// tse.Config.Validate bounds that product at 65,535 (the engines'
+	// uint16 FIFO counts), so Lookahead is at most 2,047.
 	Lookahead int
 }
 
@@ -280,7 +282,7 @@ func (r Report) String() string {
 // tseConfig derives the paper's TSE configuration for the options and
 // generator.
 func tseConfig(gen Generator, opts Options) tse.Config {
-	cfg := config.DefaultSystem().DefaultTSE()
+	cfg := tse.DefaultConfig()
 	cfg.Nodes = opts.Nodes
 	if opts.Lookahead > 0 {
 		cfg.Lookahead = opts.Lookahead
@@ -294,9 +296,7 @@ func tseConfig(gen Generator, opts Options) tse.Config {
 // given (normalized) options; setting params.TSE afterwards selects the TSE
 // run.
 func timingParams(gen Generator, opts Options) timing.Params {
-	sys := config.DefaultSystem()
-	sys.Nodes = opts.Nodes
-	return timing.Params{System: sys, Profile: gen.Timing(), Nodes: opts.Nodes}
+	return timing.Params{Profile: gen.Timing(), Nodes: opts.Nodes}
 }
 
 // coverageReport converts a coverage summary into the facade Report shape.

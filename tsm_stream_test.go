@@ -175,7 +175,7 @@ func oracleFor(t *testing.T, path string) oracle {
 		t.Fatal(err)
 	}
 	for _, sweep := range sweepNames {
-		labels, cfgs, err := sweepConfigs(sweep, opts)
+		labels, cfgs, err := sweepConfigs(sweep, opts.Nodes)
 		if err != nil {
 			t.Fatal(err)
 		}

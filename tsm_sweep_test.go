@@ -40,7 +40,7 @@ func TestSweepSingleDecodePass(t *testing.T) {
 		}
 
 		// Per-cell parity: each cell must equal its own independent pass.
-		labels, cfgs, err := sweepConfigs(sweep, opts)
+		labels, cfgs, err := sweepConfigs(sweep, opts.Nodes)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +78,7 @@ func TestSweepStrategyParityAllWorkloads(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, cfgs, err := sweepConfigs("lookahead", opts)
+			_, cfgs, err := sweepConfigs("lookahead", opts.Nodes)
 			if err != nil {
 				t.Fatal(err)
 			}
